@@ -1,11 +1,6 @@
-"""Vectorized numpy implementations of the Monte Carlo counting kernels.
+"""Monte Carlo counting kernels.
 
-Semantically identical to the compiled core in radsurf._kernels._core; the
-compiled version performs the same comparisons with early exit per sample.
-Counts are exact integers, so chunking never changes results.  (The two
-backends may disagree on a sample sitting within one ulp of a constraint
-boundary, since BLAS and the scalar loop order floating-point sums
-differently; for continuous samplers this is a probability-zero event.)
+Counts are exact integers, so chunking never changes results.
 """
 
 import numpy as np

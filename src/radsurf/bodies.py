@@ -49,6 +49,7 @@ __all__ = [
     "Slab",
     "Polytope",
     "HyperRectangle",
+    "as_facets",
     "SurfaceEstimate",
     "sphere_surface",
     "sphere_argmax",
@@ -56,7 +57,6 @@ __all__ = [
     "slab_surface",
     "polytope_surface_mc",
     "minkowski_fd_surface",
-    "radial_sampler",
     "sample_points",
     "cube_lebesgue_check",
     "CubeCheck",
@@ -167,6 +167,39 @@ class HyperRectangle:
         if h.ndim != 1 or not np.all(np.isfinite(h)) or np.any(h <= 0.0):
             raise InputError("half-widths must be positive reals")
         object.__setattr__(self, "half_widths", h)
+
+
+def as_facets(body):
+    """(directions, offsets) of a facet body, read as the constraints
+    <x, directions[i]> <= offsets[i].
+
+    Covers Polytope, HalfSpace, Slab (origin inside: rho1, rho2 >= 0) and
+    HyperRectangle.  Offsets may be 0 (origin on the boundary), which the
+    Polytope gate rejects.
+    """
+    if isinstance(body, Polytope):
+        return body.directions, body.offsets
+    if isinstance(body, HalfSpace):
+        return body.direction[None, :], np.array([body.offset])
+    if isinstance(body, Slab):
+        if body.rho1 < 0.0 or body.rho2 < 0.0:
+            raise InputError(
+                "facet bodies need the origin inside the slab (rho1, rho2 >= 0)"
+            )
+        return (
+            np.vstack([body.direction, -body.direction]),
+            np.array([body.rho2, body.rho1]),
+        )
+    if isinstance(body, HyperRectangle):
+        eye = np.eye(body.half_widths.size)
+        return (
+            np.vstack([eye, -eye]),
+            np.concatenate([body.half_widths, body.half_widths]),
+        )
+    raise InputError(
+        f"expected a facet body (polytope, halfspace, slab or box), "
+        f"got {type(body).__name__}"
+    )
 
 
 @dataclass(frozen=True)
@@ -433,14 +466,6 @@ def _point_chunk(rng, table, d, n):
     return z * (r / norms)[:, None]
 
 
-def radial_sampler(prof: MeasureProfile, seed: int, chunk: int = 8192):
-    """Infinite stream of i.i.d. points distributed per the measure."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-    table = _radial_table(prof)
-    while True:
-        yield from _point_chunk(rng, table, prof.d, chunk)
-
-
 def sample_points(prof: MeasureProfile, n: int, seed: int) -> np.ndarray:
     """(n, d) array of i.i.d. points distributed per the measure."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
@@ -470,7 +495,7 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     Returns (values, std_errors, accepted, attempted) arrays over the
     requested facets.
     """
-    X, rho = body.directions, body.offsets
+    X, rho = as_facets(body)
     N, d = X.shape
     idx = np.arange(N) if facet_indices is None else np.asarray(facet_indices, int)
     S = int(samples_per_facet)
@@ -523,18 +548,18 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     return values, errors, accepted, attempted
 
 
-def polytope_surface_mc(prof: MeasureProfile, body: Polytope,
+def polytope_surface_mc(prof: MeasureProfile, body,
                         samples_per_facet: int, seed: int) -> SurfaceEstimate:
-    """Boundary measure of a polytope by facet-wise hyperplane Monte Carlo.
+    """Boundary measure of a facet body (see `as_facets`) by facet-wise
+    hyperplane Monte Carlo.
 
     When every sampled facet reports zero acceptance the estimate is 0 and
     the std_error is NaN with an explanatory note (the binomial error model
     carries no information in that regime).
     """
-    if body.directions.shape[1] != prof.d:
-        raise InputError(
-            f"polytope lives in R^{body.directions.shape[1]}, measure in R^{prof.d}"
-        )
+    dim = as_facets(body)[0].shape[1]
+    if dim != prof.d:
+        raise InputError(f"body lives in R^{dim}, measure in R^{prof.d}")
     if int(samples_per_facet) < 1:
         raise InputError(
             f"samples_per_facet must be >= 1, got {samples_per_facet}"

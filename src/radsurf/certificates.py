@@ -28,12 +28,13 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import ndtri
 
-from .bodies import HalfSpace, Polytope, Slab
+from .bodies import HalfSpace, HyperRectangle, Polytope, Slab, as_facets
 from .errors import InputError, NumericsError
 from .functionals import (
     MeasureProfile,
     edge_value,
     mu_candidate,
+    psi,
     rough_upper_bound,
     solve_t0,
     _pred_edge,
@@ -68,23 +69,6 @@ class BoundaryPoint:
             raise InputError(f"boundary point radius must be > 0, got {self.radius}")
         if not (0.0 <= self.alpha <= 1.0):
             raise InputError(f"alpha must lie in [0, 1], got {self.alpha}")
-
-
-def psi(prof: MeasureProfile, x: float) -> float:
-    """Log-profile deficit at radius (1+x) t0:
-
-        psi(x) = phi((1+x) t0) - phi(t0) - m log(1+x),  x > -1.
-
-    Zero at x = 0, nonnegative, nondecreasing in |x| on each side of 0
-    (t0 maximizes the log profile); +inf once (1+x) t0 leaves the support.
-    """
-    if not x > -1.0:
-        raise InputError(f"deficit argument must be > -1, got {x}")
-    t = (1.0 + x) * prof.t0
-    if t > prof.support_radius:
-        return math.inf
-    base = edge_value(prof.phi, prof.t0)
-    return edge_value(prof.phi, t) - base - prof.m * math.log1p(x)
 
 
 def Lambda(prof: MeasureProfile, t: float) -> Optional[float]:
@@ -267,26 +251,9 @@ def _facet_radius_range(dirs, offs, i, net):
     return r_lo, r_hi
 
 
-def _as_facets(body):
-    if isinstance(body, Polytope):
-        return body.directions, body.offsets
-    if isinstance(body, HalfSpace):
-        return body.direction[None, :], np.array([body.offset])
-    if isinstance(body, Slab):
-        if body.rho1 < 0.0 or body.rho2 < 0.0:
-            raise InputError("certificate needs the origin inside the slab")
-        return (
-            np.vstack([body.direction, -body.direction]),
-            np.array([body.rho2, body.rho1]),
-        )
-    raise InputError(
-        f"certificate expects a facet body, got {type(body).__name__}"
-    )
-
-
 def certificate_upper_bound(
     prof: MeasureProfile,
-    body: Union[Polytope, HalfSpace, Slab],
+    body: Union[Polytope, HalfSpace, Slab, HyperRectangle],
     grid_per_facet: int = 256,
 ) -> CertificateReport:
     """Certified upper bound on the boundary measure of a facet body.
@@ -302,7 +269,7 @@ def certificate_upper_bound(
     """
     if grid_per_facet < 2:
         raise InputError("grid_per_facet must be >= 2")
-    dirs, offs = _as_facets(body)
+    dirs, offs = as_facets(body)
     if dirs.shape[1] != prof.d:
         raise InputError(
             f"body lives in R^{dirs.shape[1]}, measure in R^{prof.d}"

@@ -128,11 +128,12 @@ def _render(rows: List[Dict], fmt: str) -> str:
 
 
 def _emit(rows: List[Dict], fmt: str, out: Optional[str]) -> None:
+    text = _render(rows, fmt)
     if out:
         with open(out, "w", newline="") as fh:
-            fh.write(_render(rows, "csv"))
+            fh.write(text)
     else:
-        sys.stdout.write(_render(rows, fmt))
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -231,40 +232,6 @@ def parse_body(spec: str, dim: int):
     return body
 
 
-@dataclass(frozen=True)
-class _Facets:
-    """Facet container for MC when offsets may touch 0 (origin on the
-    boundary), which the Polytope gate rejects."""
-
-    directions: np.ndarray
-    offsets: np.ndarray
-
-
-def _to_facets(body, dim):
-    if isinstance(body, bodies.Polytope):
-        return body
-    if isinstance(body, bodies.HalfSpace):
-        return _Facets(body.direction[None, :], np.array([body.offset]))
-    if isinstance(body, bodies.Slab):
-        if body.rho1 < 0 or body.rho2 < 0:
-            raise InputError(
-                "facet MC needs the origin inside the slab (rho1, rho2 >= 0)"
-            )
-        return _Facets(
-            np.vstack([body.direction, -body.direction]),
-            np.array([body.rho2, body.rho1]),
-        )
-    if isinstance(body, bodies.HyperRectangle):
-        eye = np.eye(dim)
-        return _Facets(
-            np.vstack([eye, -eye]),
-            np.concatenate([body.half_widths, body.half_widths]),
-        )
-    raise InputError(
-        f"facet MC needs a facet body, got {type(body).__name__}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -315,8 +282,7 @@ def _cmd_surface(args) -> int:
                 f"use --method mc or fd"
             )
     elif method == "mc":
-        facets = _to_facets(body, cfg.dim)
-        est = bodies.polytope_surface_mc(prof, facets, args.samples, cfg.seed)
+        est = bodies.polytope_surface_mc(prof, body, args.samples, cfg.seed)
     elif method == "fd":
         est = bodies.minkowski_fd_surface(
             prof, body, args.eps, args.samples, cfg.seed
@@ -419,7 +385,7 @@ def _parse_dims(spec: str) -> List[int]:
 
 
 def _cmd_sweep(args) -> int:
-    fmt = args.format
+    fmt = _output_format(args)
     dims = _parse_dims(args.dims)
     rows = []
     for d in dims:
@@ -518,9 +484,9 @@ def _verify_rows(cfg: RunConfig) -> List[Dict]:
         phi_t0 = functionals.edge_value(phi, t0)
         rows.append(_check("potential-at-t0-below-m", phi_t0 <= m + 1e-9,
                            phi_t0))
-        dfi = certificates.psi(prof, -prof.lambda_i)
+        dfi = functionals.psi(prof, -prof.lambda_i)
         ok_i = abs(dfi - 1.0) <= 1e-9
-        dfo = certificates.psi(prof, prof.lambda_o)
+        dfo = functionals.psi(prof, prof.lambda_o)
         edge = (1 + prof.lambda_o) * t0 >= prof.support_radius * (1 - 1e-12)
         ok_o = abs(dfo - 1.0) <= 1e-9 or (edge and dfo <= 1 + 1e-9)
         rows.append(_check("spread-deficit-one", ok_i and ok_o,
@@ -607,11 +573,18 @@ def _cmd_verify(args) -> int:
 # wiring
 
 
+def _output_format(args) -> str:
+    """--format if given, else csv for a file (--out) and human for stdout."""
+    if args.format:
+        return args.format
+    return "csv" if args.out else "human"
+
+
 def _config(args) -> RunConfig:
     return RunConfig(
         measure_spec=args.measure,
         dim=args.dim,
-        output_format=args.format,
+        output_format=_output_format(args),
         seed=args.seed,
         allow_non_logconcave=args.allow_non_logconcave,
     )
@@ -625,12 +598,14 @@ def _add_common(sp, dim=True):
         sp.add_argument("--dim", type=int, required=True,
                         help="ambient dimension d >= 2")
     sp.add_argument("--format", choices=("json", "csv", "human"),
-                    default="human")
+                    default=None,
+                    help="output format (default: human on stdout, csv "
+                         "with --out)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--allow-non-logconcave", action="store_true",
                     help="accept measures that fail the log-concavity gate")
     sp.add_argument("--out", default=None,
-                    help="write CSV to this path instead of stdout")
+                    help="write the output to this path instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -664,7 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="certified upper bound for a facet body")
     _add_common(sp)
     sp.add_argument("--body", required=True,
-                    help="polytope:file=.. | halfspace:rho=.. | slab:...")
+                    help="polytope:file=.. | halfspace:rho=.. | slab:... | "
+                         "box:halfwidths=a,b,..")
     sp.add_argument("--grid", type=int, default=256,
                     help="grid points per facet")
     sp.set_defaults(fn=_cmd_certificate)

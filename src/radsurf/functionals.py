@@ -46,7 +46,7 @@ __all__ = [
     "rough_upper_bound",
     "tail_mass_bound",
     "mu_candidate",
-    "psi_outer",
+    "psi",
     "log_ball_volume",
     "log_peaked_integral",
     "integrand_window",
@@ -299,16 +299,29 @@ def log_Jm(phi, k):
     return LogScalar(log_val)
 
 
+def _deficit(phi, m, t0):
+    """The log-profile deficit
+    x -> phi(t0 (1+x)) - phi(t0) - m log(1+x),  x > -1,
+    with phi(t0) evaluated once.  It is log g_m(t0) - log g_m(t0 (1+x)):
+    zero at x = 0 and nonnegative when t0 is the mode of g_m.  Uses the
+    limit from below on a support cutoff and is +inf beyond it.  A given
+    radius t replaces t0 (1+x), whose rounding can differ from it."""
+    phi_t0 = edge_value(phi, t0)
+
+    def deficit(x, t=None):
+        if t is None:
+            t = t0 * (1.0 + x)
+        return edge_value(phi, t) - phi_t0 - m * math.log1p(x)
+
+    return deficit
+
+
 def solve_lambda_inner(phi, m, t0):
     """Relative inner width: smallest u in (0, 1) with
     g_m(t0 (1 - u)) = g_m(t0) / e, i.e.
     phi(t0(1-u)) - phi(t0) - m log(1-u) = 1."""
-    phi_t0 = edge_value(phi, t0)
-
-    def pred(u):
-        return float(phi.value(t0 * (1.0 - u))) - phi_t0 - m * math.log1p(-u) <= 1.0
-
-    return _pred_edge(pred, 0.0, 1.0)
+    deficit = _deficit(phi, m, t0)
+    return _pred_edge(lambda u: deficit(-u) <= 1.0, 0.0, 1.0)
 
 
 def solve_lambda_outer(phi, m, t0):
@@ -320,18 +333,14 @@ def solve_lambda_outer(phi, m, t0):
     cutoff), so the outer width always measures how far beyond t0 the
     profile stays within a factor e of its peak.
     """
-    phi_t0 = edge_value(phi, t0)
-
-    def deficit(x):
-        return float(phi.value(t0 * (1.0 + x))) - phi_t0 - m * math.log1p(x)
-
+    deficit = _deficit(phi, m, t0)
     R = phi.support_radius
     if math.isfinite(R):
         x_max = R / t0 - 1.0
         if x_max <= 0.0:
             return 0.0
-        edge_deficit = edge_value(phi, R) - phi_t0 - m * math.log1p(x_max)
-        if edge_deficit <= 1.0:
+        # at R itself: t0 (1 + x_max) can round past the cutoff
+        if deficit(x_max, R) <= 1.0:
             return x_max
         return _pred_edge(lambda x: deficit(x) <= 1.0, 0.0, x_max)
     hi = 1.0
@@ -440,14 +449,19 @@ def rough_upper_bound(prof):
     return prof.m * math.exp(prof.log_J[prof.m - 1].log - prof.log_J[prof.m].log)
 
 
-def psi_outer(prof, x):
-    """Log-profile deficit beyond the mode:
-    phi((1+x) t0) - phi(t0) - m log(1+x) (+inf past the support cutoff)."""
-    if x < 0:
-        raise InputError(f"deficit argument must be >= 0, got {x}")
-    t = (1.0 + x) * prof.t0
-    phi_t0 = edge_value(prof.phi, prof.t0)
-    return edge_value(prof.phi, t) - phi_t0 - prof.m * math.log1p(x)
+def psi(prof, x):
+    """Log-profile deficit at radius (1+x) t0:
+
+        psi(x) = phi((1+x) t0) - phi(t0) - m log(1+x),  x > -1.
+
+    Zero at x = 0, nonnegative, nondecreasing in |x| on each side of 0
+    (t0 maximizes the log profile); +inf once (1+x) t0 leaves the support.
+    """
+    if not x > -1.0:
+        raise InputError(f"deficit argument must be > -1, got {x}")
+    if (1.0 + x) * prof.t0 > prof.support_radius:
+        return math.inf
+    return _deficit(prof.phi, prof.m, prof.t0)(x)
 
 
 def tail_mass_bound(phi, m, t0, x, psi):
@@ -463,14 +477,13 @@ def tail_mass_bound(phi, m, t0, x, psi):
         raise InputError(f"tail bound requires x > 0, got {x}")
     if psi <= 0:
         raise InputError(f"tail bound requires psi > 0, got {psi}")
-    phi_t0 = edge_value(phi, t0)
-    deficit = edge_value(phi, (1.0 + x) * t0) - phi_t0 - m * math.log1p(x)
+    deficit = _deficit(phi, m, t0)(x)
     if not psi <= deficit + 1e-12 * max(1.0, abs(deficit)):
         raise InputError(
             f"tail hypothesis not satisfied: psi={psi:.6g} exceeds the "
             f"log-profile deficit {deficit:.6g} at x={x:.6g}"
         )
-    log_g_t0 = m * math.log(t0) - phi_t0
+    log_g_t0 = m * math.log(t0) - edge_value(phi, t0)
     return LogScalar(
         math.log(x) + math.log(t0) + log_g_t0 - math.log(psi) - psi
     )
@@ -480,7 +493,7 @@ def mu_candidate(prof, mu=None):
     """Candidate annulus half-width for the remainder bound, with its check.
 
     Default candidate mu = log(m)/sqrt(m).  Returns (mu, ok) where ok
-    requires the chain  psi_outer(mu) >= log(mu sqrt(m / lambda_sum)) >= 1,
+    requires the chain  psi(mu) >= log(mu sqrt(m / lambda_sum)) >= 1,
     i.e. the profile drops fast enough beyond (1+mu) t0 for the annulus
     remainder bound to hold with this mu.
     """
@@ -491,7 +504,7 @@ def mu_candidate(prof, mu=None):
         raise InputError(f"annulus half-width must be positive, got {mu}")
     lam = prof.lambda_sum
     log_term = math.log(mu * math.sqrt(m / lam)) if lam > 0 else math.inf
-    ok = psi_outer(prof, mu) >= log_term >= 1.0
+    ok = psi(prof, mu) >= log_term >= 1.0
     return mu, bool(ok)
 
 

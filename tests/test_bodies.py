@@ -15,6 +15,7 @@ from radsurf.bodies import (
     SphereShell,
     SurfaceEstimate,
     _facet_values,
+    as_facets,
     cube_lebesgue_check,
     halfspace_surface,
     minkowski_fd_surface,
@@ -181,6 +182,33 @@ def test_sampler_determinism(get_profile):
 
 
 # --- facet Monte Carlo -----------------------------------------------------
+
+
+def test_as_facets_covers_every_facet_body():
+    e = np.array([0.0, 1.0, 0.0])
+    dirs, offs = as_facets(HalfSpace(e, 0.0))  # origin on the boundary
+    assert np.array_equal(dirs, [e]) and np.array_equal(offs, [0.0])
+    dirs, offs = as_facets(Slab(e, 0.4, 0.9))
+    assert np.array_equal(dirs, [e, -e]) and np.array_equal(offs, [0.9, 0.4])
+    dirs, offs = as_facets(HyperRectangle([0.5, 1.0, 2.0]))
+    eye = np.eye(3)
+    assert np.array_equal(dirs, np.vstack([eye, -eye]))
+    assert np.array_equal(offs, [0.5, 1.0, 2.0, 0.5, 1.0, 2.0])
+    poly = Polytope(directions=[e], offsets=[0.7])
+    dirs, offs = as_facets(poly)
+    assert dirs is poly.directions and offs is poly.offsets
+    for body in (Slab(e, -0.2, 0.9), Ball(1.0), SphereShell(1.0)):
+        with pytest.raises(InputError):
+            as_facets(body)
+
+
+def test_box_mc_equals_box_as_polytope(get_profile):
+    pr = get_profile("gaussian", 3)
+    h = np.array([0.6, 1.0, 1.4])
+    box = polytope_surface_mc(pr, HyperRectangle(h), 2000, seed=4)
+    eye = np.eye(3)
+    poly = Polytope(np.vstack([eye, -eye]), np.concatenate([h, h]))
+    assert box == polytope_surface_mc(pr, poly, 2000, seed=4)
 
 
 def test_single_facet_polytope_equals_halfspace(get_profile):

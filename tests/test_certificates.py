@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from radsurf.errors import InputError
+from radsurf import functionals
 from radsurf.bodies import (
     HalfSpace,
+    HyperRectangle,
     Polytope,
     Slab,
     halfspace_surface,
@@ -64,6 +66,10 @@ def test_psi_two_sided_monotone(get_profile):
 def test_psi_infinite_past_cutoff(get_profile):
     pr = get_profile("ball", 5)
     assert math.isinf(psi(pr, 0.5))
+
+
+def test_psi_is_reexported_from_functionals():
+    assert psi is functionals.psi
 
 
 # --- one-nat step Lambda -----------------------------------------------------
@@ -228,6 +234,15 @@ def test_certificate_cube_sound(get_profile):
     cert = certificate_upper_bound(pr, body)
     est = polytope_surface_mc(pr, body, samples_per_facet=10_000, seed=77)
     assert est.value - 3.0 * est.std_error <= cert.value
+
+
+def test_certificate_box_equals_box_as_polytope(get_profile):
+    pr = get_profile("gp4", 4)
+    h = np.array([0.5, 0.8, 1.1, 1.7])
+    eye = np.eye(4)
+    poly = Polytope(np.vstack([eye, -eye]), np.concatenate([h, h]))
+    assert certificate_upper_bound(pr, HyperRectangle(h)) == \
+        certificate_upper_bound(pr, poly)
 
 
 def test_certificate_rejects_bodies_outside_support(get_profile):

@@ -161,6 +161,46 @@ def test_certificate_command(capsys, tmp_path):
     assert row["value"] > 0
 
 
+def test_certificate_box_matches_polytope_file(capsys, tmp_path):
+    path = tmp_path / "box.txt"
+    h = np.array([0.7, 1.0, 1.6])
+    eye = np.eye(3)
+    np.savetxt(path, np.hstack([np.vstack([eye, -eye]),
+                                np.concatenate([h, h])[:, None]]))
+    rows = []
+    for body in ("box:halfwidths=0.7,1,1.6", f"polytope:file={path}"):
+        code, out, _ = run_cli(capsys, "certificate", "--measure", "gaussian",
+                               "--dim", "3", "--body", body, "--format", "json")
+        assert code == 0
+        row = json.loads(out)
+        assert row.pop("body") == body
+        rows.append(row)
+    assert rows[0] == rows[1]
+
+
+def test_surface_mc_halfspace_through_origin(capsys):
+    code, out, _ = run_cli(capsys, "surface", "--measure", "gaussian",
+                           "--dim", "4", "--body", "halfspace:rho=0",
+                           "--method", "mc", "--samples", "500",
+                           "--format", "json")
+    assert code == 0
+    row = json.loads(out)
+    # a lone facet accepts every sample: the exact half-space value
+    assert row["value"] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi),
+                                         rel=1e-9)
+    assert row["std_error"] == 0.0
+
+
+@pytest.mark.parametrize("body", ["ball:R=1", "sphere:R=1"])
+@pytest.mark.parametrize("command", [("surface", "--method", "mc"),
+                                     ("certificate",)])
+def test_round_bodies_are_not_facet_bodies(capsys, command, body):
+    code, out, err = run_cli(capsys, *command, "--measure", "gaussian",
+                             "--dim", "3", "--body", body)
+    assert code == 2
+    assert out == "" and "facet body" in err
+
+
 def test_construct_command_deterministic(capsys):
     args = ("construct", "--measure", "gaussian", "--dim", "16",
             "--trials", "2", "--samples", "1000", "--seed", "3",
@@ -205,6 +245,16 @@ def test_out_file_writes_csv_quietly(capsys, tmp_path):
     rows = list(csv.DictReader(dest.open()))
     assert len(rows) == 1
     assert float(rows[0]["t0"]) == pytest.approx(math.sqrt(3.0), rel=1e-12)
+
+
+def test_out_file_honours_format(capsys, tmp_path):
+    dest = tmp_path / "table.json"
+    code, out, _ = run_cli(capsys, "functionals", "--measure", "gaussian",
+                           "--dim", "4", "--format", "json", "--out", str(dest))
+    assert code == 0
+    assert out == ""
+    row = json.loads(dest.read_text())
+    assert row["t0"] == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
 
 def test_twelve_digit_float_formatting():

@@ -11,7 +11,7 @@ from radsurf.functionals import (
     log_ball_volume,
     mu_candidate,
     profile,
-    psi_outer,
+    psi,
     rough_upper_bound,
     solve_t0,
     tail_mass_bound,
@@ -209,20 +209,20 @@ def test_theorem_bound_probabilistic_frozen_values(get_profile):
     )
 
 
-def test_psi_outer_values_and_domain(get_profile):
-    pr = get_profile("gaussian", 3)
-    assert psi_outer(pr, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert psi_outer(pr, 1.0) == pytest.approx(3.0 - 2.0 * math.log(2.0), rel=1e-12)
-    with pytest.raises(InputError):
-        psi_outer(pr, -0.1)
-    prb = get_profile("ball", 5)
-    assert math.isinf(psi_outer(prb, 0.5))  # past the support cutoff
+def test_lambda_outer_stops_exactly_at_the_cutoff():
+    # the profile stays within a nat of its peak up to the cutoff R = 3.5,
+    # and t0 (1 + x_max) rounds past R: the edge test must still read R
+    phi = tabulated([1.0, 3.5], [0.5, 2.0], extrapolation="cutoff")
+    pr = profile(phi, 2)
+    x_max = 3.5 / pr.t0 - 1.0
+    assert pr.t0 * (1.0 + x_max) > 3.5
+    assert pr.lambda_o == x_max
 
 
 def test_tail_mass_bound_frozen_and_sound(get_profile):
     pr = get_profile("gaussian", 3)
-    psi = psi_outer(pr, 1.0)
-    bound = tail_mass_bound(pr.phi, pr.m, pr.t0, 1.0, psi)
+    deficit = psi(pr, 1.0)
+    bound = tail_mass_bound(pr.phi, pr.m, pr.t0, 1.0, deficit)
     assert bound.value == pytest.approx(0.1284111515552577, rel=1e-10)
     # sound: it dominates the true tail int_{2 t0}^inf t^2 e^{-t^2/2} dt
     mp.mp.dps = 30
@@ -231,11 +231,11 @@ def test_tail_mass_bound_frozen_and_sound(get_profile):
     )
     assert bound.value >= true_tail
     with pytest.raises(InputError):
-        tail_mass_bound(pr.phi, pr.m, pr.t0, -1.0, psi)
+        tail_mass_bound(pr.phi, pr.m, pr.t0, -1.0, deficit)
     with pytest.raises(InputError):
         tail_mass_bound(pr.phi, pr.m, pr.t0, 1.0, 0.0)
     with pytest.raises(InputError):
-        tail_mass_bound(pr.phi, pr.m, pr.t0, 1.0, psi + 0.1)  # exceeds deficit
+        tail_mass_bound(pr.phi, pr.m, pr.t0, 1.0, deficit + 0.1)  # exceeds deficit
 
 
 def test_mu_candidate_feasibility(get_profile):
