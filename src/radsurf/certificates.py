@@ -14,9 +14,11 @@ computable lower bound t1/e certifies the same kind of inequality in
 normal coordinates.
 
 This module evaluates both weights exactly, assembles the global
-`certificate_upper_bound` for polytopes (with the moment-ratio bound
-m J_{m-1}/J_m as a fallback), and bounds the boundary mass outside the
-critical annulus (1-lambda_i) t0 <= |x| <= (1+mu) t0.
+`certificate_upper_bound` for facet bodies in closed form (one xi1
+evaluation at the inradius facet, with the reach of the body bounded by
+linear programs; the moment-ratio bound m J_{m-1}/J_m is the fallback),
+and bounds the boundary mass outside the critical annulus
+(1-lambda_i) t0 <= |x| <= (1+mu) t0.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.special import ndtri
 
 from .bodies import HalfSpace, HyperRectangle, Polytope, Slab, as_facets
@@ -177,12 +180,13 @@ def xi2_lower(prof: MeasureProfile, point: BoundaryPoint) -> float:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Certified upper bound on a polytope's boundary measure.
+    """Certified upper bound on a facet body's boundary measure.
 
     value = min(xi1_bound, rough_bound); `binding` names the active term
-    ("xi1" or "rough").  xi1_bound is 1/min_grid xi1 (inf when the grid min
-    is 0, e.g. a hyperplane through the origin); rough_bound is the
-    body-independent moment ratio m J_{m-1}/J_m.
+    ("xi1" or "rough").  xi1_bound is 1/min_{y in dQ} xi1(y) (inf when the
+    minimum is 0, e.g. a hyperplane through the origin); rough_bound is the
+    body-independent moment ratio m J_{m-1}/J_m.  grid_points counts the
+    xi1 evaluations, which the closed form makes 1.
     """
 
     value: float
@@ -196,7 +200,11 @@ class CertificateReport:
 def _direction_net(d: int, n: int) -> np.ndarray:
     """Deterministic low-discrepancy unit vectors: a Kronecker sequence on
     [0,1)^d (powers of the d-dimensional plastic ratio) pushed through the
-    normal quantile and normalized."""
+    normal quantile and normalized.
+
+    Nothing in radsurf calls it; it stays because perfbench/tracing.py
+    wraps it by name as a per-layer metric.
+    """
     x = 2.0
     for _ in range(64):
         x = (1.0 + x) ** (1.0 / (d + 1))
@@ -209,124 +217,87 @@ def _direction_net(d: int, n: int) -> np.ndarray:
     return v / norms[:, None]
 
 
-def _facet_radius_range(dirs, offs, i, net):
-    """Reachable |y| interval [r_lo, r_hi] on facet i, probed along the net
-    directions projected into the facet hyperplane.  r_hi underestimates
-    the true facet reach (more net directions tighten it); r_hi = inf means
-    some probed chord is unbounded."""
-    x_i = dirs[i]
-    rho = offs[i]
-    others = np.arange(dirs.shape[0]) != i
-    Xo = dirs[others]
-    slack = offs[others] - rho * (Xo @ x_i)  # feasibility at the facet foot
+def _facet_radius_range(dirs, offs, cap):
+    """Sound upper bound r_hi on max |x| over {x : dirs x <= offs}: the
+    corner radius of the bounding box, from one LP per signed axis.
 
-    U = net - np.outer(net @ x_i, x_i)
-    norms = np.linalg.norm(U, axis=1)
-    keep = norms > 1e-12
-    if not keep.any():
-        return None
-    U = U[keep] / norms[keep, None]
-
-    if Xo.shape[0] == 0:
-        return rho, math.inf
-
-    G = U @ Xo.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = slack[None, :] / G
-    pos = G > 0.0
-    neg = G < 0.0
-    s_hi = np.where(pos, ratio, np.inf).min(axis=1)
-    s_lo = np.where(neg, ratio, -np.inf).max(axis=1)
-    # constraints parallel to the chord and violated at the foot kill it
-    dead = (np.abs(G) <= 0.0) & (slack[None, :] < 0.0)
-    ok = (s_lo <= s_hi) & ~dead.any(axis=1)
-    if not ok.any():
-        return None
-    s_lo, s_hi = s_lo[ok], s_hi[ok]
-
-    reach = np.maximum(np.abs(s_lo), np.abs(s_hi)).max()
-    inner = np.where(s_lo > 0.0, s_lo, np.where(s_hi < 0.0, -s_hi, 0.0)).min()
-    r_lo = math.hypot(rho, float(inner))
-    r_hi = math.inf if math.isinf(reach) else math.hypot(rho, float(reach))
-    return r_lo, r_hi
+    Returns inf when the body is unbounded, and as soon as the radius of
+    the axes solved so far reaches `cap`, since the caller only uses
+    min(cap, r_hi).
+    """
+    d = dirs.shape[1]
+    sq = 0.0
+    for j in range(d):
+        reach = 0.0
+        for sign in (-1.0, 1.0):
+            c = np.zeros(d)
+            c[j] = sign  # minimizing sign * x_j gives max |x_j| on that side
+            res = linprog(c, A_ub=dirs, b_ub=offs, bounds=(None, None),
+                          method="highs")
+            if res.status != 0:
+                # The origin is feasible, so any other outcome means the LP
+                # is unbounded; HiGHS presolve reports the unbounded slab
+                # as status 2 "infeasible" rather than 3.
+                return math.inf
+            reach = max(reach, -res.fun)
+            if math.sqrt(sq + reach * reach) >= cap:
+                return math.inf
+        sq += reach * reach
+    # HiGHS meets its primal and dual feasibility tolerances of 1e-7; the
+    # relative 1e-6 round-up keeps r_hi above the true box radius.
+    return math.sqrt(sq) * (1.0 + 1e-6)
 
 
 def certificate_upper_bound(
     prof: MeasureProfile,
     body: Union[Polytope, HalfSpace, Slab, HyperRectangle],
-    grid_per_facet: int = 256,
 ) -> CertificateReport:
     """Certified upper bound on the boundary measure of a facet body.
 
-    On every facet, xi1 depends only on |y| (alpha = rho_i/|y| is forced
-    by the geometry), and log xi1 is unimodal in |y| with its minimum at
-    the mode t_{m+1} of the (m+1)-radial profile.  The reachable radius
-    interval of each facet is probed along a deterministic direction net;
-    xi1 is evaluated on a geometric radius ladder over that interval plus
-    the clipped exact minimizer, so the reported minimum is exact for the
-    probed interval and tightens toward the true facet minimum as the net
-    grows.  The reported value is min(1/min xi1, m J_{m-1}/J_m).
+    On facet i, alpha = rho_i/|y| is forced by the geometry, so with r = |y|
+
+        log xi1 = log rho_i + log J_m + phi(r) - (m+1) log r,
+
+    which is increasing in rho_i and unimodal in r with its minimum at the
+    mode r* = t_{m+1} of the (m+1)-radial profile.  Every boundary point
+    has rho_i >= r_in = min_i rho_i and r_in <= r <= min(r_hi, R), where R
+    is the support radius and r_hi the LP bound of `_facet_radius_range`.
+    So min_{dQ} xi1 is at least the single evaluation at rho = r_in and
+    r = clip(r*, r_in, min(r_hi, R)); it is attained when the facet at
+    r_in (always non-redundant) reaches that radius.  The reported value
+    is min(1/min xi1, m J_{m-1}/J_m).
     """
-    if grid_per_facet < 2:
-        raise InputError("grid_per_facet must be >= 2")
     dirs, offs = as_facets(body)
     if dirs.shape[1] != prof.d:
         raise InputError(
             f"body lives in R^{dirs.shape[1]}, measure in R^{prof.d}"
         )
     phi, m = prof.phi, prof.m
-    logJ = prof.log_Jm.log
-    r_star = solve_t0(phi, m + 1)  # minimizer of exp(phi(r)) / r^(m+1)
     R_sup = prof.support_radius
-    net = _direction_net(prof.d, grid_per_facet)
-
-    def log_xi1(rho, r):
-        if rho == 0.0:
-            return -math.inf
-        return math.log(rho) + logJ + edge_value(phi, r) - (m + 1) * math.log(r)
-
-    best = math.inf
-    points = 0
-    any_facet = False
-    for i in range(dirs.shape[0]):
-        if offs[i] >= R_sup:
-            continue  # facet carries no mass
-        if offs[i] == 0.0:
-            # hyperplane through the origin: alpha = 0, xi1 vanishes
-            best = -math.inf
-            any_facet = True
-            points += 1
-            continue
-        rng = _facet_radius_range(dirs, offs, i, net)
-        if rng is None:
-            continue  # redundant facet: no reachable boundary points
-        r_lo, r_hi = rng
-        r_hi = min(r_hi, R_sup)
-        if r_hi < r_lo:
-            continue
-        any_facet = True
-        cap = r_hi if math.isfinite(r_hi) else max(2.0 * r_star, 2.0 * r_lo)
-        ladder = np.geomspace(r_lo, max(cap, r_lo), grid_per_facet)
-        vals = [log_xi1(offs[i], r) for r in ladder]
-        vals.append(log_xi1(offs[i], min(max(r_star, r_lo), r_hi)))
-        points += len(vals)
-        best = min(best, min(vals))
-    if not any_facet:
+    r_in = float(offs.min())
+    if r_in >= R_sup:
         raise InputError(
-            "certificate grid found no boundary points: every facet is "
-            "redundant or outside the support"
+            "certificate found no boundary points: every facet lies "
+            "outside the support"
         )
+    if r_in == 0.0:
+        best = -math.inf  # hyperplane through the origin: alpha = 0
+    else:
+        # r* = solve_t0(phi, m + 1) minimizes exp(phi(r)) / r^(m+1)
+        cap = min(solve_t0(phi, m + 1), R_sup)
+        r = r_in
+        if r_in < cap:
+            r = min(cap, _facet_radius_range(dirs, offs, cap))
+        best = (math.log(r_in) + prof.log_Jm.log + edge_value(phi, r)
+                - (m + 1) * math.log(r))
 
-    min_xi1 = math.exp(best) if math.isfinite(best) else (
-        0.0 if best == -math.inf else math.inf
-    )
+    min_xi1 = math.exp(best)
     xi1_bound = 1.0 / min_xi1 if min_xi1 > 0.0 else math.inf
     rough = rough_upper_bound(prof)
     if xi1_bound <= rough:
         return CertificateReport(xi1_bound, xi1_bound, rough, "xi1",
-                                 min_xi1, points)
-    return CertificateReport(rough, xi1_bound, rough, "rough",
-                             min_xi1, points)
+                                 min_xi1, 1)
+    return CertificateReport(rough, xi1_bound, rough, "rough", min_xi1, 1)
 
 
 # ---------------------------------------------------------------------------

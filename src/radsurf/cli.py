@@ -308,7 +308,7 @@ def _cmd_certificate(args) -> int:
     cfg = _config(args)
     prof = cfg.profile()
     body = parse_body(args.body, cfg.dim)
-    rep = certificates.certificate_upper_bound(prof, body, args.grid)
+    rep = certificates.certificate_upper_bound(prof, body)
     row = {
         "measure": cfg.measure_spec,
         "d": cfg.dim,
@@ -641,8 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--body", required=True,
                     help="polytope:file=.. | halfspace:rho=.. | slab:... | "
                          "box:halfwidths=a,b,..")
-    sp.add_argument("--grid", type=int, default=256,
-                    help="grid points per facet")
     sp.set_defaults(fn=_cmd_certificate)
 
     sp = sub.add_parser("construct",

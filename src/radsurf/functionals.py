@@ -464,28 +464,28 @@ def psi(prof, x):
     return _deficit(prof.phi, prof.m, prof.t0)(x)
 
 
-def tail_mass_bound(phi, m, t0, x, psi):
+def tail_mass_bound(phi, m, t0, x, psi_floor):
     """Upper bound for the unnormalized radial tail
     int_{(1+x) t0}^inf t^m exp(-phi(t)) dt, as a LogScalar.
 
-    The caller supplies any positive psi not exceeding the log-profile
-    deficit phi((1+x)t0) - phi(t0) - m log(1+x); the bound is then
-    x t0 g_m(t0) / (psi e^psi).  This is the estimate that justifies the
-    60-nat quadrature truncation window.
+    The caller supplies any positive psi_floor not exceeding the log-profile
+    deficit psi = phi((1+x)t0) - phi(t0) - m log(1+x); the bound is then
+    x t0 g_m(t0) / (psi_floor e^psi_floor).  This is the estimate that
+    justifies the 60-nat quadrature truncation window.
     """
     if x <= 0:
         raise InputError(f"tail bound requires x > 0, got {x}")
-    if psi <= 0:
-        raise InputError(f"tail bound requires psi > 0, got {psi}")
+    if psi_floor <= 0:
+        raise InputError(f"tail bound requires psi_floor > 0, got {psi_floor}")
     deficit = _deficit(phi, m, t0)(x)
-    if not psi <= deficit + 1e-12 * max(1.0, abs(deficit)):
+    if not psi_floor <= deficit + 1e-12 * max(1.0, abs(deficit)):
         raise InputError(
-            f"tail hypothesis not satisfied: psi={psi:.6g} exceeds the "
-            f"log-profile deficit {deficit:.6g} at x={x:.6g}"
+            f"tail hypothesis not satisfied: psi_floor={psi_floor:.6g} "
+            f"exceeds the log-profile deficit {deficit:.6g} at x={x:.6g}"
         )
     log_g_t0 = m * math.log(t0) - edge_value(phi, t0)
     return LogScalar(
-        math.log(x) + math.log(t0) + log_g_t0 - math.log(psi) - psi
+        math.log(x) + math.log(t0) + log_g_t0 - math.log(psi_floor) - psi_floor
     )
 
 

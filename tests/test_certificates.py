@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from radsurf.bodies import (
     HyperRectangle,
     Polytope,
     Slab,
+    as_facets,
     halfspace_surface,
     polytope_surface_mc,
     slab_surface,
@@ -18,6 +20,7 @@ from radsurf.bodies import (
 from radsurf.certificates import (
     BoundaryPoint,
     Lambda,
+    _facet_radius_range,
     annulus_remainder_bound,
     certificate_upper_bound,
     psi,
@@ -227,10 +230,14 @@ def test_certificate_sound_on_random_polytopes(name, d, get_profile):
         assert cert.value <= rough_upper_bound(pr) * (1.0 + 1e-12)
 
 
+def _cube(d, h):
+    eye = np.eye(d)
+    return Polytope(directions=np.vstack([eye, -eye]), offsets=np.full(2 * d, h))
+
+
 def test_certificate_cube_sound(get_profile):
     pr = get_profile("gaussian", 4)
-    eye = np.eye(4)
-    body = Polytope(directions=np.vstack([eye, -eye]), offsets=np.full(8, 1.0))
+    body = _cube(4, 1.0)
     cert = certificate_upper_bound(pr, body)
     est = polytope_surface_mc(pr, body, samples_per_facet=10_000, seed=77)
     assert est.value - 3.0 * est.std_error <= cert.value
@@ -252,18 +259,99 @@ def test_certificate_rejects_bodies_outside_support(get_profile):
         certificate_upper_bound(pr, body)
 
 
-def test_certificate_grid_gate(get_profile):
-    pr = get_profile("gaussian", 3)
-    body = circumscribed_polytope(3, 1.0, 4, seed=1)
-    with pytest.raises(InputError):
-        certificate_upper_bound(pr, body, grid_per_facet=1)
-
-
 def test_certificate_dimension_mismatch(get_profile):
     pr = get_profile("gaussian", 5)
     body = circumscribed_polytope(3, 1.0, 4, seed=1)
     with pytest.raises(InputError):
         certificate_upper_bound(pr, body)
+
+
+def _ray_inverse_xi1(pr, body, n, seed):
+    """1/xi1 at the boundary points y(u) = t(u) u hit by n uniform rays u;
+    alpha = <u, x_i> for the facet i the ray leaves through."""
+    dirs, offs = as_facets(body)
+    u = np.random.default_rng(seed).standard_normal((n, pr.d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    G = u @ dirs.T
+    with np.errstate(divide="ignore"):
+        t = np.where(G > 0.0, offs / G, np.inf)
+    i = t.argmin(axis=1)
+    rows = np.arange(n)
+    return np.array([
+        1.0 / xi1(pr, BoundaryPoint(float(r), float(a)))
+        for r, a in zip(t[rows, i], G[rows, i])
+    ])
+
+
+@pytest.mark.parametrize("d,h", [(16, 0.9), (32, 0.6)])
+def test_certificate_cube_dominates_every_ray(d, h, get_profile):
+    # the corner radius h sqrt(d) lies below r* = sqrt(m+1) = sqrt(d), so
+    # sup 1/xi1 over the cube is attained at a corner, where alpha = 1/sqrt(d)
+    pr = get_profile("gaussian", d)
+    body = _cube(d, h)
+    cert = certificate_upper_bound(pr, body)
+    corner = 1.0 / xi1(pr, BoundaryPoint(h * math.sqrt(d), 1.0 / math.sqrt(d)))
+    assert _ray_inverse_xi1(pr, body, 20_000, seed=d).max() <= cert.value
+    assert corner <= cert.value <= corner * (1.0 + 1e-4)
+    assert cert.binding == "xi1" and cert.grid_points == 1
+
+
+def test_certificate_dominates_every_ray_on_a_random_polytope(get_profile):
+    pr = get_profile("gp1", 5)
+    rng = np.random.default_rng(11)
+    dirs = rng.standard_normal((14, 5))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    body = Polytope(dirs, pr.t0 * rng.uniform(0.3, 1.2, 14))
+    cert = certificate_upper_bound(pr, body)
+    samples = _ray_inverse_xi1(pr, body, 20_000, seed=5)
+    assert np.isfinite(samples).all()
+    assert samples.max() <= cert.value
+
+
+# --- reach bound -------------------------------------------------------------
+
+
+def test_facet_radius_range_is_the_box_corner():
+    d, h = 16, 0.9
+    dirs, offs = as_facets(_cube(d, h))
+    r_hi = _facet_radius_range(dirs, offs, math.inf)
+    assert h * math.sqrt(d) <= r_hi <= h * math.sqrt(d) * (1.0 + 2e-6)
+    # an off-centre box: every axis reaches out on its longer side
+    upper, lower = np.array([0.5, 2.0, 1.0]), np.array([1.5, 0.3, 1.0])
+    eye = np.eye(3)
+    r_hi = _facet_radius_range(np.vstack([eye, -eye]),
+                               np.concatenate([upper, lower]), math.inf)
+    corner = float(np.linalg.norm(np.maximum(upper, lower)))
+    assert corner <= r_hi <= corner * (1.0 + 2e-6)
+
+
+def test_facet_radius_range_infinite_when_unbounded_or_capped():
+    d = 256
+    u = np.random.default_rng(3).standard_normal(d)
+    u /= np.linalg.norm(u)
+    assert math.isinf(_facet_radius_range(*as_facets(Slab(u, 1.0, 1.0)), math.inf))
+    assert math.isinf(
+        _facet_radius_range(*as_facets(HalfSpace([1.0, 0.0, 0.0], 0.5)), math.inf)
+    )
+    dirs, offs = as_facets(_cube(16, 0.9))
+    assert math.isinf(_facet_radius_range(dirs, offs, 3.0))  # box radius 3.6
+
+
+def test_facet_radius_range_dominates_every_vertex():
+    rng = np.random.default_rng(8)
+    dirs = rng.standard_normal((9, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    offs = rng.uniform(0.5, 2.0, 9)
+    r_vertex = 0.0
+    for rows in itertools.combinations(range(9), 3):
+        A = dirs[list(rows)]
+        if abs(np.linalg.det(A)) < 1e-9:
+            continue
+        v = np.linalg.solve(A, offs[list(rows)])
+        if np.all(dirs @ v <= offs + 1e-9):
+            r_vertex = max(r_vertex, float(np.linalg.norm(v)))
+    r_hi = _facet_radius_range(dirs, offs, math.inf)
+    assert 0.0 < r_vertex <= r_hi < math.inf
 
 
 # --- one-nat step vs deficit scan -------------------------------------------
