@@ -31,15 +31,12 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from . import _kernels
-from .errors import InputError
+from .errors import InputError, NumericsError
 from .functionals import (
     MeasureProfile,
     edge_value,
-    integrand_window,
     log_ball_volume,
-    log_peaked_integral,
-    profile_window,
-    _pred_edge,
+    _radial_law,
 )
 
 __all__ = [
@@ -65,6 +62,23 @@ __all__ = [
 _CHUNK = 1 << 16  # fixed sampling chunk: part of the determinism contract
 
 _UNIT_TOL = 1e-12
+
+
+def _rng(*key):
+    """The PCG64 generator seeded by the integer tuple `key`."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(tuple(int(k) for k in key)))
+    )
+
+
+def _unit_rows(z, radii=None):
+    """Rows of z scaled to unit length, or to length `radii`; zero rows
+    stay zero."""
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms == 0.0] = 1.0
+    if radii is None:
+        return z / norms[:, None]
+    return z * (radii / norms)[:, None]
 
 
 def _as_unit_rows(vecs, what):
@@ -246,11 +260,9 @@ def sphere_surface(prof: MeasureProfile, R: float) -> SurfaceEstimate:
 def sphere_argmax(prof: MeasureProfile) -> float:
     """Radius maximizing sphere_surface, by golden-section search on the
     log profile.  Coincides with prof.t0 (consistency check of the solver)."""
-    phi, m = prof.phi, prof.m
-    a, b = profile_window(phi, m)
-
-    def logf(R):
-        return m * math.log(R) - edge_value(phi, R) if R > 0 else -math.inf
+    law = _radial_law(prof.phi, prof.m)
+    a, b = law.window()
+    logf = law.log_at
 
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv * (b - a)
@@ -268,94 +280,17 @@ def sphere_argmax(prof: MeasureProfile) -> float:
     return 0.5 * (a + b)
 
 
-def _halfspace_parts(phi, m, rho):
-    """Ingredients of the facet integral
-    int_0^{s_max} s^(m-1) exp(-phi(sqrt(rho^2 + s^2))) ds:
-    (logf, peak, log_peak, s_max, logf_at_hi, breaks).
-
-    The log-integrand is unimodal: s^2 phi'(r)/r - (m-1) (with r =
-    sqrt(rho^2+s^2)) is nondecreasing in s and crosses zero at the peak;
-    when it never reaches zero below a hard cutoff, the peak sits at the
-    cutoff with the left-limit value.
-    """
-    R = phi.support_radius
-    s_max = math.sqrt(R * R - rho * rho) if math.isfinite(R) else math.inf
-
-    def r_of(s):
-        return math.hypot(rho, s)
-
-    def logf(s):
-        if s < 0.0:
-            return -math.inf
-        v = float(phi.value(r_of(s)))
-        if not math.isfinite(v):
-            return -math.inf
-        if m == 1:
-            return -v
-        return -math.inf if s == 0.0 else (m - 1) * math.log(s) - v
-
-    def log_at(s):
-        # limit from below when s touches the support cutoff
-        v = edge_value(phi, r_of(s))
-        if m == 1:
-            return -v
-        return -math.inf if s == 0.0 else (m - 1) * math.log(s) - v
-
-    if m == 1:
-        if math.isfinite(logf(0.0)):
-            peak = 0.0
-        else:
-            # annular support (flat potential on the annulus): any radius
-            # inside works; take the midpoint of the reachable band
-            r_mid = 0.5 * (max(rho, phi.inner_support_radius) + R)
-            peak = math.sqrt(max(r_mid * r_mid - rho * rho, 0.0))
-        log_peak = log_at(peak)
-    else:
-
-        def excess(s):
-            r = r_of(s)
-            return s * s * float(phi.derivative(r)) / r - (m - 1.0)
-
-        if math.isfinite(s_max):
-            hi = s_max * (1.0 - 1e-12)
-            if excess(hi) <= 0.0:
-                peak = s_max
-            else:
-                lo = hi
-                while excess(lo) > 0.0:
-                    lo *= 0.5
-                peak = _pred_edge(lambda s: excess(s) <= 0.0, lo, hi)
-        else:
-            hi = 1.0
-            while excess(hi) <= 0.0:
-                hi *= 2.0
-            lo = hi
-            while excess(lo) > 0.0 and lo > 1e-300:
-                lo *= 0.5
-            peak = _pred_edge(lambda s: excess(s) <= 0.0, lo, hi)
-        log_peak = log_at(peak)
-
-    breaks = [
-        math.sqrt(k * k - rho * rho)
-        for k in phi.interior_knots()
-        if k > rho
-    ]
-    at_hi = log_at(s_max) if math.isfinite(s_max) else None
-    return logf, peak, log_peak, s_max, at_hi, breaks
-
-
 def halfspace_surface(prof: MeasureProfile, rho: float) -> SurfaceEstimate:
     """Exact boundary measure of a half-space whose boundary hyperplane has
     distance rho from the origin:
-    C_d m nu_m int_0^inf s^(m-1) exp(-phi(sqrt(rho^2+s^2))) ds."""
+    C_d m nu_m int_0^inf s^(m-1) exp(-phi(sqrt(rho^2+s^2))) ds,
+    i.e. C_d m nu_m I_{m-1}(rho) (see `functionals`)."""
     if rho < 0:
         raise InputError(f"half-space offset must be >= 0, got {rho}")
     if rho >= prof.support_radius:
         return SurfaceEstimate(0.0, 0.0, "exact", 0)
-    phi, m = prof.phi, prof.m
-    logf, peak, log_peak, s_max, at_hi, breaks = _halfspace_parts(phi, m, rho)
-    log_I = log_peaked_integral(logf, peak, log_peak, 0.0, s_max,
-                                breaks=breaks, logf_at_hi=at_hi)
+    m = prof.m
+    log_I = _radial_law(prof.phi, m - 1, rho).log_integral()
     log_val = (
         prof.log_normalizer.log + math.log(m) + log_ball_volume(m) + log_I
     )
@@ -377,20 +312,26 @@ def slab_surface(prof: MeasureProfile, rho1: float, rho2: float) -> SurfaceEstim
 # sampling
 
 
+#: Inverse-CDF tables start from this many knots and double until the
+#: midpoint interpolation error of the CDF is at most _TABLE_TOL.
+_TABLE_KNOTS = 4096
+_TABLE_TOL = 1e-6
+
+
 class _InverseCdfTable:
     """Monotone inverse-CDF interpolation table on a density's active window.
 
-    The grid is refined (doubling from `knots`) until the midpoint
-    interpolation error of the CDF is below `tol` in probability.
+    The grid is refined (doubling from _TABLE_KNOTS) until the midpoint
+    interpolation error of the CDF is below _TABLE_TOL in probability;
+    NumericsError when that needs more than `max_knots` knots.
     """
 
     __slots__ = ("grid", "cdf")
 
-    def __init__(self, logf_vec, a, b, log_peak, knots=4096, tol=1e-6,
-                 max_knots=1 << 16):
+    def __init__(self, logf_vec, a, b, log_peak, max_knots=1 << 16):
         if not b > a:
             raise InputError("empty sampling window")
-        n = knots
+        n = _TABLE_KNOTS
         while True:
             fine = np.linspace(a, b, 2 * n + 1)
             w = np.exp(np.minimum(logf_vec(fine) - log_peak, 0.0))
@@ -401,8 +342,13 @@ class _InverseCdfTable:
             c /= c[-1]
             coarse = c[::2]
             mid_err = np.abs(c[1::2] - 0.5 * (coarse[:-1] + coarse[1:])).max()
-            if mid_err <= tol or n >= max_knots:
+            if mid_err <= _TABLE_TOL:
                 break
+            if n >= max_knots:
+                raise NumericsError(
+                    f"inverse-CDF table did not converge: midpoint CDF error "
+                    f"{mid_err:.3e} exceeds {_TABLE_TOL:.0e} at {n} knots"
+                )
             n *= 2
         grid = fine[::2]
         cdf = np.maximum.accumulate(coarse)
@@ -424,51 +370,28 @@ class _InverseCdfTable:
 
 
 def _radial_table(prof: MeasureProfile) -> _InverseCdfTable:
-    phi, m = prof.phi, prof.m
-    a, b = profile_window(phi, m)
-
-    def logf_vec(t):
-        t = np.asarray(t, dtype=float)
-        val = np.asarray(phi.value(t), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = m * np.log(t) - val
-        return np.where(np.isfinite(val) & (t > 0), out, -np.inf)
-
-    return _InverseCdfTable(logf_vec, a, b, prof.log_gm_t0.log)
+    """Inverse-CDF table of the point radius: the law of I_m(0)."""
+    law = _radial_law(prof.phi, prof.m)
+    return _InverseCdfTable(law.logf_vec, *law.window(), law.log_peak)
 
 
 def _facet_table(prof: MeasureProfile, rho: float) -> _InverseCdfTable:
     """Inverse-CDF table for the on-hyperplane radial density
-    s^(m-1) exp(-phi(sqrt(rho^2+s^2)))."""
-    phi, m = prof.phi, prof.m
-    logf, peak, log_peak, s_max, at_hi, _ = _halfspace_parts(phi, m, rho)
-    a, b = integrand_window(logf, peak, log_peak, 0.0, s_max, at_hi)
-
-    def logf_vec(s):
-        s = np.asarray(s, dtype=float)
-        r = np.hypot(rho, s)
-        val = np.asarray(phi.value(r), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (m - 1) * np.log(s) - val if m > 1 else -val
-        good = np.isfinite(val) & ((s > 0) | (m == 1))
-        return np.where(good, out, -np.inf)
-
-    return _InverseCdfTable(logf_vec, a, b, log_peak)
+    s^(m-1) exp(-phi(sqrt(rho^2+s^2))): the law of I_{m-1}(rho)."""
+    law = _radial_law(prof.phi, prof.m - 1, rho)
+    return _InverseCdfTable(law.logf_vec, *law.window(), law.log_peak)
 
 
 def _point_chunk(rng, table, d, n):
     """n points: radius by inverse CDF, direction by normalized Gaussian.
     Draw order (radii, then directions) is part of the determinism contract."""
     r = table.sample(rng.random(n))
-    z = rng.standard_normal((n, d))
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0.0] = 1.0
-    return z * (r / norms)[:, None]
+    return _unit_rows(rng.standard_normal((n, d)), r)
 
 
 def sample_points(prof: MeasureProfile, n: int, seed: int) -> np.ndarray:
     """(n, d) array of i.i.d. points distributed per the measure."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    rng = _rng(seed)
     table = _radial_table(prof)
     out = np.empty((n, prof.d))
     done = 0
@@ -524,9 +447,7 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         ro = np.ascontiguousarray(rho[others])
         base = np.ascontiguousarray(r * (Xo @ X[i]))
 
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((int(seed), int(i))))
-        )
+        rng = _rng(seed, i)
         acc = 0
         left = S
         while left:
@@ -535,9 +456,7 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
             s = table.sample(rng.random(n))
             z = rng.standard_normal((n, d))
             z -= np.outer(z @ X[i], X[i])
-            norms = np.linalg.norm(z, axis=1)
-            norms[norms == 0.0] = 1.0
-            u = np.ascontiguousarray(z / norms[:, None])
+            u = np.ascontiguousarray(_unit_rows(z))
             acc += _kernels.facet_accept_count(u, np.ascontiguousarray(s),
                                                Xo, base, ro)
         p = acc / S
@@ -624,7 +543,7 @@ def minkowski_fd_surface(prof: MeasureProfile, body, epsilon: float,
     samples = int(samples)
     if samples < 1:
         raise InputError("samples must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    rng = _rng(seed)
     table = _radial_table(prof)
     shell_total = 0
     done = 0

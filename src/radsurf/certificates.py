@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.special import ndtri
 
-from .bodies import HalfSpace, HyperRectangle, Polytope, Slab, as_facets
+from .bodies import HalfSpace, HyperRectangle, Polytope, Slab, _unit_rows, as_facets
 from .errors import InputError, NumericsError
 from .functionals import (
     MeasureProfile,
@@ -211,10 +211,7 @@ def _direction_net(d: int, n: int) -> np.ndarray:
     alpha = x ** -np.arange(1, d + 1)
     k = np.arange(1, n + 1)[:, None]
     u = np.modf(k * alpha[None, :] + 0.5)[0]
-    v = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(v, axis=1)
-    norms[norms == 0.0] = 1.0
-    return v / norms[:, None]
+    return _unit_rows(ndtri(np.clip(u, 1e-12, 1.0 - 1e-12)))
 
 
 def _facet_radius_range(dirs, offs, cap):
@@ -291,8 +288,15 @@ def certificate_upper_bound(
         best = (math.log(r_in) + prof.log_Jm.log + edge_value(phi, r)
                 - (m + 1) * math.log(r))
 
-    min_xi1 = math.exp(best)
-    xi1_bound = 1.0 / min_xi1 if min_xi1 > 0.0 else math.inf
+    try:
+        min_xi1 = math.exp(best)
+    except OverflowError:
+        # xi1 beyond the double range: 1/xi1 = exp(-best), kept positive so
+        # that it stays an upper bound when it underflows
+        min_xi1 = math.inf
+        xi1_bound = max(math.exp(-best), math.ulp(0.0))
+    else:
+        xi1_bound = 1.0 / min_xi1 if min_xi1 > 0.0 else math.inf
     rough = rough_upper_bound(prof)
     if xi1_bound <= rough:
         return CertificateReport(xi1_bound, xi1_bound, rough, "xi1",

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import betainc
 
-from .bodies import Polytope, SurfaceEstimate, _facet_values
+from .bodies import Polytope, SurfaceEstimate, _facet_values, _rng, _unit_rows
 from .errors import InputError
 from .functionals import MeasureProfile
 
@@ -104,13 +104,8 @@ def cap_probability(prof: MeasureProfile, r: float, rho: float) -> float:
 def sample_polytope(spec: PolytopeSpec, prof: MeasureProfile) -> Polytope:
     """The random polytope of a spec: N_eff i.i.d. uniform unit directions
     (from spec.seed) with common offset rho."""
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(spec.seed))
-    )
-    z = rng.standard_normal((spec.N_eff, prof.d))
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0.0] = 1.0
-    return Polytope(z / norms[:, None], np.full(spec.N_eff, spec.rho))
+    z = _rng(spec.seed).standard_normal((spec.N_eff, prof.d))
+    return Polytope(_unit_rows(z), np.full(spec.N_eff, spec.rho))
 
 
 def _child_seed(*key) -> int:
@@ -156,11 +151,8 @@ def expected_surface(
         )
         mc_seed = _child_seed(seed, t, 1)
         if facet_subsample is not None and N > facet_subsample:
-            pick_rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(_child_seed(seed, t, 2))
-            ))
-            picked = np.sort(pick_rng.choice(N, size=facet_subsample,
-                                             replace=False))
+            picked = np.sort(_rng(_child_seed(seed, t, 2)).choice(
+                N, size=facet_subsample, replace=False))
             scale = N / facet_subsample
         else:
             picked = None

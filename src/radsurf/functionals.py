@@ -14,17 +14,32 @@ objects are
                  maximal surface area law  max_Q mu(dQ) ~ sqrt(m) / (sqrt(
                  lambda_ratio) t0).
 
+Every radial integral of the package is one member of the family
+
+    I_k(rho) = int_0^{s_max} s^k exp(-phi(sqrt(rho^2 + s^2))) ds,
+    s_max = sqrt(R^2 - rho^2)  (R the support radius),
+
+and `_radial_law(phi, k, rho)` is the one place that builds its integrand,
+peak, support edge and window:
+
+* ``J_k = I_k(0)`` for k = m-1 .. m+2, and ``t0`` is the peak of I_m(0);
+* the half-space boundary measure at offset rho is C_d m nu_m I_{m-1}(rho);
+* facet Monte Carlo draws on-hyperplane radii from the law of I_{m-1}(rho);
+* the point sampler draws radii from the law of I_m(0).
+
 All integrals are evaluated in the log domain: the integrand is normalized
 by its peak value and restricted to the window where it stays within
 exp(-60) of the peak, which keeps every exponent in range for any dimension
 while bounding the truncation error far below the 1e-10 relative target.
+On a hard support cutoff the integrand takes its limit from below at
+s_max, in the scalar and the vectorised forms alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -58,6 +73,7 @@ __all__ = [
 #: below the 1e-10 relative quadrature target.
 WINDOW_NATS = 60.0
 
+#: Relative accuracy every radial quadrature must certify.
 _REL_TOL = 1e-10
 
 
@@ -118,8 +134,132 @@ def edge_value(phi, t):
 _BRACKET_CAP = 1e154
 
 
+@dataclass(frozen=True)
+class _RadialLaw:
+    """The integrand s^k exp(-phi(sqrt(rho^2 + s^2))) of I_k(rho) on
+    [0, s_max], built by `_radial_law`.
+
+    ``logf`` is its logarithm (-inf where phi is infinite), ``log_at`` the
+    same with the limit from below on the support edge, and ``logf_vec``
+    the vectorised logf that takes that limit at s_max itself.  ``at_hi``
+    is the edge value log_at(s_max) (None without a cutoff) and ``breaks``
+    the images of the potential's kinks.
+    """
+
+    logf: Callable[[float], float]
+    log_at: Callable[[float], float]
+    logf_vec: Callable[[np.ndarray], np.ndarray]
+    peak: float
+    log_peak: float
+    s_max: float
+    at_hi: Optional[float]
+    breaks: Tuple[float, ...]
+
+    def window(self):
+        """[a, b] where the integrand stays within WINDOW_NATS of its peak."""
+        return integrand_window(self.logf, self.peak, self.log_peak, 0.0,
+                                self.s_max, self.at_hi)
+
+    def log_integral(self):
+        """log I_k(rho), peak-normalized over the window."""
+        return log_peaked_integral(self.logf, self.peak, self.log_peak, 0.0,
+                                   self.s_max, self.breaks, self.at_hi)
+
+
+def _radial_law(phi, k, rho=0.0):
+    """The integrand of I_k(rho) = int_0^{s_max} s^k exp(-phi(r)) ds,
+    r = sqrt(rho^2 + s^2), with its peak, as a `_RadialLaw`.
+
+    The log-integrand is unimodal: s^2 phi'(r)/r - k is nondecreasing in s
+    and the peak is where it crosses zero, found by bisection (the
+    potential may be kinked).  When it never reaches zero below a hard
+    cutoff the peak is s_max, with the left-limit value.  For k = 0 the
+    peak is s = 0 when the density is finite there, else (annular support)
+    the midpoint of the reachable annulus.  s_max is the largest double
+    with hypot(rho, s_max) <= R, so the edge value is the left limit.
+
+    Raises NormalizationError when the peak lies beyond 1e154 (the profile
+    never turns over) or below 1e-154 (it peaks at radius 0).
+    """
+    R = phi.support_radius
+    s_max = math.inf
+    if math.isfinite(R):
+        s_max = math.sqrt(R * R - rho * rho)
+        while math.hypot(rho, s_max) > R:
+            s_max = math.nextafter(s_max, 0.0)
+
+    def logf(s):
+        if s < 0.0:
+            return -math.inf
+        v = float(phi.value(math.hypot(rho, s)))
+        if not math.isfinite(v):
+            return -math.inf
+        if k == 0:
+            return -v
+        return -math.inf if s == 0.0 else k * math.log(s) - v
+
+    def log_at(s):
+        v = edge_value(phi, math.hypot(rho, s))
+        if k == 0:
+            return -v
+        return -math.inf if s == 0.0 else k * math.log(s) - v
+
+    at_hi = log_at(s_max) if math.isfinite(s_max) else None
+
+    def logf_vec(s):
+        s = np.asarray(s, dtype=float)
+        val = np.asarray(phi.value(np.hypot(rho, s)), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = k * np.log(s) - val if k else -val
+        out = np.where(np.isfinite(val) & ((s > 0) | (k == 0)), out, -np.inf)
+        if at_hi is not None:
+            out = np.where(s >= s_max, at_hi, out)
+        return out
+
+    if k == 0:
+        if math.isfinite(logf(0.0)):
+            peak = 0.0
+        elif math.isfinite(R):
+            r_mid = 0.5 * (max(rho, phi.inner_support_radius) + R)
+            peak = math.sqrt(max(r_mid * r_mid - rho * rho, 0.0))
+        else:
+            raise InputError("potential must be finite at the origin")
+    else:
+
+        def excess(s):
+            r = math.hypot(rho, s)
+            return s * s * float(phi.derivative(r)) / r - k
+
+        if math.isfinite(s_max):
+            hi = s_max * (1.0 - 1e-12)
+        else:
+            hi = 1.0
+            while excess(hi) <= 0.0:
+                hi *= 2.0
+                if hi > _BRACKET_CAP:
+                    raise NormalizationError(
+                        "radial profile t^m exp(-phi(t)) never turns over; "
+                        "the measure is not normalizable"
+                    )
+        if excess(hi) <= 0.0:
+            peak = s_max  # still rising at the cutoff
+        else:
+            lo = hi
+            while excess(lo) > 0.0:
+                lo *= 0.5
+                if lo < 1.0 / _BRACKET_CAP:
+                    raise NormalizationError("radial profile peaks at radius 0")
+            peak = _pred_edge(lambda s: excess(s) <= 0.0, lo, hi)
+
+    breaks = tuple(math.sqrt(t * t - rho * rho)
+                   for t in phi.interior_knots() if t > rho)
+    return _RadialLaw(logf, log_at, logf_vec, peak, log_at(peak), s_max,
+                      at_hi, breaks)
+
+
 def solve_t0(phi, m):
-    """Maximizer of the radial profile t^m exp(-phi(t)) for integer m >= 1.
+    """Maximizer of the radial profile t^m exp(-phi(t)) for integer m >= 1:
+    the peak of I_m(0).
 
     Interior maximizers solve t phi'(t) = m (the left side is nondecreasing
     for convex nondecreasing phi); when the profile is still rising at a
@@ -129,76 +269,18 @@ def solve_t0(phi, m):
     """
     if m < 1:
         raise InputError(f"radial exponent must be >= 1, got {m}")
-
-    def nu(t):
-        return t * float(phi.derivative(t))
-
-    R = phi.support_radius
-    if math.isfinite(R):
-        hi = R * (1.0 - 1e-12)
-        if nu(hi) <= m:
-            return R
-    else:
-        hi = 1.0
-        while nu(hi) < m:
-            hi *= 2.0
-            if hi > _BRACKET_CAP:
-                raise NormalizationError(
-                    "radial profile t^m exp(-phi(t)) never turns over; "
-                    "the measure is not normalizable"
-                )
-    lo = hi
-    while nu(lo) >= m:
-        lo *= 0.5
-        if lo < 1.0 / _BRACKET_CAP:
-            # phi' explodes immediately at the origin; maximizer underflows
-            raise NormalizationError("radial profile peaks at radius 0")
-    return _pred_edge(lambda t: nu(t) <= m, lo, hi)
+    return _radial_law(phi, m).peak
 
 
-def _log_profile(phi, k):
-    """Scalar log-integrand t -> k log t - phi(t) (-inf outside support)."""
-
-    def logf(t):
-        if t <= 0.0:
-            return -math.inf if k > 0 else -float(phi.value(0.0))
-        v = float(phi.value(t))
-        if not math.isfinite(v):
-            return -math.inf
-        return k * math.log(t) - v
-
-    return logf
-
-
-def _profile_peak(phi, k):
-    """Argmax of t^k exp(-phi(t)) together with the peak log value."""
-    if k >= 1:
-        peak = solve_t0(phi, k)
-    elif float(phi.value(0.0)) == 0.0:
-        peak = 0.0
-    elif math.isfinite(phi.support_radius):
-        # density vanishing at the origin with a hard cutoff (shell-like):
-        # the flat top is reached at the boundary from below
-        peak = phi.support_radius
-    else:
-        raise InputError("potential must be finite at the origin")
-    if peak == 0.0:
-        log_peak = -float(phi.value(0.0))
-    else:
-        log_peak = k * math.log(peak) - edge_value(phi, peak)
-    return peak, log_peak
-
-
-def integrand_window(logf, peak, log_peak, lo, hi, logf_at_hi=None,
-                     drop=WINDOW_NATS):
-    """[a, b] on which a unimodal log-integrand stays within ``drop`` nats
+def integrand_window(logf, peak, log_peak, lo, hi, logf_at_hi=None):
+    """[a, b] on which a unimodal log-integrand stays within WINDOW_NATS
     of its peak value.
 
     ``logf`` need only be evaluated strictly inside (lo, hi); the value at
     a finite right endpoint may be supplied separately as ``logf_at_hi``
     (the limit from below at a hard support cutoff).
     """
-    target = log_peak - drop
+    target = log_peak - WINDOW_NATS
 
     def pred(t):
         return logf(t) >= target
@@ -223,29 +305,29 @@ def integrand_window(logf, peak, log_peak, lo, hi, logf_at_hi=None,
     return a, b
 
 
-def _quad_window(f, a, b, breaks, rel_tol=_REL_TOL):
+def _quad_window(f, a, b, breaks):
     """Adaptive quadrature on [a, b] with interior break points.
 
     Raises QuadratureError (with the achieved error estimate) when the
-    requested relative accuracy cannot be certified after refinement.
+    relative accuracy _REL_TOL cannot be certified after refinement.
     """
     pts = sorted(x for x in breaks if a < x < b)
     val, err = quad(f, a, b, points=pts or None, limit=200,
                     epsabs=0.0, epsrel=1e-12)
-    if err > rel_tol * abs(val):
+    if err > _REL_TOL * abs(val):
         val, err = quad(f, a, b, points=pts or None, limit=800,
                         epsabs=0.0, epsrel=1e-12)
-    if err > rel_tol * abs(val):
+    if err > _REL_TOL * abs(val):
         raise QuadratureError(
             f"quadrature did not converge: error estimate {err:.3e} "
-            f"exceeds {rel_tol:.1e} x {abs(val):.6e}",
+            f"exceeds {_REL_TOL:.1e} x {abs(val):.6e}",
             achieved_error=err,
         )
     return val
 
 
 def log_peaked_integral(logf, peak, log_peak, lo, hi, breaks=(),
-                        logf_at_hi=None, rel_tol=_REL_TOL):
+                        logf_at_hi=None):
     """log of int exp(logf(t)) dt for a unimodal log-integrand.
 
     The integral is restricted to the window where logf stays within
@@ -261,23 +343,18 @@ def log_peaked_integral(logf, peak, log_peak, lo, hi, breaks=(),
     pts = list(breaks)
     if a < peak < b:
         pts.append(peak)
-    val = _quad_window(f, a, b, pts, rel_tol=rel_tol)
+    val = _quad_window(f, a, b, pts)
     return log_peak + math.log(val)
 
 
 def profile_window(phi, k):
     """The active radial window [a, b] of the profile t^k exp(-phi(t))."""
-    peak, log_peak = _profile_peak(phi, k)
-    logf = _log_profile(phi, k)
-    hi = phi.support_radius
-    at_hi = None
-    if math.isfinite(hi):
-        at_hi = k * math.log(hi) - edge_value(phi, hi)
-    return integrand_window(logf, peak, log_peak, 0.0, hi, at_hi)
+    return _radial_law(phi, k).window()
 
 
 def log_Jm(phi, k):
-    """log J_k, J_k = int_0^inf t^k exp(-phi(t)) dt, as a LogScalar.
+    """log J_k = log I_k(0), J_k = int_0^inf t^k exp(-phi(t)) dt, as a
+    LogScalar.
 
     Peak-normalized Laplace quadrature: locate the mode of the integrand,
     restrict to the 60-nat window around it, and integrate
@@ -286,17 +363,7 @@ def log_Jm(phi, k):
     """
     if k < 0:
         raise InputError(f"moment exponent must be >= 0, got {k}")
-    peak, log_peak = _profile_peak(phi, k)
-    logf = _log_profile(phi, k)
-    hi = phi.support_radius
-    at_hi = None
-    if math.isfinite(hi):
-        at_hi = k * math.log(hi) - edge_value(phi, hi)
-    log_val = log_peaked_integral(
-        logf, peak, log_peak, 0.0, hi,
-        breaks=phi.interior_knots(), logf_at_hi=at_hi,
-    )
-    return LogScalar(log_val)
+    return LogScalar(_radial_law(phi, k).log_integral())
 
 
 def _deficit(phi, m, t0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from radsurf.errors import InputError
+from radsurf.errors import InputError, NumericsError
 from radsurf.bodies import (
     Ball,
     CubeCheck,
@@ -14,7 +14,10 @@ from radsurf.bodies import (
     Slab,
     SphereShell,
     SurfaceEstimate,
+    _InverseCdfTable,
+    _facet_table,
     _facet_values,
+    _radial_table,
     as_facets,
     cube_lebesgue_check,
     halfspace_surface,
@@ -25,7 +28,8 @@ from radsurf.bodies import (
     sphere_argmax,
     sphere_surface,
 )
-from radsurf.functionals import log_ball_volume
+from radsurf.functionals import log_ball_volume, profile
+from radsurf.potential import ball, tabulated
 
 from conftest import MEASURE_NAMES, circumscribed_polytope
 
@@ -53,6 +57,21 @@ def test_ball_halfspace_closed_form(d, rho, get_profile):
     ) ** (m / 2.0)
     est = halfspace_surface(get_profile("ball", d), rho)
     assert est.value == pytest.approx(expected, rel=1e-9)
+
+
+def test_ball_halfspace_where_the_support_edge_rounds_outward():
+    # hypot(rho, sqrt(R^2 - rho^2)) > R for these offsets: the peak of the
+    # facet integrand sits on that edge and must take the left limit
+    R, d = 0.7, 5
+    pr = profile(ball(R), d)
+    rhos = [r for r in np.linspace(0.01, 0.69, 200)
+            if math.hypot(r, math.sqrt(R * R - r * r)) > R]
+    assert len(rhos) >= 3
+    for rho in rhos[:3]:
+        expected = math.exp(log_ball_volume(d - 1) - log_ball_volume(d)) * (
+            1.0 - (rho / R) ** 2) ** ((d - 1) / 2.0) / R
+        assert halfspace_surface(pr, rho).value == pytest.approx(
+            expected, rel=1e-9)
 
 
 def test_ball_halfspace_d3_is_three_quarters(get_profile):
@@ -179,6 +198,46 @@ def test_sampler_determinism(get_profile):
     c = sample_points(pr, 5000, seed=43)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# --- inverse-CDF tables ----------------------------------------------------
+
+
+_MAX_KNOTS = 1 << 16  # _InverseCdfTable's default cap
+
+
+@pytest.mark.parametrize("d", [3, 16])
+@pytest.mark.parametrize("phi", [
+    ball(1.0),
+    tabulated([0.5, 1.0, 1.5, 2.0], [0.1, 0.4, 1.0, 1.9], "cutoff"),
+], ids=["ball", "cutoff-table"])
+def test_cutoff_tables_converge_below_the_knot_cap(phi, d):
+    pr = profile(phi, d)
+    tables = [_radial_table(pr)] + [_facet_table(pr, f * pr.t0)
+                                    for f in (0.0, 0.35, 0.9)]
+    for table in tables:
+        assert table.grid.size - 1 < _MAX_KNOTS
+
+
+def test_ball_facet_cdf_matches_closed_form(get_profile):
+    # on the ball the facet density is s^(m-1) up to the support edge, so
+    # on the table window [a, b] the CDF is (s^m - a^m) / (b^m - a^m)
+    pr = get_profile("ball", 16)
+    m = pr.m
+    table = _facet_table(pr, 0.35 * pr.t0)
+    a, b = table.grid[0], table.grid[-1]
+    assert b == pytest.approx(math.sqrt(1.0 - 0.35 ** 2), rel=1e-15)
+    s = np.linspace(a, b, 10_001)
+    exact = (s ** m - a ** m) / (b ** m - a ** m)
+    assert np.abs(table.cdf_at(s) - exact).max() < 1e-6
+
+
+def test_table_with_a_jump_inside_its_window_raises():
+    # the midpoint error at a density jump only halves per doubling, so
+    # refinement hits the knot cap before the tolerance
+    with pytest.raises(NumericsError, match="midpoint CDF error"):
+        _InverseCdfTable(lambda t: np.where(t < 0.3, 0.0, -1.0),
+                         0.0, 1.0, 0.0)
 
 
 # --- facet Monte Carlo -----------------------------------------------------

@@ -252,6 +252,21 @@ def test_certificate_box_equals_box_as_polytope(get_profile):
         certificate_upper_bound(pr, poly)
 
 
+@pytest.mark.parametrize("h", [38.2, 40.0])
+def test_certificate_reports_xi1_beyond_the_double_range(h, get_profile):
+    # log xi1 is about h^2/2: exp overflows, 1/xi1 = exp(-log xi1) is
+    # subnormal at h = 38.2 and below the smallest double at h = 40
+    pr = get_profile("gaussian", 3)
+    cert = certificate_upper_bound(pr, HyperRectangle(np.full(3, h)))
+    assert cert.min_xi1 == math.inf
+    assert cert.binding == "xi1"
+    assert cert.value == cert.xi1_bound
+    assert 0.0 < cert.xi1_bound < 1e-300
+    assert cert.xi1_bound >= halfspace_surface(pr, h).value
+    if h == 40.0:
+        assert cert.xi1_bound == math.ulp(0.0)
+
+
 def test_certificate_rejects_bodies_outside_support(get_profile):
     pr = get_profile("ball", 4)
     body = Polytope(directions=np.eye(4), offsets=np.full(4, 2.0))

@@ -161,6 +161,17 @@ def test_certificate_command(capsys, tmp_path):
     assert row["value"] > 0
 
 
+def test_certificate_deep_tail_box_exits_cleanly(capsys):
+    code, out, _ = run_cli(capsys, "certificate", "--measure", "gaussian",
+                           "--dim", "3", "--body", "box:halfwidths=40,40,40",
+                           "--format", "json")
+    assert code == 0
+    row = json.loads(out)
+    assert row["min_xi1"] == "inf"
+    assert row["binding"] == "xi1"
+    assert row["value"] == math.ulp(0.0)
+
+
 def test_certificate_box_matches_polytope_file(capsys, tmp_path):
     path = tmp_path / "box.txt"
     h = np.array([0.7, 1.0, 1.6])

@@ -42,6 +42,14 @@ def test_gaussian_t0_closed_form(d):
     assert pr.t0 == pytest.approx(math.sqrt(d - 1), rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [5, 17, 65, 257, 1025])
+def test_gaussian_t0_exact_when_m_is_a_power_of_four(d):
+    # t0 = sqrt(m) is a power of two: the bracket must not treat the exact
+    # root as the false side of the bisection
+    assert solve_t0(gaussian(), d - 1) == math.sqrt(d - 1)
+    assert profile(gaussian(), d).t0 == math.sqrt(d - 1)
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
 @pytest.mark.parametrize("d", [3, 9, 33])
 def test_power_t0_closed_form(p, d):
