@@ -13,6 +13,7 @@ measure up to constants:
 """
 
 from .errors import (
+    DegeneratePlanError,
     GateError,
     InputError,
     NormalizationError,
@@ -91,7 +92,7 @@ __all__ = [
     "__version__",
     # errors
     "RadsurfError", "InputError", "GateError", "NormalizationError",
-    "NumericsError", "QuadratureError",
+    "DegeneratePlanError", "NumericsError", "QuadratureError",
     # potentials
     "RadialPotential", "GaussianPotential", "PowerPotential",
     "BallPotential", "TabulatedPotential", "ShellDensity",

@@ -14,9 +14,9 @@ sampling on each facet's hyperplane.  Independently of all that, the
 Minkowski difference quotient [mu(Q + eps B) - mu(Q)] / eps is estimated by
 direct sampling as a validation oracle.
 
-Densities at a hard support cutoff use the limit from below.  Under this
-convention the ball-uniform measure gives its own boundary sphere the
-surface value d, the equality case of the rough bound m J_{m-1}/J_m.
+The ball-uniform measure gives its own boundary sphere the surface value
+d (phi(R) is the limit from below), the equality case of the rough bound
+m J_{m-1}/J_m.
 """
 
 from __future__ import annotations
@@ -32,12 +32,7 @@ from scipy.special import erf
 
 from . import _kernels
 from .errors import InputError, NumericsError
-from .functionals import (
-    MeasureProfile,
-    edge_value,
-    log_ball_volume,
-    _radial_law,
-)
+from .functionals import MeasureProfile, log_ball_volume, _radial_law
 
 __all__ = [
     "SphereShell",
@@ -244,7 +239,7 @@ class SurfaceEstimate:
 
 def sphere_surface(prof: MeasureProfile, R: float) -> SurfaceEstimate:
     """Exact boundary measure of the sphere |x| = R:
-    R^m exp(-phi(R)) / J_m, with the left-limit density at a hard cutoff."""
+    R^m exp(-phi(R)) / J_m."""
     if not (R > 0):
         raise InputError(f"sphere radius must be positive, got {R}")
     if R > prof.support_radius:
@@ -253,7 +248,7 @@ def sphere_surface(prof: MeasureProfile, R: float) -> SurfaceEstimate:
             stacklevel=2,
         )
         return SurfaceEstimate(0.0, 0.0, "exact", 0)
-    log_val = prof.m * math.log(R) - edge_value(prof.phi, R) - prof.log_Jm.log
+    log_val = prof.m * math.log(R) - float(prof.phi.value(R)) - prof.log_Jm.log
     return SurfaceEstimate(math.exp(log_val), 0.0, "exact", 0)
 
 
@@ -262,7 +257,7 @@ def sphere_argmax(prof: MeasureProfile) -> float:
     log profile.  Coincides with prof.t0 (consistency check of the solver)."""
     law = _radial_law(prof.phi, prof.m)
     a, b = law.window()
-    logf = law.log_at
+    logf = law.logf
 
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv * (b - a)

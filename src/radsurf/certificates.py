@@ -32,15 +32,14 @@ from scipy.optimize import linprog
 from scipy.special import ndtri
 
 from .bodies import HalfSpace, HyperRectangle, Polytope, Slab, _unit_rows, as_facets
-from .errors import InputError, NumericsError
+from .errors import InputError
 from .functionals import (
     MeasureProfile,
-    edge_value,
     mu_candidate,
     psi,
     rough_upper_bound,
     solve_t0,
-    _pred_edge,
+    _one_nat_step,
 )
 
 __all__ = [
@@ -53,9 +52,6 @@ __all__ = [
     "certificate_upper_bound",
     "annulus_remainder_bound",
 ]
-
-_BRACKET_CAP = 1e154
-
 
 @dataclass(frozen=True)
 class BoundaryPoint:
@@ -80,34 +76,19 @@ def Lambda(prof: MeasureProfile, t: float) -> Optional[float]:
 
     Returns None (infeasible) when the potential never climbs a full nat
     below its support cutoff, as happens for hard-cutoff measures near the
-    edge (there the jump, not a root, absorbs the nat).
+    edge (there the jump, not a root, absorbs the nat).  Raises
+    NormalizationError when it never climbs a nat without a cutoff.
     """
-    if not (t > 0 and t < prof.support_radius):
+    R = prof.support_radius
+    if not (t > 0 and t < R):
         raise InputError(
             f"Lambda needs t in the open support interval, got {t}"
         )
-    phi = prof.phi
-    base = float(phi.value(t))
+    base = float(prof.phi.value(t))
     if not math.isfinite(base):
         raise InputError(f"potential not finite at t={t}")
-
-    def pred(s):
-        return edge_value(phi, (1.0 + s) * t) - base <= 1.0
-
-    R = phi.support_radius
-    if math.isfinite(R):
-        hi = R / t - 1.0
-        if pred(hi):
-            return None
-    else:
-        hi = 1.0
-        while pred(hi):
-            hi *= 2.0
-            if hi > _BRACKET_CAP:
-                raise NumericsError(
-                    "potential never rises one nat; measure cannot be normalizable"
-                )
-    return _pred_edge(pred, 0.0, hi)
+    return _one_nat_step(prof.phi, lambda s: (1.0 + s) * t,
+                         lambda s, v: v - base, R / t - 1.0)
 
 
 def xi1(prof: MeasureProfile, point: BoundaryPoint) -> float:
@@ -115,7 +96,7 @@ def xi1(prof: MeasureProfile, point: BoundaryPoint) -> float:
     exp(phi(|y|)) * alpha * |y|^(-m) * J_m.
 
     Reciprocal of the sphere surface when |y| = R, alpha = 1; zero at
-    tangency (alpha = 0).  Uses the limit from below at a support cutoff.
+    tangency (alpha = 0).
     """
     if point.radius > prof.support_radius:
         raise InputError(
@@ -124,7 +105,7 @@ def xi1(prof: MeasureProfile, point: BoundaryPoint) -> float:
     if point.alpha == 0.0:
         return 0.0
     log_h = (
-        edge_value(prof.phi, point.radius)
+        float(prof.phi.value(point.radius))
         - prof.m * math.log(point.radius)
         + prof.log_Jm.log
     )
@@ -141,37 +122,21 @@ def xi2_lower(prof: MeasureProfile, point: BoundaryPoint) -> float:
     within one nat of its value at y:
     phi(sqrt(|y|^2 + t^2 + 2 t |y| alpha)) - phi(|y|) = 1, found by
     bisection; for hard-cutoff measures that never climb a nat, t1 is the
-    step that reaches the support boundary.
+    step that reaches the support boundary.  Raises NormalizationError when
+    the potential never climbs a nat without a cutoff.
     """
     y, a = point.radius, point.alpha
-    phi = prof.phi
-    if y >= prof.support_radius:
+    R = prof.support_radius
+    if y >= R:
         raise InputError(
             f"boundary point radius {y} must be interior to the support"
         )
-    base = float(phi.value(y))
-
-    def r_of(t):
-        return math.sqrt(y * y + t * t + 2.0 * t * y * a)
-
-    def pred(t):
-        return edge_value(phi, r_of(t)) - base <= 1.0
-
-    R = phi.support_radius
-    if math.isfinite(R):
-        t_edge = -y * a + math.sqrt(y * y * a * a + R * R - y * y)
-        if pred(t_edge):
-            return t_edge / math.e
-        hi = t_edge
-    else:
-        hi = 1.0
-        while pred(hi):
-            hi *= 2.0
-            if hi > _BRACKET_CAP:
-                raise NumericsError(
-                    "potential never rises one nat; measure cannot be normalizable"
-                )
-    return _pred_edge(pred, 0.0, hi) / math.e
+    base = float(prof.phi.value(y))
+    t_edge = -y * a + math.sqrt(y * y * a * a + R * R - y * y)
+    t1 = _one_nat_step(
+        prof.phi, lambda t: math.sqrt(y * y + t * t + 2.0 * t * y * a),
+        lambda t, v: v - base, t_edge)
+    return (t_edge if t1 is None else t1) / math.e
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +250,7 @@ def certificate_upper_bound(
         r = r_in
         if r_in < cap:
             r = min(cap, _facet_radius_range(dirs, offs, cap))
-        best = (math.log(r_in) + prof.log_Jm.log + edge_value(phi, r)
+        best = (math.log(r_in) + prof.log_Jm.log + float(phi.value(r))
                 - (m + 1) * math.log(r))
 
     try:
@@ -326,6 +291,6 @@ def annulus_remainder_bound(prof: MeasureProfile, mu: Optional[float] = None) ->
         )
     m, t0, lam = prof.m, prof.t0, prof.lambda_sum
     p = math.log(mu * math.sqrt(m / lam))
-    inner = math.exp(edge_value(prof.phi, t0) - m) / (lam * t0)
+    inner = math.exp(float(prof.phi.value(t0)) - m) / (lam * t0)
     outer = (1.0 + mu * m / p) * math.exp(-p) / (lam * t0)
     return inner + outer

@@ -33,6 +33,7 @@ from .errors import (
     EXIT_INVARIANT_FAILURE,
     EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
+    DegeneratePlanError,
     InputError,
     RadsurfError,
 )
@@ -402,8 +403,7 @@ def _cmd_sweep(args) -> int:
                 seed=cfg.seed,
             )
             c_est, c_err = est.value, est.std_error
-        except InputError:
-            # plan degenerate at this dimension for the chosen c_rho
+        except DegeneratePlanError:
             c_est = c_err = math.nan
         rows.append({
             "d": d,
@@ -481,7 +481,7 @@ def _verify_rows(cfg: RunConfig) -> List[Dict]:
             prof.lambda_i >= lo - 1e-12,
             prof.lambda_i,
         ))
-        phi_t0 = functionals.edge_value(phi, t0)
+        phi_t0 = float(phi.value(t0))
         rows.append(_check("potential-at-t0-below-m", phi_t0 <= m + 1e-9,
                            phi_t0))
         dfi = functionals.psi(prof, -prof.lambda_i)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .bodies import Polytope, SurfaceEstimate, _facet_values, _rng, _unit_rows
-from .errors import InputError
+from .errors import DegeneratePlanError, InputError
 from .functionals import MeasureProfile
 
 __all__ = [
@@ -67,7 +67,7 @@ def plan(prof: MeasureProfile, c_rho: float = 0.2, seed: int = 0) -> PolytopeSpe
     rho = c_rho * t0 / math.sqrt(lam * m)
     W = lam * t0
     if rho >= t0 - W:
-        raise InputError(
+        raise DegeneratePlanError(
             f"facet offset rho={rho:.6g} reaches the annulus inner radius "
             f"{t0 - W:.6g}; the construction degenerates -- use a smaller c_rho"
         )

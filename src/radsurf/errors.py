@@ -26,6 +26,11 @@ class NormalizationError(InputError):
     """The requested measure cannot be normalized to a probability measure."""
 
 
+class DegeneratePlanError(InputError):
+    """The polytope construction degenerates at this dimension for the
+    chosen c_rho: the facet offset reaches the annulus inner radius."""
+
+
 class NumericsError(RadsurfError, ArithmeticError):
     """A numerical routine failed to reach its accuracy target."""
 

@@ -31,15 +31,13 @@ All integrals are evaluated in the log domain: the integrand is normalized
 by its peak value and restricted to the window where it stays within
 exp(-60) of the peak, which keeps every exponent in range for any dimension
 while bounding the truncation error far below the 1e-10 relative target.
-On a hard support cutoff the integrand takes its limit from below at
-s_max, in the scalar and the vectorised forms alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -63,9 +61,6 @@ __all__ = [
     "mu_candidate",
     "psi",
     "log_ball_volume",
-    "log_peaked_integral",
-    "integrand_window",
-    "profile_window",
 ]
 
 #: Window half-depth in nats: integrands are truncated where they fall this
@@ -123,15 +118,38 @@ def _pred_edge(pred, t_true, t_false, iters=200):
     return a
 
 
-def edge_value(phi, t):
-    """phi(t), using the limit from below exactly on the support boundary."""
-    R = phi.support_radius
-    if math.isfinite(R) and R * (1.0 - 1e-15) <= t <= R:
-        return float(phi.left_value(min(t, R)))
-    return float(phi.value(t))
-
-
 _BRACKET_CAP = 1e154
+
+
+def _one_nat_step(phi, r, rise, x_edge):
+    """The step x at which rise(x, phi(r(x))) first exceeds one nat,
+    by bisection from x = 0, where it must be at most one.
+
+    r(x) is the radius that step x reaches, nondecreasing in x; phi is read
+    at min(r(x), R), so a step that rounds past the support radius R reads
+    the edge value.  x_edge is the step that reaches R (inf without a
+    cutoff); returns None when the rise there is at most one nat.  Without
+    a cutoff the bracket doubles up to 1e154 (NormalizationError beyond).
+    """
+    R = phi.support_radius
+
+    def pred(x):
+        return rise(x, float(phi.value(min(r(x), R)))) <= 1.0
+
+    if math.isfinite(x_edge):
+        if pred(x_edge):
+            return None
+        hi = x_edge
+    else:
+        hi = 1.0
+        while pred(hi):
+            hi *= 2.0
+            if hi > _BRACKET_CAP:
+                raise NormalizationError(
+                    "the profile never climbs one nat within a step of "
+                    "1e154; the measure is not normalizable"
+                )
+    return _pred_edge(pred, 0.0, hi)
 
 
 @dataclass(frozen=True)
@@ -139,31 +157,57 @@ class _RadialLaw:
     """The integrand s^k exp(-phi(sqrt(rho^2 + s^2))) of I_k(rho) on
     [0, s_max], built by `_radial_law`.
 
-    ``logf`` is its logarithm (-inf where phi is infinite), ``log_at`` the
-    same with the limit from below on the support edge, and ``logf_vec``
-    the vectorised logf that takes that limit at s_max itself.  ``at_hi``
-    is the edge value log_at(s_max) (None without a cutoff) and ``breaks``
-    the images of the potential's kinks.
+    ``logf`` is its logarithm (-inf where phi is infinite), ``logf_vec``
+    the same on arrays, and ``breaks`` the images of the potential's kinks.
     """
 
     logf: Callable[[float], float]
-    log_at: Callable[[float], float]
     logf_vec: Callable[[np.ndarray], np.ndarray]
     peak: float
     log_peak: float
     s_max: float
-    at_hi: Optional[float]
     breaks: Tuple[float, ...]
 
     def window(self):
         """[a, b] where the integrand stays within WINDOW_NATS of its peak."""
-        return integrand_window(self.logf, self.peak, self.log_peak, 0.0,
-                                self.s_max, self.at_hi)
+        logf, peak, hi = self.logf, self.peak, self.s_max
+        target = self.log_peak - WINDOW_NATS
+
+        def pred(s):
+            return logf(s) >= target
+
+        if peak == 0.0 or logf(0.0) >= target:
+            a = 0.0
+        else:
+            a = _pred_edge(pred, peak, 0.0)
+
+        if math.isfinite(hi):
+            b = hi if logf(hi) >= target else _pred_edge(pred, peak, hi)
+        else:
+            anchor = peak
+            span = max(peak, 1.0)
+            while pred(peak + span):
+                anchor = peak + span
+                span *= 2.0
+                if anchor > 1e300:
+                    raise QuadratureError("integrand window extends beyond 1e300")
+            b = _pred_edge(pred, anchor, peak + span)
+        return a, b
 
     def log_integral(self):
-        """log I_k(rho), peak-normalized over the window."""
-        return log_peaked_integral(self.logf, self.peak, self.log_peak, 0.0,
-                                   self.s_max, self.breaks, self.at_hi)
+        """log I_k(rho), integrated peak-normalized over the window, so no
+        exponential overflows; truncation error ~ exp(-60), far below the
+        relative tolerance."""
+        a, b = self.window()
+        logf, peak, log_peak = self.logf, self.peak, self.log_peak
+
+        def f(s):
+            return math.exp(min(logf(s) - log_peak, 0.0))
+
+        pts = list(self.breaks)
+        if a < peak < b:
+            pts.append(peak)
+        return log_peak + math.log(_quad_window(f, a, b, pts))
 
 
 def _radial_law(phi, k, rho=0.0):
@@ -173,10 +217,12 @@ def _radial_law(phi, k, rho=0.0):
     The log-integrand is unimodal: s^2 phi'(r)/r - k is nondecreasing in s
     and the peak is where it crosses zero, found by bisection (the
     potential may be kinked).  When it never reaches zero below a hard
-    cutoff the peak is s_max, with the left-limit value.  For k = 0 the
-    peak is s = 0 when the density is finite there, else (annular support)
-    the midpoint of the reachable annulus.  s_max is the largest double
-    with hypot(rho, s_max) <= R, so the edge value is the left limit.
+    cutoff the peak is s_max.  For k = 0 the peak is s = 0 when the
+    density is finite there, else (annular support) the midpoint of the
+    reachable annulus.  s_max is the largest double with
+    hypot(rho, s_max) <= R, so logf(s_max) is finite; the vectorised form
+    reads phi at min(hypot(rho, s), R) because np.hypot can round past R
+    there.
 
     Raises NormalizationError when the peak lies beyond 1e154 (the profile
     never turns over) or below 1e-154 (it peaks at radius 0).
@@ -198,23 +244,13 @@ def _radial_law(phi, k, rho=0.0):
             return -v
         return -math.inf if s == 0.0 else k * math.log(s) - v
 
-    def log_at(s):
-        v = edge_value(phi, math.hypot(rho, s))
-        if k == 0:
-            return -v
-        return -math.inf if s == 0.0 else k * math.log(s) - v
-
-    at_hi = log_at(s_max) if math.isfinite(s_max) else None
-
     def logf_vec(s):
         s = np.asarray(s, dtype=float)
-        val = np.asarray(phi.value(np.hypot(rho, s)), dtype=float)
+        val = np.asarray(phi.value(np.minimum(np.hypot(rho, s), R)),
+                         dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = k * np.log(s) - val if k else -val
-        out = np.where(np.isfinite(val) & ((s > 0) | (k == 0)), out, -np.inf)
-        if at_hi is not None:
-            out = np.where(s >= s_max, at_hi, out)
-        return out
+        return np.where(np.isfinite(val) & ((s > 0) | (k == 0)), out, -np.inf)
 
     if k == 0:
         if math.isfinite(logf(0.0)):
@@ -253,8 +289,7 @@ def _radial_law(phi, k, rho=0.0):
 
     breaks = tuple(math.sqrt(t * t - rho * rho)
                    for t in phi.interior_knots() if t > rho)
-    return _RadialLaw(logf, log_at, logf_vec, peak, log_at(peak), s_max,
-                      at_hi, breaks)
+    return _RadialLaw(logf, logf_vec, peak, logf(peak), s_max, breaks)
 
 
 def solve_t0(phi, m):
@@ -270,39 +305,6 @@ def solve_t0(phi, m):
     if m < 1:
         raise InputError(f"radial exponent must be >= 1, got {m}")
     return _radial_law(phi, m).peak
-
-
-def integrand_window(logf, peak, log_peak, lo, hi, logf_at_hi=None):
-    """[a, b] on which a unimodal log-integrand stays within WINDOW_NATS
-    of its peak value.
-
-    ``logf`` need only be evaluated strictly inside (lo, hi); the value at
-    a finite right endpoint may be supplied separately as ``logf_at_hi``
-    (the limit from below at a hard support cutoff).
-    """
-    target = log_peak - WINDOW_NATS
-
-    def pred(t):
-        return logf(t) >= target
-
-    if peak == lo or logf(lo) >= target:
-        a = lo
-    else:
-        a = _pred_edge(pred, peak, lo)
-
-    if math.isfinite(hi):
-        edge = logf(hi) if logf_at_hi is None else logf_at_hi
-        b = hi if edge >= target else _pred_edge(pred, peak, hi)
-    else:
-        anchor = peak
-        span = max(peak, 1.0)
-        while pred(peak + span):
-            anchor = peak + span
-            span *= 2.0
-            if anchor > 1e300:
-                raise QuadratureError("integrand window extends beyond 1e300")
-        b = _pred_edge(pred, anchor, peak + span)
-    return a, b
 
 
 def _quad_window(f, a, b, breaks):
@@ -326,32 +328,6 @@ def _quad_window(f, a, b, breaks):
     return val
 
 
-def log_peaked_integral(logf, peak, log_peak, lo, hi, breaks=(),
-                        logf_at_hi=None):
-    """log of int exp(logf(t)) dt for a unimodal log-integrand.
-
-    The integral is restricted to the window where logf stays within
-    WINDOW_NATS of its peak (truncation error ~ exp(-60), far below the
-    relative tolerance) and evaluated peak-normalized so no exponential
-    ever overflows.
-    """
-    a, b = integrand_window(logf, peak, log_peak, lo, hi, logf_at_hi)
-
-    def f(t):
-        return math.exp(min(logf(t) - log_peak, 0.0))
-
-    pts = list(breaks)
-    if a < peak < b:
-        pts.append(peak)
-    val = _quad_window(f, a, b, pts)
-    return log_peak + math.log(val)
-
-
-def profile_window(phi, k):
-    """The active radial window [a, b] of the profile t^k exp(-phi(t))."""
-    return _radial_law(phi, k).window()
-
-
 def log_Jm(phi, k):
     """log J_k = log I_k(0), J_k = int_0^inf t^k exp(-phi(t)) dt, as a
     LogScalar.
@@ -370,15 +346,12 @@ def _deficit(phi, m, t0):
     """The log-profile deficit
     x -> phi(t0 (1+x)) - phi(t0) - m log(1+x),  x > -1,
     with phi(t0) evaluated once.  It is log g_m(t0) - log g_m(t0 (1+x)):
-    zero at x = 0 and nonnegative when t0 is the mode of g_m.  Uses the
-    limit from below on a support cutoff and is +inf beyond it.  A given
-    radius t replaces t0 (1+x), whose rounding can differ from it."""
-    phi_t0 = edge_value(phi, t0)
+    zero at x = 0 and nonnegative when t0 is the mode of g_m, and +inf
+    beyond the support."""
+    phi_t0 = float(phi.value(t0))
 
-    def deficit(x, t=None):
-        if t is None:
-            t = t0 * (1.0 + x)
-        return edge_value(phi, t) - phi_t0 - m * math.log1p(x)
+    def deficit(x):
+        return float(phi.value(t0 * (1.0 + x))) - phi_t0 - m * math.log1p(x)
 
     return deficit
 
@@ -400,25 +373,13 @@ def solve_lambda_outer(phi, m, t0):
     cutoff), so the outer width always measures how far beyond t0 the
     profile stays within a factor e of its peak.
     """
-    deficit = _deficit(phi, m, t0)
-    R = phi.support_radius
-    if math.isfinite(R):
-        x_max = R / t0 - 1.0
-        if x_max <= 0.0:
-            return 0.0
-        # at R itself: t0 (1 + x_max) can round past the cutoff
-        if deficit(x_max, R) <= 1.0:
-            return x_max
-        return _pred_edge(lambda x: deficit(x) <= 1.0, 0.0, x_max)
-    hi = 1.0
-    while deficit(hi) <= 1.0:
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
-            raise NormalizationError(
-                "radial profile never drops below 1/e of its peak; "
-                "the measure is not normalizable"
-            )
-    return _pred_edge(lambda x: deficit(x) <= 1.0, 0.0, hi)
+    x_max = phi.support_radius / t0 - 1.0
+    if x_max <= 0.0:
+        return 0.0
+    phi_t0 = float(phi.value(t0))
+    x = _one_nat_step(phi, lambda x: t0 * (1.0 + x),
+                      lambda x, v: v - phi_t0 - m * math.log1p(x), x_max)
+    return x_max if x is None else x
 
 
 @dataclass(frozen=True)
@@ -473,7 +434,7 @@ def profile(phi, d):
     d = int(d)
     m = d - 1
     t0 = solve_t0(phi, m)
-    log_gm_t0 = LogScalar(m * math.log(t0) - edge_value(phi, t0))
+    log_gm_t0 = LogScalar(m * math.log(t0) - float(phi.value(t0)))
     log_J = {k: log_Jm(phi, k) for k in (m - 1, m, m + 1, m + 2)}
     expectation = math.exp(log_J[m + 1].log - log_J[m].log)
     second_moment = math.exp(log_J[m + 2].log - log_J[m].log)
@@ -526,8 +487,6 @@ def psi(prof, x):
     """
     if not x > -1.0:
         raise InputError(f"deficit argument must be > -1, got {x}")
-    if (1.0 + x) * prof.t0 > prof.support_radius:
-        return math.inf
     return _deficit(prof.phi, prof.m, prof.t0)(x)
 
 
@@ -550,7 +509,7 @@ def tail_mass_bound(phi, m, t0, x, psi_floor):
             f"tail hypothesis not satisfied: psi_floor={psi_floor:.6g} "
             f"exceeds the log-profile deficit {deficit:.6g} at x={x:.6g}"
         )
-    log_g_t0 = m * math.log(t0) - edge_value(phi, t0)
+    log_g_t0 = m * math.log(t0) - float(phi.value(t0))
     return LogScalar(
         math.log(x) + math.log(t0) + log_g_t0 - math.log(psi_floor) - psi_floor
     )

@@ -7,10 +7,12 @@ the normalizer downstream.
 
 Conventions shared by every potential:
 
-* ``support_radius`` is the radius beyond which the density vanishes
-  (``math.inf`` when the measure has full support).  Hard cutoffs take the
-  value ``+inf`` at and beyond the cutoff; quantities evaluated on the
-  support boundary use the limit from below, exposed as ``left_value``.
+* ``support_radius`` is the radius R beyond which the density vanishes
+  (``math.inf`` when the measure has full support).  ``value`` is finite
+  on the support up to and including R and ``+inf`` beyond it: on a hard
+  cutoff ``value(R)`` is the limit from below, so a density on the
+  support boundary (the sphere |x| = R, the edge of a facet) reads
+  ``value`` there.
 * ``value`` and ``derivative`` accept floats or numpy arrays and broadcast.
   ``derivative`` is the right-hand derivative at kinks and is only
   meaningful strictly inside the support.
@@ -66,10 +68,6 @@ class RadialPotential:
     def derivative(self, t):
         raise NotImplementedError
 
-    def left_value(self, t):
-        """phi(t-), the limit from below; finite on a hard support cutoff."""
-        return self.value(t)
-
     def interior_knots(self):
         """Kink radii strictly inside the support (quadrature break points)."""
         return ()
@@ -114,11 +112,8 @@ class PowerPotential(RadialPotential):
 
 @dataclass(frozen=True)
 class BallPotential(RadialPotential):
-    """Uniform measure on the ball of radius R: phi = 0 inside, +inf outside.
-
-    The cutoff radius carries the value +inf; densities on the boundary
-    sphere use the limit from below (phi = 0).
-    """
+    """Uniform measure on the ball of radius R: phi = 0 on |x| <= R, +inf
+    outside."""
 
     R: float = 1.0
     kind: ClassVar[str] = "ball"
@@ -132,10 +127,6 @@ class BallPotential(RadialPotential):
         return self.R
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return _match(t, np.where(t < self.R, 0.0, math.inf))
-
-    def left_value(self, t):
         t = np.asarray(t, dtype=float)
         return _match(t, np.where(t <= self.R, 0.0, math.inf))
 
@@ -202,18 +193,7 @@ class TabulatedPotential(RadialPotential):
                 tail, self._vals[-1] + self._slopes[-1] * (t - last_k), out
             )
         else:
-            out = np.where(t >= last_k, math.inf, out)
-        return _match(t, out)
-
-    def left_value(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.extrapolation == "linear":
-            return self.value(t)
-        out = np.where(
-            t <= self._grid[-1],
-            np.interp(t, self._grid, self._vals),
-            math.inf,
-        )
+            out = np.where(t > last_k, math.inf, out)
         return _match(t, out)
 
     def derivative(self, t):
@@ -230,7 +210,7 @@ class TabulatedPotential(RadialPotential):
 
 @dataclass(frozen=True)
 class ShellDensity(RadialPotential):
-    """Radial density supported on the thin annulus (R - eps, R).
+    """Radial density supported on the thin annulus (R - eps, R].
 
     This is the canonical non-log-concave counterexample: the effective
     potential is 0 on the annulus and +inf elsewhere (including at the
@@ -264,11 +244,6 @@ class ShellDensity(RadialPotential):
         return self.R - self.eps
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        inside = (t > self.inner_radius) & (t < self.R)
-        return _match(t, np.where(inside, 0.0, math.inf))
-
-    def left_value(self, t):
         t = np.asarray(t, dtype=float)
         inside = (t > self.inner_radius) & (t <= self.R)
         return _match(t, np.where(inside, 0.0, math.inf))

@@ -24,7 +24,6 @@ from radsurf.bodies import (
 from radsurf.certificates import certificate_upper_bound
 from radsurf.construction import expected_surface
 from radsurf.functionals import (
-    edge_value,
     profile,
     rough_upper_bound,
     theorem_bound,
@@ -136,7 +135,7 @@ def test_criterion_01_exact_identities(get_profile):
             assert lo <= pr.lambda_sum <= hi, cell
             assert pr.lambda_i >= lo, cell
             # the potential stays below m at the mode (left limit at cutoffs)
-            assert edge_value(pr.phi, pr.t0) <= m + 1e-12, cell
+            assert pr.phi.value(pr.t0) <= m + 1e-12, cell
             # moment identity E|X| = J_{m+1}/J_m
             rel = abs(math.exp(pr.log_J[m + 1].log - logJ) - pr.expectation)
             rel /= pr.expectation

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from radsurf.errors import InputError
+from radsurf.errors import InputError, NormalizationError
 from radsurf import functionals
 from radsurf.bodies import (
     HalfSpace,
@@ -27,7 +28,8 @@ from radsurf.certificates import (
     xi1,
     xi2_lower,
 )
-from radsurf.functionals import rough_upper_bound
+from radsurf.functionals import profile, rough_upper_bound
+from radsurf.potential import ball, tabulated
 
 from conftest import circumscribed_polytope
 
@@ -110,6 +112,25 @@ def test_lambda_infeasible_near_hard_cutoff(get_profile):
     assert Lambda(pr, 0.9) is None  # flat potential up to the jump
 
 
+def test_lambda_infeasible_where_the_edge_step_rounds_past_the_cutoff():
+    # (1 + (R/t - 1)) t rounds past R for some t; the edge step reads phi(R)
+    assert Lambda(profile(ball(0.7), 5), 0.01) is None
+    for R in (0.7, 1.5, 3.3):
+        pr = profile(ball(R), 4)
+        for t in np.linspace(0.0, R, 202)[1:-1]:
+            assert Lambda(pr, float(t)) is None, (R, t)
+
+
+def test_one_nat_solvers_reject_a_potential_that_never_climbs(get_profile):
+    # phi stays 0 forever, so without a cutoff no step climbs one nat
+    pr = dataclasses.replace(get_profile("gaussian", 3),
+                             phi=tabulated([1.0], [0.0]))
+    with pytest.raises(NormalizationError):
+        Lambda(pr, 1.0)
+    with pytest.raises(NormalizationError):
+        xi2_lower(pr, BoundaryPoint(1.0, 0.5))
+
+
 def test_lambda_domain_gates(get_profile):
     pr = get_profile("ball", 5)
     with pytest.raises(InputError):
@@ -180,6 +201,13 @@ def test_xi2_ball_reaches_the_cutoff(get_profile):
     )
     with pytest.raises(InputError):
         xi2_lower(pr, BoundaryPoint(1.0, 1.0))
+
+
+def test_xi2_reads_the_edge_where_the_edge_step_rounds_past_the_cutoff():
+    pr = profile(ball(0.7), 4)
+    y, a, R = 0.105, 0.5, 0.7
+    t_edge = -y * a + math.sqrt(y * y * a * a + R * R - y * y)
+    assert xi2_lower(pr, BoundaryPoint(y, a)) == t_edge / math.e
 
 
 # --- global certificate ------------------------------------------------------

@@ -247,6 +247,17 @@ def test_sweep_csv(capsys):
         assert float(r["halfspace_surface"]) > 0
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--samples",
+                                  "--facet-subsample", "--c-rho"])
+def test_sweep_bad_flag_exits_2(flag, capsys):
+    # only a degenerate plan becomes a nan row; a bad flag is an input error
+    code, out, err = run_cli(capsys, "sweep", "--measure", "gaussian",
+                             "--dims", "16", flag, "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_out_file_writes_csv_quietly(capsys, tmp_path):
     dest = tmp_path / "table.csv"
     code, out, _ = run_cli(capsys, "functionals", "--measure", "gaussian",

@@ -7,7 +7,6 @@ import pytest
 from radsurf.errors import InputError, NormalizationError
 from radsurf.functionals import (
     LogScalar,
-    edge_value,
     log_ball_volume,
     mu_candidate,
     profile,
@@ -124,7 +123,7 @@ def test_spread_solves_unit_deficit(name_d, get_profile):
 
     def deficit(x):
         t = (1.0 + x) * pr.t0
-        return (edge_value(pr.phi, t) - edge_value(pr.phi, pr.t0)
+        return (pr.phi.value(t) - pr.phi.value(pr.t0)
                 - m * math.log1p(x))
 
     assert deficit(-pr.lambda_i) == pytest.approx(1.0, abs=1e-8)
@@ -272,10 +271,10 @@ def test_profile_dimension_gate():
         profile(gaussian(), 1)
 
 
-def test_edge_value_left_limit_convention():
-    assert edge_value(ball(1.0), 1.0) == 0.0
-    assert math.isinf(edge_value(ball(1.0), 1.5))
-    assert edge_value(gaussian(), 2.0) == pytest.approx(2.0, rel=1e-12)
+def test_value_at_cutoff_is_left_limit():
+    assert ball(1.0).value(1.0) == 0.0
+    assert math.isinf(ball(1.0).value(1.5))
+    assert gaussian().value(2.0) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_log_ball_volume_closed_forms():

@@ -41,12 +41,22 @@ def test_power_rejects_p_below_one():
         power(0.0)
 
 
+def assert_cutoff_edge(phi, R, left_limit):
+    """phi(R) is the limit from below and the next double is outside the
+    support, for scalar and array input alike."""
+    beyond = math.nextafter(R, math.inf)
+    assert phi.value(R) == left_limit
+    assert math.isinf(phi.value(beyond))
+    arr = np.asarray(phi.value(np.array([R, beyond])))
+    assert arr[0] == left_limit
+    assert math.isinf(arr[1])
+
+
 def test_ball_cutoff_left_limit_convention():
     phi = ball(2.0)
     assert phi.value(1.9) == 0.0
-    assert math.isinf(phi.value(2.0))       # right limit at the cutoff
-    assert phi.left_value(2.0) == 0.0       # density convention on the sphere
-    assert math.isinf(phi.left_value(2.01))
+    assert_cutoff_edge(phi, 2.0, 0.0)       # density convention on the sphere
+    assert math.isinf(phi.value(2.01))
     assert phi.support_radius == 2.0
 
 
@@ -70,8 +80,7 @@ def test_tabulated_basic_interpolation():
 def test_tabulated_cutoff_extrapolation():
     phi = tabulated([1.0, 2.0], [1.0, 3.0], extrapolation="cutoff")
     assert phi.support_radius == 2.0
-    assert math.isinf(phi.value(2.0))
-    assert phi.left_value(2.0) == 3.0
+    assert_cutoff_edge(phi, 2.0, 3.0)
 
 
 def test_tabulated_validation_gates():
@@ -126,8 +135,7 @@ def test_shell_gate_and_geometry():
     assert phi.inner_support_radius == pytest.approx(1.0 - 1e-3)
     assert math.isinf(phi.value(0.5))
     assert phi.value(1.0 - 5e-4) == 0.0
-    assert math.isinf(phi.value(1.0))
-    assert phi.left_value(1.0) == 0.0
+    assert_cutoff_edge(phi, 1.0, 0.0)
     with pytest.raises(InputError):
         shell(1.0, 2.0, allow_non_logconcave=True)
 
