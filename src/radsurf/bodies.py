@@ -10,7 +10,10 @@ density over the boundary dQ.  Symmetric bodies admit exact formulas:
 
 (m = d-1, nu_k the unit-ball volume in R^k, J_m the radial moment).
 Polytopes are integrated facet by facet with Monte Carlo acceptance
-sampling on each facet's hyperplane.  Independently of all that, the
+sampling on each facet's hyperplane: a radius from the exact on-hyperplane
+density and, when the k = N-1 other facets span fewer than d-1 in-plane
+directions, only the k direction coordinates those facets can see (a full
+in-plane direction otherwise).  Independently of all that, the
 Minkowski difference quotient [mu(Q + eps B) - mu(Q)] / eps is estimated by
 direct sampling as a validation oracle.
 
@@ -24,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -384,6 +386,17 @@ def _point_chunk(rng, table, d, n):
     return _unit_rows(rng.standard_normal((n, d)), r)
 
 
+def _sphere_coordinates(rng, n, k, m):
+    """(n, k) array: the first k < m coordinates of n uniform unit vectors
+    in R^m, g / sqrt(|g|^2 + chi^2_(m-k)) with g ~ N(0, I_k).  Draws g,
+    then the chi^2 completion; k = 0 draws nothing."""
+    if k == 0:
+        return np.empty((n, 0))
+    g = rng.standard_normal((n, k))
+    c = rng.chisquare(m - k, n)
+    return g / np.sqrt(np.einsum("ij,ij->i", g, g) + c)[:, None]
+
+
 def sample_points(prof: MeasureProfile, n: int, seed: int) -> np.ndarray:
     """(n, d) array of i.i.d. points distributed per the measure."""
     rng = _rng(seed)
@@ -404,11 +417,23 @@ def sample_points(prof: MeasureProfile, n: int, seed: int) -> np.ndarray:
 def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     """Per-facet boundary contributions value_i = halfspace(rho_i) * p_i.
 
-    p_i is the Monte Carlo acceptance rate of points sampled on facet i's
-    hyperplane (radius from the exact on-hyperplane density, direction
-    uniform in the hyperplane) against all other constraints.  Each facet
-    consumes an independent RNG stream derived from (seed, facet index),
-    so any facet subset reproduces exactly.
+    p_i is the Monte Carlo acceptance rate of points y = rho_i X_i + s u
+    sampled on facet i's hyperplane against the k = N-1 other constraints:
+    the radius s from the exact on-hyperplane density, the direction u
+    uniform on the unit sphere of X_i^perp.  Acceptance reads u only
+    through G = u Xo_perp^T, the products with the neighbour normals
+    projected into X_i^perp.  When k < d-1, Xo_perp^T = Q R with R
+    (k, k) and u Q has the law of the first k coordinates w of a uniform
+    unit vector in R^(d-1), g / sqrt(|g|^2 + chi^2_(d-1-k)) with
+    g ~ N(0, I_k); only w is drawn and G = w R.  Since G's law depends on
+    Xo_perp only through its Gram matrix R^T R, rank-deficient neighbours
+    (parallel facets, slabs) need no special case.  When k >= d-1 a full
+    Gaussian in R^d is drawn, projected onto X_i^perp and normalised.
+
+    Each facet consumes an independent RNG stream derived from
+    (seed, facet index), so any facet subset reproduces exactly.  Per chunk
+    of _CHUNK samples the draw order is: radii, then g (or the d-vector
+    Gaussian when k >= d-1), then the chi^2 completion.
 
     Returns (values, std_errors, accepted, attempted) arrays over the
     requested facets.
@@ -420,6 +445,8 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     if S < 1:
         raise InputError("samples_per_facet must be >= 1")
 
+    k = N - 1  # neighbour facets of every facet
+    subspace = k < d - 1
     hs_cache, table_cache = {}, {}
     values = np.zeros(idx.size)
     errors = np.zeros(idx.size)
@@ -440,7 +467,14 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         others = np.concatenate((np.arange(i), np.arange(i + 1, N)))
         Xo = np.ascontiguousarray(X[others])
         ro = np.ascontiguousarray(rho[others])
-        base = np.ascontiguousarray(r * (Xo @ X[i]))
+        cos = Xo @ X[i]
+        base = np.ascontiguousarray(r * cos)
+        if subspace:
+            # Xo_perp^T = Q R: acceptance reads u only through u Q.
+            P = Xo - np.outer(cos, X[i])
+            normals = np.ascontiguousarray(np.linalg.qr(P.T, mode="r").T)
+        else:
+            normals = Xo
 
         rng = _rng(seed, i)
         acc = 0
@@ -449,11 +483,14 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
             n = min(_CHUNK, left)
             left -= n
             s = table.sample(rng.random(n))
-            z = rng.standard_normal((n, d))
-            z -= np.outer(z @ X[i], X[i])
-            u = np.ascontiguousarray(_unit_rows(z))
+            if subspace:
+                u = _sphere_coordinates(rng, n, k, d - 1)
+            else:
+                z = rng.standard_normal((n, d))
+                z -= np.outer(z @ X[i], X[i])
+                u = np.ascontiguousarray(_unit_rows(z))
             acc += _kernels.facet_accept_count(u, np.ascontiguousarray(s),
-                                               Xo, base, ro)
+                                               normals, base, ro)
         p = acc / S
         values[pos] = hs * p
         errors[pos] = hs * math.sqrt(p * (1.0 - p) / S)

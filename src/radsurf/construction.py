@@ -87,8 +87,11 @@ def cap_probability(prof: MeasureProfile, r: float, rho: float) -> float:
         p(r) = int_rho^r (1-t^2/r^2)^((m-2)/2) dt
                / int_{-r}^r (1-t^2/r^2)^((m-2)/2) dt
 
-    for r > rho (0 otherwise), evaluated as a regularized incomplete beta
-    ratio (the closed form of the two displayed integrals).
+    for r > rho (0 otherwise), evaluated as the regularized incomplete beta
+    ratio 0.5 I_{1-q^2}(m/2, 1/2) with q = rho/r (the closed form of the
+    two displayed integrals).  Reading it as the upper tail keeps full
+    relative precision as p -> 0, where 0.5 (1 - I_{q^2}(1/2, m/2))
+    cancels to nothing.
     """
     if r <= 0:
         raise InputError(f"radius must be positive, got {r}")
@@ -98,7 +101,7 @@ def cap_probability(prof: MeasureProfile, r: float, rho: float) -> float:
         return 0.0
     q = rho / r
     half_m = 0.5 * prof.m  # = (m-2)/2 + 1
-    return 0.5 * (1.0 - float(betainc(0.5, half_m, q * q)))
+    return 0.5 * float(betainc(half_m, 0.5, (1.0 - q) * (1.0 + q)))
 
 
 def sample_polytope(spec: PolytopeSpec, prof: MeasureProfile) -> Polytope:

@@ -327,6 +327,42 @@ def test_facet_mc_agrees_with_exact_on_simplex(get_profile):
     assert abs(z) < 4.0
 
 
+def test_facet_mc_matches_gaussian_partial_box_in_high_dimension(get_profile):
+    # {|x_j| <= h_j, j < 3} in R^256: 6 facets, so every facet sees k = 5
+    # neighbours (one of them antiparallel) and draws 5 direction
+    # coordinates.  Gaussian surface: sum_j 2 phi(h_j) prod_{l != j} (2 Phi(h_l) - 1).
+    d = 256
+    pr = get_profile("gaussian", d)
+    h = np.array([0.5, 1.0, 1.5])
+    eye = np.eye(d)[:3]
+    body = Polytope(np.vstack([eye, -eye]), np.concatenate([h, h]))
+    mass = 2.0 * stats.norm.cdf(h) - 1.0
+    exact = sum(2.0 * stats.norm.pdf(h[j]) * np.prod(np.delete(mass, j))
+                for j in range(3))
+    est = polytope_surface_mc(pr, body, samples_per_facet=20_000, seed=3)
+    assert abs(est.value - exact) <= 4.0 * est.std_error
+
+
+def test_facet_mc_matches_gaussian_wedge_in_high_dimension(get_profile):
+    # two half-spaces <x, X_i> <= rho_i with <X_1, X_2> = c in R^64 (k = 1):
+    # sum_i phi(rho_i) Phi((rho_j - c rho_i) / sqrt(1 - c^2)).
+    d = 64
+    pr = get_profile("gaussian", d)
+    c = 0.3
+    X = np.zeros((2, d))
+    X[0, 0] = 1.0
+    X[1, 0], X[1, 1] = c, math.sqrt(1.0 - c * c)
+    rho = np.array([0.8, 1.2])
+    exact = sum(
+        stats.norm.pdf(rho[i])
+        * stats.norm.cdf((rho[1 - i] - c * rho[i]) / math.sqrt(1.0 - c * c))
+        for i in range(2)
+    )
+    est = polytope_surface_mc(pr, Polytope(X, rho), samples_per_facet=20_000,
+                              seed=8)
+    assert abs(est.value - exact) <= 4.0 * est.std_error
+
+
 def test_all_facets_zero_acceptance_note(get_profile):
     # tiny triangle far inside the bulk: hyperplane samples essentially never
     # land on the polytope boundary, so every facet reports zero acceptance

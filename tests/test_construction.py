@@ -122,6 +122,22 @@ def test_cap_probability_tracks_gaussian_tail(get_profile):
                 assert tail / 3.0 <= p <= 1.05 * tail
 
 
+def test_cap_probability_keeps_relative_precision_deep_in_the_tail(get_profile):
+    # r = t0 and rho = the c_rho = 1 plan offset of the gaussian; references
+    # are 0.5 I_{1-q^2}(m/2, 1/2) at q = rho/r by mpmath (50 digits).  The
+    # form 0.5 (1 - I_{q^2}(1/2, m/2)) loses p to cancellation: relative
+    # error 1.4e-9 at d = 4096, and 0.0 at d = 65536.
+    cases = (
+        (4096, 63.99218702310462, 5.65654732115281, 7.25334582304834e-9),
+        (65536, 255.99804686754936, 11.313670135803585, 5.27406021921368e-30),
+    )
+    for d, r, rho, ref in cases:
+        p = cap_probability(get_profile("gaussian", d), r, rho)
+        # conditioning: (m/2) * (relative rounding of 1 - q^2) ~ 1e-11 at m = 65535
+        rel = 1e-10 if d > 4096 else 1e-12
+        assert p == pytest.approx(ref, rel=rel, abs=0.0)
+
+
 def test_cap_probability_gates(get_profile):
     pr = get_profile("gaussian", 5)
     with pytest.raises(InputError):

@@ -1,7 +1,6 @@
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from radsurf.errors import InputError, NormalizationError
