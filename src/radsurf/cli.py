@@ -241,13 +241,14 @@ def _cmd_functionals(args) -> int:
     cfg = _config(args)
     prof = cfg.profile()
     logJ = prof.log_Jm.log
+    log_g = prof.log_gm_t0.log
     row = {
         "measure": cfg.measure_spec,
         "d": prof.d,
         "m": prof.m,
         "support_radius": prof.support_radius,
         "t0": prof.t0,
-        "g_t0": prof.log_gm_t0.value,
+        "g_t0": math.exp(log_g) if log_g < 700 else math.inf,
         "log_Jm": logJ,
         "Jm": math.exp(logJ) if logJ < 700 else math.inf,
         "lambda_i": prof.lambda_i,
@@ -459,15 +460,15 @@ def _verify_rows(cfg: RunConfig) -> List[Dict]:
         am,
     ))
 
-    g_t0 = prof.log_gm_t0.value
-    Jm = math.exp(prof.log_Jm.log)
+    # t0 g_m(t0) / J_m from the log-scalars: each factor alone overflows
+    # for large m
+    mass_ratio = math.exp(prof.log_gm_t0.log + math.log(t0) - prof.log_Jm.log)
     lam = prof.lambda_sum
 
     if logconcave:
-        floor = g_t0 * t0 / (m + 1)
-        rows.append(_check("radial-mass-floor", floor <= Jm * (1 + 1e-9),
-                           floor / Jm))
-        band = Jm / (lam * t0 * g_t0)
+        floor = mass_ratio / (m + 1)
+        rows.append(_check("radial-mass-floor", floor <= 1 + 1e-9, floor))
+        band = 1.0 / (lam * mass_ratio)
         rows.append(_check(
             "radial-mass-band",
             1 / math.e - 1e-9 <= band <= (math.e + 1) / math.e + 1e-9,

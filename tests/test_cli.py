@@ -300,6 +300,23 @@ def test_verify_gaussian_all_pass(capsys):
     assert sum(r["status"] == "PASS" for r in rows) >= 10
 
 
+def test_verify_and_functionals_survive_overflowing_scalars(capsys):
+    # at d = 512, g_m(t0) and J_m overflow a double: the radial-mass rows
+    # work from their logs and functionals prints g_t0 as inf, like Jm
+    code, out, _ = run_cli(capsys, "verify", "--measure", "gaussian",
+                           "--dim", "512", "--format", "json")
+    assert code == 0
+    rows = {r["check"]: r for r in json.loads(out)}
+    assert {r["status"] for r in rows.values()} == {"PASS"}
+    assert 0.0 < rows["radial-mass-floor"]["value"] <= 1.0
+    code, out, _ = run_cli(capsys, "functionals", "--measure", "gaussian",
+                           "--dim", "512", "--format", "json")
+    assert code == 0
+    row = json.loads(out)
+    assert row["g_t0"] == "inf" and row["Jm"] == "inf"
+    assert row["log_Jm"] > 700
+
+
 def test_verify_shell_counterexample_expected(capsys):
     code, out, _ = run_cli(capsys, "verify", "--measure",
                            "shell:R=1,eps=1e-5", "--dim", "51",
