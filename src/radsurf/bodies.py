@@ -258,7 +258,7 @@ def sphere_argmax(prof: MeasureProfile) -> float:
     """Radius maximizing sphere_surface, by golden-section search on the
     log profile.  Coincides with prof.t0 (consistency check of the solver)."""
     law = _radial_law(prof.phi, prof.m)
-    a, b = law.window()
+    a, b = law.window
     logf = law.logf
 
     inv = (math.sqrt(5.0) - 1.0) / 2.0
@@ -284,14 +284,18 @@ def halfspace_surface(prof: MeasureProfile, rho: float) -> SurfaceEstimate:
     i.e. C_d m nu_m I_{m-1}(rho) (see `functionals`)."""
     if rho < 0:
         raise InputError(f"half-space offset must be >= 0, got {rho}")
+    return SurfaceEstimate(_halfspace_law(prof, rho)[0], 0.0, "exact", 0)
+
+
+def _halfspace_law(prof, rho):
+    """(C_d m nu_m I_{m-1}(rho), the law of I_{m-1}(rho)) for rho >= 0;
+    (0.0, None) when the hyperplane misses the support."""
     if rho >= prof.support_radius:
-        return SurfaceEstimate(0.0, 0.0, "exact", 0)
+        return 0.0, None
     m = prof.m
-    log_I = _radial_law(prof.phi, m - 1, rho).log_integral()
-    log_val = (
-        prof.log_normalizer.log + math.log(m) + log_ball_volume(m) + log_I
-    )
-    return SurfaceEstimate(math.exp(log_val), 0.0, "exact", 0)
+    law = _radial_law(prof.phi, m - 1, rho)
+    return math.exp(prof.log_normalizer.log + math.log(m) + log_ball_volume(m)
+                    + law.log_integral()), law
 
 
 def slab_surface(prof: MeasureProfile, rho1: float, rho2: float) -> SurfaceEstimate:
@@ -369,14 +373,13 @@ class _InverseCdfTable:
 def _radial_table(prof: MeasureProfile) -> _InverseCdfTable:
     """Inverse-CDF table of the point radius: the law of I_m(0)."""
     law = _radial_law(prof.phi, prof.m)
-    return _InverseCdfTable(law.logf_vec, *law.window(), law.log_peak)
+    return _InverseCdfTable(law.logf_vec, *law.window, law.log_peak)
 
 
-def _facet_table(prof: MeasureProfile, rho: float) -> _InverseCdfTable:
+def _facet_table(law) -> _InverseCdfTable:
     """Inverse-CDF table for the on-hyperplane radial density
-    s^(m-1) exp(-phi(sqrt(rho^2+s^2))): the law of I_{m-1}(rho)."""
-    law = _radial_law(prof.phi, prof.m - 1, rho)
-    return _InverseCdfTable(law.logf_vec, *law.window(), law.log_peak)
+    s^(m-1) exp(-phi(sqrt(rho^2+s^2))), given its law of I_{m-1}(rho)."""
+    return _InverseCdfTable(law.logf_vec, *law.window, law.log_peak)
 
 
 def _point_chunk(rng, table, d, n):
@@ -447,7 +450,7 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
 
     k = N - 1  # neighbour facets of every facet
     subspace = k < d - 1
-    hs_cache, table_cache = {}, {}
+    per_offset = {}  # rho -> (half-space value, radius table or None)
     values = np.zeros(idx.size)
     errors = np.zeros(idx.size)
     accepted = np.zeros(idx.size, dtype=np.int64)
@@ -455,24 +458,22 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
 
     for pos, i in enumerate(idx):
         r = float(rho[i])
-        if r not in hs_cache:
-            hs_cache[r] = halfspace_surface(prof, r).value
-        hs = hs_cache[r]
+        if r not in per_offset:
+            hs, law = _halfspace_law(prof, r)
+            per_offset[r] = hs, (_facet_table(law) if hs != 0.0 else None)
+        hs, table = per_offset[r]
         if hs == 0.0:
             continue  # facet outside the support: exact zero contribution
-        if r not in table_cache:
-            table_cache[r] = _facet_table(prof, r)
-        table = table_cache[r]
 
         others = np.concatenate((np.arange(i), np.arange(i + 1, N)))
-        Xo = np.ascontiguousarray(X[others])
-        ro = np.ascontiguousarray(rho[others])
+        Xo = X[others]
+        ro = rho[others]
         cos = Xo @ X[i]
-        base = np.ascontiguousarray(r * cos)
+        base = r * cos
         if subspace:
             # Xo_perp^T = Q R: acceptance reads u only through u Q.
             P = Xo - np.outer(cos, X[i])
-            normals = np.ascontiguousarray(np.linalg.qr(P.T, mode="r").T)
+            normals = np.linalg.qr(P.T, mode="r").T
         else:
             normals = Xo
 
@@ -488,9 +489,8 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
             else:
                 z = rng.standard_normal((n, d))
                 z -= np.outer(z @ X[i], X[i])
-                u = np.ascontiguousarray(_unit_rows(z))
-            acc += _kernels.facet_accept_count(u, np.ascontiguousarray(s),
-                                               normals, base, ro)
+                u = _unit_rows(z)
+            acc += _kernels.facet_accept_count(u, s, normals, base, ro)
         p = acc / S
         values[pos] = hs * p
         errors[pos] = hs * math.sqrt(p * (1.0 - p) / S)
@@ -550,12 +550,8 @@ def _inflation_counts(body, pts, eps):
         shell = int(np.count_nonzero((v > 0.0) & (v <= eps)))
         return inside, shell
     elif isinstance(body, Polytope):
-        return _kernels.polytope_shell_counts(
-            np.ascontiguousarray(pts),
-            np.ascontiguousarray(body.directions),
-            np.ascontiguousarray(body.offsets),
-            eps,
-        )
+        return _kernels.polytope_shell_counts(pts, body.directions,
+                                              body.offsets, eps)
     else:
         raise InputError(
             f"finite-difference surface needs a solid body, got {type(body).__name__}"

@@ -20,12 +20,16 @@ Every radial integral of the package is one member of the family
     s_max = sqrt(R^2 - rho^2)  (R the support radius),
 
 and `_radial_law(phi, k, rho)` is the one place that builds its integrand,
-peak, support edge and window:
+peak, support edge and window.  Each operation builds each law it needs
+once and reads everything from it (a law solves its window once):
 
-* ``J_k = I_k(0)`` for k = m-1 .. m+2, and ``t0`` is the peak of I_m(0);
-* the half-space boundary measure at offset rho is C_d m nu_m I_{m-1}(rho);
-* facet Monte Carlo draws on-hyperplane radii from the law of I_{m-1}(rho);
-* the point sampler draws radii from the law of I_m(0).
+* `profile` builds I_k(0), k = m-1 .. m+2: ``J_k`` are their integrals and
+  ``t0`` is the peak of I_m(0);
+* the half-space boundary measure at offset rho is C_d m nu_m I_{m-1}(rho),
+  and facet Monte Carlo builds that law once per distinct facet offset, for
+  both this value and the on-hyperplane radius table;
+* the point sampler and `bodies.sphere_argmax` build I_m(0), and
+  `solve_t0(phi, k)` builds I_k(0) for its peak alone.
 
 All integrals are evaluated in the log domain: the integrand is normalized
 by its peak value and restricted to the window where it stays within
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -50,7 +55,6 @@ __all__ = [
     "LogScalar",
     "MeasureProfile",
     "solve_t0",
-    "log_Jm",
     "solve_lambda_inner",
     "solve_lambda_outer",
     "profile",
@@ -159,6 +163,7 @@ class _RadialLaw:
 
     ``logf`` is its logarithm (-inf where phi is infinite), ``logf_vec``
     the same on arrays, and ``breaks`` the images of the potential's kinks.
+    The window is solved once, on first use.
     """
 
     logf: Callable[[float], float]
@@ -168,6 +173,7 @@ class _RadialLaw:
     s_max: float
     breaks: Tuple[float, ...]
 
+    @cached_property
     def window(self):
         """[a, b] where the integrand stays within WINDOW_NATS of its peak."""
         logf, peak, hi = self.logf, self.peak, self.s_max
@@ -198,7 +204,7 @@ class _RadialLaw:
         """log I_k(rho), integrated peak-normalized over the window, so no
         exponential overflows; truncation error ~ exp(-60), far below the
         relative tolerance."""
-        a, b = self.window()
+        a, b = self.window
         logf, peak, log_peak = self.logf, self.peak, self.log_peak
 
         def f(s):
@@ -328,20 +334,6 @@ def _quad_window(f, a, b, breaks):
     return val
 
 
-def log_Jm(phi, k):
-    """log J_k = log I_k(0), J_k = int_0^inf t^k exp(-phi(t)) dt, as a
-    LogScalar.
-
-    Peak-normalized Laplace quadrature: locate the mode of the integrand,
-    restrict to the 60-nat window around it, and integrate
-    exp(log-integrand - peak) with the potential's kinks as break points.
-    Relative accuracy 1e-10 or a QuadratureError.
-    """
-    if k < 0:
-        raise InputError(f"moment exponent must be >= 0, got {k}")
-    return LogScalar(_radial_law(phi, k).log_integral())
-
-
 def _deficit(phi, m, t0):
     """The log-profile deficit
     x -> phi(t0 (1+x)) - phi(t0) - m log(1+x),  x > -1,
@@ -433,9 +425,11 @@ def profile(phi, d):
         raise InputError(f"dimension must be an integer >= 2, got {d}")
     d = int(d)
     m = d - 1
-    t0 = solve_t0(phi, m)
-    log_gm_t0 = LogScalar(m * math.log(t0) - float(phi.value(t0)))
-    log_J = {k: log_Jm(phi, k) for k in (m - 1, m, m + 1, m + 2)}
+    law_m = _radial_law(phi, m)  # t0 is its peak and g_m(t0) its peak value
+    t0 = law_m.peak
+    log_gm_t0 = LogScalar(law_m.log_peak)
+    log_J = {k: LogScalar((law_m if k == m else _radial_law(phi, k)).log_integral())
+             for k in (m - 1, m, m + 1, m + 2)}
     expectation = math.exp(log_J[m + 1].log - log_J[m].log)
     second_moment = math.exp(log_J[m + 2].log - log_J[m].log)
     variance = second_moment - expectation * expectation

@@ -1,3 +1,5 @@
+import collections
+import functools
 import math
 
 import numpy as np
@@ -28,7 +30,7 @@ from radsurf.bodies import (
     sphere_argmax,
     sphere_surface,
 )
-from radsurf.functionals import log_ball_volume, profile
+from radsurf.functionals import _radial_law, log_ball_volume, profile
 from radsurf.potential import ball, tabulated
 
 from conftest import MEASURE_NAMES, circumscribed_polytope
@@ -213,8 +215,9 @@ _MAX_KNOTS = 1 << 16  # _InverseCdfTable's default cap
 ], ids=["ball", "cutoff-table"])
 def test_cutoff_tables_converge_below_the_knot_cap(phi, d):
     pr = profile(phi, d)
-    tables = [_radial_table(pr)] + [_facet_table(pr, f * pr.t0)
-                                    for f in (0.0, 0.35, 0.9)]
+    tables = [_radial_table(pr)] + [
+        _facet_table(_radial_law(pr.phi, pr.m - 1, f * pr.t0))
+        for f in (0.0, 0.35, 0.9)]
     for table in tables:
         assert table.grid.size - 1 < _MAX_KNOTS
 
@@ -224,7 +227,7 @@ def test_ball_facet_cdf_matches_closed_form(get_profile):
     # on the table window [a, b] the CDF is (s^m - a^m) / (b^m - a^m)
     pr = get_profile("ball", 16)
     m = pr.m
-    table = _facet_table(pr, 0.35 * pr.t0)
+    table = _facet_table(_radial_law(pr.phi, m - 1, 0.35 * pr.t0))
     a, b = table.grid[0], table.grid[-1]
     assert b == pytest.approx(math.sqrt(1.0 - 0.35 ** 2), rel=1e-15)
     s = np.linspace(a, b, 10_001)
@@ -374,6 +377,53 @@ def test_all_facets_zero_acceptance_note(get_profile):
     assert est.value == 0.0
     assert math.isnan(est.std_error)
     assert "zero acceptance" in est.note
+
+
+# --- one solve per radial law ----------------------------------------------
+
+
+@pytest.fixture
+def law_builds(monkeypatch):
+    """Counts `_radial_law` builds (under both names that call it) and the
+    window solves of each law built: returns (laws, solves by law id)."""
+    from radsurf import bodies, functionals
+
+    laws, solves = [], collections.Counter()
+    build, solve = functionals._radial_law, functionals._RadialLaw.window.func
+
+    def counted_build(*args, **kwargs):
+        laws.append(build(*args, **kwargs))
+        return laws[-1]
+
+    def counted_solve(law):
+        solves[id(law)] += 1
+        return solve(law)
+
+    window = functools.cached_property(counted_solve)
+    window.__set_name__(functionals._RadialLaw, "window")
+    monkeypatch.setattr(functionals._RadialLaw, "window", window)
+    monkeypatch.setattr(functionals, "_radial_law", counted_build)
+    monkeypatch.setattr(bodies, "_radial_law", counted_build)
+    return laws, solves
+
+
+def test_profile_builds_each_moment_law_once(law_builds):
+    laws, solves = law_builds
+    pr = profile(tabulated([0.5, 1.0, 1.5, 2.0], [0.1, 0.4, 1.0, 1.9]), 9)
+    assert len(laws) == 4  # I_k(0) for k = m-1 .. m+2
+    assert [solves[id(law)] for law in laws] == [1, 1, 1, 1]
+    assert pr.t0 == laws[0].peak  # I_m(0), built first
+
+
+def test_facet_mc_builds_one_law_per_distinct_offset(get_profile, law_builds):
+    laws, solves = law_builds
+    pr = get_profile("gaussian", 5)
+    laws.clear()  # the profile's laws, when it was not cached yet
+    solves.clear()
+    box = HyperRectangle(pr.t0 * np.array([0.3, 0.45, 0.6, 0.75, 0.9]))
+    polytope_surface_mc(pr, box, 100, seed=0)  # 10 facets, 5 offsets
+    assert len(laws) == 5
+    assert [solves[id(law)] for law in laws] == [1] * 5
 
 
 # --- Minkowski finite-difference oracle ------------------------------------

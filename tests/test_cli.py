@@ -317,6 +317,41 @@ def test_verify_and_functionals_survive_overflowing_scalars(capsys):
     assert row["log_Jm"] > 700
 
 
+@pytest.mark.parametrize("measure", ["gaussian", "gp:p=2.5"])
+def test_verify_reciprocity_skips_radii_where_the_surface_underflows(capsys, measure):
+    # at d = 256 the probes out to 3 t0 reach radii where sphere_surface is
+    # subnormal and xi1 overflows to inf
+    code, out, _ = run_cli(capsys, "verify", "--measure", measure,
+                           "--dim", "256", "--format", "json")
+    assert code == 0
+    rows = {r["check"]: r for r in json.loads(out)}
+    assert rows["sphere-reciprocity"]["value"] <= 1e-9
+
+
+@pytest.mark.parametrize("surface", [0.0, None], ids=["zero", "exact"])
+def test_verify_reciprocity_fails_on_a_non_finite_product(monkeypatch, surface):
+    from radsurf import bodies, certificates
+
+    monkeypatch.setattr(certificates, "xi1", lambda prof, point: math.inf)
+    if surface is not None:
+        monkeypatch.setattr(bodies, "sphere_surface", lambda prof, R:
+                            bodies.SurfaceEstimate(surface, 0.0, "exact", 0))
+    rows = {r["check"]: r for r in cli._verify_rows(RunConfig("gaussian", 3))}
+    row = rows["sphere-reciprocity"]
+    assert row["status"] == "FAIL"
+    assert not math.isfinite(row["value"])
+
+
+def test_verify_fd_row_on_a_cutoff_measure(capsys):
+    # t0 is the support edge: the row probes t0 (1 - lambda_i), where the
+    # FD quotient counts samples, not 0.8 t0, where it counted none
+    code, out, _ = run_cli(capsys, "verify", "--measure", "ball:R=1",
+                           "--dim", "64", "--format", "json")
+    assert code == 0
+    rows = {r["check"]: r for r in json.loads(out)}
+    assert rows["fd-oracle-matches-sphere"]["value"] > 0.0
+
+
 def test_verify_shell_counterexample_expected(capsys):
     code, out, _ = run_cli(capsys, "verify", "--measure",
                            "shell:R=1,eps=1e-5", "--dim", "51",
