@@ -15,7 +15,10 @@ density and, when the k = N-1 other facets span fewer than d-1 in-plane
 directions, only the k direction coordinates those facets can see (a full
 in-plane direction otherwise).  Independently of all that, the
 Minkowski difference quotient [mu(Q + eps B) - mu(Q)] / eps is estimated by
-direct sampling as a validation oracle.
+direct sampling as a validation oracle.  By the same rotation invariance it
+draws only what the body's shell test reads: the radius alone for a ball,
+the radius and the N coordinates of x X^T for a body of N < d facet rows
+X, and full points otherwise.
 
 The ball-uniform measure gives its own boundary sphere the surface value
 d (phi(R) is the limit from below), the equality case of the rough bound
@@ -188,15 +191,21 @@ def as_facets(body):
     HyperRectangle.  Offsets may be 0 (origin on the boundary), which the
     Polytope gate rejects.
     """
+    if isinstance(body, Slab) and (body.rho1 < 0.0 or body.rho2 < 0.0):
+        raise InputError(
+            "facet bodies need the origin inside the slab (rho1, rho2 >= 0)"
+        )
+    return _constraint_rows(body)
+
+
+def _constraint_rows(body):
+    """`as_facets` without its origin gate: any slab, a negative offset
+    included."""
     if isinstance(body, Polytope):
         return body.directions, body.offsets
     if isinstance(body, HalfSpace):
         return body.direction[None, :], np.array([body.offset])
     if isinstance(body, Slab):
-        if body.rho1 < 0.0 or body.rho2 < 0.0:
-            raise InputError(
-                "facet bodies need the origin inside the slab (rho1, rho2 >= 0)"
-            )
         return (
             np.vstack([body.direction, -body.direction]),
             np.array([body.rho2, body.rho1]),
@@ -532,53 +541,82 @@ def polytope_surface_mc(prof: MeasureProfile, body,
 # Minkowski finite-difference oracle
 
 
+def _shell_count(v, eps):
+    """How many violations v lie in the shell (0, eps]."""
+    return int(np.count_nonzero((v > 0.0) & (v <= eps)))
+
+
 def _inflation_counts(body, pts, eps):
-    """(inside, shell) counts; shell = inside the eps-inflated body but not
-    the body.  Exact Euclidean distance except for polytopes, which use the
-    offset relaxation (over-counts near edges by O(eps^2))."""
-    if isinstance(body, Ball):
-        v = np.linalg.norm(pts, axis=1) - body.R
-    elif isinstance(body, HalfSpace):
-        v = pts @ body.direction - body.offset
-    elif isinstance(body, Slab):
-        t = pts @ body.direction
-        v = np.maximum(t - body.rho2, -t - body.rho1)
-    elif isinstance(body, HyperRectangle):
+    """(inside, shell) counts of full points; shell = inside the
+    eps-inflated body but not the body.  Exact Euclidean distance for a box;
+    the offset relaxation for the other facet bodies (over-counts near
+    edges by O(eps^2))."""
+    if isinstance(body, HyperRectangle):
         q = np.abs(pts) - body.half_widths[None, :]
         v = np.linalg.norm(np.maximum(q, 0.0), axis=1)
         inside = int(np.count_nonzero(np.all(q <= 0.0, axis=1)))
-        shell = int(np.count_nonzero((v > 0.0) & (v <= eps)))
-        return inside, shell
-    elif isinstance(body, Polytope):
-        return _kernels.polytope_shell_counts(pts, body.directions,
-                                              body.offsets, eps)
-    else:
-        raise InputError(
-            f"finite-difference surface needs a solid body, got {type(body).__name__}"
-        )
-    inside = int(np.count_nonzero(v <= 0.0))
-    shell = int(np.count_nonzero((v > 0.0) & (v <= eps)))
-    return inside, shell
+        return inside, _shell_count(v, eps)
+    return _kernels.polytope_shell_counts(pts, *_constraint_rows(body), eps)
 
 
 def minkowski_fd_surface(prof: MeasureProfile, body, epsilon: float,
                          samples: int, seed: int) -> SurfaceEstimate:
     """Minkowski difference quotient [mu(body + eps B) - mu(body)] / eps by
     direct sampling from the measure.  Validation oracle for the exact and
-    facet-MC surfaces (first-order biased in eps; std_error is binomial)."""
-    if epsilon <= 0:
-        raise InputError(f"inflation epsilon must be positive, got {epsilon}")
+    facet-MC surfaces (first-order biased in eps; std_error is binomial).
+
+    Each chunk of _CHUNK points draws the radii r from the law of I_m(0),
+    then only what the body's shell test reads:
+
+    * Ball: nothing more; the test is r - R in (0, eps].
+    * HalfSpace, Slab (rho1 < 0 too) and a Polytope with N < d rows X:
+      the test reads a point x = r u only through x X^T.  With
+      X^T = Q R, taken once per call, u Q has the law of the first N
+      coordinates w of a uniform unit vector in R^d,
+      g / sqrt(|g|^2 + chi^2_(d-N)) with g ~ N(0, I_N), so x X^T has the
+      law of r (w R): the chunk draws g, then the chi^2 completion.  As in
+      `_facet_values`, that law depends on X only through its Gram matrix
+      R^T R, so a slab's rank-deficient R needs no special case.
+    * HyperRectangle (exact Euclidean distance) and a Polytope with
+      N >= d: a full Gaussian direction in R^d (`_point_chunk`).
+
+    Facet bodies use the offset relaxation (see `_inflation_counts`).
+    """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InputError(
+            f"inflation epsilon must be positive and finite, got {epsilon}"
+        )
     samples = int(samples)
     if samples < 1:
         raise InputError("samples must be >= 1")
+    d = prof.d
+    R = None  # triangular factor of X^T when only w is drawn
+    if isinstance(body, (HalfSpace, Slab, Polytope, HyperRectangle)):
+        X, offsets = _constraint_rows(body)
+        if X.shape[1] != d:
+            raise InputError(f"body lives in R^{X.shape[1]}, measure in R^{d}")
+        if X.shape[0] < d:  # never a box, which has 2d rows
+            R = np.linalg.qr(X.T, mode="r")
+    elif not isinstance(body, Ball):
+        raise InputError(
+            f"finite-difference surface needs a solid body, got {type(body).__name__}"
+        )
     rng = _rng(seed)
     table = _radial_table(prof)
     shell_total = 0
     done = 0
     while done < samples:
         n = min(_CHUNK, samples - done)
-        pts = _point_chunk(rng, table, prof.d, n)
-        _, shell = _inflation_counts(body, pts, epsilon)
+        if isinstance(body, Ball):
+            shell = _shell_count(table.sample(rng.random(n)) - body.R, epsilon)
+        elif R is not None:
+            r = table.sample(rng.random(n))
+            w = _sphere_coordinates(rng, n, R.shape[0], d)
+            _, shell = _kernels.polytope_shell_counts(r[:, None] * w, R.T,
+                                                      offsets, epsilon)
+        else:
+            pts = _point_chunk(rng, table, d, n)
+            _, shell = _inflation_counts(body, pts, epsilon)
         shell_total += shell
         done += n
     p = shell_total / samples

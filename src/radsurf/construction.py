@@ -61,8 +61,8 @@ def plan(prof: MeasureProfile, c_rho: float = 0.2, seed: int = 0) -> PolytopeSpe
     moderate dimension it often yields N_real < 1 (a single half-space),
     so c_rho = 1 is the useful default for scaling studies.
     """
-    if c_rho <= 0:
-        raise InputError(f"c_rho must be positive, got {c_rho}")
+    if not (math.isfinite(c_rho) and c_rho > 0):
+        raise InputError(f"c_rho must be positive and finite, got {c_rho}")
     m, t0, lam = prof.m, prof.t0, prof.lambda_sum
     rho = c_rho * t0 / math.sqrt(lam * m)
     W = lam * t0

@@ -1,6 +1,7 @@
 import collections
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -462,11 +463,69 @@ def test_fd_box_agrees_with_facet_mc(get_profile):
     assert abs(z) < 4.0
 
 
+def test_fd_matches_exact_halfspace_in_high_dimension(get_profile):
+    # one facet row: each chunk draws the radius and one coordinate
+    pr = get_profile("gaussian", 256)
+    e = np.zeros(256)
+    e[7] = 1.0
+    est = minkowski_fd_surface(pr, HalfSpace(e, 0.5), epsilon=1e-2,
+                               samples=1_000_000, seed=21)
+    exact = halfspace_surface(pr, 0.5).value
+    assert abs(est.value - exact) < 4.0 * est.std_error + 0.01 * exact
+
+
+def test_fd_matches_exact_slab_off_the_origin(get_profile):
+    # rho1 < 0: the slab {0.3 <= x_2 <= 1.1} misses the origin, and its two
+    # rows are antiparallel, so the triangular factor R is singular
+    pr = get_profile("gaussian", 16)
+    e = np.zeros(16)
+    e[2] = 1.0
+    slab = Slab(direction=e, rho1=-0.3, rho2=1.1)
+    est = minkowski_fd_surface(pr, slab, epsilon=1e-2, samples=1_000_000,
+                               seed=22)
+    exact = slab_surface(pr, -0.3, 1.1).value
+    assert abs(est.value - exact) < 4.0 * est.std_error + 0.01 * exact
+
+
+def test_fd_polytope_with_few_facets_agrees_with_facet_mc(get_profile):
+    # N = 5 < d = 64: FD draws 5 projected coordinates per point
+    pr = get_profile("gaussian", 64)
+    body = circumscribed_polytope(64, 1.0, 5, seed=23)
+    fd = minkowski_fd_surface(pr, body, epsilon=1e-2, samples=1_000_000,
+                              seed=24)
+    mc = polytope_surface_mc(pr, body, samples_per_facet=20_000, seed=25)
+    z = (fd.value - mc.value) / math.hypot(fd.std_error, mc.std_error)
+    assert abs(z) < 4.0
+
+
+def test_fd_ball_draws_only_radii(get_profile):
+    # a full chunk of points at d = 1024 would hold 512 MB
+    pr = get_profile("gaussian", 1024)
+    tracemalloc.start()
+    try:
+        minkowski_fd_surface(pr, Ball(pr.t0), epsilon=1e-3, samples=200_000,
+                             seed=26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_fd_determinism(get_profile):
     pr = get_profile("gp1", 3)
     a = minkowski_fd_surface(pr, Ball(1.5), epsilon=1e-3, samples=50_000, seed=4)
     b = minkowski_fd_surface(pr, Ball(1.5), epsilon=1e-3, samples=50_000, seed=4)
     assert (a.value, a.std_error) == (b.value, b.std_error)
+    # every kind of draw, over more than one chunk
+    e = np.array([0.0, 0.6, 0.8])
+    for body in (Ball(1.5), HalfSpace(e, 0.4), Slab(e, -0.2, 0.9),
+                 circumscribed_polytope(3, 0.8, 2, seed=5),
+                 circumscribed_polytope(3, 0.8, 6, seed=5),
+                 HyperRectangle([0.8, 1.0, 1.2])):
+        a = minkowski_fd_surface(pr, body, epsilon=1e-2, samples=70_000, seed=4)
+        b = minkowski_fd_surface(pr, body, epsilon=1e-2, samples=70_000, seed=4)
+        assert (a.value, a.std_error) == (b.value, b.std_error)
+        assert a.value > 0.0
 
 
 def test_fd_rejects_surfaces_and_bad_epsilon(get_profile):
@@ -476,8 +535,15 @@ def test_fd_rejects_surfaces_and_bad_epsilon(get_profile):
                              samples=1000, seed=0)
     with pytest.raises(InputError):
         minkowski_fd_surface(pr, Ball(1.0), epsilon=0.0, samples=1000, seed=0)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(InputError, match="epsilon"):
+            minkowski_fd_surface(pr, Ball(1.0), epsilon=eps, samples=1000,
+                                 seed=0)
     with pytest.raises(InputError):
         minkowski_fd_surface(pr, Ball(1.0), epsilon=1e-3, samples=0, seed=0)
+    with pytest.raises(InputError, match="R\\^4"):
+        minkowski_fd_surface(pr, HalfSpace([1.0, 0.0, 0.0, 0.0], 0.5),
+                             epsilon=1e-3, samples=1000, seed=0)
 
 
 # --- Lebesgue cube reference -----------------------------------------------

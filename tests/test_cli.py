@@ -137,6 +137,16 @@ def test_surface_mc_and_fd_run(capsys, tmp_path):
     assert z < 5.0
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_surface_fd_rejects_non_finite_eps(eps, capsys):
+    code, out, err = run_cli(capsys, "surface", "--measure", "gaussian",
+                             "--dim", "3", "--body", "ball:R=1",
+                             "--method", "fd", "--eps", eps)
+    assert code == 2
+    assert out == ""
+    assert "epsilon" in err
+
+
 def test_surface_mc_byte_identical(capsys):
     args = ("surface", "--measure", "gp:p=1", "--dim", "4", "--body",
             "slab:rho1=0.5,rho2=1.0", "--method", "mc", "--samples", "3000",
@@ -230,6 +240,16 @@ def test_construct_degenerate_plan_fails_cleanly(capsys):
                            "--dim", "8")
     assert code == 2
     assert "degenerates" in err
+
+
+@pytest.mark.parametrize("cmd, dims", [("construct", "--dim"),
+                                        ("sweep", "--dims")])
+def test_non_finite_c_rho_exits_2(cmd, dims, capsys):
+    code, out, err = run_cli(capsys, cmd, "--measure", "gaussian", dims, "16",
+                             "--c-rho", "nan")
+    assert code == 2
+    assert out == ""
+    assert "c_rho" in err
 
 
 def test_sweep_csv(capsys):
@@ -350,6 +370,16 @@ def test_verify_fd_row_on_a_cutoff_measure(capsys):
     assert code == 0
     rows = {r["check"]: r for r in json.loads(out)}
     assert rows["fd-oracle-matches-sphere"]["value"] > 0.0
+
+
+@pytest.mark.parametrize("measure", ["gaussian", "ball:R=1", "gp:p=1"])
+def test_verify_fd_row_in_high_dimension(measure, capsys):
+    # FD on a ball draws radii only, so d = 1024 holds no 65536 x d chunk
+    code, out, _ = run_cli(capsys, "verify", "--measure", measure,
+                           "--dim", "1024", "--format", "json")
+    assert code == 0
+    rows = {r["check"]: r for r in json.loads(out)}
+    assert rows["fd-oracle-matches-sphere"]["status"] == "PASS"
 
 
 def test_verify_shell_counterexample_expected(capsys):

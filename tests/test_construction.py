@@ -70,6 +70,12 @@ def test_plan_degenerate_offset_rejected(get_profile):
         plan(get_profile("gaussian", 16), c_rho=-0.5)
 
 
+def test_plan_rejects_non_finite_c_rho(get_profile):
+    for c_rho in (math.nan, math.inf):
+        with pytest.raises(InputError, match="c_rho"):
+            plan(get_profile("gaussian", 16), c_rho=c_rho)
+
+
 # --- cap probability ---------------------------------------------------------
 
 
