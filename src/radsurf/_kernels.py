@@ -135,13 +135,8 @@ def facet_accept_count(dirs, scales, normals, base, offsets):
 
 
 def polytope_shell_counts(pts, normals, offsets, eps):
-    """Classify points against the polytope {x : <x, normals[j]> <= offsets[j]}.
-
-    Returns (inside, shell) where shell counts points with maximal
-    constraint violation in (0, eps] -- i.e. inside the offset-relaxed
-    polytope but outside the polytope itself.
-    """
+    """How many points have their largest violation of the constraints
+    <x, normals[j]> <= offsets[j] in (0, eps]: inside the offset-relaxed
+    polytope but outside the polytope itself."""
     v = (pts @ normals.T - offsets[None, :]).max(axis=1)
-    inside = int(np.count_nonzero(v <= 0.0))
-    shell = int(np.count_nonzero((v > 0.0) & (v <= eps)))
-    return inside, shell
+    return int(np.count_nonzero((v > 0.0) & (v <= eps)))

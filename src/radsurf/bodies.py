@@ -11,14 +11,12 @@ density over the boundary dQ.  Symmetric bodies admit exact formulas:
 (m = d-1, nu_k the unit-ball volume in R^k, J_m the radial moment).
 Polytopes are integrated facet by facet with Monte Carlo acceptance
 sampling on each facet's hyperplane: a radius from the exact on-hyperplane
-density and, when the k = N-1 other facets span fewer than d-1 in-plane
-directions, only the k direction coordinates those facets can see (a full
-in-plane direction otherwise).  Independently of all that, the
-Minkowski difference quotient [mu(Q + eps B) - mu(Q)] / eps is estimated by
-direct sampling as a validation oracle.  By the same rotation invariance it
-draws only what the body's shell test reads: the radius alone for a ball,
-the radius and the N coordinates of x X^T for a body of N < d facet rows
-X, and full points otherwise.
+density and, by rotation invariance, only the min(N-1, d-1) direction
+coordinates that the other facets' normals can see.  Independently, the
+Minkowski difference quotient [mu(Q + eps B) - mu(Q)] / eps is estimated
+by direct sampling as a validation oracle, which likewise draws only what
+the body's shell test reads.  Both draw directions with
+`_sphere_coordinates`.
 
 The ball-uniform measure gives its own boundary sphere the surface value
 d (phi(R) is the limit from below), the equality case of the rough bound
@@ -71,14 +69,11 @@ def _rng(*key):
     )
 
 
-def _unit_rows(z, radii=None):
-    """Rows of z scaled to unit length, or to length `radii`; zero rows
-    stay zero."""
+def _unit_rows(z):
+    """Rows of z scaled to unit length; zero rows stay zero."""
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
-    if radii is None:
-        return z / norms[:, None]
-    return z * (radii / norms)[:, None]
+    return z / norms[:, None]
 
 
 def _as_unit_rows(vecs, what):
@@ -392,21 +387,46 @@ def _facet_table(law) -> _InverseCdfTable:
 
 
 def _point_chunk(rng, table, d, n):
-    """n points: radius by inverse CDF, direction by normalized Gaussian.
-    Draw order (radii, then directions) is part of the determinism contract."""
+    """n points: radius by inverse CDF, then a uniform direction
+    (`_sphere_coordinates` with k = m = d).  Draw order (radii, then
+    directions) is part of the determinism contract."""
     r = table.sample(rng.random(n))
-    return _unit_rows(rng.standard_normal((n, d)), r)
+    return r[:, None] * _sphere_coordinates(rng, n, d, d)
 
 
 def _sphere_coordinates(rng, n, k, m):
-    """(n, k) array: the first k < m coordinates of n uniform unit vectors
+    """(n, k) array: the first k <= m coordinates of n uniform unit vectors
     in R^m, g / sqrt(|g|^2 + chi^2_(m-k)) with g ~ N(0, I_k).  Draws g,
-    then the chi^2 completion; k = 0 draws nothing."""
+    then the chi^2 completion if k < m; k = 0 draws nothing."""
     if k == 0:
         return np.empty((n, 0))
     g = rng.standard_normal((n, k))
-    c = rng.chisquare(m - k, n)
-    return g / np.sqrt(np.einsum("ij,ij->i", g, g) + c)[:, None]
+    sq = np.einsum("ij,ij->i", g, g)
+    if k < m:
+        sq += rng.chisquare(m - k, n)
+    g /= np.sqrt(sq)[:, None]
+    return g
+
+
+def _gram_factor(A):
+    """Rows with the Gram matrix A A^T of the (k, m) array A in min(k, m)
+    columns: R^T from A^T = Q R when k < m, else A itself."""
+    k, m = A.shape
+    return np.linalg.qr(A.T, mode="r").T if k < m else A
+
+
+def _hyperplane_coordinates(A, x):
+    """The rows A projected into x^perp (x a unit vector) in an orthonormal
+    basis of x^perp: A H without its first column, with H = I - 2 h h^T /
+    |h|^2, h = x + sign(x_0) e_0, the reflection that maps x to
+    -sign(x_0) e_0.  O(km) for A of shape (k, m), one allocation."""
+    h = x.copy()
+    sign = 1.0 if x[0] >= 0.0 else -1.0
+    h[0] += sign
+    c = -1.0 / (1.0 + abs(x[0]))  # -2 / |h|^2
+    F = np.outer(A @ h, c * h[1:])
+    F += A[:, 1:]
+    return F
 
 
 def sample_points(prof: MeasureProfile, n: int, seed: int) -> np.ndarray:
@@ -433,19 +453,17 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     sampled on facet i's hyperplane against the k = N-1 other constraints:
     the radius s from the exact on-hyperplane density, the direction u
     uniform on the unit sphere of X_i^perp.  Acceptance reads u only
-    through G = u Xo_perp^T, the products with the neighbour normals
-    projected into X_i^perp.  When k < d-1, Xo_perp^T = Q R with R
-    (k, k) and u Q has the law of the first k coordinates w of a uniform
-    unit vector in R^(d-1), g / sqrt(|g|^2 + chi^2_(d-1-k)) with
-    g ~ N(0, I_k); only w is drawn and G = w R.  Since G's law depends on
-    Xo_perp only through its Gram matrix R^T R, rank-deficient neighbours
-    (parallel facets, slabs) need no special case.  When k >= d-1 a full
-    Gaussian in R^d is drawn, projected onto X_i^perp and normalised.
+    through its products with the neighbour normals projected into
+    X_i^perp, whose law depends on those normals only through their Gram
+    matrix.  So the normals are written in coordinates of X_i^perp and cut
+    to q = min(k, d-1) columns with that Gram matrix, and u is the first q
+    coordinates of a uniform unit vector in R^(d-1).  Rank-deficient
+    neighbours (parallel facets, slabs) need no special case.
 
     Each facet consumes an independent RNG stream derived from
     (seed, facet index), so any facet subset reproduces exactly.  Per chunk
-    of _CHUNK samples the draw order is: radii, then g (or the d-vector
-    Gaussian when k >= d-1), then the chi^2 completion.
+    of _CHUNK samples the draw order is: radii, then g, then the chi^2
+    completion when q < d-1.
 
     Returns (values, std_errors, accepted, attempted) arrays over the
     requested facets.
@@ -457,8 +475,6 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     if S < 1:
         raise InputError("samples_per_facet must be >= 1")
 
-    k = N - 1  # neighbour facets of every facet
-    subspace = k < d - 1
     per_offset = {}  # rho -> (half-space value, radius table or None)
     values = np.zeros(idx.size)
     errors = np.zeros(idx.size)
@@ -477,14 +493,9 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         others = np.concatenate((np.arange(i), np.arange(i + 1, N)))
         Xo = X[others]
         ro = rho[others]
-        cos = Xo @ X[i]
-        base = r * cos
-        if subspace:
-            # Xo_perp^T = Q R: acceptance reads u only through u Q.
-            P = Xo - np.outer(cos, X[i])
-            normals = np.linalg.qr(P.T, mode="r").T
-        else:
-            normals = Xo
+        base = r * (Xo @ X[i])
+        normals = _gram_factor(_hyperplane_coordinates(Xo, X[i]))
+        del Xo
 
         rng = _rng(seed, i)
         acc = 0
@@ -493,13 +504,9 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
             n = min(_CHUNK, left)
             left -= n
             s = table.sample(rng.random(n))
-            if subspace:
-                u = _sphere_coordinates(rng, n, k, d - 1)
-            else:
-                z = rng.standard_normal((n, d))
-                z -= np.outer(z @ X[i], X[i])
-                u = _unit_rows(z)
+            u = _sphere_coordinates(rng, n, normals.shape[1], d - 1)
             acc += _kernels.facet_accept_count(u, s, normals, base, ro)
+        del normals, u  # freed before the next facet allocates its own
         p = acc / S
         values[pos] = hs * p
         errors[pos] = hs * math.sqrt(p * (1.0 - p) / S)
@@ -546,19 +553,6 @@ def _shell_count(v, eps):
     return int(np.count_nonzero((v > 0.0) & (v <= eps)))
 
 
-def _inflation_counts(body, pts, eps):
-    """(inside, shell) counts of full points; shell = inside the
-    eps-inflated body but not the body.  Exact Euclidean distance for a box;
-    the offset relaxation for the other facet bodies (over-counts near
-    edges by O(eps^2))."""
-    if isinstance(body, HyperRectangle):
-        q = np.abs(pts) - body.half_widths[None, :]
-        v = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        inside = int(np.count_nonzero(np.all(q <= 0.0, axis=1)))
-        return inside, _shell_count(v, eps)
-    return _kernels.polytope_shell_counts(pts, *_constraint_rows(body), eps)
-
-
 def minkowski_fd_surface(prof: MeasureProfile, body, epsilon: float,
                          samples: int, seed: int) -> SurfaceEstimate:
     """Minkowski difference quotient [mu(body + eps B) - mu(body)] / eps by
@@ -569,18 +563,17 @@ def minkowski_fd_surface(prof: MeasureProfile, body, epsilon: float,
     then only what the body's shell test reads:
 
     * Ball: nothing more; the test is r - R in (0, eps].
-    * HalfSpace, Slab (rho1 < 0 too) and a Polytope with N < d rows X:
-      the test reads a point x = r u only through x X^T.  With
-      X^T = Q R, taken once per call, u Q has the law of the first N
-      coordinates w of a uniform unit vector in R^d,
-      g / sqrt(|g|^2 + chi^2_(d-N)) with g ~ N(0, I_N), so x X^T has the
-      law of r (w R): the chunk draws g, then the chi^2 completion.  As in
-      `_facet_values`, that law depends on X only through its Gram matrix
-      R^T R, so a slab's rank-deficient R needs no special case.
-    * HyperRectangle (exact Euclidean distance) and a Polytope with
-      N >= d: a full Gaussian direction in R^d (`_point_chunk`).
+    * HyperRectangle: full points (`_point_chunk`), tested by the exact
+      Euclidean distance to the box.
+    * Any other facet body (Slab with rho1 < 0 too), with N rows X: the
+      test reads x = r u only through x X^T, whose law depends on X only
+      through its Gram matrix, so the chunk draws the first min(N, d)
+      coordinates w of a uniform unit vector and tests r w F^T, with
+      F = `_gram_factor(X)`.  The test is the offset relaxation (largest
+      violation in (0, eps]), which over-counts near edges by O(eps^2).
 
-    Facet bodies use the offset relaxation (see `_inflation_counts`).
+    With no sample in the shell the value is 0 and the std_error NaN, with
+    an explanatory note, as in `polytope_surface_mc`.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise InputError(
@@ -590,13 +583,11 @@ def minkowski_fd_surface(prof: MeasureProfile, body, epsilon: float,
     if samples < 1:
         raise InputError("samples must be >= 1")
     d = prof.d
-    R = None  # triangular factor of X^T when only w is drawn
     if isinstance(body, (HalfSpace, Slab, Polytope, HyperRectangle)):
         X, offsets = _constraint_rows(body)
         if X.shape[1] != d:
             raise InputError(f"body lives in R^{X.shape[1]}, measure in R^{d}")
-        if X.shape[0] < d:  # never a box, which has 2d rows
-            R = np.linalg.qr(X.T, mode="r")
+        F = _gram_factor(X)
     elif not isinstance(body, Ball):
         raise InputError(
             f"finite-difference surface needs a solid body, got {type(body).__name__}"
@@ -609,20 +600,25 @@ def minkowski_fd_surface(prof: MeasureProfile, body, epsilon: float,
         n = min(_CHUNK, samples - done)
         if isinstance(body, Ball):
             shell = _shell_count(table.sample(rng.random(n)) - body.R, epsilon)
-        elif R is not None:
-            r = table.sample(rng.random(n))
-            w = _sphere_coordinates(rng, n, R.shape[0], d)
-            _, shell = _kernels.polytope_shell_counts(r[:, None] * w, R.T,
-                                                      offsets, epsilon)
+        elif isinstance(body, HyperRectangle):
+            q = np.abs(_point_chunk(rng, table, d, n)) - body.half_widths
+            shell = _shell_count(np.linalg.norm(np.maximum(q, 0.0), axis=1),
+                                 epsilon)
         else:
-            pts = _point_chunk(rng, table, d, n)
-            _, shell = _inflation_counts(body, pts, epsilon)
+            r = table.sample(rng.random(n))
+            w = _sphere_coordinates(rng, n, F.shape[1], d)
+            shell = _kernels.polytope_shell_counts(r[:, None] * w, F,
+                                                   offsets, epsilon)
         shell_total += shell
         done += n
     p = shell_total / samples
     value = p / epsilon
     std_error = math.sqrt(p * (1.0 - p) / samples) / epsilon
-    return SurfaceEstimate(value, std_error, "minkowski-fd", samples)
+    note = ""
+    if shell_total == 0:
+        std_error = math.nan
+        note = "unreliable: no sample in the eps shell"
+    return SurfaceEstimate(value, std_error, "minkowski-fd", samples, note)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from radsurf import bodies
 from radsurf.errors import InputError, NumericsError
 from radsurf.bodies import (
     Ball,
@@ -20,7 +21,10 @@ from radsurf.bodies import (
     _InverseCdfTable,
     _facet_table,
     _facet_values,
+    _gram_factor,
+    _hyperplane_coordinates,
     _radial_table,
+    _sphere_coordinates,
     as_facets,
     cube_lebesgue_check,
     halfspace_surface,
@@ -201,6 +205,42 @@ def test_sampler_determinism(get_profile):
     c = sample_points(pr, 5000, seed=43)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("k", [3, 7, 8, 12])  # k < d-1, k = d-1, k > d-1
+@pytest.mark.parametrize("x_kind", ["generic", "+e0", "-e0", "x0=0"])
+def test_hyperplane_coordinates_keep_the_projected_gram_matrix(k, x_kind):
+    d = 9
+    rng = np.random.default_rng(k)
+    x = {"generic": _unit(rng.standard_normal(d)),
+         "+e0": np.eye(d)[0], "-e0": -np.eye(d)[0],
+         "x0=0": _unit(np.concatenate(([0.0], rng.standard_normal(d - 1))))}[x_kind]
+    A = rng.standard_normal((k, d))
+    P = A - np.outer(A @ x, x)  # the rows projected into x^perp
+    H = _hyperplane_coordinates(A, x)
+    assert H.shape == (k, d - 1)
+    F = _gram_factor(H)
+    assert F.shape == (k, min(k, d - 1))
+    assert np.abs(H @ H.T - P @ P.T).max() < 1e-12
+    assert np.abs(F @ F.T - P @ P.T).max() < 1e-12
+
+
+def test_sphere_coordinates_of_a_full_vector_draw_no_chi2():
+    n, m = 1000, 6
+    rng, ref = bodies._rng(3), bodies._rng(3)
+    w = _sphere_coordinates(rng, n, m, m)
+    g = ref.standard_normal((n, m))
+    assert np.abs(np.linalg.norm(w, axis=1) - 1.0).max() < 1e-12
+    assert np.allclose(w, g / np.linalg.norm(g, axis=1)[:, None], rtol=1e-15)
+    # nothing more was drawn: both streams continue alike
+    assert rng.random() == ref.random()
+    # k < m completes |w| with a chi^2 draw, so rows are shorter than 1
+    w = _sphere_coordinates(rng, n, m - 1, m)
+    assert np.all(np.linalg.norm(w, axis=1) < 1.0)
 
 
 # --- inverse-CDF tables ----------------------------------------------------
@@ -387,7 +427,7 @@ def test_all_facets_zero_acceptance_note(get_profile):
 def law_builds(monkeypatch):
     """Counts `_radial_law` builds (under both names that call it) and the
     window solves of each law built: returns (laws, solves by law id)."""
-    from radsurf import bodies, functionals
+    from radsurf import functionals
 
     laws, solves = [], collections.Counter()
     build, solve = functionals._radial_law, functionals._RadialLaw.window.func
@@ -496,6 +536,30 @@ def test_fd_polytope_with_few_facets_agrees_with_facet_mc(get_profile):
     mc = polytope_surface_mc(pr, body, samples_per_facet=20_000, seed=25)
     z = (fd.value - mc.value) / math.hypot(fd.std_error, mc.std_error)
     assert abs(z) < 4.0
+
+
+def test_fd_polytope_with_many_facets_agrees_with_facet_mc(get_profile):
+    # N = 20 >= d = 8: FD draws full directions against the unit rows X
+    pr = get_profile("gaussian", 8)
+    body = circumscribed_polytope(8, 1.5, 20, seed=27)
+    fd = minkowski_fd_surface(pr, body, epsilon=5e-3, samples=2_000_000,
+                              seed=28)
+    mc = polytope_surface_mc(pr, body, samples_per_facet=20_000, seed=29)
+    z = (fd.value - mc.value) / math.hypot(fd.std_error, mc.std_error)
+    assert abs(z) < 4.0
+
+
+def test_fd_without_shell_hits_is_flagged(get_profile):
+    # Ball(10) under the Gaussian in R^3: no sample reaches the shell
+    pr = get_profile("gaussian", 3)
+    est = minkowski_fd_surface(pr, Ball(10.0), epsilon=1e-3, samples=100_000,
+                               seed=0)
+    assert est.value == 0.0
+    assert math.isnan(est.std_error)
+    assert est.note == "unreliable: no sample in the eps shell"
+    hit = minkowski_fd_surface(pr, Ball(1.0), epsilon=1e-3, samples=100_000,
+                               seed=0)
+    assert hit.value > 0.0 and math.isfinite(hit.std_error) and not hit.note
 
 
 def test_fd_ball_draws_only_radii(get_profile):

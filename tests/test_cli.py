@@ -382,6 +382,47 @@ def test_verify_fd_row_in_high_dimension(measure, capsys):
     assert rows["fd-oracle-matches-sphere"]["status"] == "PASS"
 
 
+@pytest.mark.parametrize("measure, dim", [("gp:p=1", "1024"),
+                                          ("gaussian", "256"),
+                                          ("ball:R=1", "16")])
+def test_verify_fd_row_within_five_percent(measure, dim, capsys):
+    # the band-scaled eps puts enough samples in the shell for the 5% arm
+    # of the tolerance to decide, not the 4-sigma one, and the centred
+    # shell keeps the first-order bias off the steep edge of a cutoff
+    code, out, _ = run_cli(capsys, "verify", "--measure", measure,
+                           "--dim", dim, "--format", "json")
+    assert code == 0
+    row = {r["check"]: r for r in json.loads(out)}["fd-oracle-matches-sphere"]
+    exact = float(row["note"].split()[1])
+    assert abs(row["value"] - exact) <= 0.05 * exact
+
+
+def test_verify_fd_row_fails_without_an_error_bar(monkeypatch):
+    from radsurf import bodies
+
+    def no_hits(prof, body, epsilon, samples, seed):
+        exact = bodies.sphere_surface(prof, body.R).value
+        return bodies.SurfaceEstimate(exact, math.nan, "minkowski-fd", samples,
+                                      "unreliable: no sample in the eps shell")
+
+    monkeypatch.setattr(bodies, "minkowski_fd_surface", no_hits)
+    rows = {r["check"]: r for r in cli._verify_rows(RunConfig("gaussian", 3))}
+    row = rows["fd-oracle-matches-sphere"]
+    assert row["status"] == "FAIL"
+    assert "no sample in the eps shell" in row["note"]
+
+
+def test_surface_fd_without_shell_hits_prints_a_note(capsys):
+    code, out, _ = run_cli(capsys, "surface", "--measure", "gaussian",
+                           "--dim", "3", "--body", "ball:R=10", "--method",
+                           "fd", "--format", "json")
+    assert code == 0
+    row = json.loads(out)
+    assert row["value"] == 0.0
+    assert row["std_error"] == "nan"
+    assert row["note"] == "unreliable: no sample in the eps shell"
+
+
 def test_verify_shell_counterexample_expected(capsys):
     code, out, _ = run_cli(capsys, "verify", "--measure",
                            "shell:R=1,eps=1e-5", "--dim", "51",

@@ -39,12 +39,11 @@ def _accept_dense64(dirs, scales, normals, base, offsets):
 
 def _shell_loop(pts, normals, offsets, eps):
     """Per-point reference for polytope_shell_counts."""
-    inside = shell = 0
+    shell = 0
     for p in pts:
         v = max(float(np.dot(p, x)) - o for x, o in zip(normals, offsets))
-        inside += v <= 0.0
         shell += 0.0 < v <= eps
-    return inside, shell
+    return shell
 
 
 # The reference loops are the scalar algorithm the vectorized kernels
@@ -177,8 +176,10 @@ def test_facet_accept_count_huge_offsets():
                          [(1024, 2, 500), (256, 4, 2000)])
 def test_facet_values_counts_match_dense_float64(get_profile, monkeypatch,
                                                  d, subsample, samples):
-    # construction polytopes: d = 1024 (N = 5007) takes the full-direction
-    # path, d = 256 (N = 69) the subspace path with non-unit normals R^T
+    # construction polytopes: at d = 1024 (N = 5007) u has all d - 1
+    # in-plane coordinates and the normals are the reflected unit rows; at
+    # d = 256 (N = 69) u has 68 coordinates and the normals are the
+    # non-unit rows of the triangular factor
     prof = get_profile("gaussian", d)
     spec = construction.plan(prof, c_rho=1.0, seed=3)
     body = construction.sample_polytope(spec, prof)
@@ -202,10 +203,9 @@ def test_shell_counts_backends_agree(seed):
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     offsets = rng.uniform(0.5, 2.0, k)
     for eps in (1e-3, 1e-2):  # the wider shell is never empty here
-        counts = polytope_shell_counts(pts, normals, offsets, eps)
-        assert counts == _shell_loop(pts, normals, offsets, eps)
-        inside, shell = counts
-        assert inside > 0 and inside + shell <= pts.shape[0]
+        shell = polytope_shell_counts(pts, normals, offsets, eps)
+        assert shell == _shell_loop(pts, normals, offsets, eps)
+        assert shell <= pts.shape[0]
     assert shell > 0
 
 
@@ -215,5 +215,4 @@ def test_shell_counts_manual_case():
     eye = np.eye(2)
     normals = np.vstack([eye, -eye])
     offsets = np.ones(4)
-    inside, shell = polytope_shell_counts(pts, normals, offsets, 1e-3)
-    assert (inside, shell) == (1, 1)
+    assert polytope_shell_counts(pts, normals, offsets, 1e-3) == 1

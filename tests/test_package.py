@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -49,3 +50,55 @@ def test_every_name_the_benchmark_pins_resolves():
     assert tracing._potential_classes()
     with tracing.LayerPatch(tracing.Tracer()):
         pass
+
+
+def _source_trees():
+    """{module name: AST} for every module of the radsurf package."""
+    src = Path(radsurf.__file__).resolve().parent
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(src.glob("*.py"))}
+
+
+def _all_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_unused_import():
+    unused = []
+    for modname, tree in _source_trees().items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= _all_names(tree)  # re-exports
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{modname}: {a.asname or a.name.split('.')[0]}"
+                           for a in node.names
+                           if (a.asname or a.name.split(".")[0]) not in used]
+    assert not unused
+
+
+def test_no_unreferenced_private_helper():
+    # a module-level _name that nothing in the package refers to is dead,
+    # unless the benchmark wraps it by name
+    trees = _source_trees()
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(a.name for a in node.names)
+    pinned = {attr for _, attr, _, _ in _perfbench_tracing()._targets()}
+    dead = [f"{modname}.{node.name}"
+            for modname, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and node.name not in referenced | pinned]
+    assert not dead
