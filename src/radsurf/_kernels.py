@@ -1,6 +1,55 @@
-"""Monte Carlo counting kernels.
+"""Monte Carlo kernels: the facet chord, the acceptance count and the FD
+shell count.
 
-Counts are exact integers, so chunking never changes results.
+Every kernel decides or evaluates its float64 expression per sample, so
+chunking never changes results.
+
+Facet chords
+------------
+`facet_chords` returns, per sample direction a_r, the chord
+{s >= 0 : s <a_r, x_j> <= c_j for every j}, c_j = offsets_j - base_j:
+the radii at which the point anchor + s a_r meets every constraint
+base_j + s <a_r, x_j> <= offsets_j.  The constraints with c_j > 0 bound it
+from above only, at
+
+    hi_r = 1 / M_r,   M_r = max_j v_rj,   v_rj = fl64(i_j fl64(<a_r, x_j>)),
+
+i_j = fl64(1 / c_j), and hi_r = inf when M_r <= 0.  That is one matrix
+product and one row maximum; it covers every constraint of a construction
+polytope, a box or a circumscribed polytope.  The rare constraints with
+c_j <= 0 are evaluated densely in float64: c_j < 0 with <a_r, x_j> < 0
+raises the lower end to c_j / <a_r, x_j>, and the chord is empty when
+c_j < 0 and <a_r, x_j> >= 0 or when c_j = 0 and <a_r, x_j> > 0.
+
+Below _FLOAT32_MIN_D columns or _FLOAT32_MIN_K constraints the product is
+taken in float64.  Above, M_r comes from the filtered technique of the
+acceptance count below.  In the notation there, with X = max_j |x_j|,
+I = max_j i_j, Y = max_j |x_j| i_j and P = (1 + max_r |a_r|)(1 + X)(1 + I):
+
+* The float32 value t_rj = fl32(<fl32(a_r), y_j>), y_j =
+  fl32(fl32(x_j) fl32(i_j)), differs from the exact i_j <a_r, x_j> by at
+  most (gamma_d + 12u) |a_r| Y + 4 d eta P.  Relative to sum_i |a_i x_i|
+  i_j <= |a_r| Y, the roundings of a_i, x_i, i_j and of both products
+  cost (1 + u)^5 - 1 and the sum gamma_d, which with gamma_d <= 1 stays
+  below gamma_d + 12u; an element or product that underflows costs at
+  most eta (1 + |a_i|)(1 + |x_i|)(1 + I) <= eta P, doubled by the sum and
+  the scale.
+* v_rj differs from the same exact value by at most gamma'_(d+1) |a_r| Y
+  + d eta P.
+
+So m_r, twice the sum of the two bounds (the factor 2 covering the float64
+rounding of m_r and of R_r - 2 m_r), bounds |t_rj - v_rj|.  Let j* be the
+argmax of v_rj and R_r = max_j t_rj, attained at j'; then
+t_rj* >= v_rj* - m_r >= v_rj' - m_r >= R_r - 2 m_r.  Every pair with
+t_rj >= R_r - 2 m_r is a candidate; the kernel recomputes only those in
+float64 and returns their maximum, which is v_rj*.  The constraints go in
+blocks of max(1, 2^22 // n); a block's candidates are collected against
+the running maximum of t over the blocks so far, which only grows, so the
+final filter against R_r loses none.  As below, the product is taken in
+float64 unless P <= 2^100 and d u < 1/2.  The recheck's inner products
+come from another evaluation order than a BLAS product, so M_r can differ
+from the float64 path's in its last bits, which moves w = F(hi) - F(lo)
+by as little.
 
 Filtered acceptance count
 -------------------------
@@ -69,6 +118,17 @@ _U64 = 2.0 ** -53
 _ETA = 2.0 ** -150
 _SAFE = 2.0 ** 100
 _BLOCK_ENTRIES = 1 << 22  # float32 entries of one block of products
+_RECHECK_ENTRIES = 1 << 20  # float64 entries gathered per recheck step
+# float64 entries of one block of the float64 product: at 20000 samples of
+# 68 coordinates (construct-d256) one 10.9 MB block raised the peak RSS by
+# 10 MB over blocks of at most 8 MB (glibc's dynamic mmap threshold)
+_BLOCK64_ENTRIES = 1 << 20
+# The float32 product pays for its filter only on large products: below
+# these sizes the float64 product is the faster one (timed on a 2-core x86
+# host with OpenBLAS: at d = 68, k = 68 or d = 511, k = 511 float64 was
+# faster, at d = 511, k = 5006 and d = 1023, k = 5006 float32 1.5-1.7x).
+_FLOAT32_MIN_D = 384
+_FLOAT32_MIN_K = 1024
 
 
 def _gamma(n, u):
@@ -91,6 +151,107 @@ def _margins(dirs, scales, normals, base, slack):
     alpha = 2.0 * (_gamma(d, _U32) + 8 * _U32 + g64) * N
     beta = 2.0 * (3 * _U32 * C + g64 * B + 5 * (d + 4) * _ETA * P)
     return alpha * (s * a) + beta
+
+
+def facet_chords(dirs, normals, base, offsets):
+    """Per sample r, the chord [lo_r, hi_r] of radii s >= 0 at which
+    base[j] + s <dirs[r], normals[j]> <= offsets[j] holds for every j, as
+    the float64 expressions give it (see the module docstring).  An empty
+    chord reads lo = hi = 0; with no constraints every chord is [0, inf).
+    """
+    n = dirs.shape[0]
+    lo = np.zeros(n)
+    hi = np.full(n, math.inf)
+    if normals.shape[0] == 0 or n == 0:
+        return lo, hi
+    slack = offsets - base
+    up = slack > 0.0
+    empty = np.zeros(n, dtype=bool)
+    if not up.all():
+        t = dirs @ normals[~up].T
+        c = slack[~up]
+        neg = c < 0.0
+        empty = np.any(t > 0.0, axis=1) | np.any(neg & (t == 0.0), axis=1)
+        if neg.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lo = np.maximum(np.max(c[neg] / t[:, neg], axis=1), 0.0)
+    if up.any():
+        # 1 / c_j on the upper constraints; a zero row never lowers hi
+        inv = np.divide(1.0, slack, out=np.zeros_like(slack), where=up)
+        top = _row_max(dirs, normals, inv)
+        hi = np.divide(1.0, top, out=hi, where=top > 0.0)
+    empty |= ~(lo < hi)
+    lo[empty] = 0.0
+    hi[empty] = 0.0
+    return lo, hi
+
+
+def _row_max(dirs, normals, inv):
+    """max_j inv[j] <dirs[r], normals[j]> per row r (the module docstring's
+    M_r), in float32 with a float64 recheck on large products, else in
+    float64."""
+    n, d = dirs.shape
+    k = normals.shape[0]
+    margin2 = None
+    if d >= _FLOAT32_MIN_D and k >= _FLOAT32_MIN_K:
+        margin2 = _chord_margins(dirs, normals, inv)
+    top = np.full(n, -np.inf)
+    if margin2 is None:
+        for blk in _blocks(k, _BLOCK64_ENTRIES // n):
+            t = normals[blk] @ dirs.T
+            t *= inv[blk, None]
+            np.maximum(top, t.max(axis=0), out=top)
+        return top
+    blocks = _blocks(k, _BLOCK_ENTRIES // n)
+    a32 = dirs.astype(np.float32)
+    inv32 = inv.astype(np.float32)
+    buf = np.empty((blocks[0].stop, d), dtype=np.float32)
+    run = np.full(n, -np.inf, dtype=np.float32)
+    found = []
+    for blk in blocks:
+        y32 = buf[:blk.stop - blk.start]
+        y32[...] = normals[blk]
+        y32 *= inv32[blk, None]
+        t = y32 @ a32.T  # (block, rows): row maxima reduce over axis 0
+        np.maximum(run, t.max(axis=0), out=run)
+        flat = np.flatnonzero(t >= _below32(run - margin2))
+        found.append((flat // n + blk.start, flat % n, t.ravel()[flat]))
+    j, r, t = (np.concatenate(parts) for parts in zip(*found))
+    keep = t >= run[r] - margin2[r]
+    j, r = j[keep], r[keep]
+    step = max(1, _RECHECK_ENTRIES // d)
+    for i0 in range(0, j.size, step):
+        jj, rr = j[i0:i0 + step], r[i0:i0 + step]
+        v = np.einsum("ij,ij->i", dirs[rr], normals[jj])
+        v *= inv[jj]
+        np.maximum.at(top, rr, v)
+    return top
+
+
+def _blocks(k, step):
+    """Slices of range(k) of length max(1, step)."""
+    step = max(1, step)
+    return [slice(j0, min(j0 + step, k)) for j0 in range(0, k, step)]
+
+
+def _chord_margins(dirs, normals, inv):
+    """Twice the per-row margin m_r of the module docstring; None when the
+    float32 evaluation could overflow."""
+    d = dirs.shape[1]
+    a = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
+    x = np.sqrt(np.einsum("ij,ij->i", normals, normals))
+    Y = float((x * inv).max())
+    P = (1.0 + a.max()) * (1.0 + x.max()) * (1.0 + inv.max())
+    if not (P <= _SAFE and d * _U32 < 0.5):
+        return None
+    alpha = 2.0 * (_gamma(d, _U32) + 12 * _U32 + _gamma(d + 1, _U64)) * Y
+    return 2.0 * (alpha * a + 10 * d * _ETA * P)
+
+
+def _below32(x):
+    """float32 values no larger than the float64 values x."""
+    x32 = x.astype(np.float32)
+    return np.where(x32 > x, np.nextafter(x32, np.float32(-np.inf)), x32)
 
 
 def facet_accept_count(dirs, scales, normals, base, offsets):

@@ -9,10 +9,11 @@ density over the boundary dQ.  Symmetric bodies admit exact formulas:
 * slab:                    two half-space boundaries
 
 (m = d-1, nu_k the unit-ball volume in R^k, J_m the radial moment).
-Polytopes are integrated facet by facet with Monte Carlo acceptance
-sampling on each facet's hyperplane: a radius from the exact on-hyperplane
-density and, by rotation invariance, only the min(N-1, d-1) direction
-coordinates that the other facets' normals can see.  Independently, the
+Polytopes are integrated facet by facet with Monte Carlo on each facet's
+hyperplane: per sample, by rotation invariance, only the min(N-1, d-1)
+direction coordinates that the other facets' normals can see, and the
+radius integrated out exactly over the chord of accepted radii, with the
+CDF of the on-hyperplane radius table.  Independently, the
 Minkowski difference quotient [mu(Q + eps B) - mu(Q)] / eps is estimated
 by direct sampling as a validation oracle, which likewise draws only what
 the body's shell test reads.  Both draw directions with
@@ -60,6 +61,8 @@ __all__ = [
 _CHUNK = 1 << 16  # fixed sampling chunk: part of the determinism contract
 
 _UNIT_TOL = 1e-12
+
+_OUTER_ENTRIES = 1 << 18  # float64 entries of one rank-1 update step
 
 
 def _rng(*key):
@@ -370,14 +373,21 @@ class _InverseCdfTable:
         return self.grid[idx] + frac * (self.grid[idx + 1] - self.grid[idx])
 
     def cdf_at(self, t):
-        """Table CDF (used by distribution-fit tests)."""
+        """The piecewise-linear CDF that `sample` inverts: P(sample <= t)
+        for a uniform input, 0 below the window and 1 above it."""
         return np.interp(t, self.grid, self.cdf)
 
 
 def _radial_table(prof: MeasureProfile) -> _InverseCdfTable:
-    """Inverse-CDF table of the point radius: the law of I_m(0)."""
-    law = _radial_law(prof.phi, prof.m)
-    return _InverseCdfTable(law.logf_vec, *law.window, law.log_peak)
+    """Inverse-CDF table of the point radius: the law of I_m(0).  Built on
+    the first call for a profile and kept on it (profiles are immutable;
+    the table is no dataclass field, so equality and repr ignore it)."""
+    table = vars(prof).get("_radius_table")
+    if table is None:
+        law = _radial_law(prof.phi, prof.m)
+        table = _InverseCdfTable(law.logf_vec, *law.window, law.log_peak)
+        object.__setattr__(prof, "_radius_table", table)
+    return table
 
 
 def _facet_table(law) -> _InverseCdfTable:
@@ -415,18 +425,25 @@ def _gram_factor(A):
     return np.linalg.qr(A.T, mode="r").T if k < m else A
 
 
-def _hyperplane_coordinates(A, x):
-    """The rows A projected into x^perp (x a unit vector) in an orthonormal
-    basis of x^perp: A H without its first column, with H = I - 2 h h^T /
-    |h|^2, h = x + sign(x_0) e_0, the reflection that maps x to
-    -sign(x_0) e_0.  O(km) for A of shape (k, m), one allocation."""
-    h = x.copy()
+def _hyperplane_coordinates(X, i, out=None):
+    """The rows of X other than row i, projected into x^perp (x = X[i], a
+    unit vector), in an orthonormal basis of x^perp: A H without its first
+    column, A the other rows and H = I - 2 h h^T / |h|^2, h = x + sign(x_0)
+    e_0, the reflection that maps x to -sign(x_0) e_0.  O(km) for the k
+    other rows of length m; written into `out` (k, m - 1) when given."""
+    x = X[i]
     sign = 1.0 if x[0] >= 0.0 else -1.0
-    h[0] += sign
     c = -1.0 / (1.0 + abs(x[0]))  # -2 / |h|^2
-    F = np.outer(A @ h, c * h[1:])
-    F += A[:, 1:]
-    return F
+    Ah = np.delete(X @ x + sign * X[:, 0], i)  # A h
+    if out is None:
+        out = np.empty((X.shape[0] - 1, X.shape[1] - 1))
+    out[:i] = X[:i, 1:]
+    out[i:] = X[i + 1:, 1:]
+    ch = c * x[1:]  # c h[1:]
+    step = max(1, _OUTER_ENTRIES // ch.size)
+    for j in range(0, Ah.size, step):
+        out[j:j + step] += np.outer(Ah[j:j + step], ch)
+    return out
 
 
 def sample_points(prof: MeasureProfile, n: int, seed: int) -> np.ndarray:
@@ -449,24 +466,34 @@ def sample_points(prof: MeasureProfile, n: int, seed: int) -> np.ndarray:
 def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     """Per-facet boundary contributions value_i = halfspace(rho_i) * p_i.
 
-    p_i is the Monte Carlo acceptance rate of points y = rho_i X_i + s u
-    sampled on facet i's hyperplane against the k = N-1 other constraints:
-    the radius s from the exact on-hyperplane density, the direction u
-    uniform on the unit sphere of X_i^perp.  Acceptance reads u only
-    through its products with the neighbour normals projected into
-    X_i^perp, whose law depends on those normals only through their Gram
-    matrix.  So the normals are written in coordinates of X_i^perp and cut
-    to q = min(k, d-1) columns with that Gram matrix, and u is the first q
+    p_i is the probability that a point y = rho_i X_i + s u on facet i's
+    hyperplane meets the k = N-1 other constraints, with the radius s from
+    the exact on-hyperplane density and the direction u uniform on the unit
+    sphere of X_i^perp.  For each direction the accepted radii form one
+    chord [lo, hi] (`_kernels.facet_chords`), so the radius is integrated
+    out exactly: a sample scores w = F(hi) - F(lo), F the CDF of the
+    radius table (the piecewise-linear CDF that its sampler inverts), and
+    p_i = E[w].  This is directional simulation; by Rao-Blackwellisation
+    var(w) <= p_i (1 - p_i), the variance of scoring each sample's
+    acceptance 0 or 1.  The std_error is hs sqrt(var(w) / S), var(w) the
+    sample variance over the S samples.
+
+    Acceptance reads u only through its products with the neighbour
+    normals projected into X_i^perp, whose law depends on those normals
+    only through their Gram matrix.  So the normals are written in
+    coordinates of X_i^perp (one buffer, reused by every facet) and cut to
+    q = min(k, d-1) columns with that Gram matrix, and u is the first q
     coordinates of a uniform unit vector in R^(d-1).  Rank-deficient
     neighbours (parallel facets, slabs) need no special case.
 
     Each facet consumes an independent RNG stream derived from
     (seed, facet index), so any facet subset reproduces exactly.  Per chunk
-    of _CHUNK samples the draw order is: radii, then g, then the chi^2
-    completion when q < d-1.
+    of _CHUNK samples the draw order is: g, then the chi^2 completion when
+    q < d-1.
 
     Returns (values, std_errors, accepted, attempted) arrays over the
-    requested facets.
+    requested facets; accepted is the sum of w, the expected number of
+    accepted radii.
     """
     X, rho = as_facets(body)
     N, d = X.shape
@@ -478,8 +505,9 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     per_offset = {}  # rho -> (half-space value, radius table or None)
     values = np.zeros(idx.size)
     errors = np.zeros(idx.size)
-    accepted = np.zeros(idx.size, dtype=np.int64)
+    accepted = np.zeros(idx.size)
     attempted = np.zeros(idx.size, dtype=bool)
+    coords = np.empty((N - 1, d - 1))  # the normals of every facet in turn
 
     for pos, i in enumerate(idx):
         r = float(rho[i])
@@ -490,27 +518,32 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         if hs == 0.0:
             continue  # facet outside the support: exact zero contribution
 
-        others = np.concatenate((np.arange(i), np.arange(i + 1, N)))
-        Xo = X[others]
-        ro = rho[others]
-        base = r * (Xo @ X[i])
-        normals = _gram_factor(_hyperplane_coordinates(Xo, X[i]))
-        del Xo
+        base = r * np.delete(X @ X[i], i)
+        ro = np.delete(rho, i)
+        normals = _gram_factor(_hyperplane_coordinates(X, i, out=coords))
 
         rng = _rng(seed, i)
-        acc = 0
-        left = S
-        while left:
-            n = min(_CHUNK, left)
-            left -= n
-            s = table.sample(rng.random(n))
+        total = sq = 0.0  # sum of w and of its squared deviations
+        done = 0
+        while done < S:
+            n = min(_CHUNK, S - done)
             u = _sphere_coordinates(rng, n, normals.shape[1], d - 1)
-            acc += _kernels.facet_accept_count(u, s, normals, base, ro)
-        del normals, u  # freed before the next facet allocates its own
-        p = acc / S
+            lo, hi = _kernels.facet_chords(u, normals, base, ro)
+            w = table.cdf_at(hi)
+            if lo.any():
+                w -= table.cdf_at(lo)
+            mean = w.mean()
+            # Chan's update of the squared deviations over the chunks
+            sq += float(np.square(w - mean).sum())
+            if done:
+                delta = mean - total / done
+                sq += delta * delta * done * n / (done + n)
+            total += float(w.sum())
+            done += n
+        p = total / S
         values[pos] = hs * p
-        errors[pos] = hs * math.sqrt(p * (1.0 - p) / S)
-        accepted[pos] = acc
+        errors[pos] = hs * math.sqrt(sq / max(S - 1, 1) / S)
+        accepted[pos] = total
         attempted[pos] = True
     return values, errors, accepted, attempted
 
@@ -520,9 +553,9 @@ def polytope_surface_mc(prof: MeasureProfile, body,
     """Boundary measure of a facet body (see `as_facets`) by facet-wise
     hyperplane Monte Carlo.
 
-    When every sampled facet reports zero acceptance the estimate is 0 and
-    the std_error is NaN with an explanatory note (the binomial error model
-    carries no information in that regime).
+    When every sample of every facet scores 0 (each chord misses its
+    facet's radius table) the estimate is 0 and the std_error is NaN with
+    an explanatory note: the sample variance carries no information then.
     """
     dim = as_facets(body)[0].shape[1]
     if dim != prof.d:

@@ -28,7 +28,8 @@ once and reads everything from it (a law solves its window once):
 * the half-space boundary measure at offset rho is C_d m nu_m I_{m-1}(rho),
   and facet Monte Carlo builds that law once per distinct facet offset, for
   both this value and the on-hyperplane radius table;
-* the point sampler and `bodies.sphere_argmax` build I_m(0), and
+* the point sampler builds I_m(0) once per profile for its radius table,
+  `bodies.sphere_argmax` builds it per call, and
   `solve_t0(phi, k)` builds I_k(0) for its peak alone.
 
 All integrals are evaluated in the log domain: the integrand is normalized

@@ -221,12 +221,18 @@ def test_hyperplane_coordinates_keep_the_projected_gram_matrix(k, x_kind):
          "x0=0": _unit(np.concatenate(([0.0], rng.standard_normal(d - 1))))}[x_kind]
     A = rng.standard_normal((k, d))
     P = A - np.outer(A @ x, x)  # the rows projected into x^perp
-    H = _hyperplane_coordinates(A, x)
-    assert H.shape == (k, d - 1)
-    F = _gram_factor(H)
-    assert F.shape == (k, min(k, d - 1))
-    assert np.abs(H @ H.T - P @ P.T).max() < 1e-12
-    assert np.abs(F @ F.T - P @ P.T).max() < 1e-12
+    out = np.full((k, d - 1), np.nan)
+    for i in (0, k // 2, k):  # x first, among the other rows, last
+        X = np.insert(A, i, x, axis=0)
+        H = _hyperplane_coordinates(X, i)
+        assert H.shape == (k, d - 1)
+        F = _gram_factor(H)
+        assert F.shape == (k, min(k, d - 1))
+        assert np.abs(H @ H.T - P @ P.T).max() < 1e-12
+        assert np.abs(F @ F.T - P @ P.T).max() < 1e-12
+        # the buffer form writes the same rows, whatever it held before
+        assert _hyperplane_coordinates(X, i, out=out) is out
+        assert np.array_equal(out, H)
 
 
 def test_sphere_coordinates_of_a_full_vector_draw_no_chi2():
@@ -408,16 +414,112 @@ def test_facet_mc_matches_gaussian_wedge_in_high_dimension(get_profile):
 
 
 def test_all_facets_zero_acceptance_note(get_profile):
-    # tiny triangle far inside the bulk: hyperplane samples essentially never
-    # land on the polytope boundary, so every facet reports zero acceptance
-    pr = get_profile("gaussian", 2)
-    ang = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
-    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    body = Polytope(directions=dirs, offsets=np.full(3, 1e-9))
+    # tiny simplex at d = 8: every chord is shorter than 1e-7, while the
+    # facet density s^6 exp(-s^2/2) keeps its table window above 6e-5, so
+    # every sample scores 0
+    pr = get_profile("gaussian", 8)
+    dirs = np.vstack([-np.eye(8), np.full(8, 1.0 / math.sqrt(8.0))])
+    body = Polytope(directions=dirs, offsets=np.full(9, 1e-9))
     est = polytope_surface_mc(pr, body, samples_per_facet=500, seed=1)
     assert est.value == 0.0
     assert math.isnan(est.std_error)
     assert "zero acceptance" in est.note
+
+
+def test_tiny_triangle_gets_perimeter_times_density(get_profile):
+    # at d = 2 the facet density is flat near 0, so chords of 1e-9 keep
+    # their weight: the estimate is the perimeter 6 sqrt(3) r times the
+    # density 1/(2 pi) at the origin (to O(r^2)).  Both directions of a
+    # side give the same chord, so the std_error is at rounding level.  The
+    # table CDF is linear on its first knot interval, off by about 1e-6
+    # relative there.
+    pr = get_profile("gaussian", 2)
+    ang = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
+    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    r = 1e-9
+    body = Polytope(directions=dirs, offsets=np.full(3, r))
+    est = polytope_surface_mc(pr, body, samples_per_facet=500, seed=1)
+    exact = 6.0 * math.sqrt(3.0) * r / (2.0 * math.pi)
+    assert est.value == pytest.approx(exact, rel=1e-5)
+    assert math.isfinite(est.std_error) and est.std_error < 1e-12 * est.value
+    assert est.note == ""
+
+
+def _simplex_box_wedge(get_profile):
+    """(profile, body) pairs: a circumscribed simplex and a box at d = 3, a
+    two-facet wedge at d = 64 and one at d = 3 whose second facet cuts the
+    first one's foot point off (so chords on the first facet start past 0)."""
+    wedge = np.zeros((2, 64))
+    wedge[0, 0] = 1.0
+    wedge[1, 0], wedge[1, 1] = 0.3, math.sqrt(1.0 - 0.09)
+    sharp = np.array([[1.0, 0.0, 0.0], [math.sqrt(0.75), 0.5, 0.0]])
+    return [
+        (get_profile("gaussian", 3), circumscribed_polytope(3, 1.2, 4, seed=31)),
+        (get_profile("gaussian", 3), HyperRectangle([0.6, 1.0, 1.4])),
+        (get_profile("gaussian", 64), Polytope(wedge, [0.8, 1.2])),
+        (get_profile("gaussian", 3), Polytope(sharp, [1.0, 0.5])),
+    ]
+
+
+def test_facet_std_error_below_the_binomial_one(get_profile):
+    # 0 <= w <= 1, so the sample variance of w is at most the binomial
+    # p (1 - p) S / (S - 1) of the same mean: deterministic, per facet
+    S = 3000
+    cases = _simplex_box_wedge(get_profile) + [
+        (get_profile("gp1", 8), circumscribed_polytope(8, 4.0, 12, seed=5))]
+    for pr, body in cases:
+        _, rho = as_facets(body)
+        values, errors, accepted, _ = _facet_values(pr, body, S, seed=4)
+        hs = np.array([halfspace_surface(pr, r).value for r in rho])
+        p = values / hs
+        assert np.allclose(accepted / S, p, rtol=1e-14, atol=0.0)
+        assert np.all((0.0 < p) & (p < 1.0))
+        bound = hs * np.sqrt(p * (1.0 - p) / (S - 1))
+        assert np.all(errors <= bound * (1.0 + 1e-12))
+        assert np.all(errors > 0.0)
+
+
+def test_facet_values_chunks_keep_the_mean_and_variance(get_profile,
+                                                       monkeypatch):
+    # with q = d - 1 direction coordinates nothing but g is drawn, so any
+    # chunking draws the same samples; the chunks' means and squared
+    # deviations must then combine to the one-pass figures
+    pr = get_profile("gaussian", 3)
+    body = circumscribed_polytope(3, 1.2, 5, seed=31)
+    whole = _facet_values(pr, body, 3000, seed=6)
+    monkeypatch.setattr(bodies, "_CHUNK", 700)
+    chunked = _facet_values(pr, body, 3000, seed=6)
+    for a, b in zip(whole[:3], chunked[:3]):
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+    assert np.all(whole[1] > 0.0)
+
+
+def _binomial_facet_mc(pr, body, S, seed):
+    """The 0/1 estimator that conditional acceptance replaces: a radius
+    from the facet table per sample, accepted or not, dense float64."""
+    X, rho = as_facets(body)
+    d = X.shape[1]
+    value = var = 0.0
+    for i, r in enumerate(rho):
+        hs, law = bodies._halfspace_law(pr, r)
+        normals = _gram_factor(_hyperplane_coordinates(X, i))
+        base = r * np.delete(X @ X[i], i)
+        rng = bodies._rng(seed, i)
+        s = _facet_table(law).sample(rng.random(S))
+        u = _sphere_coordinates(rng, S, normals.shape[1], d - 1)
+        p = np.all(base + s[:, None] * (u @ normals.T) <= np.delete(rho, i),
+                   axis=1).mean()
+        value += hs * p
+        var += hs * hs * p * (1.0 - p) / S
+    return value, math.sqrt(var)
+
+
+def test_conditional_acceptance_agrees_with_the_binomial_estimator(get_profile):
+    for pr, body in _simplex_box_wedge(get_profile):
+        est = polytope_surface_mc(pr, body, samples_per_facet=20_000, seed=13)
+        ref, ref_se = _binomial_facet_mc(pr, body, 20_000, seed=14)
+        assert est.std_error < ref_se
+        assert abs(est.value - ref) <= 4.0 * math.hypot(est.std_error, ref_se)
 
 
 # --- one solve per radial law ----------------------------------------------
@@ -465,6 +567,27 @@ def test_facet_mc_builds_one_law_per_distinct_offset(get_profile, law_builds):
     polytope_surface_mc(pr, box, 100, seed=0)  # 10 facets, 5 offsets
     assert len(laws) == 5
     assert [solves[id(law)] for law in laws] == [1] * 5
+
+
+def test_point_radius_table_is_built_once_per_profile(law_builds):
+    laws, _ = law_builds
+    phi = tabulated([0.5, 1.0, 1.5, 2.0], [0.1, 0.4, 1.0, 1.9])
+    pr = profile(phi, 5)
+    laws.clear()
+    e = np.eye(5)[0]
+    fd = [minkowski_fd_surface(pr, body, 1e-2, 20_000, seed=3)
+          for body in (Ball(pr.t0), HalfSpace(e, 0.5), Ball(pr.t0))]
+    sample_points(pr, 100, seed=1)
+    assert len(laws) == 1  # I_m(0), once for the four calls
+    assert _radial_table(pr) is _radial_table(pr)
+    # a fresh profile of the same measure builds its own table, and the
+    # values do not depend on which build they read
+    assert fd[0] == fd[2]
+    fresh = profile(phi, 5)
+    laws.clear()
+    assert minkowski_fd_surface(fresh, Ball(pr.t0), 1e-2, 20_000,
+                                seed=3) == fd[0]
+    assert len(laws) == 1
 
 
 # --- Minkowski finite-difference oracle ------------------------------------

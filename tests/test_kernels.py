@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from radsurf import _kernels, bodies, construction
-from radsurf._kernels import facet_accept_count, polytope_shell_counts
+from radsurf._kernels import (facet_accept_count, facet_chords,
+                              polytope_shell_counts)
 
 
 def _workload(seed, n=2048, k=7, d=5):
@@ -172,25 +173,251 @@ def test_facet_accept_count_huge_offsets():
     assert facet_accept_count(dirs, scales, normals, base, -huge) == 0
 
 
+# --- facet chords ----------------------------------------------------------
+
+
+def _chords_loop(dirs, normals, base, offsets):
+    """Per-sample reference: narrow [0, inf) constraint by constraint."""
+    lo, hi = np.zeros(dirs.shape[0]), np.full(dirs.shape[0], np.inf)
+    for r, u in enumerate(dirs):
+        a, b = 0.0, np.inf
+        for x, bj, oj in zip(normals, base, offsets):
+            t, c = float(np.dot(u, x)), oj - bj
+            if t > 0.0:
+                b = min(b, c / t)
+            elif t < 0.0:
+                a = max(a, c / t)
+            elif c < 0.0:
+                b = -np.inf
+        if a < b:
+            lo[r], hi[r] = a, b
+        else:
+            lo[r] = hi[r] = 0.0
+    return lo, hi
+
+
+def _chords_dense64(dirs, normals, base, offsets):
+    """Dense float64 reference: every (sample, constraint) ratio at once."""
+    n = dirs.shape[0]
+    if normals.shape[0] == 0:
+        return np.zeros(n), np.full(n, np.inf)
+    t = dirs @ normals.T
+    c = (offsets - base)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = c / t
+    hi = np.where(t > 0.0, ratio, np.inf).min(axis=1)
+    lo = np.maximum(np.where(t < 0.0, ratio, 0.0).max(axis=1), 0.0)
+    hi[np.any((t == 0.0) & (c < 0.0), axis=1)] = -np.inf
+    empty = ~(lo < hi)
+    lo[empty] = hi[empty] = 0.0
+    return lo, hi
+
+
+def _assert_same_chords(got, ref, dirs, normals, base, offsets):
+    """Equal chord ends up to float64 rounding of the inner products: 1/end
+    is an inner product over a slack, so compare the reciprocals within
+    4 (d + 4) u' |a_r| max_j |x_j| / |c_j|."""
+    d = dirs.shape[1]
+    with np.errstate(divide="ignore"):
+        Y = (np.linalg.norm(normals, axis=1) / np.abs(offsets - base)).max()
+    tol = 4 * (d + 4) * 2.0 ** -53 * np.linalg.norm(dirs, axis=1) * Y
+    for g, r in zip(got, ref):
+        assert np.array_equal(g == 0.0, r == 0.0)
+        assert np.array_equal(np.isinf(g), np.isinf(r))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.all((g == r) | (np.abs(1.0 / g - 1.0 / r) <= tol))
+
+
+def _chord_workload(seed, n=2048, k=5, d=5):
+    """`_workload` without scales and with slacks offsets - base in
+    [0.2, 1.5], but -0.2 on the first constraint.  The first direction
+    leans away from every normal, so its chord is unbounded above."""
+    dirs, _, normals, base, offsets = _workload(seed, n, k, d)
+    away = -np.linalg.pinv(normals) @ np.ones(k)
+    dirs[0] = away / np.linalg.norm(away)
+    offsets = base + np.abs(offsets)
+    offsets[0] = base[0] - 0.2
+    return dirs, normals, base, offsets
+
+
+@pytest.fixture(params=["float64", "float32"])
+def chord_path(request, monkeypatch):
+    """Runs a test on both products of the kernel: float64 (the default at
+    these sizes) and the filtered float32 one, forced."""
+    if request.param == "float32":
+        monkeypatch.setattr(_kernels, "_FLOAT32_MIN_D", 0)
+        monkeypatch.setattr(_kernels, "_FLOAT32_MIN_K", 0)
+    return request.param
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_facet_chords_match_loop_and_dense_float64(chord_path, seed):
+    # upper ends (finite or not), lower ends and empty chords all occur
+    args = _chord_workload(seed)
+    got = facet_chords(*args)
+    _assert_same_chords(got, _chords_loop(*args), *args)
+    _assert_same_chords(got, _chords_dense64(*args), *args)
+    lo, hi = got
+    assert np.any(np.isinf(hi)) and np.any(np.isfinite(hi) & (hi > 0.0))
+    assert np.any(lo > 0.0) and np.any(hi == 0.0)
+
+
+def test_facet_chords_no_constraints():
+    dirs = _chord_workload(11)[0]
+    lo, hi = facet_chords(dirs, np.zeros((0, 5)), np.zeros(0), np.zeros(0))
+    assert np.array_equal(lo, np.zeros(dirs.shape[0]))
+    assert np.array_equal(hi, np.full(dirs.shape[0], np.inf))
+
+
+def test_facet_chords_manual_case(chord_path):
+    # constraints x0 <= 1, x0 >= 0.5 (as -x0 <= -0.5), x1 <= 0 (slack 0)
+    normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    base = np.zeros(3)
+    offsets = np.array([1.0, -0.5, 0.0])
+    dirs = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                     [0.0, -1.0], [1.0, -1.0], [1.0, 1.0]])
+    lo, hi = facet_chords(dirs, normals, base, offsets)
+    assert lo.tolist() == [0.5, 0.25, 0.0, 0.0, 0.0, 0.5, 0.0]
+    assert hi.tolist() == [1.0, 0.5, 0.0, 0.0, 0.0, 1.0, 0.0]
+
+
+def _near_tie_workload(seed, n=400, d=256, pairs=40, gap=1e-9):
+    """Samples whose chord end is set by one of two constraints that agree
+    to within a relative gap, far below float32 resolution.
+
+    Sample i < pairs has constraints 2i and 2i + 1 with the normals dirs[i]
+    and dirs[i] + p_i, p_i a perpendicular of length 1e-3 (so both read 1
+    along dirs[i], but round differently in float32), and slacks 1 and
+    1 + sign_i gap: its upper end is min(1, 1 + sign_i gap).  Every other
+    chosen constraint is slack for it; the remaining samples and
+    constraints are generic.
+    """
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((n, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    lean = rng.standard_normal((pairs, d))
+    lean -= np.einsum("ij,ij->i", lean, dirs[:pairs])[:, None] * dirs[:pairs]
+    lean *= 1e-3 / np.linalg.norm(lean, axis=1, keepdims=True)
+    extra = rng.standard_normal((60, d))
+    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+    pair_normals = np.repeat(dirs[:pairs], 2, axis=0)
+    pair_normals[1::2] += lean
+    normals = np.vstack([pair_normals, extra])
+    base = rng.uniform(-3.0, 3.0, normals.shape[0])
+    offsets = base + 3.0
+    sign = np.where(np.arange(pairs) % 2 == 0, 1.0, -1.0)
+    offsets[0:2 * pairs:2] = base[0:2 * pairs:2] + 1.0
+    offsets[1:2 * pairs:2] = base[1:2 * pairs:2] + 1.0 + sign * gap
+    return (dirs, normals, base, offsets), sign
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_facet_chords_near_ties_match_loop(chord_path, seed):
+    args, sign = _near_tie_workload(seed)
+    dirs, normals, base, offsets = args
+    pairs = sign.size
+    # float32 orders some pairs wrongly: the constraint it ranks higher is
+    # the one that does not set the end
+    a32 = dirs[:pairs].astype(np.float32)
+    x32 = normals[:2 * pairs].astype(np.float32)
+    i32 = (1.0 / (offsets - base)[:2 * pairs]).astype(np.float32)
+    t32 = np.einsum("ij,ij->i", np.repeat(a32, 2, axis=0), x32) * i32
+    assert np.any((t32[0::2] > t32[1::2]) != (sign > 0))
+    lo, hi = facet_chords(*args)
+    _assert_same_chords((lo, hi), _chords_loop(*args), *args)
+    _assert_same_chords((lo, hi), _chords_dense64(*args), *args)
+    # the nearer constraint of each pair sets the end, to well below the gap
+    want = 1.0 + np.minimum(sign * 1e-9, 0.0)
+    assert np.all(np.abs(hi[:pairs] - want) < 1e-12)
+
+
+def test_facet_chords_large_shape_matches_dense_float64():
+    # d = 1024, k = 3000 (the float32 product with its float64 recheck, in
+    # two blocks): unit neighbour normals and the non-unit rows of R^T from
+    # the QR factorisation of projected normals, as facet MC builds them
+    rng = np.random.default_rng(21)
+    n, d = 2000, 1024
+    X = rng.standard_normal((3001, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    X0 = X[0]
+    P = X[1:1201] - np.outer(X[1:1201] @ X0, X0)
+    R = np.linalg.qr(P.T, mode="r")  # (d, 1200)
+    normals = np.vstack([X[1201:], R.T])
+    assert normals.shape[0] >= _kernels._FLOAT32_MIN_K
+    assert d >= _kernels._FLOAT32_MIN_D
+    assert n * normals.shape[0] > _kernels._BLOCK_ENTRIES
+    r = 2.0
+    base = r * (normals @ X0)
+    offsets = np.full(normals.shape[0], r)
+    z = rng.standard_normal((n, d))
+    z -= np.outer(z @ X0, X0)
+    dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
+    got = facet_chords(dirs, normals, base, offsets)
+    _assert_same_chords(got, _chords_dense64(dirs, normals, base, offsets),
+                        dirs, normals, base, offsets)
+    assert np.array_equal(got[0], np.zeros(n)) and np.all(np.isfinite(got[1]))
+
+
+def test_facet_chords_huge_offsets(chord_path):
+    dirs, normals, base, offsets = _chord_workload(4, k=9)
+    offsets[0] = base[0] + 0.2  # every slack positive
+    huge = offsets.copy()
+    huge[[1, 5]] = 1e300  # finite, far beyond float32
+    for offs in (huge, np.full(9, 1e300)):
+        got = facet_chords(dirs, normals, base, offs)
+        _assert_same_chords(got, _chords_loop(dirs, normals, base, offs),
+                            dirs, normals, base, offs)
+    assert np.all(got[1] > 1e299)  # one in 2^9 rows would be inf
+    lo, hi = facet_chords(dirs, normals, base, np.full(9, -1e300))
+    assert not lo.any() and not hi.any()  # every chord empty
+
+
+def test_facet_chords_nonpositive_slack_cases(chord_path):
+    # facet MC rows of a redundant facet and of a slab: the parallel
+    # neighbour projects to (nearly) 0 in the facet's hyperplane
+    dirs = _chord_workload(2, d=4)[0]
+    tiny = np.array([[1e-17, 0.0, -1e-17, 0.0]])
+    zero = np.zeros((1, 4))
+    for normals in (tiny, zero):
+        # seen from the outer facet at 1.0, the inner one at 0.5 cuts the
+        # whole hyperplane: every chord is empty or starts past 1e16, where
+        # no radius table reaches
+        lo, hi = facet_chords(dirs, normals, np.array([1.0]), np.array([0.5]))
+        assert np.all((hi == 0.0) | (lo > 1e16))
+        assert not hi.any() if normals is zero else lo.any()
+        # the inner facet sees the outer one (slab: the opposite side) as
+        # no constraint at all
+        lo, hi = facet_chords(dirs, normals, np.array([0.5]), np.array([1.0]))
+        assert not lo.any() and np.all(hi > 1e16)
+    # zero slack: empty where the neighbour's normal leans forward
+    normals = np.array([[0.0, 1.0, 0.0, 0.0]])
+    lo, hi = facet_chords(dirs, normals, np.zeros(1), np.zeros(1))
+    assert np.array_equal(hi == 0.0, dirs[:, 1] > 0.0)
+    assert np.all(np.isinf(hi[dirs[:, 1] < 0.0])) and not lo.any()
+
+
 @pytest.mark.parametrize("d, subsample, samples",
                          [(1024, 2, 500), (256, 4, 2000)])
 def test_facet_values_counts_match_dense_float64(get_profile, monkeypatch,
                                                  d, subsample, samples):
     # construction polytopes: at d = 1024 (N = 5007) u has all d - 1
-    # in-plane coordinates and the normals are the reflected unit rows; at
-    # d = 256 (N = 69) u has 68 coordinates and the normals are the
-    # non-unit rows of the triangular factor
+    # in-plane coordinates, the normals are the reflected unit rows and
+    # the kernel takes its float32 product; at d = 256 (N = 69) u has 68
+    # coordinates and the normals are the non-unit rows of the triangular
+    # factor.  The weights F(hi) - F(lo) equal those of dense float64
+    # chords up to the rounding of the chord ends.
     prof = get_profile("gaussian", d)
     spec = construction.plan(prof, c_rho=1.0, seed=3)
     body = construction.sample_polytope(spec, prof)
     picked = np.arange(subsample)
-    _, _, acc, att = bodies._facet_values(prof, body, samples, 9,
-                                          facet_indices=picked)
-    monkeypatch.setattr(_kernels, "facet_accept_count", _accept_dense64)
-    _, _, ref, ref_att = bodies._facet_values(prof, body, samples, 9,
+    val, err, acc, att = bodies._facet_values(prof, body, samples, 9,
                                               facet_indices=picked)
+    monkeypatch.setattr(_kernels, "facet_chords", _chords_dense64)
+    rval, rerr, ref, ref_att = bodies._facet_values(prof, body, samples, 9,
+                                                    facet_indices=picked)
     assert att.all() and ref_att.all()
-    assert np.array_equal(acc, ref)
+    for got, want in ((acc, ref), (val, rval), (err, rerr)):
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
     assert np.all((0 < acc) & (acc < samples))
 
 
