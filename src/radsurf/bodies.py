@@ -64,6 +64,8 @@ _UNIT_TOL = 1e-12
 
 _OUTER_ENTRIES = 1 << 18  # float64 entries of one rank-1 update step
 
+_ONE_SAMPLE_NOTE = "unreliable: one sample per facet gives no sample variance"
+
 
 def _rng(*key):
     """The PCG64 generator seeded by the integer tuple `key`."""
@@ -425,16 +427,17 @@ def _gram_factor(A):
     return np.linalg.qr(A.T, mode="r").T if k < m else A
 
 
-def _hyperplane_coordinates(X, i, out=None):
+def _hyperplane_coordinates(X, i, Xx, out=None):
     """The rows of X other than row i, projected into x^perp (x = X[i], a
     unit vector), in an orthonormal basis of x^perp: A H without its first
     column, A the other rows and H = I - 2 h h^T / |h|^2, h = x + sign(x_0)
-    e_0, the reflection that maps x to -sign(x_0) e_0.  O(km) for the k
-    other rows of length m; written into `out` (k, m - 1) when given."""
+    e_0, the reflection that maps x to -sign(x_0) e_0.  Xx is the product
+    X @ x, which the caller has at hand.  O(km) for the k other rows of
+    length m; written into `out` (k, m - 1) when given."""
     x = X[i]
     sign = 1.0 if x[0] >= 0.0 else -1.0
     c = -1.0 / (1.0 + abs(x[0]))  # -2 / |h|^2
-    Ah = np.delete(X @ x + sign * X[:, 0], i)  # A h
+    Ah = np.delete(Xx + sign * X[:, 0], i)  # A h
     if out is None:
         out = np.empty((X.shape[0] - 1, X.shape[1] - 1))
     out[:i] = X[:i, 1:]
@@ -476,7 +479,8 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     p_i = E[w].  This is directional simulation; by Rao-Blackwellisation
     var(w) <= p_i (1 - p_i), the variance of scoring each sample's
     acceptance 0 or 1.  The std_error is hs sqrt(var(w) / S), var(w) the
-    sample variance over the S samples.
+    sample variance over the S samples; NaN at S = 1, where the sample
+    variance is undefined.
 
     Acceptance reads u only through its products with the neighbour
     normals projected into X_i^perp, whose law depends on those normals
@@ -518,9 +522,10 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         if hs == 0.0:
             continue  # facet outside the support: exact zero contribution
 
-        base = r * np.delete(X @ X[i], i)
+        Xx = X @ X[i]
+        base = r * np.delete(Xx, i)
         ro = np.delete(rho, i)
-        normals = _gram_factor(_hyperplane_coordinates(X, i, out=coords))
+        normals = _gram_factor(_hyperplane_coordinates(X, i, Xx, out=coords))
 
         rng = _rng(seed, i)
         total = sq = 0.0  # sum of w and of its squared deviations
@@ -542,7 +547,7 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
             done += n
         p = total / S
         values[pos] = hs * p
-        errors[pos] = hs * math.sqrt(sq / max(S - 1, 1) / S)
+        errors[pos] = hs * math.sqrt(sq / (S - 1) / S) if S > 1 else math.nan
         accepted[pos] = total
         attempted[pos] = True
     return values, errors, accepted, attempted
@@ -556,6 +561,8 @@ def polytope_surface_mc(prof: MeasureProfile, body,
     When every sample of every facet scores 0 (each chord misses its
     facet's radius table) the estimate is 0 and the std_error is NaN with
     an explanatory note: the sample variance carries no information then.
+    With one sample per facet there is no sample variance: the std_error
+    is NaN, with a note, too.
     """
     dim = as_facets(body)[0].shape[1]
     if dim != prof.d:
@@ -573,6 +580,8 @@ def polytope_surface_mc(prof: MeasureProfile, body,
     if attempted.any() and accepted.sum() == 0:
         err = math.nan
         note = "unreliable: zero acceptance on every facet"
+    elif attempted.any() and int(samples_per_facet) == 1:
+        note = _ONE_SAMPLE_NOTE
     return SurfaceEstimate(total, err, "facet-mc",
                            int(samples_per_facet) * int(attempted.sum()), note)
 

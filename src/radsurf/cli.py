@@ -368,11 +368,13 @@ def _parse_dims(spec: str) -> List[int]:
             )
         a, b = int(parts[0]), int(parts[1])
         ratio = float(parts[3]) if len(parts) == 4 else 2.0
+        if not math.isfinite(ratio):
+            raise InputError(f"dims ratio must be finite, got {parts[3]!r}")
         if a < 2 or b < a or ratio <= 1.0:
             raise InputError(f"bad dims range {spec!r}")
         dims = []
         x = float(a)
-        while round(x) <= b:
+        while x < b + 1 and round(x) <= b:  # x may overflow to inf
             if not dims or round(x) > dims[-1]:
                 dims.append(int(round(x)))
             x *= ratio

@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 from scipy.special import betainc
 
-from .bodies import Polytope, SurfaceEstimate, _facet_values, _rng, _unit_rows
+from .bodies import (_ONE_SAMPLE_NOTE, Polytope, SurfaceEstimate,
+                     _facet_values, _rng, _unit_rows)
 from .errors import DegeneratePlanError, InputError
 from .functionals import MeasureProfile
 
@@ -132,7 +133,9 @@ def expected_surface(
     exchangeable).  With trials >= 2 the reported std_error is the larger
     of the across-trial spread of the trial means (which captures both the
     polytope randomness and the per-facet MC noise) and the pure MC floor;
-    a single trial reports only the MC error of that one polytope.
+    a single trial reports only the MC error of that one polytope.  One
+    sample per facet gives no MC error: trials >= 2 then report the spread
+    alone, and a single trial NaN with a note.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -170,9 +173,11 @@ def expected_surface(
     note = ""
     if trials >= 2:
         spread = float(vals.std(ddof=1)) / math.sqrt(trials)
-        floor = math.sqrt(mc_vars.sum()) / trials
-        std_error = max(spread, floor)
+        floor = math.sqrt(mc_vars.sum()) / trials  # NaN at one sample
+        std_error = spread if math.isnan(floor) else max(spread, floor)
     else:
         std_error = math.sqrt(mc_vars[0])
         note = "single trial: polytope-to-polytope variability not included"
+        if math.isnan(std_error):
+            note = _ONE_SAMPLE_NOTE
     return SurfaceEstimate(value, std_error, "facet-mc", total_samples, note)

@@ -224,14 +224,14 @@ def test_hyperplane_coordinates_keep_the_projected_gram_matrix(k, x_kind):
     out = np.full((k, d - 1), np.nan)
     for i in (0, k // 2, k):  # x first, among the other rows, last
         X = np.insert(A, i, x, axis=0)
-        H = _hyperplane_coordinates(X, i)
+        H = _hyperplane_coordinates(X, i, X @ x)
         assert H.shape == (k, d - 1)
         F = _gram_factor(H)
         assert F.shape == (k, min(k, d - 1))
         assert np.abs(H @ H.T - P @ P.T).max() < 1e-12
         assert np.abs(F @ F.T - P @ P.T).max() < 1e-12
         # the buffer form writes the same rows, whatever it held before
-        assert _hyperplane_coordinates(X, i, out=out) is out
+        assert _hyperplane_coordinates(X, i, X @ x, out=out) is out
         assert np.array_equal(out, H)
 
 
@@ -426,6 +426,24 @@ def test_all_facets_zero_acceptance_note(get_profile):
     assert "zero acceptance" in est.note
 
 
+def test_one_sample_per_facet_has_no_std_error(get_profile):
+    # the Gaussian box 1 x 1 x 2: one sample per facet has no sample
+    # variance, so the std_error is NaN with a note, not 0; two samples
+    # give a finite, positive one and no note
+    pr = get_profile("gaussian", 3)
+    box = HyperRectangle(np.array([1.0, 1.0, 2.0]))
+    _, err, _, att = _facet_values(pr, box, 1, 0)
+    assert att.all() and np.all(np.isnan(err))
+    one = polytope_surface_mc(pr, box, samples_per_facet=1, seed=0)
+    assert math.isfinite(one.value) and math.isnan(one.std_error)
+    assert one.note == "unreliable: one sample per facet gives no sample variance"
+    _, err, _, _ = _facet_values(pr, box, 2, 0)
+    assert np.all(np.isfinite(err))
+    two = polytope_surface_mc(pr, box, samples_per_facet=2, seed=0)
+    assert math.isfinite(two.std_error) and two.std_error > 0.0
+    assert two.note == ""
+
+
 def test_tiny_triangle_gets_perimeter_times_density(get_profile):
     # at d = 2 the facet density is flat near 0, so chords of 1e-9 keep
     # their weight: the estimate is the perimeter 6 sqrt(3) r times the
@@ -502,8 +520,9 @@ def _binomial_facet_mc(pr, body, S, seed):
     value = var = 0.0
     for i, r in enumerate(rho):
         hs, law = bodies._halfspace_law(pr, r)
-        normals = _gram_factor(_hyperplane_coordinates(X, i))
-        base = r * np.delete(X @ X[i], i)
+        Xx = X @ X[i]
+        normals = _gram_factor(_hyperplane_coordinates(X, i, Xx))
+        base = r * np.delete(Xx, i)
         rng = bodies._rng(seed, i)
         s = _facet_table(law).sample(rng.random(S))
         u = _sphere_coordinates(rng, S, normals.shape[1], d - 1)

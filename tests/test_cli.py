@@ -61,6 +61,7 @@ def test_load_polytope_roundtrip(tmp_path):
 def test_parse_dims():
     assert _parse_dims("8:64:geometric") == [8, 16, 32, 64]
     assert _parse_dims("4:36:geometric:3") == [4, 12, 36]
+    assert _parse_dims("8:64:geometric:1e308") == [8]
     assert _parse_dims("9,3,27") == [3, 9, 27]
     for bad in ("8:64:linear", "1:8:geometric", "8:4:geometric",
                 "8:64:geometric:1", "a,b", "1,2"):
@@ -250,6 +251,16 @@ def test_non_finite_c_rho_exits_2(cmd, dims, capsys):
     assert code == 2
     assert out == ""
     assert "c_rho" in err
+
+
+@pytest.mark.parametrize("ratio", ["inf", "nan"])
+def test_sweep_non_finite_dims_ratio_exits_2(ratio, capsys):
+    # a non-finite ratio is bad input, rejected before any dimension is made
+    code, out, err = run_cli(capsys, "sweep", "--measure", "gaussian",
+                             "--dims", f"8:64:geometric:{ratio}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: dims ratio must be finite, got {ratio!r}\n"
 
 
 def test_sweep_csv(capsys):

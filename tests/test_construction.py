@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from radsurf import construction
 from radsurf.errors import InputError
 from radsurf.bodies import halfspace_surface
 from radsurf.construction import (
@@ -204,6 +205,43 @@ def test_expected_surface_error_shrinks_with_trials(get_profile):
     ratio = e8.std_error / e32.std_error
     assert 1.1 < ratio < 3.5  # ~2 expected; the spread estimate is noisy
     assert e8.note == ""
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+def test_expected_surface_std_error_at_one_and_two_samples(get_profile,
+                                                           monkeypatch,
+                                                           samples):
+    # one sample per facet gives no MC error: a single trial reports NaN
+    # with a note, several trials exactly their spread.  Two samples give
+    # finite errors, and several trials at least their spread.
+    pr = get_profile("gaussian", 16)  # N_eff = 2, so no subsampling
+    single = expected_surface(pr, c_rho=1.0, trials=1,
+                              samples_per_facet=samples, seed=5)
+    assert math.isfinite(single.value)
+    if samples == 1:
+        assert math.isnan(single.std_error)
+        assert single.note == (
+            "unreliable: one sample per facet gives no sample variance")
+    else:
+        assert math.isfinite(single.std_error)  # 0: all four samples score 1
+        assert "single trial" in single.note
+    trial_values = []
+    facet_values = construction._facet_values
+
+    def record(*args, **kwargs):
+        out = facet_values(*args, **kwargs)
+        trial_values.append(out[0].sum())
+        return out
+
+    monkeypatch.setattr(construction, "_facet_values", record)
+    est = expected_surface(pr, c_rho=1.0, trials=3, samples_per_facet=samples,
+                           seed=5)
+    spread = float(np.std(trial_values, ddof=1)) / math.sqrt(3)
+    assert spread > 0.0 and est.note == ""
+    if samples == 1:
+        assert est.std_error == spread
+    else:
+        assert est.std_error >= spread
 
 
 def test_expected_surface_subsample_equals_full_when_not_binding(get_profile):

@@ -82,23 +82,45 @@ def test_no_unused_import():
     assert not unused
 
 
+def _read_names(trees):
+    """Every name the package reads: loaded names, attributes and the names
+    imported from its own modules (a store, such as the assignment that
+    defines a constant, is no read)."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return read
+
+
 def test_no_unreferenced_private_helper():
     # a module-level _name that nothing in the package refers to is dead,
     # unless the benchmark wraps it by name
     trees = _source_trees()
-    referenced = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(a.name for a in node.names)
+    referenced = _read_names(trees)
     pinned = {attr for _, attr, _, _ in _perfbench_tracing()._targets()}
     dead = [f"{modname}.{node.name}"
             for modname, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name.startswith("_")
             and node.name not in referenced | pinned]
+    assert not dead
+
+
+def test_no_unreferenced_private_constant():
+    # a module-level _NAME = ... that nothing in the package reads is dead
+    trees = _source_trees()
+    read = _read_names(trees)
+    dead = [f"{modname}.{target.id}"
+            for modname, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Name) and target.id.startswith("_")
+            and not target.id.startswith("__") and target.id not in read]
     assert not dead
