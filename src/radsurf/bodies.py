@@ -251,8 +251,8 @@ class SurfaceEstimate:
 def sphere_surface(prof: MeasureProfile, R: float) -> SurfaceEstimate:
     """Exact boundary measure of the sphere |x| = R:
     R^m exp(-phi(R)) / J_m."""
-    if not (R > 0):
-        raise InputError(f"sphere radius must be positive, got {R}")
+    if not (0 < R < math.inf):
+        raise InputError(f"sphere radius must be positive and finite, got {R}")
     if R > prof.support_radius:
         warnings.warn(
             "sphere lies outside the measure support; boundary measure is 0",
@@ -291,7 +291,7 @@ def halfspace_surface(prof: MeasureProfile, rho: float) -> SurfaceEstimate:
     distance rho from the origin:
     C_d m nu_m int_0^inf s^(m-1) exp(-phi(sqrt(rho^2+s^2))) ds,
     i.e. C_d m nu_m I_{m-1}(rho) (see `functionals`)."""
-    if rho < 0:
+    if not (rho >= 0):  # inf is allowed: the plane misses every support
         raise InputError(f"half-space offset must be >= 0, got {rho}")
     return SurfaceEstimate(_halfspace_law(prof, rho)[0], 0.0, "exact", 0)
 

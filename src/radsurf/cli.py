@@ -9,6 +9,11 @@ One executable, six subcommands:
   sweep         per-dimension CSV of all scaling quantities
   verify        run the invariant suite for a measure, pass/fail table
 
+--measure and --body specs share one grammar (`potential._parse_spec`), and
+table and polytope files one row reader (`potential._read_rows`).
+`_subcommand` declares the flags of every command, `_add_construction` those
+of construct and sweep, and `_construct` makes the estimate both report.
+
 All floats print with 12 significant digits; identical flags and seed give
 byte-identical output.  Exit codes: 0 ok, 1 invariant failure, 2 bad
 input, 3 numerical failure.
@@ -22,7 +27,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -37,34 +41,10 @@ from .errors import (
     InputError,
     RadsurfError,
 )
-from .potential import parse_measure, probe_potential
+from .potential import (_parse_spec, _read_rows, _reject_leftovers, _take,
+                        _take_float, parse_measure, probe_potential)
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common options of a CLI invocation."""
-
-    measure_spec: str
-    dim: int
-    output_format: str = "human"
-    seed: int = 0
-    allow_non_logconcave: bool = False
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise InputError(f"dimension must be >= 2, got {self.dim}")
-        if self.output_format not in ("json", "csv", "human"):
-            raise InputError(f"unknown output format {self.output_format!r}")
-
-    def potential(self):
-        return parse_measure(
-            self.measure_spec, allow_non_logconcave=self.allow_non_logconcave
-        )
-
-    def profile(self):
-        return functionals.profile(self.potential(), self.dim)
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +108,12 @@ def _render(rows: List[Dict], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(rows: List[Dict], fmt: str, out: Optional[str]) -> None:
-    text = _render(rows, fmt)
-    if out:
-        with open(out, "w", newline="") as fh:
+def _emit(rows: List[Dict], args) -> None:
+    """Render to --format if given, else csv for a file (--out) and human
+    for stdout."""
+    text = _render(rows, args.format or ("csv" if args.out else "human"))
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -141,81 +123,36 @@ def _emit(rows: List[Dict], fmt: str, out: Optional[str]) -> None:
 # body mini-language
 
 
-def _parse_params(rest: str) -> Dict[str, str]:
-    """k=v pairs separated by commas; commas inside a value (lists) stick
-    to the preceding key."""
-    params: Dict[str, str] = {}
-    last = None
-    for tok in rest.split(","):
-        if not tok:
-            continue
-        if "=" in tok:
-            key, _, val = tok.partition("=")
-            key = key.strip()
-            params[key] = val
-            last = key
-        elif last is not None:
-            params[last] += "," + tok
-        else:
-            raise InputError(f"malformed parameter {tok!r}")
-    return params
-
-
-def _take_float(params, key, what):
-    if key not in params:
-        raise InputError(f"{what} needs {key}=<value>")
-    try:
-        return float(params.pop(key))
-    except ValueError:
-        raise InputError(f"{what}: {key} must be a number") from None
-
-
 def load_polytope(path: str, dim: int) -> bodies.Polytope:
     """Facets from a text file: one row per facet, d unit-vector
     components then the offset; # starts a comment."""
-    try:
-        data = np.loadtxt(path, comments="#", ndmin=2)
-    except OSError as exc:
-        raise InputError(f"cannot read polytope file {path}: {exc}") from None
-    except ValueError as exc:
-        raise InputError(f"malformed polytope file {path}: {exc}") from None
-    if data.shape[1] != dim + 1:
-        raise InputError(
-            f"polytope rows need {dim} direction components plus an offset "
-            f"({dim + 1} columns), file has {data.shape[1]}"
-        )
-    return bodies.Polytope(data[:, :dim], data[:, dim])
+    rows = _read_rows(path, dim + 1, "polytope")
+    return bodies.Polytope(rows[:, :dim], rows[:, dim])
 
 
 def parse_body(spec: str, dim: int):
     """`sphere:R=..`, `ball:R=..`, `halfspace:rho=..`,
-    `slab:rho1=..,rho2=..`, `polytope:file=..`, `box:halfwidths=a,b,..`."""
-    kind, _, rest = spec.partition(":")
-    kind = kind.strip()
-    params = _parse_params(rest)
-    e0 = np.zeros(dim)
-    e0[0] = 1.0
+    `slab:rho1=..,rho2=..`, `polytope:file=..`, `box:halfwidths=a,b,..`;
+    the grammar is the measure's (`potential._parse_spec`)."""
+    kind, params = _parse_spec(spec)
+    e0 = np.eye(1, dim)[0]
     if kind == "sphere":
-        body = bodies.SphereShell(_take_float(params, "R", "sphere"))
+        body = bodies.SphereShell(_take_float(params, "R", kind))
     elif kind == "ball":
-        body = bodies.Ball(_take_float(params, "R", "ball"))
+        body = bodies.Ball(_take_float(params, "R", kind))
     elif kind == "halfspace":
-        body = bodies.HalfSpace(e0, _take_float(params, "rho", "halfspace"))
+        body = bodies.HalfSpace(e0, _take_float(params, "rho", kind))
     elif kind == "slab":
         body = bodies.Slab(
             e0,
-            _take_float(params, "rho1", "slab"),
-            _take_float(params, "rho2", "slab"),
+            _take_float(params, "rho1", kind),
+            _take_float(params, "rho2", kind),
         )
     elif kind == "polytope":
-        if "file" not in params:
-            raise InputError("polytope needs file=<path>")
-        body = load_polytope(params.pop("file"), dim)
+        body = load_polytope(_take(params, "file", kind), dim)
     elif kind == "box":
-        if "halfwidths" not in params:
-            raise InputError("box needs halfwidths=<a,b,...>")
         try:
-            h = [float(v) for v in params.pop("halfwidths").split(",")]
+            h = [float(v) for v in _take(params, "halfwidths", kind).split(",")]
         except ValueError:
             raise InputError("box halfwidths must be numbers") from None
         if len(h) != dim:
@@ -228,8 +165,7 @@ def parse_body(spec: str, dim: int):
             f"unknown body kind {kind!r} (want sphere, ball, halfspace, "
             f"slab, polytope, or box)"
         )
-    if params:
-        raise InputError(f"unknown body parameters: {sorted(params)}")
+    _reject_leftovers(params, f"body {kind!r}")
     return body
 
 
@@ -238,12 +174,11 @@ def parse_body(spec: str, dim: int):
 
 
 def _cmd_functionals(args) -> int:
-    cfg = _config(args)
-    prof = cfg.profile()
+    prof = _profile(args)
     logJ = prof.log_Jm.log
     log_g = prof.log_gm_t0.log
     row = {
-        "measure": cfg.measure_spec,
+        "measure": args.measure,
         "d": prof.d,
         "m": prof.m,
         "support_radius": prof.support_radius,
@@ -262,16 +197,14 @@ def _cmd_functionals(args) -> int:
             functionals.theorem_bound_probabilistic(prof),
         "rough_upper_bound": functionals.rough_upper_bound(prof),
     }
-    _emit([row], cfg.output_format, args.out)
+    _emit([row], args)
     return EXIT_OK
 
 
 def _cmd_surface(args) -> int:
-    cfg = _config(args)
-    prof = cfg.profile()
-    body = parse_body(args.body, cfg.dim)
-    method = args.method
-    if method == "exact":
+    prof = _profile(args)
+    body = parse_body(args.body, args.dim)
+    if args.method == "exact":
         if isinstance(body, (bodies.SphereShell, bodies.Ball)):
             est = bodies.sphere_surface(prof, body.R)
         elif isinstance(body, bodies.HalfSpace):
@@ -283,17 +216,15 @@ def _cmd_surface(args) -> int:
                 f"no exact formula for {type(body).__name__}; "
                 f"use --method mc or fd"
             )
-    elif method == "mc":
-        est = bodies.polytope_surface_mc(prof, body, args.samples, cfg.seed)
-    elif method == "fd":
+    elif args.method == "mc":
+        est = bodies.polytope_surface_mc(prof, body, args.samples, args.seed)
+    else:  # fd; argparse restricts the choices
         est = bodies.minkowski_fd_surface(
-            prof, body, args.eps, args.samples, cfg.seed
+            prof, body, args.eps, args.samples, args.seed
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown method {method!r}")
     row = {
-        "measure": cfg.measure_spec,
-        "d": cfg.dim,
+        "measure": args.measure,
+        "d": args.dim,
         "body": args.body,
         "value": est.value,
         "std_error": est.std_error,
@@ -302,18 +233,17 @@ def _cmd_surface(args) -> int:
     }
     if est.note:
         row["note"] = est.note
-    _emit([row], cfg.output_format, args.out)
+    _emit([row], args)
     return EXIT_OK
 
 
 def _cmd_certificate(args) -> int:
-    cfg = _config(args)
-    prof = cfg.profile()
-    body = parse_body(args.body, cfg.dim)
+    prof = _profile(args)
+    body = parse_body(args.body, args.dim)
     rep = certificates.certificate_upper_bound(prof, body)
     row = {
-        "measure": cfg.measure_spec,
-        "d": cfg.dim,
+        "measure": args.measure,
+        "d": args.dim,
         "body": args.body,
         "value": rep.value,
         "xi1_bound": rep.xi1_bound,
@@ -322,25 +252,17 @@ def _cmd_certificate(args) -> int:
         "min_xi1": rep.min_xi1,
         "grid_points": rep.grid_points,
     }
-    _emit([row], cfg.output_format, args.out)
+    _emit([row], args)
     return EXIT_OK
 
 
 def _cmd_construct(args) -> int:
-    cfg = _config(args)
-    prof = cfg.profile()
-    spec = construction.plan(prof, args.c_rho, seed=cfg.seed)
-    est = construction.expected_surface(
-        prof,
-        c_rho=args.c_rho,
-        trials=args.trials,
-        samples_per_facet=args.samples,
-        facet_subsample=args.facet_subsample,
-        seed=cfg.seed,
-    )
+    prof = _profile(args)
+    spec = construction.plan(prof, args.c_rho, seed=args.seed)
+    est = _construct(args, prof)
     row = {
-        "measure": cfg.measure_spec,
-        "d": cfg.dim,
+        "measure": args.measure,
+        "d": args.dim,
         "c_rho": args.c_rho,
         "rho": spec.rho,
         "W": spec.W,
@@ -354,7 +276,7 @@ def _cmd_construct(args) -> int:
     }
     if est.note:
         row["note"] = est.note
-    _emit([row], cfg.output_format, args.out)
+    _emit([row], args)
     return EXIT_OK
 
 
@@ -366,8 +288,11 @@ def _parse_dims(spec: str) -> List[int]:
             raise InputError(
                 f"dims spec {spec!r} must be a:b:geometric[:ratio] or a comma list"
             )
-        a, b = int(parts[0]), int(parts[1])
-        ratio = float(parts[3]) if len(parts) == 4 else 2.0
+        try:
+            a, b = int(parts[0]), int(parts[1])
+            ratio = float(parts[3]) if len(parts) == 4 else 2.0
+        except ValueError:
+            raise InputError(f"bad dims range {spec!r}") from None
         if not math.isfinite(ratio):
             raise InputError(f"dims ratio must be finite, got {parts[3]!r}")
         if a < 2 or b < a or ratio <= 1.0:
@@ -375,9 +300,13 @@ def _parse_dims(spec: str) -> List[int]:
         dims = []
         x = float(a)
         while x < b + 1 and round(x) <= b:  # x may overflow to inf
-            if not dims or round(x) > dims[-1]:
-                dims.append(int(round(x)))
-            x *= ratio
+            n = round(x)
+            if not dims or n > dims[-1]:
+                dims.append(n)
+            # skip the powers that round to n: a ratio near 1 would
+            # otherwise crawl through them one ulp at a time
+            x *= ratio ** max(1, math.ceil(math.log((n + 0.5) / x)
+                                           / math.log(ratio)))
         return dims
     try:
         dims = sorted({int(tok) for tok in spec.split(",") if tok})
@@ -389,22 +318,11 @@ def _parse_dims(spec: str) -> List[int]:
 
 
 def _cmd_sweep(args) -> int:
-    fmt = _output_format(args)
-    dims = _parse_dims(args.dims)
     rows = []
-    for d in dims:
-        cfg = RunConfig(args.measure, d, fmt, args.seed,
-                        args.allow_non_logconcave)
-        prof = cfg.profile()
+    for d in _parse_dims(args.dims):
+        prof = _profile(args, d)
         try:
-            est = construction.expected_surface(
-                prof,
-                c_rho=args.c_rho,
-                trials=args.trials,
-                samples_per_facet=args.samples,
-                facet_subsample=args.facet_subsample,
-                seed=cfg.seed,
-            )
+            est = _construct(args, prof)
             c_est, c_err = est.value, est.std_error
         except DegeneratePlanError:
             c_est = c_err = math.nan
@@ -420,7 +338,7 @@ def _cmd_sweep(args) -> int:
             "construction_estimate": c_est,
             "construction_stderr": c_err,
         })
-    _emit(rows, fmt, args.out)
+    _emit(rows, args)
     return EXIT_OK
 
 
@@ -441,8 +359,7 @@ def _skip(name, note):
     return {"check": name, "status": "SKIP", "value": "", "note": note}
 
 
-def _verify_rows(cfg: RunConfig) -> List[Dict]:
-    prof = cfg.profile()
+def _verify_rows(prof, seed: int) -> List[Dict]:
     phi, m, t0 = prof.phi, prof.m, prof.t0
     logconcave = phi.is_log_concave
     rows = []
@@ -545,7 +462,7 @@ def _verify_rows(cfg: RunConfig) -> List[Dict]:
         # the shell is centred on r_fd: the quotient's bias is O(eps^2)
         fd = bodies.minkowski_fd_surface(prof, bodies.Ball(r_fd - 0.5 * eps),
                                          epsilon=eps, samples=200_000,
-                                         seed=cfg.seed)
+                                         seed=seed)
         tol = max(0.05 * exact, 4.0 * fd.std_error)
         # no shell hit: a NaN std_error, no error bar, so the row fails
         ok = math.isfinite(fd.std_error) and abs(fd.value - exact) <= tol
@@ -571,9 +488,8 @@ def _verify_rows(cfg: RunConfig) -> List[Dict]:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config(args)
-    rows = _verify_rows(cfg)
-    _emit(rows, cfg.output_format, args.out)
+    rows = _verify_rows(_profile(args), args.seed)
+    _emit(rows, args)
     failed = [r for r in rows if r["status"] == "FAIL"]
     if failed:
         names = ", ".join(r["check"] for r in failed)
@@ -586,24 +502,36 @@ def _cmd_verify(args) -> int:
 # wiring
 
 
-def _output_format(args) -> str:
-    """--format if given, else csv for a file (--out) and human for stdout."""
-    if args.format:
-        return args.format
-    return "csv" if args.out else "human"
+def _profile(args, dim=None):
+    """The profile of --measure in dimension `dim` (default --dim)."""
+    phi = parse_measure(args.measure,
+                        allow_non_logconcave=args.allow_non_logconcave)
+    return functionals.profile(phi, args.dim if dim is None else dim)
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        measure_spec=args.measure,
-        dim=args.dim,
-        output_format=_output_format(args),
+def _construct(args, prof):
+    """The construction estimate that construct and sweep report."""
+    return construction.expected_surface(
+        prof,
+        c_rho=args.c_rho,
+        trials=args.trials,
+        samples_per_facet=args.samples,
+        facet_subsample=args.facet_subsample,
         seed=args.seed,
-        allow_non_logconcave=args.allow_non_logconcave,
     )
 
 
-def _add_common(sp, dim=True):
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _subcommand(sub, name, fn, summary, dim=True):
+    """A subcommand running `fn`, with the flags every command takes."""
+    sp = sub.add_parser(name, help=summary)
+    sp.set_defaults(fn=fn)
     sp.add_argument("--measure", required=True,
                     help="measure spec, e.g. gaussian, gp:p=3, ball:R=1, "
                          "shell:R=1,eps=1e-3, table:file=phi.txt")
@@ -614,11 +542,21 @@ def _add_common(sp, dim=True):
                     default=None,
                     help="output format (default: human on stdout, csv "
                          "with --out)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--allow-non-logconcave", action="store_true",
                     help="accept measures that fail the log-concavity gate")
     sp.add_argument("--out", default=None,
                     help="write the output to this path instead of stdout")
+    return sp
+
+
+def _add_construction(sp, samples):
+    """The flags of the construction estimate (see `_construct`)."""
+    sp.add_argument("--c-rho", type=float, default=1.0, dest="c_rho")
+    sp.add_argument("--trials", type=int, default=4)
+    sp.add_argument("--samples", type=int, default=samples,
+                    help="MC samples per facet")
+    sp.add_argument("--facet-subsample", type=int, default=64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -629,13 +567,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("functionals",
-                        help="characteristic quantities of the measure")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_functionals)
+    _subcommand(sub, "functionals", _cmd_functionals,
+                "characteristic quantities of the measure")
 
-    sp = sub.add_parser("surface", help="boundary measure of one body")
-    _add_common(sp)
+    sp = _subcommand(sub, "surface", _cmd_surface,
+                     "boundary measure of one body")
     sp.add_argument("--body", required=True,
                     help="sphere:R=.. | ball:R=.. | halfspace:rho=.. | "
                          "slab:rho1=..,rho2=.. | polytope:file=.. | "
@@ -646,40 +582,24 @@ def build_parser() -> argparse.ArgumentParser:
                     help="samples per facet (mc) or total (fd)")
     sp.add_argument("--eps", type=float, default=1e-3,
                     help="inflation step for --method fd")
-    sp.set_defaults(fn=_cmd_surface)
 
-    sp = sub.add_parser("certificate",
-                        help="certified upper bound for a facet body")
-    _add_common(sp)
+    sp = _subcommand(sub, "certificate", _cmd_certificate,
+                     "certified upper bound for a facet body")
     sp.add_argument("--body", required=True,
                     help="polytope:file=.. | halfspace:rho=.. | slab:... | "
                          "box:halfwidths=a,b,..")
-    sp.set_defaults(fn=_cmd_certificate)
 
-    sp = sub.add_parser("construct",
-                        help="random circumscribed polytope estimate")
-    _add_common(sp)
-    sp.add_argument("--c-rho", type=float, default=1.0, dest="c_rho")
-    sp.add_argument("--trials", type=int, default=4)
-    sp.add_argument("--samples", type=int, default=10_000,
-                    help="MC samples per facet")
-    sp.add_argument("--facet-subsample", type=int, default=64)
-    sp.set_defaults(fn=_cmd_construct)
+    sp = _subcommand(sub, "construct", _cmd_construct,
+                     "random circumscribed polytope estimate")
+    _add_construction(sp, samples=10_000)
 
-    sp = sub.add_parser("sweep", help="per-dimension scaling table")
-    _add_common(sp, dim=False)
+    sp = _subcommand(sub, "sweep", _cmd_sweep, "per-dimension scaling table",
+                     dim=False)
     sp.add_argument("--dims", required=True,
                     help="a:b:geometric[:ratio] or comma list, e.g. 8:512:geometric")
-    sp.add_argument("--c-rho", type=float, default=1.0, dest="c_rho")
-    sp.add_argument("--trials", type=int, default=4)
-    sp.add_argument("--samples", type=int, default=4_000)
-    sp.add_argument("--facet-subsample", type=int, default=64)
-    sp.set_defaults(fn=_cmd_sweep)
+    _add_construction(sp, samples=4_000)
 
-    sp = sub.add_parser("verify", help="run the invariant suite")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_verify)
-
+    _subcommand(sub, "verify", _cmd_verify, "run the invariant suite")
     return p
 
 

@@ -94,9 +94,9 @@ def cap_probability(prof: MeasureProfile, r: float, rho: float) -> float:
     relative precision as p -> 0, where 0.5 (1 - I_{q^2}(1/2, m/2))
     cancels to nothing.
     """
-    if r <= 0:
+    if not (r > 0):
         raise InputError(f"radius must be positive, got {r}")
-    if rho < 0:
+    if not (rho >= 0):
         raise InputError(f"offset must be >= 0, got {rho}")
     if r <= rho:
         return 0.0

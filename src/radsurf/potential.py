@@ -285,102 +285,122 @@ def shell(R=1.0, eps=1e-3, *, allow_non_logconcave=False):
     return ShellDensity(R=float(R), eps=float(eps))
 
 
+def _read_rows(path, ncols, what):
+    """The rows of a whitespace-separated text file of numbers, as an
+    (n, ncols) array.  ``#`` starts a comment and blank lines are skipped;
+    an error names ``path:line``."""
+    rows = []
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from None
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
+            if len(parts) != ncols:
+                raise InputError(
+                    f"{path}:{lineno}: expected {ncols} columns, got {len(parts)}"
+                )
+            try:
+                rows.append([float(x) for x in parts])
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise InputError(f"{path}: {what} file contains no data rows")
+    return np.array(rows)
+
+
 def load_table(path, extrapolation="linear"):
     """Load a tabulated potential from a two-column text file.
 
     Rows are ``t value`` pairs, ``#`` starts a comment, and the first data
     row must be ``0 0`` (the origin anchor).
     """
-    rows = []
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise InputError(f"cannot read table file {path}: {exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise InputError(
-                    f"{path}:{lineno}: expected two columns, got {len(parts)}"
-                )
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise InputError(f"{path}: table file contains no data rows")
-    if rows[0] != (0.0, 0.0):
+    rows = _read_rows(path, 2, "table")
+    if tuple(rows[0]) != (0.0, 0.0):
         raise InputError(f"{path}: first data row must be '0 0'")
-    knots = np.array([r[0] for r in rows[1:]])
-    values = np.array([r[1] for r in rows[1:]])
-    if knots.size == 0:
+    if len(rows) == 1:
         raise InputError(f"{path}: table needs at least one knot beyond the origin")
-    return tabulated(knots, values, extrapolation)
+    return tabulated(rows[1:, 0], rows[1:, 1], extrapolation)
 
 
-_MEASURE_KINDS = ("gaussian", "gp", "ball", "shell", "table")
+def _parse_spec(spec):
+    """Split a mini-language spec ``kind:key=value,...`` into (kind, params).
+
+    The kind and the keys are case-insensitive and come back lower-case;
+    values are stripped.  A comma inside a value sticks to the preceding
+    key (``halfwidths=1,2,3``); empty tokens are skipped."""
+    kind, _, rest = spec.partition(":")
+    params, key = {}, None
+    for tok in filter(None, (t.strip() for t in rest.split(","))):
+        name, eq, val = tok.partition("=")
+        if eq and name.strip():
+            key = name.strip().lower()
+            params[key] = val.strip()
+        elif not eq and key:
+            params[key] += "," + tok
+        else:
+            raise InputError(f"malformed parameter {tok!r} in {spec!r}")
+    return kind.strip().lower(), params
+
+
+def _take(params, key, what, default=None):
+    """Pop ``key`` from spec params; missing, it is ``default`` or an error."""
+    raw = params.pop(key.lower(), default)
+    if raw is None:
+        raise InputError(f"{what} needs {key}=<value>")
+    return raw
+
+
+def _take_float(params, key, what, default=None):
+    """:func:`_take` read as a float."""
+    raw = _take(params, key, what, default)
+    try:
+        return float(raw)
+    except ValueError:
+        raise InputError(f"{what}: {key} must be a number") from None
+
+
+def _reject_leftovers(params, what):
+    """Parameters a spec parser did not take are an InputError."""
+    if params:
+        raise InputError(
+            f"unknown parameter(s) for {what}: {', '.join(sorted(params))}"
+        )
 
 
 def parse_measure(spec, *, allow_non_logconcave=False):
     """Parse a measure mini-language string into a potential.
 
     Grammar: ``gaussian``, ``gp:p=P``, ``ball:R=R``, ``shell:R=R,eps=E``,
-    ``table:file=PATH[,extrapolation=linear|cutoff]``.  Parameter keys are
-    case-insensitive; the shell kind requires the non-log-concave opt-in.
+    ``table:file=PATH[,extrapolation=linear|cutoff]``; the kind and the
+    keys are case-insensitive (see :func:`_parse_spec`).  The shell kind
+    requires the non-log-concave opt-in.
     """
-    name, _, rest = spec.strip().partition(":")
-    name = name.strip().lower()
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            if not eq or not key.strip():
-                raise InputError(f"malformed measure parameter {item!r} in {spec!r}")
-            params[key.strip().lower()] = val.strip()
-
-    def take(key, default=None, required=False):
-        if key in params:
-            return params.pop(key)
-        if required:
-            raise InputError(f"measure {name!r} requires parameter {key}=")
-        return default
-
-    def take_float(key, default=None, required=False):
-        raw = take(key, required=required)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise InputError(f"parameter {key}={raw!r} is not a number") from None
-
+    name, params = _parse_spec(spec)
     if name == "gaussian":
         out = gaussian()
     elif name == "gp":
-        out = power(take_float("p", required=True))
+        out = power(_take_float(params, "p", name))
     elif name == "ball":
-        out = ball(take_float("r", default=1.0))
+        out = ball(_take_float(params, "R", name, default=1.0))
     elif name == "shell":
         out = shell(
-            take_float("r", default=1.0),
-            take_float("eps", required=True),
+            _take_float(params, "R", name, default=1.0),
+            _take_float(params, "eps", name),
             allow_non_logconcave=allow_non_logconcave,
         )
     elif name == "table":
-        path = take("file", required=True)
-        extrap = take("extrapolation", default="linear")
-        out = load_table(path, extrapolation=extrap)
+        out = load_table(_take(params, "file", name),
+                         _take(params, "extrapolation", name, "linear"))
     else:
         raise InputError(
-            f"unknown measure kind {name!r}; expected one of {', '.join(_MEASURE_KINDS)}"
+            f"unknown measure kind {name!r}; expected one of gaussian, gp, "
+            f"ball, shell, table"
         )
-    if params:
-        raise InputError(
-            f"unknown parameter(s) for measure {name!r}: {', '.join(sorted(params))}"
-        )
+    _reject_leftovers(params, f"measure {name!r}")
     return out
 
 

@@ -138,6 +138,18 @@ def test_halfspace_rejects_negative_offset(get_profile):
         halfspace_surface(get_profile("gaussian", 3), -0.5)
 
 
+def test_exact_formulas_reject_non_finite_input(get_profile):
+    pr = get_profile("gaussian", 5)
+    with pytest.raises(InputError):
+        sphere_surface(pr, math.inf)  # was an "exact" nan
+    with pytest.raises(InputError):
+        sphere_surface(pr, math.nan)
+    with pytest.raises(InputError):
+        halfspace_surface(pr, math.nan)  # was a QuadratureError
+    # a plane at infinity misses the support; slab:rho2=inf relies on it
+    assert halfspace_surface(pr, math.inf).value == 0.0
+
+
 # --- body validation -------------------------------------------------------
 
 

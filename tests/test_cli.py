@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -11,7 +12,9 @@ import pytest
 from radsurf import cli
 from radsurf.bodies import Ball, HalfSpace, HyperRectangle, Polytope, Slab, SphereShell
 from radsurf.errors import InputError, NumericsError
-from radsurf.cli import RunConfig, _parse_dims, load_polytope, main, parse_body
+from radsurf.cli import _parse_dims, load_polytope, main, parse_body
+from radsurf.functionals import profile
+from radsurf.potential import gaussian, parse_measure
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +39,22 @@ def test_parse_body_grammar():
     assert np.array_equal(box.half_widths, [0.5, 1.0, 1.5])
 
 
+def test_measures_and_bodies_share_one_grammar():
+    # kind and keys are case-insensitive, values stripped, a comma list
+    # sticks to its key, empty tokens are skipped
+    assert parse_measure(" GP : P = 2 ,").p == 2.0
+    assert parse_body("SPHERE:r=1.5,", 3).R == 1.5
+    box = parse_body("box:HalfWidths= 0.5, 1,,1.5 ,", 3)
+    assert np.array_equal(box.half_widths, [0.5, 1.0, 1.5])
+    # a leading bare token and a leftover key are input errors in both
+    for parse, spec in ((parse_measure, "ball:2"),
+                        (lambda s: parse_body(s, 3), "ball:2"),
+                        (parse_measure, "ball:R=2,extra=1"),
+                        (lambda s: parse_body(s, 3), "ball:R=2,extra=1")):
+        with pytest.raises(InputError):
+            parse(spec)
+
+
 def test_parse_body_errors():
     for spec in ("donut:R=1", "sphere", "sphere:r=1,extra=2",
                  "box:halfwidths=1,2", "halfspace:rho=abc"):
@@ -56,6 +75,10 @@ def test_load_polytope_roundtrip(tmp_path):
     missing = tmp_path / "nope.txt"
     with pytest.raises(InputError):
         load_polytope(str(missing), 2)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# n1 n2 offset\n1 0 0.8\n0 one 1.2\n")
+    with pytest.raises(InputError, match="bad.txt:3"):
+        load_polytope(str(bad), 2)
 
 
 def test_parse_dims():
@@ -67,13 +90,89 @@ def test_parse_dims():
                 "8:64:geometric:1", "a,b", "1,2"):
         with pytest.raises(InputError):
             _parse_dims(bad)
+    with pytest.raises(InputError, match="8.5:64:geometric"):
+        _parse_dims("8.5:64:geometric")
 
 
-def test_runconfig_gates():
-    with pytest.raises(InputError):
-        RunConfig("gaussian", 1)
-    with pytest.raises(InputError):
-        RunConfig("gaussian", 3, output_format="yaml")
+def test_parse_dims_ratio_one_ulp_above_one_terminates():
+    # the ratio must not crawl one ulp per step: a subprocess with a
+    # timeout, so a regression fails instead of hanging the suite
+    code = ("from radsurf.cli import _parse_dims; "
+            "print(_parse_dims('8:64:geometric:1.0000000000000002'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=30)
+    assert out.returncode == 0
+    assert out.stdout == f"{list(range(8, 65))}\n"
+
+
+def test_bad_dim_and_format_exit_2(capsys):
+    code, out, err = run_cli(capsys, "functionals", "--measure", "gaussian",
+                             "--dim", "1")
+    assert code == 2 and out == "" and "dimension" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["functionals", "--measure", "gaussian", "--dim", "3",
+              "--format", "yaml"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ("functionals",),
+    ("surface", "--body", "sphere:R=1", "--method", "exact"),
+])
+def test_negative_seed_exits_2(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--measure", "gaussian", "--dim", "3",
+              "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err and "'-1'" in captured.err
+
+
+#: SHA-256 of the default stdout of commands that draw no BLAS-dependent
+#: Monte Carlo.  A change to the output format or a random stream updates
+#: a digest here and says so.
+STDOUT_DIGESTS = [
+    ("functionals --measure gaussian --dim 10 --format human",
+     "3f7f96ddab6f3dcf46d94c8471d8e2e70fad98a26675fea3221aea086c859b28"),
+    ("functionals --measure gaussian --dim 10 --format json",
+     "d0e39287f94009098e5d2fb9ab2447e5e07e720475833a266405300637ac9bf4"),
+    ("functionals --measure gaussian --dim 10 --format csv",
+     "1e3bd5bb92e6c3e5004e7346e0e305f4bc7df0ea1e29dfacd719e815a8724a30"),
+    ("functionals --measure gp:p=1 --dim 8 --format human",
+     "5bddb8f4bfef58b6ba58af7c9e2acd0fa0c064b7645bfd1b8346fab321dfff7c"),
+    ("functionals --measure gp:p=1 --dim 8 --format json",
+     "1a0172b9c661877c948fc96726f86aa72ed9d71740eb8ad9b4cbd6dc5dee3e11"),
+    ("functionals --measure gp:p=1 --dim 8 --format csv",
+     "6a9030806df0a0790b39dd80a1049df2c32a26b4064dca959f76389444cf1c7d"),
+    ("functionals --measure ball:R=1 --dim 5 --format human",
+     "c9d558eab8d3413b20f55b264dcc85c3b2d689f5c83ac8c0ed527e704d1f6b0e"),
+    ("functionals --measure ball:R=1 --dim 5 --format json",
+     "b9c0bccffa667dbb86fbcda4190e2b6f5335bd11074d470d73ee298fbe1417fa"),
+    ("functionals --measure ball:R=1 --dim 5 --format csv",
+     "973f957b4200084ca461d65370a478fe2821c921cfa4f8f4f655658c9eecd00c"),
+    ("surface --measure gaussian --dim 7 --body sphere:R=2",
+     "9dc5ef026666ab38e66ada2c0b726af0eb98b92a1a89c18e8112fc1e0375bbb1"),
+    ("surface --measure gaussian --dim 7 --body halfspace:rho=0.5",
+     "349b7742715fe479075ae2bec11c5baac5ec23af7705063261de83d833fe7ef9"),
+    ("surface --measure gaussian --dim 7 --body slab:rho1=0.5,rho2=1",
+     "199c9c4ac911b2cb03592d5f76cb5e579250058ec0b08ce32794acc080cc6007"),
+    ("certificate --measure gaussian --dim 3 --body box:halfwidths=1,1,2",
+     "c22e79152533f234dac27517a4526318828db284715a4fc8228e3e0d3f56b72c"),
+    ("certificate --measure gaussian --dim 3 --body slab:rho1=0.5,rho2=1",
+     "0f3dfcb08013c4d5d4a2893881d6d475ab2b7e4b692f419ca658a3470e046c59"),
+    ("verify --measure gaussian --dim 6",
+     "30150cc4bdb8024e32931080a2a99c039f0053fbc743a785e9f0ce22c25f6141"),
+]
+
+
+@pytest.mark.parametrize("command, digest", STDOUT_DIGESTS,
+                         ids=[c for c, _ in STDOUT_DIGESTS])
+def test_default_stdout_is_frozen(command, digest, capsys):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # --- subcommands -------------------------------------------------------------
@@ -367,7 +466,7 @@ def test_verify_reciprocity_fails_on_a_non_finite_product(monkeypatch, surface):
     if surface is not None:
         monkeypatch.setattr(bodies, "sphere_surface", lambda prof, R:
                             bodies.SurfaceEstimate(surface, 0.0, "exact", 0))
-    rows = {r["check"]: r for r in cli._verify_rows(RunConfig("gaussian", 3))}
+    rows = {r["check"]: r for r in cli._verify_rows(profile(gaussian(), 3), 0)}
     row = rows["sphere-reciprocity"]
     assert row["status"] == "FAIL"
     assert not math.isfinite(row["value"])
@@ -417,7 +516,7 @@ def test_verify_fd_row_fails_without_an_error_bar(monkeypatch):
                                       "unreliable: no sample in the eps shell")
 
     monkeypatch.setattr(bodies, "minkowski_fd_surface", no_hits)
-    rows = {r["check"]: r for r in cli._verify_rows(RunConfig("gaussian", 3))}
+    rows = {r["check"]: r for r in cli._verify_rows(profile(gaussian(), 3), 0)}
     row = rows["fd-oracle-matches-sphere"]
     assert row["status"] == "FAIL"
     assert "no sample in the eps shell" in row["note"]
@@ -454,7 +553,7 @@ def test_verify_shell_without_optin_is_rejected(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     rows = [{"check": "doctored", "status": "FAIL", "value": 0.0, "note": ""}]
-    monkeypatch.setattr(cli, "_verify_rows", lambda cfg: rows)
+    monkeypatch.setattr(cli, "_verify_rows", lambda prof, seed: rows)
     code, _, err = run_cli(capsys, "verify", "--measure", "gaussian",
                            "--dim", "4")
     assert code == 1

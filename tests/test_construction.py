@@ -105,6 +105,12 @@ def test_cap_probability_closed_forms(get_profile):
     assert cap_probability(pr, 1.0, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("r, rho", [(math.nan, 0.3), (1.0, math.nan)])
+def test_cap_probability_rejects_nan(r, rho, get_profile):
+    with pytest.raises(InputError):
+        cap_probability(get_profile("gaussian", 5), r, rho)
+
+
 def test_cap_probability_monotonicities(get_profile):
     pr = get_profile("gaussian", 12)
     rs = np.linspace(0.5, 3.0, 11)
