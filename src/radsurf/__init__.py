@@ -38,7 +38,6 @@ from .potential import (
     tabulated,
 )
 from .functionals import (
-    LogScalar,
     MeasureProfile,
     mu_candidate,
     profile,
@@ -99,7 +98,7 @@ __all__ = [
     "gaussian", "power", "ball", "tabulated", "shell",
     "load_table", "parse_measure", "probe_potential",
     # functionals
-    "LogScalar", "MeasureProfile", "profile", "theorem_bound",
+    "MeasureProfile", "profile", "theorem_bound",
     "theorem_bound_probabilistic", "rough_upper_bound", "tail_mass_bound",
     "mu_candidate", "psi",
     # bodies

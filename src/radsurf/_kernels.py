@@ -204,9 +204,13 @@ def facet_accept_count(dirs, scales, normals, base, offsets):
     return int(np.count_nonzero(keep))
 
 
+def shell_count(v, eps):
+    """How many violations v lie in the shell (0, eps]."""
+    return int(np.count_nonzero((v > 0.0) & (v <= eps)))
+
+
 def polytope_shell_counts(pts, normals, offsets, eps):
     """How many points have their largest violation of the constraints
     <x, normals[j]> <= offsets[j] in (0, eps]: inside the offset-relaxed
     polytope but outside the polytope itself."""
-    v = (pts @ normals.T - offsets[None, :]).max(axis=1)
-    return int(np.count_nonzero((v > 0.0) & (v <= eps)))
+    return shell_count((pts @ normals.T - offsets[None, :]).max(axis=1), eps)

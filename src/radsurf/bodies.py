@@ -187,20 +187,10 @@ def as_facets(body):
     """(directions, offsets) of a facet body, read as the constraints
     <x, directions[i]> <= offsets[i].
 
-    Covers Polytope, HalfSpace, Slab (origin inside: rho1, rho2 >= 0) and
-    HyperRectangle.  Offsets may be 0 (origin on the boundary), which the
-    Polytope gate rejects.
+    Covers Polytope, HalfSpace, Slab and HyperRectangle.  Offsets may be 0
+    (origin on the boundary), which the Polytope gate rejects, and a slab
+    that misses the origin has a negative one.
     """
-    if isinstance(body, Slab) and (body.rho1 < 0.0 or body.rho2 < 0.0):
-        raise InputError(
-            "facet bodies need the origin inside the slab (rho1, rho2 >= 0)"
-        )
-    return _constraint_rows(body)
-
-
-def _constraint_rows(body):
-    """`as_facets` without its origin gate: any slab, a negative offset
-    included."""
     if isinstance(body, Polytope):
         return body.directions, body.offsets
     if isinstance(body, HalfSpace):
@@ -259,7 +249,7 @@ def sphere_surface(prof: MeasureProfile, R: float) -> SurfaceEstimate:
             stacklevel=2,
         )
         return SurfaceEstimate(0.0, 0.0, "exact", 0)
-    log_val = prof.m * math.log(R) - float(prof.phi.value(R)) - prof.log_Jm.log
+    log_val = prof.m * math.log(R) - float(prof.phi.value(R)) - prof.log_Jm
     return SurfaceEstimate(math.exp(log_val), 0.0, "exact", 0)
 
 
@@ -303,7 +293,7 @@ def _halfspace_law(prof, rho):
         return 0.0, None
     m = prof.m
     law = _radial_law(prof.phi, m - 1, rho)
-    return math.exp(prof.log_normalizer.log + math.log(m) + log_ball_volume(m)
+    return math.exp(prof.log_normalizer + math.log(m) + log_ball_volume(m)
                     + law.log_integral()), law
 
 
@@ -467,7 +457,7 @@ def sample_points(prof: MeasureProfile, n: int, seed: int) -> np.ndarray:
 
 
 def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
-    """Per-facet boundary contributions value_i = halfspace(rho_i) * p_i.
+    """Per-facet boundary contributions value_i = halfspace(|rho_i|) * p_i.
 
     p_i is the probability that a point y = rho_i X_i + s u on facet i's
     hyperplane meets the k = N-1 other constraints, with the radius s from
@@ -490,6 +480,10 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     coordinates of a uniform unit vector in R^(d-1).  Rank-deficient
     neighbours (parallel facets, slabs) need no special case.
 
+    A facet reads its offset rho_i only through rho_i^2, in the radial law
+    (built at |rho_i|), and through the signed anchor products rho_i
+    <X_i, X_j>, so the origin may lie outside the body.
+
     Each facet consumes an independent RNG stream derived from
     (seed, facet index), so any facet subset reproduces exactly.  Per chunk
     of _CHUNK samples the draw order is: g, then the chi^2 completion when
@@ -506,7 +500,7 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     if S < 1:
         raise InputError("samples_per_facet must be >= 1")
 
-    per_offset = {}  # rho -> (half-space value, radius table or None)
+    per_offset = {}  # |rho| -> (half-space value, radius table or None)
     values = np.zeros(idx.size)
     errors = np.zeros(idx.size)
     accepted = np.zeros(idx.size)
@@ -515,10 +509,11 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
 
     for pos, i in enumerate(idx):
         r = float(rho[i])
-        if r not in per_offset:
-            hs, law = _halfspace_law(prof, r)
-            per_offset[r] = hs, (_facet_table(law) if hs != 0.0 else None)
-        hs, table = per_offset[r]
+        dist = abs(r)
+        if dist not in per_offset:
+            hs, law = _halfspace_law(prof, dist)
+            per_offset[dist] = hs, (_facet_table(law) if hs != 0.0 else None)
+        hs, table = per_offset[dist]
         if hs == 0.0:
             continue  # facet outside the support: exact zero contribution
 
@@ -590,11 +585,6 @@ def polytope_surface_mc(prof: MeasureProfile, body,
 # Minkowski finite-difference oracle
 
 
-def _shell_count(v, eps):
-    """How many violations v lie in the shell (0, eps]."""
-    return int(np.count_nonzero((v > 0.0) & (v <= eps)))
-
-
 def minkowski_fd_surface(prof: MeasureProfile, body, epsilon: float,
                          samples: int, seed: int) -> SurfaceEstimate:
     """Minkowski difference quotient [mu(body + eps B) - mu(body)] / eps by
@@ -626,7 +616,7 @@ def minkowski_fd_surface(prof: MeasureProfile, body, epsilon: float,
         raise InputError("samples must be >= 1")
     d = prof.d
     if isinstance(body, (HalfSpace, Slab, Polytope, HyperRectangle)):
-        X, offsets = _constraint_rows(body)
+        X, offsets = as_facets(body)
         if X.shape[1] != d:
             raise InputError(f"body lives in R^{X.shape[1]}, measure in R^{d}")
         F = _gram_factor(X)
@@ -641,11 +631,12 @@ def minkowski_fd_surface(prof: MeasureProfile, body, epsilon: float,
     while done < samples:
         n = min(_CHUNK, samples - done)
         if isinstance(body, Ball):
-            shell = _shell_count(table.sample(rng.random(n)) - body.R, epsilon)
+            shell = _kernels.shell_count(table.sample(rng.random(n)) - body.R,
+                                         epsilon)
         elif isinstance(body, HyperRectangle):
             q = np.abs(_point_chunk(rng, table, d, n)) - body.half_widths
-            shell = _shell_count(np.linalg.norm(np.maximum(q, 0.0), axis=1),
-                                 epsilon)
+            shell = _kernels.shell_count(
+                np.linalg.norm(np.maximum(q, 0.0), axis=1), epsilon)
         else:
             r = table.sample(rng.random(n))
             w = _sphere_coordinates(rng, n, F.shape[1], d)

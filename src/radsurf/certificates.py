@@ -107,7 +107,7 @@ def xi1(prof: MeasureProfile, point: BoundaryPoint) -> float:
     log_h = (
         float(prof.phi.value(point.radius))
         - prof.m * math.log(point.radius)
-        + prof.log_Jm.log
+        + prof.log_Jm
     )
     try:
         return point.alpha * math.exp(log_h)
@@ -227,7 +227,8 @@ def certificate_upper_bound(
     So min_{dQ} xi1 is at least the single evaluation at rho = r_in and
     r = clip(r*, r_in, min(r_hi, R)); it is attained when the facet at
     r_in (always non-redundant) reaches that radius.  The reported value
-    is min(1/min xi1, m J_{m-1}/J_m).
+    is min(1/min xi1, m J_{m-1}/J_m).  The radial sweep needs the origin
+    in the body, so a slab that misses it is an InputError.
     """
     dirs, offs = as_facets(body)
     if dirs.shape[1] != prof.d:
@@ -237,6 +238,10 @@ def certificate_upper_bound(
     phi, m = prof.phi, prof.m
     R_sup = prof.support_radius
     r_in = float(offs.min())
+    if r_in < 0.0:
+        raise InputError(
+            "certificate needs the origin inside the body (every offset >= 0)"
+        )
     if r_in >= R_sup:
         raise InputError(
             "certificate found no boundary points: every facet lies "
@@ -250,7 +255,7 @@ def certificate_upper_bound(
         r = r_in
         if r_in < cap:
             r = min(cap, _facet_radius_range(dirs, offs, cap))
-        best = (math.log(r_in) + prof.log_Jm.log + float(phi.value(r))
+        best = (math.log(r_in) + prof.log_Jm + float(phi.value(r))
                 - (m + 1) * math.log(r))
 
     try:

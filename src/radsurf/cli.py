@@ -175,8 +175,8 @@ def parse_body(spec: str, dim: int):
 
 def _cmd_functionals(args) -> int:
     prof = _profile(args)
-    logJ = prof.log_Jm.log
-    log_g = prof.log_gm_t0.log
+    logJ = prof.log_Jm
+    log_g = prof.log_gm_t0
     row = {
         "measure": args.measure,
         "d": prof.d,
@@ -379,9 +379,9 @@ def _verify_rows(prof, seed: int) -> List[Dict]:
         am,
     ))
 
-    # t0 g_m(t0) / J_m from the log-scalars: each factor alone overflows
+    # t0 g_m(t0) / J_m from the logarithms: each factor alone overflows
     # for large m
-    mass_ratio = math.exp(prof.log_gm_t0.log + math.log(t0) - prof.log_Jm.log)
+    mass_ratio = math.exp(prof.log_gm_t0 + math.log(t0) - prof.log_Jm)
     lam = prof.lambda_sum
 
     if logconcave:

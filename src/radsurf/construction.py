@@ -107,8 +107,17 @@ def cap_probability(prof: MeasureProfile, r: float, rho: float) -> float:
 
 def sample_polytope(spec: PolytopeSpec, prof: MeasureProfile) -> Polytope:
     """The random polytope of a spec: N_eff i.i.d. uniform unit directions
-    (from spec.seed) with common offset rho."""
-    z = _rng(spec.seed).standard_normal((spec.N_eff, prof.d))
+    (from spec.seed) with common offset rho.
+
+    DegeneratePlanError when the N_eff x d directions cannot be allocated.
+    """
+    try:
+        z = _rng(spec.seed).standard_normal((spec.N_eff, prof.d))
+    except (MemoryError, ValueError):
+        raise DegeneratePlanError(
+            f"the plan's N_eff = {spec.N_eff} facets in d = {prof.d} are too "
+            f"many to allocate -- use a smaller c_rho"
+        ) from None
     return Polytope(_unit_rows(z), np.full(spec.N_eff, spec.rho))
 
 

@@ -28,7 +28,8 @@ class NormalizationError(InputError):
 
 class DegeneratePlanError(InputError):
     """The polytope construction degenerates at this dimension for the
-    chosen c_rho: the facet offset reaches the annulus inner radius."""
+    chosen c_rho: the facet offset reaches the annulus inner radius, or
+    the plan has too many facets to allocate."""
 
 
 class NumericsError(RadsurfError, ArithmeticError):

@@ -53,7 +53,6 @@ from .errors import InputError, NormalizationError, QuadratureError
 from .potential import RadialPotential
 
 __all__ = [
-    "LogScalar",
     "MeasureProfile",
     "solve_t0",
     "solve_lambda_inner",
@@ -75,32 +74,6 @@ WINDOW_NATS = 60.0
 
 #: Relative accuracy every radial quadrature must certify.
 _REL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class LogScalar:
-    """A positive scalar stored as its natural logarithm."""
-
-    log: float
-
-    @classmethod
-    def from_value(cls, x):
-        if x <= 0:
-            raise InputError(f"LogScalar requires a positive value, got {x}")
-        return cls(math.log(x))
-
-    @property
-    def value(self):
-        return math.exp(self.log)
-
-    def __float__(self):
-        return self.value
-
-    def __mul__(self, other):
-        return LogScalar(self.log + other.log)
-
-    def __truediv__(self, other):
-        return LogScalar(self.log - other.log)
 
 
 def _pred_edge(pred, t_true, t_false, iters=200):
@@ -381,19 +354,22 @@ class MeasureProfile:
 
     Holds everything downstream consumers (surface formulas, certificates,
     the polytope construction) need, so the potential is only integrated
-    once per (phi, d) pair.
+    once per (phi, d) pair.  ``log_gm_t0`` and ``log_J`` hold natural logs.
     """
 
     phi: RadialPotential
     d: int
-    m: int
     t0: float
-    log_gm_t0: LogScalar
-    log_J: Dict[int, LogScalar]
+    log_gm_t0: float
+    log_J: Dict[int, float]
     lambda_i: float
     lambda_o: float
     expectation: float
     variance: float
+
+    @property
+    def m(self):  # the radial exponent
+        return self.d - 1
 
     @property
     def lambda_sum(self):
@@ -402,7 +378,7 @@ class MeasureProfile:
     @property
     def lambda_ratio(self):
         """J_m / (t0 g_m(t0)): the effective relative width of the profile."""
-        return math.exp(self.log_J[self.m].log - math.log(self.t0) - self.log_gm_t0.log)
+        return math.exp(self.log_Jm - math.log(self.t0) - self.log_gm_t0)
 
     @property
     def log_Jm(self):
@@ -411,9 +387,7 @@ class MeasureProfile:
     @property
     def log_normalizer(self):
         """log C_d for the density C_d exp(-phi(|x|)): C_d = 1/(d nu_d J_m)."""
-        return LogScalar(
-            -(math.log(self.d) + log_ball_volume(self.d) + self.log_J[self.m].log)
-        )
+        return -(math.log(self.d) + log_ball_volume(self.d) + self.log_Jm)
 
     @property
     def support_radius(self):
@@ -428,11 +402,10 @@ def profile(phi, d):
     m = d - 1
     law_m = _radial_law(phi, m)  # t0 is its peak and g_m(t0) its peak value
     t0 = law_m.peak
-    log_gm_t0 = LogScalar(law_m.log_peak)
-    log_J = {k: LogScalar((law_m if k == m else _radial_law(phi, k)).log_integral())
+    log_J = {k: (law_m if k == m else _radial_law(phi, k)).log_integral()
              for k in (m - 1, m, m + 1, m + 2)}
-    expectation = math.exp(log_J[m + 1].log - log_J[m].log)
-    second_moment = math.exp(log_J[m + 2].log - log_J[m].log)
+    expectation = math.exp(log_J[m + 1] - log_J[m])
+    second_moment = math.exp(log_J[m + 2] - log_J[m])
     variance = second_moment - expectation * expectation
     if variance <= 0.0:
         raise QuadratureError(
@@ -442,9 +415,8 @@ def profile(phi, d):
     return MeasureProfile(
         phi=phi,
         d=d,
-        m=m,
         t0=t0,
-        log_gm_t0=log_gm_t0,
+        log_gm_t0=law_m.log_peak,
         log_J=log_J,
         lambda_i=solve_lambda_inner(phi, m, t0),
         lambda_o=solve_lambda_outer(phi, m, t0),
@@ -469,7 +441,7 @@ def theorem_bound_probabilistic(prof):
 
 def rough_upper_bound(prof):
     """Dimension-dependent bound m J_{m-1} / J_m valid for every convex body."""
-    return prof.m * math.exp(prof.log_J[prof.m - 1].log - prof.log_J[prof.m].log)
+    return prof.m * math.exp(prof.log_J[prof.m - 1] - prof.log_J[prof.m])
 
 
 def psi(prof, x):
@@ -486,8 +458,8 @@ def psi(prof, x):
 
 
 def tail_mass_bound(phi, m, t0, x, psi_floor):
-    """Upper bound for the unnormalized radial tail
-    int_{(1+x) t0}^inf t^m exp(-phi(t)) dt, as a LogScalar.
+    """Natural logarithm of an upper bound for the unnormalized radial tail
+    int_{(1+x) t0}^inf t^m exp(-phi(t)) dt.
 
     The caller supplies any positive psi_floor not exceeding the log-profile
     deficit psi = phi((1+x)t0) - phi(t0) - m log(1+x); the bound is then
@@ -505,9 +477,7 @@ def tail_mass_bound(phi, m, t0, x, psi_floor):
             f"exceeds the log-profile deficit {deficit:.6g} at x={x:.6g}"
         )
     log_g_t0 = m * math.log(t0) - float(phi.value(t0))
-    return LogScalar(
-        math.log(x) + math.log(t0) + log_g_t0 - math.log(psi_floor) - psi_floor
-    )
+    return math.log(x) + math.log(t0) + log_g_t0 - math.log(psi_floor) - psi_floor
 
 
 def mu_candidate(prof, mu=None):
@@ -531,4 +501,4 @@ def mu_candidate(prof, mu=None):
 
 def log_ball_volume(d):
     """log of the volume of the unit ball in R^d."""
-    return 0.5 * d * math.log(math.pi) - gammaln(0.5 * d + 1.0)
+    return float(0.5 * d * math.log(math.pi) - gammaln(0.5 * d + 1.0))

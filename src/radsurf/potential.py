@@ -236,16 +236,12 @@ class ShellDensity(RadialPotential):
         return self.R
 
     @property
-    def inner_radius(self):
-        return self.R - self.eps
-
-    @property
     def inner_support_radius(self):
         return self.R - self.eps
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        inside = (t > self.inner_radius) & (t <= self.R)
+        inside = (t > self.inner_support_radius) & (t <= self.R)
         return _match(t, np.where(inside, 0.0, math.inf))
 
     def derivative(self, t):
@@ -253,7 +249,7 @@ class ShellDensity(RadialPotential):
         return _match(t, np.zeros_like(t))
 
     def interior_knots(self):
-        return (self.inner_radius,)
+        return (self.inner_support_radius,)
 
 
 def gaussian():

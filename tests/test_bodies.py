@@ -311,6 +311,8 @@ def test_as_facets_covers_every_facet_body():
     assert np.array_equal(dirs, [e]) and np.array_equal(offs, [0.0])
     dirs, offs = as_facets(Slab(e, 0.4, 0.9))
     assert np.array_equal(dirs, [e, -e]) and np.array_equal(offs, [0.9, 0.4])
+    dirs, offs = as_facets(Slab(e, -0.2, 0.9))  # origin outside
+    assert np.array_equal(dirs, [e, -e]) and np.array_equal(offs, [0.9, -0.2])
     dirs, offs = as_facets(HyperRectangle([0.5, 1.0, 2.0]))
     eye = np.eye(3)
     assert np.array_equal(dirs, np.vstack([eye, -eye]))
@@ -318,7 +320,7 @@ def test_as_facets_covers_every_facet_body():
     poly = Polytope(directions=[e], offsets=[0.7])
     dirs, offs = as_facets(poly)
     assert dirs is poly.directions and offs is poly.offsets
-    for body in (Slab(e, -0.2, 0.9), Ball(1.0), SphereShell(1.0)):
+    for body in (Ball(1.0), SphereShell(1.0)):
         with pytest.raises(InputError):
             as_facets(body)
 
@@ -349,6 +351,19 @@ def test_opposing_facets_match_slab(get_profile):
     est = polytope_surface_mc(pr, body, samples_per_facet=2000, seed=5)
     exact = slab_surface(pr, 0.4, 0.9).value
     assert est.value == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "table"])
+def test_facet_mc_matches_slab_off_the_origin(name, get_profile):
+    # the slab {1 <= x_0 <= 2} misses the origin: each facet reads its
+    # offset through rho^2 (the law at |rho|) and the signed products
+    # rho <X_i, X_j>, and both chords are the whole hyperplane
+    pr = get_profile(name, 3)
+    slab = Slab(direction=[1.0, 0.0, 0.0], rho1=-1.0, rho2=2.0)
+    est = polytope_surface_mc(pr, slab, samples_per_facet=2000, seed=5)
+    assert est.value == pytest.approx(slab_surface(pr, -1.0, 2.0).value,
+                                      rel=1e-12)
+    assert est.std_error == 0.0
 
 
 def test_redundant_facet_contributes_nothing(get_profile):

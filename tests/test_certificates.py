@@ -246,6 +246,14 @@ def test_certificate_dominates_halfspace_and_slab(get_profile):
     assert cert2.value >= slab_surface(pr, 0.6, 1.1).value
 
 
+def test_certificate_refuses_a_slab_that_misses_the_origin(get_profile):
+    # the radial sweep needs the origin inside the body; facet Monte Carlo
+    # takes this slab (see test_bodies)
+    pr = get_profile("gaussian", 3)
+    with pytest.raises(InputError, match="origin inside"):
+        certificate_upper_bound(pr, Slab([1.0, 0.0, 0.0], -0.2, 0.9))
+
+
 @pytest.mark.parametrize("name,d", [("gaussian", 3), ("gp1", 8)])
 def test_certificate_sound_on_random_polytopes(name, d, get_profile):
     pr = get_profile(name, d)

@@ -342,6 +342,48 @@ def test_construct_degenerate_plan_fails_cleanly(capsys):
     assert "degenerates" in err
 
 
+@pytest.mark.parametrize("dim", ["256", "1024"])
+def test_construct_plan_too_large_to_allocate_fails_cleanly(dim, capsys):
+    # N_eff is 7.5e14 at d = 256 (numpy raises MemoryError) and 4.4e30 at
+    # d = 1024 (ValueError); neither allocates anything
+    code, out, err = run_cli(capsys, "construct", "--measure", "gaussian",
+                             "--dim", dim, "--c-rho", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the plan's N_eff = ")
+    assert f"in d = {dim} are too many to allocate" in err
+    assert err.count("\n") == 1
+
+
+def test_sweep_plan_too_large_to_allocate_is_a_nan_row(capsys):
+    # d = 64: the offset degenerates; d = 256: N_eff = 7.5e14 facets
+    code, out, _ = run_cli(capsys, "sweep", "--measure", "gaussian",
+                           "--dims", "64,256", "--c-rho", "3",
+                           "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["d"]) for r in rows] == [64, 256]
+    for r in rows:
+        assert r["construction_estimate"] == r["construction_stderr"] == "nan"
+        assert float(r["theorem_bound"]) > 0
+
+
+def test_surface_mc_slab_off_the_origin(capsys):
+    # the slab {1 <= x_0 <= 2} misses the origin; facet MC takes it and
+    # matches the exact value, while the certificate refuses it
+    args = ("--measure", "gaussian", "--dim", "3",
+            "--body", "slab:rho1=-1,rho2=2")
+    rows = []
+    for method in ("mc", "exact"):
+        code, out, _ = run_cli(capsys, "surface", *args, "--method", method,
+                               "--samples", "2000", "--format", "json")
+        assert code == 0
+        rows.append(json.loads(out))
+    assert rows[0]["value"] == rows[1]["value"] == 0.295961691032
+    code, out, err = run_cli(capsys, "certificate", *args)
+    assert code == 2 and out == "" and "origin inside" in err
+
+
 @pytest.mark.parametrize("cmd, dims", [("construct", "--dim"),
                                         ("sweep", "--dims")])
 def test_non_finite_c_rho_exits_2(cmd, dims, capsys):

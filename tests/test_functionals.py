@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -5,7 +6,6 @@ import pytest
 
 from radsurf.errors import InputError, NormalizationError
 from radsurf.functionals import (
-    LogScalar,
     log_ball_volume,
     mu_candidate,
     profile,
@@ -19,19 +19,6 @@ from radsurf.functionals import (
 from radsurf.potential import ball, gaussian, power, tabulated
 
 from conftest import make_random_table
-
-
-def test_logscalar_arithmetic():
-    a = LogScalar.from_value(3.0)
-    b = LogScalar.from_value(1.5)
-    assert (a * b).value == pytest.approx(4.5, rel=1e-15)
-    assert (a / b).value == pytest.approx(2.0, rel=1e-15)
-    assert float(a) == pytest.approx(3.0, rel=1e-15)
-    assert LogScalar(800.0).log == 800.0  # representable beyond float overflow
-    with pytest.raises(InputError):
-        LogScalar.from_value(0.0)
-    with pytest.raises(InputError):
-        LogScalar.from_value(-2.0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 10, 50])
@@ -68,7 +55,7 @@ def test_gaussian_radial_moments_closed_form(d):
     pr = profile(gaussian(), d)
     for k in (m - 1, m, m + 1):
         expected = 0.5 * (k - 1) * math.log(2.0) + math.lgamma(0.5 * (k + 1))
-        assert pr.log_J[k].log == pytest.approx(expected, rel=1e-12)
+        assert pr.log_J[k] == pytest.approx(expected, rel=1e-12)
     # |X| is chi with d degrees of freedom
     mean = math.sqrt(2.0) * math.exp(
         math.lgamma(0.5 * (d + 1)) - math.lgamma(0.5 * d)
@@ -84,14 +71,14 @@ def test_power_radial_moments_closed_form(p):
     pr = profile(power(p), d)
     for k in (m, m + 1):
         expected = ((k + 1) / p - 1.0) * math.log(p) + math.lgamma((k + 1) / p)
-        assert pr.log_J[k].log == pytest.approx(expected, rel=1e-12)
+        assert pr.log_J[k] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 11, 64])
 def test_ball_moments_and_spread_closed_form(d):
     m = d - 1
     pr = profile(ball(1.0), d)
-    assert pr.log_J[m].log == pytest.approx(-math.log(m + 1), abs=1e-12)
+    assert pr.log_J[m] == pytest.approx(-math.log(m + 1), abs=1e-12)
     assert pr.expectation == pytest.approx(d / (d + 1), rel=1e-12)
     assert pr.variance == pytest.approx(
         d / (d + 2) - (d / (d + 1)) ** 2, rel=1e-9
@@ -108,7 +95,7 @@ def test_gaussian_spread_frozen_values():
     assert pr.lambda_o == pytest.approx(0.7737511721266271, rel=1e-10)
     assert pr.lambda_sum == pr.lambda_i + pr.lambda_o
     assert pr.lambda_ratio == pytest.approx(
-        math.exp(pr.log_J[2].log - pr.log_gm_t0.log) / pr.t0, rel=1e-12
+        math.exp(pr.log_J[2] - pr.log_gm_t0) / pr.t0, rel=1e-12
     )
 
 
@@ -143,7 +130,7 @@ def test_quadrature_matches_mpmath_reference():
         hi = cut[0] if cut else mp.inf
         Jm = mp.quad(lambda t: t**m * mp.e ** (-f(t)), [0, hi])
         Jm1 = mp.quad(lambda t: t ** (m + 1) * mp.e ** (-f(t)), [0, hi])
-        assert pr.log_J[m].log == pytest.approx(float(mp.log(Jm)), abs=1e-11)
+        assert pr.log_J[m] == pytest.approx(float(mp.log(Jm)), abs=1e-11)
         assert pr.expectation == pytest.approx(float(Jm1 / Jm), rel=1e-11)
 
 
@@ -173,7 +160,7 @@ def test_tabulated_quadrature_matches_mpmath_reference():
     pts = grid + [mp.inf]
     Jm = mp.quad(lambda t: t**m * mp.e ** (-f(t)), pts)
     Jm1 = mp.quad(lambda t: t ** (m + 1) * mp.e ** (-f(t)), pts)
-    assert pr.log_J[m].log == pytest.approx(float(mp.log(Jm)), abs=1e-11)
+    assert pr.log_J[m] == pytest.approx(float(mp.log(Jm)), abs=1e-11)
     assert pr.expectation == pytest.approx(float(Jm1 / Jm), rel=1e-11)
 
 
@@ -188,7 +175,7 @@ def test_bound_formulas_recompute_from_fields(get_profile):
             rel=1e-14,
         )
         assert rough_upper_bound(pr) == pytest.approx(
-            pr.m * math.exp(pr.log_J[pr.m - 1].log - pr.log_J[pr.m].log),
+            pr.m * math.exp(pr.log_J[pr.m - 1] - pr.log_J[pr.m]),
             rel=1e-14,
         )
 
@@ -196,7 +183,7 @@ def test_bound_formulas_recompute_from_fields(get_profile):
 def test_gaussian_frozen_reference_values(get_profile):
     pr = get_profile("gaussian", 10)
     assert pr.t0 == pytest.approx(3.0, rel=1e-12)
-    assert pr.log_J[9].value == pytest.approx(384.0, rel=1e-10)
+    assert math.exp(pr.log_J[9]) == pytest.approx(384.0, rel=1e-10)
     assert pr.lambda_ratio == pytest.approx(0.58538804077, rel=1e-9)
     assert theorem_bound(pr) == pytest.approx(1.30700749227, rel=1e-9)
     assert rough_upper_bound(pr) == pytest.approx(3.0843277598, rel=1e-9)
@@ -229,13 +216,13 @@ def test_tail_mass_bound_frozen_and_sound(get_profile):
     pr = get_profile("gaussian", 3)
     deficit = psi(pr, 1.0)
     bound = tail_mass_bound(pr.phi, pr.m, pr.t0, 1.0, deficit)
-    assert bound.value == pytest.approx(0.1284111515552577, rel=1e-10)
+    assert math.exp(bound) == pytest.approx(0.1284111515552577, rel=1e-10)
     # sound: it dominates the true tail int_{2 t0}^inf t^2 e^{-t^2/2} dt
     mp.mp.dps = 30
     true_tail = float(
         mp.quad(lambda t: t**2 * mp.e ** (-(t**2) / 2), [2 * pr.t0, mp.inf])
     )
-    assert bound.value >= true_tail
+    assert math.exp(bound) >= true_tail
     with pytest.raises(InputError):
         tail_mass_bound(pr.phi, pr.m, pr.t0, -1.0, deficit)
     with pytest.raises(InputError):
@@ -284,6 +271,16 @@ def test_log_ball_volume_closed_forms():
     assert log_ball_volume(1) == pytest.approx(math.log(2.0), rel=1e-14)
 
 
+def test_profile_logarithms_are_floats_and_m_follows_d(get_profile):
+    pr = get_profile("gaussian", 1024)  # J_m alone overflows a double here
+    logs = [pr.log_gm_t0, pr.log_Jm, pr.log_normalizer, *pr.log_J.values()]
+    assert all(type(x) is float for x in logs)
+    assert pr.log_Jm > 700.0
+    assert "m" not in {f.name for f in dataclasses.fields(pr)}
+    assert pr.m == 1023
+    assert dataclasses.replace(pr, d=5).m == 4
+
+
 def test_support_radius_and_normalizer(get_profile):
     pr = get_profile("ball", 6)
     assert pr.support_radius == 1.0
@@ -291,7 +288,7 @@ def test_support_radius_and_normalizer(get_profile):
     total = (
         math.log(pr.d)
         + log_ball_volume(pr.d)
-        + pr.log_J[pr.m].log
-        + pr.log_normalizer.log
+        + pr.log_J[pr.m]
+        + pr.log_normalizer
     )
     assert total == pytest.approx(0.0, abs=1e-12)

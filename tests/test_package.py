@@ -5,6 +5,7 @@ import importlib.util
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import radsurf
@@ -24,10 +25,11 @@ def test_every_exported_name_resolves(modname):
     assert set(exported) <= set(namespace)
 
 
-def _perfbench_tracing():
-    """perfbench/tracing.py, loaded by file path (perfbench is no package)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _perfbench(name):
+    """perfbench/<name>.py, loaded by file path (perfbench is no package;
+    importing its modules has no side effects)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -39,7 +41,7 @@ def test_every_name_the_benchmark_pins_resolves():
     from radsurf import functionals
     from radsurf.certificates import CertificateReport
 
-    tracing = _perfbench_tracing()
+    tracing = _perfbench("tracing")
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _, _ in tracing._targets()
                if attr not in vars(owner)]
@@ -50,6 +52,25 @@ def test_every_name_the_benchmark_pins_resolves():
     assert tracing._potential_classes()
     with tracing.LayerPatch(tracing.Tracer()):
         pass
+
+
+def test_the_benchmark_fingerprints_every_result_type(get_profile):
+    # the benchmark fingerprints each op's result and fails the run on a
+    # field type it cannot read (a numpy scalar or a list, say)
+    fingerprint = _perfbench("run").fingerprint
+    pr = get_profile("gaussian", 16)
+    box = radsurf.HyperRectangle(np.full(16, 1.5))
+    results = [
+        pr,
+        radsurf.sphere_surface(pr, pr.t0),
+        radsurf.polytope_surface_mc(pr, box, 100, seed=1),
+        radsurf.minkowski_fd_surface(pr, box, 0.05, 1000, seed=2),
+        radsurf.certificate_upper_bound(pr, box),
+        radsurf.expected_surface(pr, c_rho=1.0, trials=2,
+                                 samples_per_facet=100, seed=3),
+    ]
+    for result in results:
+        assert isinstance(fingerprint(result), str), type(result).__name__
 
 
 def _source_trees():
@@ -103,7 +124,7 @@ def test_no_unreferenced_private_helper():
     # unless the benchmark wraps it by name
     trees = _source_trees()
     referenced = _read_names(trees)
-    pinned = {attr for _, attr, _, _ in _perfbench_tracing()._targets()}
+    pinned = {attr for _, attr, _, _ in _perfbench("tracing")._targets()}
     dead = [f"{modname}.{node.name}"
             for modname, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
