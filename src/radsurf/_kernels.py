@@ -9,17 +9,21 @@ Facet chords
 `facet_chords` returns, per sample direction a_r, the chord
 {s >= 0 : s <a_r, x_j> <= c_j for every j}, c_j = offsets_j - base_j:
 the radii at which the point anchor + s a_r meets every constraint
-base_j + s <a_r, x_j> <= offsets_j.  The constraints with c_j > 0 bound it
-from above only, at
+base_j + s <a_r, x_j> <= offsets_j.  It does so for each direction and for
+its reflection -a_r (antithetic directions), from one product.  The
+constraints with c_j > 0 bound a chord from above only, at
 
     hi_r = 1 / M_r,   M_r = max_j v_rj,   v_rj = fl64(i_j fl64(<a_r, x_j>)),
 
-i_j = fl64(1 / c_j), and hi_r = inf when M_r <= 0.  That is one matrix
-product and one row maximum; it covers every constraint of a construction
-polytope, a box or a circumscribed polytope.  The rare constraints with
-c_j <= 0 are evaluated densely in float64: c_j < 0 with <a_r, x_j> < 0
-raises the lower end to c_j / <a_r, x_j>, and the chord is empty when
-c_j < 0 and <a_r, x_j> >= 0 or when c_j = 0 and <a_r, x_j> > 0.
+i_j = fl64(1 / c_j), and hi_r = inf when M_r <= 0.  Negation is exact in
+floating point, so v_rj of -a_r is -v_rj and M_r of -a_r is -min_j v_rj:
+one matrix product, reduced per row by its maximum and its minimum, gives
+both upper ends.  That covers every constraint of a construction polytope,
+a box or a circumscribed polytope.  The rare constraints with c_j <= 0 are
+evaluated densely in float64, with -<a_r, x_j> for -a_r: c_j < 0 with
+<a_r, x_j> < 0 raises the lower end to c_j / <a_r, x_j>, and the chord is
+empty when c_j < 0 and <a_r, x_j> >= 0 or when c_j = 0 and
+<a_r, x_j> > 0.
 
 Below _FLOAT32_MIN_D columns or _FLOAT32_MIN_K constraints the product is
 taken in float64.  Above, M_r comes from a filtered predicate (Shewchuk
@@ -51,15 +55,20 @@ rounding of m_r and of R_r - 2 m_r), bounds |t_rj - v_rj|.  Let j* be the
 argmax of v_rj and R_r = max_j t_rj, attained at j'; then
 t_rj* >= v_rj* - m_r >= v_rj' - m_r >= R_r - 2 m_r.  Every pair with
 t_rj >= R_r - 2 m_r is a candidate; the kernel recomputes only those in
-float64 and returns their maximum, which is v_rj*.  The constraints go in
+float64 and returns their maximum, which is v_rj*.  For -a_r the same
+argument holds with a_r -> -a_r: |a_r| and so m_r are unchanged, and t_rj
+and v_rj change sign exactly, so the candidates are the pairs with
+t_rj <= min_j t_rj + 2 m_r and the float64 minimum over them is
+min_j v_rj.  One float64 pass rechecks both sets.  The constraints go in
 blocks of max(1, 2^22 // n), which bounds the float32 working set; a
-block's candidates are collected against the running maximum of t over the
-blocks so far, which only grows, so the final filter against R_r loses
-none.  The bounds assume no float32 overflow: the product is taken in
-float64 unless P <= 2^100 and d u < 1/2, and then every float32 quantity
-above stays below 2^102.  The recheck's inner products come from another
-evaluation order than a BLAS product, so M_r can differ from the float64
-path's in its last bits, which moves w = F(hi) - F(lo) by as little.
+block's candidates are collected against the running maximum and minimum
+of t over the blocks so far, which only grow and shrink, so the final
+filter against the row's extremes loses none.  The bounds assume no
+float32 overflow: the product is taken in float64 unless P <= 2^100 and
+d u < 1/2, and then every float32 quantity above stays below 2^102.  The
+recheck's inner products come from another evaluation order than a BLAS
+product, so M_r can differ from the float64 path's in its last bits, which
+moves w = F(hi) - F(lo) by as little.
 """
 
 import math
@@ -71,7 +80,11 @@ _U64 = 2.0 ** -53
 _ETA = 2.0 ** -150
 _SAFE = 2.0 ** 100
 _BLOCK_ENTRIES = 1 << 22  # float32 entries of one block of products
-_RECHECK_ENTRIES = 1 << 20  # float64 entries gathered per recheck step
+# float64 entries gathered per recheck step, few enough that the gathered
+# rows are still in cache for the inner products (2-core x86 host: 4100
+# candidates at d = 1023 took 6.6 ms in steps of 2^16 entries, 20-24 ms in
+# steps of 2^20)
+_RECHECK_ENTRIES = 1 << 16
 # float64 entries of one block of the float64 product: at 20000 samples of
 # 68 coordinates (construct-d256) one 10.9 MB block raised the peak RSS by
 # 10 MB over blocks of at most 8 MB (glibc's dynamic mmap threshold)
@@ -89,21 +102,24 @@ def _gamma(n, u):
 
 
 def facet_chords(dirs, normals, base, offsets):
-    """Per sample r, the chord [lo_r, hi_r] of radii s >= 0 at which
-    base[j] + s <dirs[r], normals[j]> <= offsets[j] holds for every j, as
-    the float64 expressions give it (see the module docstring).  An empty
+    """The chords [lo, hi] of radii s >= 0 at which
+    base[j] + s <a, normals[j]> <= offsets[j] holds for every j, for the
+    2n directions a of [dirs; -dirs]: entry r < n is the chord of dirs[r],
+    entry n + r that of its reflection -dirs[r], both from one product, as
+    the float64 expressions give them (see the module docstring).  An empty
     chord reads lo = hi = 0; with no constraints every chord is [0, inf).
     """
     n = dirs.shape[0]
-    lo = np.zeros(n)
-    hi = np.full(n, math.inf)
+    lo = np.zeros(2 * n)
+    hi = np.full(2 * n, math.inf)
     if normals.shape[0] == 0 or n == 0:
         return lo, hi
     slack = offsets - base
     up = slack > 0.0
-    empty = np.zeros(n, dtype=bool)
+    empty = np.zeros(2 * n, dtype=bool)
     if not up.all():
         t = dirs @ normals[~up].T
+        t = np.concatenate([t, -t])
         c = slack[~up]
         neg = c < 0.0
         empty = np.any(t > 0.0, axis=1) | np.any(neg & (t == 0.0), axis=1)
@@ -113,7 +129,8 @@ def facet_chords(dirs, normals, base, offsets):
     if up.any():
         # 1 / c_j on the upper constraints; a zero row never lowers hi
         inv = np.divide(1.0, slack, out=np.zeros_like(slack), where=up)
-        top = _row_max(dirs, normals, inv)
+        top, bottom = _row_extremes(dirs, normals, inv)
+        top = np.concatenate([top, -bottom])  # M_r of dirs, then of -dirs
         hi = np.divide(1.0, top, out=hi, where=top > 0.0)
     empty |= ~(lo < hi)
     lo[empty] = 0.0
@@ -121,46 +138,60 @@ def facet_chords(dirs, normals, base, offsets):
     return lo, hi
 
 
-def _row_max(dirs, normals, inv):
-    """max_j inv[j] <dirs[r], normals[j]> per row r (the module docstring's
-    M_r), in float32 with a float64 recheck on large products, else in
-    float64."""
+def _row_extremes(dirs, normals, inv):
+    """max_j and min_j of inv[j] <dirs[r], normals[j]> per row r (the module
+    docstring's M_r of dirs[r] and -M_r of -dirs[r]), in float32 with a
+    float64 recheck on large products, else in float64."""
     n, d = dirs.shape
     k = normals.shape[0]
     margin2 = None
     if d >= _FLOAT32_MIN_D and k >= _FLOAT32_MIN_K:
         margin2 = _chord_margins(dirs, normals, inv)
     top = np.full(n, -np.inf)
+    bottom = np.full(n, np.inf)
     if margin2 is None:
-        for blk in _blocks(k, _BLOCK64_ENTRIES // n):
-            t = normals[blk] @ dirs.T
+        blocks = _blocks(k, _BLOCK64_ENTRIES // n)
+        buf = np.empty((blocks[0].stop, n))
+        for blk in blocks:
+            t = buf[:blk.stop - blk.start]
+            np.matmul(normals[blk], dirs.T, out=t)
             t *= inv[blk, None]
             np.maximum(top, t.max(axis=0), out=top)
-        return top
+            np.minimum(bottom, t.min(axis=0), out=bottom)
+        return top, bottom
     blocks = _blocks(k, _BLOCK_ENTRIES // n)
     a32 = dirs.astype(np.float32)
     inv32 = inv.astype(np.float32)
     buf = np.empty((blocks[0].stop, d), dtype=np.float32)
-    run = np.full(n, -np.inf, dtype=np.float32)
+    run_top = np.full(n, -np.inf, dtype=np.float32)
+    run_bottom = np.full(n, np.inf, dtype=np.float32)
     found = []
     for blk in blocks:
         y32 = buf[:blk.stop - blk.start]
         y32[...] = normals[blk]
         y32 *= inv32[blk, None]
-        t = y32 @ a32.T  # (block, rows): row maxima reduce over axis 0
-        np.maximum(run, t.max(axis=0), out=run)
-        flat = np.flatnonzero(t >= _below32(run - margin2))
+        t = y32 @ a32.T  # (block, rows): row extremes reduce over axis 0
+        np.maximum(run_top, t.max(axis=0), out=run_top)
+        np.minimum(run_bottom, t.min(axis=0), out=run_bottom)
+        near = t >= _below32(run_top - margin2)
+        near |= t <= _above32(run_bottom + margin2)
+        flat = np.flatnonzero(near)
         found.append((flat // n + blk.start, flat % n, t.ravel()[flat]))
     j, r, t = (np.concatenate(parts) for parts in zip(*found))
-    keep = t >= run[r] - margin2[r]
+    near_top = t >= run_top[r] - margin2[r]
+    near_bottom = t <= run_bottom[r] + margin2[r]
+    keep = near_top | near_bottom
     j, r = j[keep], r[keep]
+    near_top, near_bottom = near_top[keep], near_bottom[keep]
     step = max(1, _RECHECK_ENTRIES // d)
     for i0 in range(0, j.size, step):
-        jj, rr = j[i0:i0 + step], r[i0:i0 + step]
+        sl = slice(i0, i0 + step)
+        jj, rr = j[sl], r[sl]
         v = np.einsum("ij,ij->i", dirs[rr], normals[jj])
         v *= inv[jj]
-        np.maximum.at(top, rr, v)
-    return top
+        np.maximum.at(top, rr[near_top[sl]], v[near_top[sl]])
+        np.minimum.at(bottom, rr[near_bottom[sl]], v[near_bottom[sl]])
+    return top, bottom
 
 
 def _blocks(k, step):
@@ -187,6 +218,12 @@ def _below32(x):
     """float32 values no larger than the float64 values x."""
     x32 = x.astype(np.float32)
     return np.where(x32 > x, np.nextafter(x32, np.float32(-np.inf)), x32)
+
+
+def _above32(x):
+    """float32 values no smaller than the float64 values x."""
+    x32 = x.astype(np.float32)
+    return np.where(x32 < x, np.nextafter(x32, np.float32(np.inf)), x32)
 
 
 def facet_accept_count(dirs, scales, normals, base, offsets):

@@ -13,7 +13,8 @@ Polytopes are integrated facet by facet with Monte Carlo on each facet's
 hyperplane: per sample, by rotation invariance, only the min(N-1, d-1)
 direction coordinates that the other facets' normals can see, and the
 radius integrated out exactly over the chord of accepted radii, with the
-CDF of the on-hyperplane radius table.  Independently, the
+CDF of the on-hyperplane radius table, and each direction scored together
+with its reflection (antithetic pairs).  Independently, the
 Minkowski difference quotient [mu(Q + eps B) - mu(Q)] / eps is estimated
 by direct sampling as a validation oracle, which likewise draws only what
 the body's shell test reads.  Both draw directions with
@@ -123,7 +124,9 @@ class HalfSpace:
             self, "direction", _as_unit_rows(self.direction, "half-space direction")[0]
         )
         if not (math.isfinite(self.offset) and self.offset >= 0):
-            raise InputError(f"half-space offset must be >= 0, got {self.offset}")
+            raise InputError(
+                f"half-space offset must be finite and >= 0, got {self.offset}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,8 +369,23 @@ class _InverseCdfTable:
 
     def cdf_at(self, t):
         """The piecewise-linear CDF that `sample` inverts: P(sample <= t)
-        for a uniform input, 0 below the window and 1 above it."""
-        return np.interp(t, self.grid, self.cdf)
+        for a uniform input, 0 below the window and 1 above it.
+
+        Bit for bit np.interp(t, grid, cdf), with its formula, but without
+        its binary search: the grid is uniform, so a point's knot interval
+        is its offset over the knot spacing, which rounding can put one
+        knot off; one comparison on each side corrects that.
+        """
+        g, c = self.grid, self.cdf
+        # np.interp's slope on each knot interval, and 0 past the last knot
+        slope = np.append(np.diff(c) / np.diff(g), 0.0)
+        x = np.clip(t, g[0], g[-1])
+        # fmin maps nan to the last interval, where the formula gives nan
+        scale = (g.size - 1) / (g[-1] - g[0])
+        j = np.fmin((x - g[0]) * scale, g.size - 2).astype(np.intp)
+        j -= x < g[j]
+        j += x >= g[j + 1]
+        return slope[j] * (x - g[j]) + c[j]
 
 
 def _radial_table(prof: MeasureProfile) -> _InverseCdfTable:
@@ -396,13 +414,16 @@ def _point_chunk(rng, table, d, n):
     return r[:, None] * _sphere_coordinates(rng, n, d, d)
 
 
-def _sphere_coordinates(rng, n, k, m):
+def _sphere_coordinates(rng, n, k, m, out=None):
     """(n, k) array: the first k <= m coordinates of n uniform unit vectors
     in R^m, g / sqrt(|g|^2 + chi^2_(m-k)) with g ~ N(0, I_k).  Draws g,
-    then the chi^2 completion if k < m; k = 0 draws nothing."""
+    then the chi^2 completion if k < m; k = 0 draws nothing.  Written into
+    `out`, a C-contiguous (n, k) array, when given; the draws are the same."""
+    if out is None:
+        out = np.empty((n, k))
     if k == 0:
-        return np.empty((n, 0))
-    g = rng.standard_normal((n, k))
+        return out
+    g = rng.standard_normal(out=out)
     sq = np.einsum("ij,ij->i", g, g)
     if k < m:
         sq += rng.chisquare(m - k, n)
@@ -464,13 +485,19 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     the exact on-hyperplane density and the direction u uniform on the unit
     sphere of X_i^perp.  For each direction the accepted radii form one
     chord [lo, hi] (`_kernels.facet_chords`), so the radius is integrated
-    out exactly: a sample scores w = F(hi) - F(lo), F the CDF of the
-    radius table (the piecewise-linear CDF that its sampler inverts), and
-    p_i = E[w].  This is directional simulation; by Rao-Blackwellisation
-    var(w) <= p_i (1 - p_i), the variance of scoring each sample's
-    acceptance 0 or 1.  The std_error is hs sqrt(var(w) / S), var(w) the
-    sample variance over the S samples; NaN at S = 1, where the sample
-    variance is undefined.
+    out exactly: a direction u scores w(u) = F(hi) - F(lo), F the CDF of
+    the radius table (the piecewise-linear CDF that its sampler inverts),
+    and p_i = E[w].  This is directional simulation; by
+    Rao-Blackwellisation var(w) <= p_i (1 - p_i), the variance of scoring
+    each sample's acceptance 0 or 1.  The reflection -u is uniform too, and
+    its chord comes from the same product (`facet_chords` returns both), so
+    a sample scores the pair mean (w(u) + w(-u)) / 2 (antithetic variates,
+    Hammersley and Morton 1956): still unbiased, with half of var(w) when
+    w(u) and w(-u) are uncorrelated, less when they are negatively
+    correlated, and var(w) itself when w(u) = w(-u), as on a box.  The
+    std_error is hs sqrt(var / S), var the sample variance of the S pair
+    means, which holds whatever the pair correlation; NaN at S = 1, where
+    the sample variance is undefined.
 
     Acceptance reads u only through its products with the neighbour
     normals projected into X_i^perp, whose law depends on those normals
@@ -487,11 +514,11 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     Each facet consumes an independent RNG stream derived from
     (seed, facet index), so any facet subset reproduces exactly.  Per chunk
     of _CHUNK samples the draw order is: g, then the chi^2 completion when
-    q < d-1.
+    q < d-1; every chunk is drawn into one block, reused by every facet.
 
     Returns (values, std_errors, accepted, attempted) arrays over the
-    requested facets; accepted is the sum of w, the expected number of
-    accepted radii.
+    requested facets; accepted is the sum of the pair means, the expected
+    number of accepted radii.
     """
     X, rho = as_facets(body)
     N, d = X.shape
@@ -506,6 +533,7 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     accepted = np.zeros(idx.size)
     attempted = np.zeros(idx.size, dtype=bool)
     coords = np.empty((N - 1, d - 1))  # the normals of every facet in turn
+    block = np.empty((min(S, _CHUNK), min(N - 1, d - 1)))  # the directions
 
     for pos, i in enumerate(idx):
         r = float(rho[i])
@@ -527,11 +555,13 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         done = 0
         while done < S:
             n = min(_CHUNK, S - done)
-            u = _sphere_coordinates(rng, n, normals.shape[1], d - 1)
-            lo, hi = _kernels.facet_chords(u, normals, base, ro)
+            u = _sphere_coordinates(rng, n, normals.shape[1], d - 1,
+                                    out=block[:n])
+            lo, hi = _kernels.facet_chords(u, normals, base, ro)  # u, then -u
             w = table.cdf_at(hi)
             if lo.any():
                 w -= table.cdf_at(lo)
+            w = 0.5 * (w[:n] + w[n:])
             mean = w.mean()
             # Chan's update of the squared deviations over the chunks
             sq += float(np.square(w - mean).sum())

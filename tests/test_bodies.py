@@ -2,10 +2,12 @@ import collections
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 
 from radsurf import bodies
 from radsurf.errors import InputError, NumericsError
@@ -261,6 +263,20 @@ def test_sphere_coordinates_of_a_full_vector_draw_no_chi2():
     assert np.all(np.linalg.norm(w, axis=1) < 1.0)
 
 
+@pytest.mark.parametrize("k", [4, 6])
+def test_sphere_coordinates_into_a_buffer_draw_the_same_bits(k):
+    # k < m (with the chi^2 completion) and k = m: the buffer form draws
+    # the same stream, whatever the buffer held before
+    n, m = 500, 6
+    rng, ref = bodies._rng(5), bodies._rng(5)
+    buf = np.full((n + 7, k), np.nan)
+    got = _sphere_coordinates(rng, n, k, m, out=buf[:n])
+    want = _sphere_coordinates(ref, n, k, m)
+    assert got.base is buf
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert rng.random() == ref.random()
+
+
 # --- inverse-CDF tables ----------------------------------------------------
 
 
@@ -292,6 +308,27 @@ def test_ball_facet_cdf_matches_closed_form(get_profile):
     s = np.linspace(a, b, 10_001)
     exact = (s ** m - a ** m) / (b ** m - a ** m)
     assert np.abs(table.cdf_at(s) - exact).max() < 1e-6
+
+
+@pytest.mark.parametrize("d", [3, 64])
+@pytest.mark.parametrize("name", MEASURE_NAMES)
+def test_cdf_at_is_np_interp_bit_for_bit(name, d, get_profile):
+    # the knot interval comes from index arithmetic on the uniform grid;
+    # the values must be np.interp's, at and around every knot, outside
+    # the window and at 0 and inf, without a warning (no 0 * inf)
+    pr = get_profile(name, d)
+    table = _facet_table(_radial_law(pr.phi, pr.m - 1, 0.35 * pr.t0))
+    g = table.grid
+    t = np.concatenate([
+        g, np.nextafter(g, -np.inf), np.nextafter(g, np.inf),
+        [0.0, math.inf, g[0] - 1.0, 0.5 * g[0], g[-1] + 1.0, 2.0 * g[-1]],
+        np.random.default_rng(7).uniform(g[0], g[-1], 10_000),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = table.cdf_at(t)
+    want = np.interp(t, g, table.cdf)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_table_with_a_jump_inside_its_window_raises():
@@ -488,6 +525,80 @@ def test_tiny_triangle_gets_perimeter_times_density(get_profile):
     assert est.value == pytest.approx(exact, rel=1e-5)
     assert math.isfinite(est.std_error) and est.std_error < 1e-12 * est.value
     assert est.note == ""
+
+
+@pytest.mark.parametrize("name", ["gaussian", "gp4", "table"])
+def test_pair_mean_is_the_edge_integral_in_two_dimensions(name, get_profile):
+    # at d = 2 a facet's direction is +-1, so the pair mean of u and -u
+    # scores the whole edge: the estimate is the integral of the density
+    # along the three edges, to the table's 1e-6, with no sample variance
+    pr = get_profile(name, 2)
+    ang = np.array([0.3, 2.4, 4.3])
+    X = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    rho = np.array([0.8, 1.0, 1.3]) * pr.t0
+    exact = 0.0
+    for i in range(3):
+        tangent = np.array([-X[i, 1], X[i, 0]])
+        t = np.delete(X @ tangent, i)
+        c = np.delete(rho, i) - rho[i] * np.delete(X @ X[i], i)
+        s_lo, s_hi = (c / t)[t < 0].max(), (c / t)[t > 0].min()
+        # the table's kinks, where |x| crosses a knot
+        knots = np.asarray(getattr(pr.phi, "knots", []))
+        s_knot = np.sqrt(np.square(knots[knots > rho[i]]) - rho[i] ** 2)
+        kinks = np.concatenate([-s_knot, [0.0], s_knot])
+        exact += quad(lambda s: math.exp(
+            pr.log_normalizer - float(pr.phi.value(math.hypot(rho[i], s)))),
+            s_lo, s_hi, points=kinks[(s_lo < kinks) & (kinks < s_hi)],
+            epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    est = polytope_surface_mc(pr, Polytope(X, rho), samples_per_facet=200,
+                              seed=1)
+    assert est.value == pytest.approx(exact, rel=1e-6)
+    assert est.std_error <= 1e-12
+
+
+def _gaussian_facet_integral(X, rho, angles=1 << 16):
+    """Exact Gaussian boundary measure of the polytope {<x, X_i> <= rho_i}
+    in R^3: on facet i the density is phi(rho_i) times the planar standard
+    normal around the foot point, whose mass along a ray is
+    exp(-lo^2 / 2) - exp(-hi^2 / 2); the rays' angle is integrated by the
+    midpoint rule (the integrand is continuous and piecewise smooth)."""
+    theta = (np.arange(angles) + 0.5) * (2.0 * math.pi / angles)
+    total = 0.0
+    for i in range(X.shape[0]):
+        e = np.linalg.svd(X[i][None, :])[2][1:]  # a basis of X_i^perp
+        u = np.outer(np.cos(theta), e[0]) + np.outer(np.sin(theta), e[1])
+        t = u @ np.delete(X, i, axis=0).T
+        c = np.delete(rho, i) - rho[i] * np.delete(X @ X[i], i)
+        assert np.all(c > 0.0)  # the foot point lies inside the facet
+        with np.errstate(divide="ignore"):
+            hi = np.where(t > 0.0, c / t, np.inf).min(axis=1)
+        mass = -np.expm1(-0.5 * hi * hi).mean()
+        total += stats.norm.pdf(rho[i]) * mass
+    return total
+
+
+@pytest.mark.parametrize("case", ["box", "polytope"])
+def test_pair_mean_std_error_is_calibrated(case, get_profile):
+    # over 300 seeds at 200 samples per facet, (value - truth) / std_error
+    # has standard deviation 1 within its sampling spread (about 0.04).
+    # On the box w(u) = w(-u), so a std_error from the 2S single scores
+    # would read sqrt(2) too small, and the spread about 1.4.
+    pr = get_profile("gaussian", 3)
+    if case == "box":
+        h = np.array([0.6, 1.0, 1.4])
+        body = HyperRectangle(h)
+        mass = 2.0 * stats.norm.cdf(h) - 1.0
+        truth = sum(2.0 * stats.norm.pdf(h[j]) * np.prod(np.delete(mass, j))
+                    for j in range(3))
+    else:
+        body = circumscribed_polytope(3, 1.2, 6, seed=31)
+        truth = _gaussian_facet_integral(body.directions, body.offsets)
+    z = []
+    for seed in range(300):
+        est = polytope_surface_mc(pr, body, samples_per_facet=200, seed=seed)
+        z.append((est.value - truth) / est.std_error)
+    assert 0.85 <= np.std(z) <= 1.15
+    assert abs(np.mean(z)) < 0.25  # unbiased: 4 standard errors of the mean
 
 
 def _simplex_box_wedge(get_profile):

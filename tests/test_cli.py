@@ -615,6 +615,10 @@ def test_exit_codes_for_bad_input(capsys):
     code, _, _ = run_cli(capsys, "surface", "--measure", "gaussian",
                          "--dim", "3", "--body", "sphere:R=2", "--method", "fd")
     assert code == 2  # finite differences need a solid body
+    code, _, err = run_cli(capsys, "surface", "--measure", "gaussian",
+                           "--dim", "3", "--body", "halfspace:rho=inf")
+    assert code == 2
+    assert "half-space offset must be finite and >= 0, got inf" in err
 
 
 def test_exit_code_numerical_failure(capsys, monkeypatch):

@@ -213,6 +213,12 @@ def _chords_dense64(dirs, normals, base, offsets):
     return lo, hi
 
 
+def _reflected(dirs, normals, base, offsets):
+    """The kernel's arguments with the directions [dirs; -dirs], whose
+    chords `facet_chords(dirs, ...)` returns."""
+    return np.vstack([dirs, -dirs]), normals, base, offsets
+
+
 def _assert_same_chords(got, ref, dirs, normals, base, offsets):
     """Equal chord ends up to float64 rounding of the inner products: 1/end
     is an inner product over a slack, so compare the reciprocals within
@@ -255,8 +261,9 @@ def test_facet_chords_match_loop_and_dense_float64(chord_path, seed):
     # upper ends (finite or not), lower ends and empty chords all occur
     args = _chord_workload(seed)
     got = facet_chords(*args)
-    _assert_same_chords(got, _chords_loop(*args), *args)
-    _assert_same_chords(got, _chords_dense64(*args), *args)
+    both = _reflected(*args)
+    _assert_same_chords(got, _chords_loop(*both), *both)
+    _assert_same_chords(got, _chords_dense64(*both), *both)
     lo, hi = got
     assert np.any(np.isinf(hi)) and np.any(np.isfinite(hi) & (hi > 0.0))
     assert np.any(lo > 0.0) and np.any(hi == 0.0)
@@ -265,8 +272,8 @@ def test_facet_chords_match_loop_and_dense_float64(chord_path, seed):
 def test_facet_chords_no_constraints():
     dirs = _chord_workload(11)[0]
     lo, hi = facet_chords(dirs, np.zeros((0, 5)), np.zeros(0), np.zeros(0))
-    assert np.array_equal(lo, np.zeros(dirs.shape[0]))
-    assert np.array_equal(hi, np.full(dirs.shape[0], np.inf))
+    assert np.array_equal(lo, np.zeros(2 * dirs.shape[0]))
+    assert np.array_equal(hi, np.full(2 * dirs.shape[0], np.inf))
 
 
 def test_facet_chords_manual_case(chord_path):
@@ -277,20 +284,25 @@ def test_facet_chords_manual_case(chord_path):
     dirs = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
                      [0.0, -1.0], [1.0, -1.0], [1.0, 1.0]])
     lo, hi = facet_chords(dirs, normals, base, offsets)
-    assert lo.tolist() == [0.5, 0.25, 0.0, 0.0, 0.0, 0.5, 0.0]
-    assert hi.tolist() == [1.0, 0.5, 0.0, 0.0, 0.0, 1.0, 0.0]
+    # then the reflected directions: only -(-1, 0) = (1, 0) meets x0 >= 0.5
+    assert lo.tolist() == [0.5, 0.25, 0.0, 0.0, 0.0, 0.5, 0.0,
+                           0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0]
+    assert hi.tolist() == [1.0, 0.5, 0.0, 0.0, 0.0, 1.0, 0.0,
+                           0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
 
-def _near_tie_workload(seed, n=400, d=256, pairs=40, gap=1e-9):
+def _near_tie_workload(seed, n=400, d=256, pairs=40, gap=1e-9, side=1.0):
     """Samples whose chord end is set by one of two constraints that agree
     to within a relative gap, far below float32 resolution.
 
-    Sample i < pairs has constraints 2i and 2i + 1 with the normals dirs[i]
-    and dirs[i] + p_i, p_i a perpendicular of length 1e-3 (so both read 1
-    along dirs[i], but round differently in float32), and slacks 1 and
-    1 + sign_i gap: its upper end is min(1, 1 + sign_i gap).  Every other
-    chosen constraint is slack for it; the remaining samples and
-    constraints are generic.
+    Sample i < pairs has constraints 2i and 2i + 1 with the normals e_i
+    and e_i + p_i, e_i = side * dirs[i] and p_i a perpendicular of length
+    1e-3 (so both read 1 along e_i, but round differently in float32), and
+    slacks 1 and 1 + sign_i gap: the upper end of direction e_i is
+    min(1, 1 + sign_i gap).  With side = 1 the pair sets the row maximum
+    of the product, with side = -1 its row minimum (the end of the
+    reflected direction -dirs[i]).  Every other chosen constraint is slack
+    for it; the remaining samples and constraints are generic.
     """
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n, d))
@@ -300,7 +312,7 @@ def _near_tie_workload(seed, n=400, d=256, pairs=40, gap=1e-9):
     lean *= 1e-3 / np.linalg.norm(lean, axis=1, keepdims=True)
     extra = rng.standard_normal((60, d))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-    pair_normals = np.repeat(dirs[:pairs], 2, axis=0)
+    pair_normals = np.repeat(side * dirs[:pairs], 2, axis=0)
     pair_normals[1::2] += lean
     normals = np.vstack([pair_normals, extra])
     base = rng.uniform(-3.0, 3.0, normals.shape[0])
@@ -311,24 +323,38 @@ def _near_tie_workload(seed, n=400, d=256, pairs=40, gap=1e-9):
     return (dirs, normals, base, offsets), sign
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_facet_chords_near_ties_match_loop(chord_path, seed):
-    args, sign = _near_tie_workload(seed)
+def _check_near_ties(seed, side):
+    args, sign = _near_tie_workload(seed, side=side)
     dirs, normals, base, offsets = args
     pairs = sign.size
     # float32 orders some pairs wrongly: the constraint it ranks higher is
     # the one that does not set the end
-    a32 = dirs[:pairs].astype(np.float32)
+    a32 = (side * dirs[:pairs]).astype(np.float32)
     x32 = normals[:2 * pairs].astype(np.float32)
     i32 = (1.0 / (offsets - base)[:2 * pairs]).astype(np.float32)
     t32 = np.einsum("ij,ij->i", np.repeat(a32, 2, axis=0), x32) * i32
     assert np.any((t32[0::2] > t32[1::2]) != (sign > 0))
     lo, hi = facet_chords(*args)
-    _assert_same_chords((lo, hi), _chords_loop(*args), *args)
-    _assert_same_chords((lo, hi), _chords_dense64(*args), *args)
+    both = _reflected(*args)
+    _assert_same_chords((lo, hi), _chords_loop(*both), *both)
+    _assert_same_chords((lo, hi), _chords_dense64(*both), *both)
     # the nearer constraint of each pair sets the end, to well below the gap
     want = 1.0 + np.minimum(sign * 1e-9, 0.0)
-    assert np.all(np.abs(hi[:pairs] - want) < 1e-12)
+    rows = np.arange(pairs) + (0 if side > 0 else dirs.shape[0])
+    assert np.all(np.abs(hi[rows] - want) < 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_facet_chords_near_ties_match_loop(chord_path, seed):
+    _check_near_ties(seed, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_facet_chords_near_ties_at_the_row_minimum_match_loop(chord_path,
+                                                              seed):
+    # the reflected directions' ends come from the row minimum of the same
+    # product: the float32 filter's minimum side
+    _check_near_ties(seed, -1.0)
 
 
 def test_facet_chords_large_shape_matches_dense_float64():
@@ -353,9 +379,10 @@ def test_facet_chords_large_shape_matches_dense_float64():
     z -= np.outer(z @ X0, X0)
     dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
     got = facet_chords(dirs, normals, base, offsets)
-    _assert_same_chords(got, _chords_dense64(dirs, normals, base, offsets),
-                        dirs, normals, base, offsets)
-    assert np.array_equal(got[0], np.zeros(n)) and np.all(np.isfinite(got[1]))
+    both = _reflected(dirs, normals, base, offsets)
+    _assert_same_chords(got, _chords_dense64(*both), *both)
+    assert np.array_equal(got[0], np.zeros(2 * n))
+    assert np.all(np.isfinite(got[1]))
 
 
 def test_facet_chords_huge_offsets(chord_path):
@@ -365,8 +392,8 @@ def test_facet_chords_huge_offsets(chord_path):
     huge[[1, 5]] = 1e300  # finite, far beyond float32
     for offs in (huge, np.full(9, 1e300)):
         got = facet_chords(dirs, normals, base, offs)
-        _assert_same_chords(got, _chords_loop(dirs, normals, base, offs),
-                            dirs, normals, base, offs)
+        both = _reflected(dirs, normals, base, offs)
+        _assert_same_chords(got, _chords_loop(*both), *both)
     assert np.all(got[1] > 1e299)  # one in 2^9 rows would be inf
     lo, hi = facet_chords(dirs, normals, base, np.full(9, -1e300))
     assert not lo.any() and not hi.any()  # every chord empty
@@ -392,8 +419,9 @@ def test_facet_chords_nonpositive_slack_cases(chord_path):
     # zero slack: empty where the neighbour's normal leans forward
     normals = np.array([[0.0, 1.0, 0.0, 0.0]])
     lo, hi = facet_chords(dirs, normals, np.zeros(1), np.zeros(1))
-    assert np.array_equal(hi == 0.0, dirs[:, 1] > 0.0)
-    assert np.all(np.isinf(hi[dirs[:, 1] < 0.0])) and not lo.any()
+    both = np.vstack([dirs, -dirs])
+    assert np.array_equal(hi == 0.0, both[:, 1] > 0.0)
+    assert np.all(np.isinf(hi[both[:, 1] < 0.0])) and not lo.any()
 
 
 @pytest.mark.parametrize("d, subsample, samples",
@@ -405,14 +433,16 @@ def test_facet_values_counts_match_dense_float64(get_profile, monkeypatch,
     # the kernel takes its float32 product; at d = 256 (N = 69) u has 68
     # coordinates and the normals are the non-unit rows of the triangular
     # factor.  The weights F(hi) - F(lo) equal those of dense float64
-    # chords up to the rounding of the chord ends.
+    # chords of the directions and their reflections up to the rounding of
+    # the chord ends.
     prof = get_profile("gaussian", d)
     spec = construction.plan(prof, c_rho=1.0, seed=3)
     body = construction.sample_polytope(spec, prof)
     picked = np.arange(subsample)
     val, err, acc, att = bodies._facet_values(prof, body, samples, 9,
                                               facet_indices=picked)
-    monkeypatch.setattr(_kernels, "facet_chords", _chords_dense64)
+    monkeypatch.setattr(_kernels, "facet_chords",
+                        lambda *args: _chords_dense64(*_reflected(*args)))
     rval, rerr, ref, ref_att = bodies._facet_values(prof, body, samples, 9,
                                                     facet_indices=picked)
     assert att.all() and ref_att.all()
