@@ -36,8 +36,8 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from . import _kernels
-from .errors import InputError, NumericsError
-from .functionals import MeasureProfile, log_ball_volume, _radial_law
+from .errors import InputError, NumericsError, QuadratureError
+from .functionals import MeasureProfile, _REL_TOL, log_ball_volume, _radial_law
 
 __all__ = [
     "SphereShell",
@@ -129,6 +129,14 @@ class HalfSpace:
             )
 
 
+def _check_slab_offsets(rho1, rho2):
+    """InputError unless -rho1 < rho2 (an infinite offset is an open side)."""
+    if math.isnan(rho1) or math.isnan(rho2):
+        raise InputError(f"slab offset is not a number: rho1={rho1}, rho2={rho2}")
+    if not -rho1 < rho2:
+        raise InputError(f"empty slab: need -rho1 < rho2, got rho1={rho1}, rho2={rho2}")
+
+
 @dataclass(frozen=True, eq=False)
 class Slab:
     """{x : -rho1 <= <x, direction> <= rho2}, nonempty (-rho1 < rho2)."""
@@ -141,10 +149,7 @@ class Slab:
         object.__setattr__(
             self, "direction", _as_unit_rows(self.direction, "slab direction")[0]
         )
-        if not (-self.rho1 < self.rho2):
-            raise InputError(
-                f"empty slab: need -rho1 < rho2, got rho1={self.rho1}, rho2={self.rho2}"
-            )
+        _check_slab_offsets(self.rho1, self.rho2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,8 +309,7 @@ def slab_surface(prof: MeasureProfile, rho1: float, rho2: float) -> SurfaceEstim
     """Exact boundary measure of the slab {-rho1 <= <x, theta> <= rho2}:
     the sum of its two parallel hyperplane boundaries (each at its distance
     from the origin)."""
-    if not (-rho1 < rho2):
-        raise InputError(f"empty slab: rho1={rho1}, rho2={rho2}")
+    _check_slab_offsets(rho1, rho2)
     v1 = halfspace_surface(prof, abs(rho1)).value
     v2 = halfspace_surface(prof, abs(rho2)).value
     return SurfaceEstimate(v1 + v2, 0.0, "exact", 0)
@@ -707,25 +711,36 @@ def cube_lebesgue_check(d: int) -> CubeCheck:
 
     The cube measure is not rotation invariant; this record feeds the
     demonstration that the scaling law fails off the rotation-invariant
-    class (surface 2d vs the law's ~d^(1/4) prediction).
+    class (surface 2d vs the law's ~d^(1/4) prediction).  QuadratureError
+    when the quadrature cannot certify a relative error of _REL_TOL.
     """
     if int(d) != d or d < 1:
         raise InputError(f"dimension must be a positive integer, got {d}")
     d = int(d)
 
-    def c_of(s):
-        if s < 1e-8:
-            return 1.0 - s / 12.0 + s * s / 160.0
-        return math.sqrt(math.pi / s) * erf(0.5 * math.sqrt(s))
+    def log_c(s):
+        if s >= 1.0:
+            return math.log(math.sqrt(math.pi / s) * erf(0.5 * math.sqrt(s)))
+        # the closed form loses the digits of log c ~ -s/12 to cancellation;
+        # twelve terms of 1 - c(s) = sum_k -(-s/4)^k / (k! (2k+1)) reach
+        # double precision for s < 1
+        return math.log1p(sum((-s / 4.0) ** k / (math.factorial(k) * (2 * k + 1))
+                              for k in range(1, 13)))
 
     def integrand(u):
         if u < 1e-9:
             return d / 12.0
         s = u * u
-        return -math.expm1(d * math.log(c_of(s))) / s
+        return -math.expm1(d * log_c(s)) / s
 
     val, err = quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12,
                     limit=400)
+    if err > _REL_TOL * val:
+        raise QuadratureError(
+            f"cube E|X| quadrature did not converge at d={d}: error "
+            f"estimate {err:.3e} exceeds {_REL_TOL:.1e} x {val:.6e}",
+            achieved_error=err,
+        )
     expectation = val / math.sqrt(math.pi)
     variance = d / 12.0 - expectation * expectation
     return CubeCheck(surface=2.0 * d, expectation=expectation,

@@ -185,8 +185,11 @@ def _facet_radius_range(dirs, offs, cap):
 
     Returns inf when the body is unbounded, and as soon as the radius of
     the axes solved so far reaches `cap`, since the caller only uses
-    min(cap, r_hi).
+    min(cap, r_hi).  A row with offset +inf constrains nothing and is
+    dropped (the LP solver takes no infinite bound).
     """
+    finite = offs < math.inf
+    dirs, offs = dirs[finite], offs[finite]
     d = dirs.shape[1]
     sq = 0.0
     for j in range(d):

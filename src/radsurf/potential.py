@@ -13,7 +13,9 @@ Conventions shared by every potential:
   cutoff ``value(R)`` is the limit from below, so a density on the
   support boundary (the sphere |x| = R, the edge of a facet) reads
   ``value`` there.
-* ``value`` and ``derivative`` accept floats or numpy arrays and broadcast.
+* ``value`` and ``derivative`` evaluate like numpy ufuncs: a float in
+  gives a float out (a numpy float64 counts), and an array in gives an
+  array out, element by element with the same bits as the scalar call.
   ``derivative`` is the right-hand derivative at kinks and is only
   meaningful strictly inside the support.
 * Potentials are immutable and carry no caches; memoized quantities live in
@@ -48,11 +50,6 @@ __all__ = [
 ]
 
 
-def _match(t, out):
-    """Return a scalar when the input was scalar, else the array."""
-    return out if out.ndim else float(out)
-
-
 class RadialPotential:
     """Base class for radial potentials; subclasses fill in the contract."""
 
@@ -81,12 +78,10 @@ class GaussianPotential(RadialPotential):
     support_radius: float = math.inf
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return _match(t, 0.5 * t * t)
+        return 0.5 * t * t
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return _match(t, t.copy())
+        return 1.0 * t
 
 
 @dataclass(frozen=True)
@@ -102,12 +97,10 @@ class PowerPotential(RadialPotential):
             raise InputError(f"power exponent must satisfy p >= 1, got {self.p}")
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return _match(t, np.power(t, self.p) / self.p)
+        return np.power(t, self.p) / self.p
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return _match(t, np.power(t, self.p - 1.0))
+        return np.power(t, self.p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -127,12 +120,10 @@ class BallPotential(RadialPotential):
         return self.R
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return _match(t, np.where(t <= self.R, 0.0, math.inf))
+        return np.where(t <= self.R, 0.0, math.inf)[()]
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return _match(t, np.zeros_like(t))
+        return np.zeros_like(t, dtype=float)[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,23 +175,14 @@ class TabulatedPotential(RadialPotential):
         return math.inf if self.extrapolation == "linear" else float(self.knots[-1])
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.interp(t, self._grid, self._vals)
         last_k = self._grid[-1]
-        if self.extrapolation == "linear":
-            tail = t > last_k
-            out = np.where(
-                tail, self._vals[-1] + self._slopes[-1] * (t - last_k), out
-            )
-        else:
-            out = np.where(t > last_k, math.inf, out)
-        return _match(t, out)
+        tail = (self._vals[-1] + self._slopes[-1] * (t - last_k)
+                if self.extrapolation == "linear" else math.inf)
+        return np.where(t > last_k, tail, np.interp(t, self._grid, self._vals))[()]
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
         idx = np.searchsorted(self._grid, t, side="right") - 1
-        idx = np.clip(idx, 0, self._slopes.size - 1)
-        return _match(t, self._slopes[idx])
+        return self._slopes[np.clip(idx, 0, self._slopes.size - 1)]
 
     def interior_knots(self):
         if self.extrapolation == "linear":
@@ -240,13 +222,11 @@ class ShellDensity(RadialPotential):
         return self.R - self.eps
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
         inside = (t > self.inner_support_radius) & (t <= self.R)
-        return _match(t, np.where(inside, 0.0, math.inf))
+        return np.where(inside, 0.0, math.inf)[()]
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return _match(t, np.zeros_like(t))
+        return np.zeros_like(t, dtype=float)[()]
 
     def interior_knots(self):
         return (self.inner_support_radius,)
@@ -409,11 +389,11 @@ def probe_potential(phi, npoints=128):
     R = phi.support_radius
     hi = R * (1.0 - 1e-9) if math.isfinite(R) else 64.0
     t = np.geomspace(hi * 1e-6, hi, npoints)
-    val = np.asarray(phi.value(t))
-    der = np.asarray(phi.derivative(t))
+    val = phi.value(t)
+    der = phi.derivative(t)
     finite = np.isfinite(val)
     checks = [
-        ("value(0) == 0", phi.value(0.0) == 0.0),
+        ("value(0) == 0", bool(phi.value(0.0) == 0.0)),
         ("values finite inside support", bool(np.all(finite))),
         ("values nonnegative", bool(np.all(val[finite] >= 0.0))),
         ("derivative nonnegative", bool(np.all(der >= 0.0))),
@@ -424,10 +404,10 @@ def probe_potential(phi, npoints=128):
     mid = [x for x in t[2:-2] if not any(abs(x - k) < 1e-3 * x for k in kinks)]
     mid = np.asarray(mid[: npoints // 2])
     h = np.minimum(1e-6 * np.maximum(mid, 1.0), 0.5 * mid)
-    fd = (np.asarray(phi.value(mid + h)) - np.asarray(phi.value(mid - h))) / (2 * h)
+    fd = (phi.value(mid + h) - phi.value(mid - h)) / (2 * h)
     near_kink = np.zeros(mid.shape, dtype=bool)
     for k in kinks:
         near_kink |= np.abs(mid - k) <= h
-    ok = np.abs(fd - np.asarray(phi.derivative(mid))) <= 1e-4 * (1.0 + np.abs(fd))
+    ok = np.abs(fd - phi.derivative(mid)) <= 1e-4 * (1.0 + np.abs(fd))
     checks.append(("derivative matches finite difference", bool(np.all(ok | near_kink))))
     return checks

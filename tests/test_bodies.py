@@ -10,7 +10,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from radsurf import bodies
-from radsurf.errors import InputError, NumericsError
+from radsurf.errors import InputError, NumericsError, QuadratureError
 from radsurf.bodies import (
     Ball,
     CubeCheck,
@@ -174,6 +174,20 @@ def test_body_validation_gates():
         HyperRectangle(half_widths=[1.0, -1.0])
     p = Polytope(directions=[[0.6, 0.8], [0.0, 1.0]], offsets=[1.0, 2.0])
     assert p.n_facets == 2 and p.dim == 2
+
+
+def test_slab_with_a_nan_offset_says_so(get_profile):
+    # nan fails -rho1 < rho2 too; the message names the nan, not emptiness
+    pr = get_profile("gaussian", 3)
+    for rho1, rho2 in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(InputError, match="slab offset is not a number"):
+            Slab(direction=[1.0, 0.0, 0.0], rho1=rho1, rho2=rho2)
+        with pytest.raises(InputError, match="slab offset is not a number"):
+            slab_surface(pr, rho1, rho2)
+    # infinite offsets stay accepted: an open side
+    assert slab_surface(pr, 0.5, math.inf).value == \
+        halfspace_surface(pr, 0.5).value
+    Slab(direction=[1.0, 0.0, 0.0], rho1=math.inf, rho2=math.inf)
 
 
 def test_surface_estimate_gates():
@@ -906,6 +920,29 @@ def test_cube_check_one_dimensional_closed_form():
     c = cube_lebesgue_check(1)
     assert c.expectation == pytest.approx(0.25, rel=1e-12)
     assert c.variance == pytest.approx(1.0 / 48.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, reference", [
+    (8, 0.80563677805076462410),
+    (512, 6.5306957128718826873),
+    (4096, 18.474757508032994543),
+])
+def test_cube_expectation_matches_high_precision_reference(d, reference):
+    # references: mpmath at 40 digits, split at b = 8 sqrt(12/d) with the
+    # tail integrated as 1/b - int_b^inf c^d / u^2.  Large d needs log c
+    # accurate at small s, where the closed form cancels; no
+    # IntegrationWarning may pass unchecked
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = cube_lebesgue_check(d)
+    assert c.expectation == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+
+def test_cube_check_raises_when_the_quadrature_misses_its_target(monkeypatch):
+    monkeypatch.setattr(bodies, "quad", lambda *a, **k: (1.0, 1e-6))
+    with pytest.raises(QuadratureError) as info:
+        cube_lebesgue_check(4096)
+    assert info.value.achieved_error == 1e-6
 
 
 def test_cube_expectation_asymptote():

@@ -246,6 +246,18 @@ def test_certificate_dominates_halfspace_and_slab(get_profile):
     assert cert2.value >= slab_surface(pr, 0.6, 1.1).value
 
 
+def test_certificate_takes_an_infinite_slab_as_its_half_space(get_profile):
+    # the row with offset +inf constrains nothing; the reach LPs take no
+    # infinite bound, so it is dropped before them
+    pr = get_profile("gaussian", 3)
+    e = [1.0, 0.0, 0.0]
+    cert = certificate_upper_bound(pr, Slab(e, 1.0, math.inf))
+    assert cert == certificate_upper_bound(pr, HalfSpace([-1.0, 0.0, 0.0], 1.0))
+    assert cert.value == pytest.approx(0.925081978823, abs=5e-13)
+    with pytest.raises(InputError, match="found no boundary points"):
+        certificate_upper_bound(pr, Slab(e, math.inf, math.inf))
+
+
 def test_certificate_refuses_a_slab_that_misses_the_origin(get_profile):
     # the radial sweep needs the origin inside the body; facet Monte Carlo
     # takes this slab (see test_bodies)

@@ -282,6 +282,20 @@ def test_certificate_deep_tail_box_exits_cleanly(capsys):
     assert row["value"] == math.ulp(0.0)
 
 
+def test_certificate_infinite_slab_matches_its_half_space(capsys):
+    # README: slab:rho1=..,rho2=inf is a half-space
+    rows = []
+    for body in ("slab:rho1=1,rho2=inf", "halfspace:rho=1"):
+        code, out, _ = run_cli(capsys, "certificate", "--measure", "gaussian",
+                               "--dim", "3", "--body", body, "--format", "json")
+        assert code == 0
+        row = json.loads(out)
+        assert row.pop("body") == body
+        rows.append(row)
+    assert rows[0] == rows[1]
+    assert rows[0]["value"] == pytest.approx(0.925081978823, abs=5e-13)
+
+
 def test_certificate_box_matches_polytope_file(capsys, tmp_path):
     path = tmp_path / "box.txt"
     h = np.array([0.7, 1.0, 1.6])
@@ -619,6 +633,11 @@ def test_exit_codes_for_bad_input(capsys):
                            "--dim", "3", "--body", "halfspace:rho=inf")
     assert code == 2
     assert "half-space offset must be finite and >= 0, got inf" in err
+    code, _, err = run_cli(capsys, "surface", "--measure", "gaussian",
+                           "--dim", "3", "--body", "slab:rho1=nan,rho2=1",
+                           "--method", "mc")
+    assert code == 2
+    assert "slab offset is not a number: rho1=nan, rho2=1.0" in err
 
 
 def test_exit_code_numerical_failure(capsys, monkeypatch):

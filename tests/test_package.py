@@ -145,3 +145,33 @@ def test_no_unreferenced_private_constant():
             if isinstance(target, ast.Name) and target.id.startswith("_")
             and not target.id.startswith("__") and target.id not in read]
     assert not dead
+
+
+def test_no_potential_method_converts_its_argument():
+    # potentials evaluate like numpy ufuncs: a float in is a float out, so
+    # a method that wraps its argument in an array only to unwrap the
+    # result again is a round trip on every scalar evaluation
+    tree = _source_trees()["potential"]
+    potentials = {"RadialPotential"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in potentials for b in node.bases):
+            potentials.add(node.name)
+    converts = []
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and node.name in potentials):
+            continue
+        for method in node.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            args = {a.arg for a in method.args.args[1:]}
+            converts += [
+                f"{node.name}.{method.name}"
+                for call in ast.walk(method)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("asarray", "asanyarray", "array", "atleast_1d")
+                and call.args and isinstance(call.args[0], ast.Name)
+                and call.args[0].id in args
+            ]
+    assert len(potentials) > 5 and not converts

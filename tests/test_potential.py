@@ -203,3 +203,41 @@ def test_load_table_errors(tmp_path):
     no_anchor.write_text("1.0 0.5\n2.0 1.5\n")
     with pytest.raises(InputError, match="first data row"):
         load_table(no_anchor)
+
+
+def _contract_cases():
+    table = tabulated([0.5, 1.25, 2.0], [0.25, 1.0, 2.5])
+    cut = tabulated([0.5, 1.25, 2.0], [0.25, 1.0, 2.5], extrapolation="cutoff")
+    return {
+        "gaussian": gaussian(),
+        "power-1": power(1.0),
+        "power-2.5": power(2.5),
+        "power-4": power(4.0),
+        "ball": ball(1.5),
+        "table-linear": table,
+        "table-cutoff": cut,
+        "shell": shell(1.0, 0.25, allow_non_logconcave=True),
+    }
+
+
+@pytest.mark.parametrize("name", list(_contract_cases()))
+def test_scalar_evaluation_is_the_array_element_bit_for_bit(name):
+    # a float in gives a float out, with the bits of the matching element
+    # of the array call: at 0, each kink and its neighbours, the support
+    # edges, beyond them and at inf
+    phi = _contract_cases()[name]
+    t = [0.0, 0.3, 7.0, 1e10, math.inf]
+    for e in (*phi.interior_knots(), phi.support_radius):
+        if math.isfinite(e):
+            t += [math.nextafter(e, 0.0), e, math.nextafter(e, math.inf)]
+    t = np.array(sorted(set(t)))
+    inside = (t > phi.inner_support_radius) & (t < phi.support_radius)
+    if phi.inner_support_radius == 0.0:
+        inside |= t == 0.0
+    for method, mask in (("value", np.ones_like(inside)), ("derivative", inside)):
+        arr = getattr(phi, method)(t[mask])
+        assert isinstance(arr, np.ndarray) and arr.shape == t[mask].shape
+        for x, want in zip(t[mask], arr):
+            got = getattr(phi, method)(float(x))
+            assert isinstance(got, float), (method, x, type(got))
+            assert got.hex() == float(want).hex(), (method, x, got, want)
