@@ -164,7 +164,11 @@ class Polytope:
         offs = np.atleast_1d(np.asarray(self.offsets, dtype=float))
         if offs.ndim != 1 or offs.shape[0] != dirs.shape[0]:
             raise InputError("polytope needs one offset per facet direction")
-        if not np.all(np.isfinite(offs)) or np.any(offs <= 0.0):
+        if np.any(np.isnan(offs)):
+            raise InputError("polytope offset is not a number")
+        if np.any(np.isinf(offs)):
+            raise InputError("polytope offsets must be finite")
+        if np.any(offs <= 0.0):
             raise InputError("polytope offsets must be strictly positive")
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "offsets", offs)

@@ -15,10 +15,16 @@ normal coordinates.
 
 This module evaluates both weights exactly, assembles the global
 `certificate_upper_bound` for facet bodies in closed form (one xi1
-evaluation at the inradius facet, with the reach of the body bounded by
-linear programs; the moment-ratio bound m J_{m-1}/J_m is the fallback),
-and bounds the boundary mass outside the critical annulus
+evaluation at the inradius facet; the moment-ratio bound m J_{m-1}/J_m is
+the fallback), and bounds the boundary mass outside the critical annulus
 (1-lambda_i) t0 <= |x| <= (1+mu) t0.
+
+The closed form reads xi1 at r = min(cap, r_hi), where cap = min(t_{m+1}, R)
+minimises xi1 and r_hi bounds the reach max |x| of the body.  A witness, a
+point of the body with |x| >= cap (1 + 1e-6) found along a few rays, settles
+r = cap with no linear program: the LP bound r_hi would reach cap as well,
+and r = cap is sound for any body because nothing below the minimiser of
+xi1 is claimed.  Only a body with no witness pays one LP per signed axis.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ def Lambda(prof: MeasureProfile, t: float) -> Optional[float]:
         raise InputError(
             f"Lambda needs t in the open support interval, got {t}"
         )
-    base = float(prof.phi.value(t))
+    base = prof.phi.value(t)
     if not math.isfinite(base):
         raise InputError(f"potential not finite at t={t}")
     return _one_nat_step(prof.phi, lambda s: (1.0 + s) * t,
@@ -105,7 +111,7 @@ def xi1(prof: MeasureProfile, point: BoundaryPoint) -> float:
     if point.alpha == 0.0:
         return 0.0
     log_h = (
-        float(prof.phi.value(point.radius))
+        prof.phi.value(point.radius)
         - prof.m * math.log(point.radius)
         + prof.log_Jm
     )
@@ -131,7 +137,7 @@ def xi2_lower(prof: MeasureProfile, point: BoundaryPoint) -> float:
         raise InputError(
             f"boundary point radius {y} must be interior to the support"
         )
-    base = float(prof.phi.value(y))
+    base = prof.phi.value(y)
     t_edge = -y * a + math.sqrt(y * y * a * a + R * R - y * y)
     t1 = _one_nat_step(
         prof.phi, lambda t: math.sqrt(y * y + t * t + 2.0 * t * y * a),
@@ -179,17 +185,76 @@ def _direction_net(d: int, n: int) -> np.ndarray:
     return _unit_rows(ndtri(np.clip(u, 1e-12, 1.0 - 1e-12)))
 
 
+#: subgradient steps `_reach_witness` takes before it leaves the reach to
+#: the LPs
+_WITNESS_STEPS = 64
+#: sharpness of the softmax over <u, x_j>/c_j, relative to its maximum
+_WITNESS_SOFTMAX = 20.0
+#: angle in radians of the first step; step k turns by _WITNESS_TURN/sqrt(k+1)
+_WITNESS_TURN = 0.3
+
+
+def _reach_witness(dirs, offs, cap):
+    """A point x with dirs x <= offs in float64 and |x| >= cap (1 + 1e-6),
+    or None when none was found.
+
+    Every offset must be finite and positive.  Fewer rows than dimensions
+    leave a direction v with dirs v = 0, and the line through v lies in the
+    body.  Otherwise the ray t u stays in the body up to t = 1/g(u), where
+    g(u) = max_j <u, x_j>/c_j.  The first ray is u = -sum_j x_j/c_j, and
+    each further one takes a softmax-weighted subgradient step on g along
+    the sphere; the search stops at the first ray that reaches past `cap`.
+    A candidate is returned only once it passes both checks as computed.
+    """
+    n, d = dirs.shape
+    goal = cap * (1.0 + 1e-6)
+
+    def holds(x):
+        return np.linalg.norm(x) >= goal and np.all(dirs @ x <= offs)
+
+    if n < d:
+        q = np.linalg.qr(dirs.T)[0]  # orthonormal basis of the rows' span
+        # the axis e_i nearest to orthogonal: |q[i]|^2 <= n/d < 1
+        i = np.argmin((q * q).sum(axis=1))
+        v = -(q @ q[i])
+        v[i] += 1.0  # e_i minus its projection onto the span
+        x = 2.0 * goal / np.linalg.norm(v) * v
+        return x if holds(x) else None
+    a = dirs / offs[:, None]
+    u = -a.sum(axis=0)
+    if not np.any(u):
+        return None  # the rows cancel (a centred box): no first ray
+    for k in range(_WITNESS_STEPS):
+        u /= np.linalg.norm(u)
+        s = a @ u
+        g = s.max()
+        if g <= 0.0:
+            x = 2.0 * goal * u  # the ray never leaves the body
+            return x if holds(x) else None
+        if g * goal < 1.0:
+            # halfway to the exit in log scale: both checks keep a margin
+            x = math.sqrt(goal / g) * u
+            if holds(x):
+                return x
+        w = np.exp(_WITNESS_SOFTMAX * (s / g - 1.0))
+        grad = (w @ a) / w.sum()
+        grad -= (grad @ u) * u
+        norm = np.linalg.norm(grad)
+        if norm == 0.0:
+            return None
+        u -= _WITNESS_TURN / math.sqrt(k + 1.0) / norm * grad
+    return None
+
+
 def _facet_radius_range(dirs, offs, cap):
     """Sound upper bound r_hi on max |x| over {x : dirs x <= offs}: the
     corner radius of the bounding box, from one LP per signed axis.
 
     Returns inf when the body is unbounded, and as soon as the radius of
     the axes solved so far reaches `cap`, since the caller only uses
-    min(cap, r_hi).  A row with offset +inf constrains nothing and is
-    dropped (the LP solver takes no infinite bound).
+    min(cap, r_hi).  Every offset must be finite (the LP solver takes no
+    infinite bound).
     """
-    finite = offs < math.inf
-    dirs, offs = dirs[finite], offs[finite]
     d = dirs.shape[1]
     sq = 0.0
     for j in range(d):
@@ -226,12 +291,22 @@ def certificate_upper_bound(
     which is increasing in rho_i and unimodal in r with its minimum at the
     mode r* = t_{m+1} of the (m+1)-radial profile.  Every boundary point
     has rho_i >= r_in = min_i rho_i and r_in <= r <= min(r_hi, R), where R
-    is the support radius and r_hi the LP bound of `_facet_radius_range`.
+    is the support radius and r_hi an upper bound on max |x| over the body.
     So min_{dQ} xi1 is at least the single evaluation at rho = r_in and
     r = clip(r*, r_in, min(r_hi, R)); it is attained when the facet at
     r_in (always non-redundant) reaches that radius.  The reported value
     is min(1/min xi1, m J_{m-1}/J_m).  The radial sweep needs the origin
     in the body, so a slab that misses it is an InputError.
+
+    With cap = min(r*, R) and r_in < cap, the radius is r = min(cap, r_hi).
+    `_reach_witness` first looks for a point of the body with
+    |x| >= cap (1 + 1e-6), which takes a few matrix-vector products.  If it
+    finds one, r = cap.  This is the value the reach LPs of
+    `_facet_radius_range` give: their box radius is at least |x|, so they
+    return inf or a bound above cap (their tolerance is below the 1e-6
+    margin), and min(cap, r_hi) = cap in both cases.  It is also sound
+    whatever the reach, since cap minimises xi1 over all of [r_in, R].
+    The LPs run only when no witness is found.
     """
     dirs, offs = as_facets(body)
     if dirs.shape[1] != prof.d:
@@ -257,8 +332,13 @@ def certificate_upper_bound(
         cap = min(solve_t0(phi, m + 1), R_sup)
         r = r_in
         if r_in < cap:
-            r = min(cap, _facet_radius_range(dirs, offs, cap))
-        best = (math.log(r_in) + prof.log_Jm + float(phi.value(r))
+            # a row with offset +inf constrains nothing
+            finite = offs < math.inf
+            dirs, offs = dirs[finite], offs[finite]
+            r = cap
+            if _reach_witness(dirs, offs, cap) is None:
+                r = min(cap, _facet_radius_range(dirs, offs, cap))
+        best = (math.log(r_in) + prof.log_Jm + phi.value(r)
                 - (m + 1) * math.log(r))
 
     try:
@@ -299,6 +379,6 @@ def annulus_remainder_bound(prof: MeasureProfile, mu: Optional[float] = None) ->
         )
     m, t0, lam = prof.m, prof.t0, prof.lambda_sum
     p = math.log(mu * math.sqrt(m / lam))
-    inner = math.exp(float(prof.phi.value(t0)) - m) / (lam * t0)
+    inner = math.exp(prof.phi.value(t0) - m) / (lam * t0)
     outer = (1.0 + mu * m / p) * math.exp(-p) / (lam * t0)
     return inner + outer

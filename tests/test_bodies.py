@@ -190,6 +190,23 @@ def test_slab_with_a_nan_offset_says_so(get_profile):
     Slab(direction=[1.0, 0.0, 0.0], rho1=math.inf, rho2=math.inf)
 
 
+def test_polytope_with_a_nan_offset_says_so():
+    with pytest.raises(InputError, match="polytope offset is not a number"):
+        Polytope(directions=[[1.0, 0.0], [0.0, 1.0]], offsets=[1.0, math.nan])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_polytope_with_an_infinite_offset_says_so(bad):
+    # not "strictly positive": +inf is positive, and -inf is named the same
+    with pytest.raises(InputError, match="polytope offsets must be finite"):
+        Polytope(directions=[[1.0, 0.0], [0.0, 1.0]], offsets=[bad, 1.0])
+
+
+def test_polytope_with_a_zero_offset_says_so():
+    with pytest.raises(InputError, match="polytope offsets must be strictly positive"):
+        Polytope(directions=[[1.0, 0.0], [0.0, 1.0]], offsets=[1.0, 0.0])
+
+
 def test_surface_estimate_gates():
     with pytest.raises(InputError):
         SurfaceEstimate(1.0, 0.1, "exact", 0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from radsurf.errors import InputError, NormalizationError
-from radsurf import functionals
+from radsurf import certificates, functionals
 from radsurf.bodies import (
     HalfSpace,
     HyperRectangle,
@@ -22,6 +22,7 @@ from radsurf.certificates import (
     BoundaryPoint,
     Lambda,
     _facet_radius_range,
+    _reach_witness,
     annulus_remainder_bound,
     certificate_upper_bound,
     psi,
@@ -415,6 +416,141 @@ def test_facet_radius_range_dominates_every_vertex():
             r_vertex = max(r_vertex, float(np.linalg.norm(v)))
     r_hi = _facet_radius_range(dirs, offs, math.inf)
     assert 0.0 < r_vertex <= r_hi < math.inf
+
+
+# --- reach witness -----------------------------------------------------------
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The list that gets one entry per reach LP the certificate runs."""
+    calls = []
+    real = certificates.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "linprog", counting)
+    return calls
+
+
+def _lp_path(pr, body, monkeypatch):
+    """The certificate as computed with the witness search finding nothing."""
+    with monkeypatch.context() as mp:
+        mp.setattr(certificates, "_reach_witness", lambda dirs, offs, cap: None)
+        return certificate_upper_bound(pr, body)
+
+
+def _cap(pr):
+    return min(functionals.solve_t0(pr.phi, pr.m + 1), pr.support_radius)
+
+
+def _criterion_07_bodies(get_profile):
+    """The 20 (profile, body) pairs of acceptance criterion 07."""
+    k = 0
+    for d in (3, 8, 16):
+        for name in ("gaussian", "gp1"):
+            pr = get_profile(name, d)
+            for j in range(4 if d == 3 else 3):
+                yield pr, circumscribed_polytope(
+                    d, (0.35 + 0.3 * j) * pr.t0, d + 1 + 2 * j, 1000 + k)
+                k += 1
+
+
+def _box_and_eight(pr, seed):
+    """2d + 8 facets at t0/2: the box's 2d, which keep it bounded, and 8
+    random ones."""
+    d = pr.d
+    extra = np.random.default_rng(seed).standard_normal((8, d))
+    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+    eye = np.eye(d)
+    return Polytope(np.vstack([eye, -eye, extra]), np.full(2 * d + 8, pr.t0 / 2))
+
+
+def _lines(pr):
+    """Bodies with fewer rows than dimensions: slabs and a half-space."""
+    u = np.random.default_rng(pr.d).standard_normal(pr.d)
+    u /= np.linalg.norm(u)
+    return [Slab(u, 0.5, 0.5), Slab(u, 0.3, 1.0), HalfSpace(u, 0.5)]
+
+
+def test_witness_keeps_the_lp_path_value(get_profile, lp_calls, monkeypatch):
+    cases = list(_criterion_07_bodies(get_profile))
+    pr = get_profile("gaussian", 256)
+    cases.append((pr, _box_and_eight(pr, seed=17)))
+    for pr, body in cases:
+        cert = certificate_upper_bound(pr, body)
+        assert lp_calls == []  # every one of these bodies has a witness
+        assert cert == _lp_path(pr, body, monkeypatch)
+        del lp_calls[:]
+
+
+def test_no_reach_lp_on_a_bounded_polytope_at_d256(get_profile, lp_calls):
+    pr = get_profile("gaussian", 256)
+    cert = certificate_upper_bound(pr, _box_and_eight(pr, seed=3))
+    assert lp_calls == []
+    assert cert.binding == "xi1"
+
+
+@pytest.mark.parametrize("d", [3, 256])
+def test_no_reach_lp_on_a_slab_or_a_half_space(d, get_profile, lp_calls,
+                                                monkeypatch):
+    pr = get_profile("gaussian", d)
+    cases = _lines(pr)
+    cases.append(Slab(cases[0].direction, 1.0, math.inf))
+    certs = [certificate_upper_bound(pr, body) for body in cases]
+    assert lp_calls == []
+    assert certs == [_lp_path(pr, body, monkeypatch) for body in cases]
+
+
+def test_a_small_box_still_runs_the_reach_lps(get_profile, lp_calls,
+                                              monkeypatch):
+    # corner radius |(0.2, 0.2, 0.3, 0.3)| = 0.51, below cap = 2; the box is
+    # off centre, so its rows do not cancel and the rays are tried
+    pr = get_profile("gaussian", 4)
+    eye = np.eye(4)
+    body = Polytope(np.vstack([eye, -eye]),
+                    np.array([0.1, 0.2, 0.3, 0.2, 0.2, 0.1, 0.1, 0.3]))
+    assert _reach_witness(*as_facets(body), _cap(pr)) is None
+    cert = certificate_upper_bound(pr, body)
+    assert len(lp_calls) == 8  # one per signed axis: none reaches cap
+    assert cert == _lp_path(pr, body, monkeypatch)
+
+
+def test_the_witness_lies_in_the_body_beyond_cap(get_profile):
+    cases = list(_criterion_07_bodies(get_profile))
+    for d in (3, 256):
+        pr = get_profile("gaussian", d)
+        cases += [(pr, body) for body in _lines(pr)]
+    pr = get_profile("gaussian", 256)
+    cases.append((pr, _box_and_eight(pr, seed=3)))
+    found = 0
+    for pr, body in cases:
+        dirs, offs = as_facets(body)
+        cap = _cap(pr)
+        if offs.min() >= cap:
+            continue  # the certificate looks for no witness
+        x = _reach_witness(dirs, offs, cap)
+        assert np.all(dirs @ x <= offs)
+        assert np.linalg.norm(x) >= cap * (1.0 + 1e-6)
+        found += 1
+    assert found >= 20
+
+
+@pytest.mark.parametrize("name", ["gaussian", "gp4"])
+def test_certificate_values_are_python_floats(name, get_profile):
+    pr = get_profile(name, 8)
+    e = np.eye(8)[0]
+    bodies = (circumscribed_polytope(8, 0.5 * pr.t0, 12, seed=4),
+              HalfSpace(e, 0.0), Slab(e, 0.5, 0.5))
+    for body in bodies:
+        cert = certificate_upper_bound(pr, body)
+        for field in ("value", "xi1_bound", "rough_bound", "min_xi1"):
+            assert type(getattr(cert, field)) is float, (body, field)
+    point = BoundaryPoint(0.8 * pr.t0, 0.5)
+    for v in (xi1(pr, point), xi2_lower(pr, point), Lambda(pr, pr.t0)):
+        assert type(v) is float
 
 
 # --- one-nat step vs deficit scan -------------------------------------------

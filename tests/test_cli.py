@@ -619,7 +619,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 # --- exit code mapping -------------------------------------------------------
 
 
-def test_exit_codes_for_bad_input(capsys):
+def test_exit_codes_for_bad_input(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "functionals", "--measure", "nosuch",
                          "--dim", "4")
     assert code == 2
@@ -638,6 +638,12 @@ def test_exit_codes_for_bad_input(capsys):
                            "--method", "mc")
     assert code == 2
     assert "slab offset is not a number: rho1=nan, rho2=1.0" in err
+    poly = tmp_path / "poly.txt"
+    poly.write_text("1 0 0 1\n-1 0 0 inf\n0 1 0 1\n")
+    code, _, err = run_cli(capsys, "certificate", "--measure", "gaussian",
+                           "--dim", "3", "--body", f"polytope:file={poly}")
+    assert code == 2
+    assert "polytope offsets must be finite" in err
 
 
 def test_exit_code_numerical_failure(capsys, monkeypatch):
