@@ -14,11 +14,14 @@ hyperplane: per sample, by rotation invariance, only the min(N-1, d-1)
 direction coordinates that the other facets' normals can see, and the
 radius integrated out exactly over the chord of accepted radii, with the
 CDF of the on-hyperplane radius table, and each direction scored together
-with its reflection (antithetic pairs).  Independently, the
-Minkowski difference quotient [mu(Q + eps B) - mu(Q)] / eps is estimated
-by direct sampling as a validation oracle, which likewise draws only what
-the body's shell test reads.  Both draw directions with
-`_sphere_coordinates`.
+with its reflection (antithetic pairs).  Up to _ROTATE_MAX_Q coordinates,
+each drawn Gaussian row scores R pairwise independent directions: itself
+and its images under R - 1 Haar rotations (`_rotated_coordinates`).
+Independently, the Minkowski difference quotient
+[mu(Q + eps B) - mu(Q)] / eps is estimated by direct sampling as a
+validation oracle, which likewise draws only what the body's shell test
+reads; it and `sample_points`, whose points are i.i.d., draw directions
+with `_sphere_coordinates`.
 
 The ball-uniform measure gives its own boundary sphere the surface value
 d (phi(R) is the limit from below), the equality case of the rough bound
@@ -64,6 +67,15 @@ _CHUNK = 1 << 16  # fixed sampling chunk: part of the determinism contract
 _UNIT_TOL = 1e-12
 
 _OUTER_ENTRIES = 1 << 18  # float64 entries of one rank-1 update step
+
+# The most direction coordinates that facet Monte Carlo draws in rotated
+# blocks (`_rotated_coordinates`).  The rotations cost (R - 1) q^3 for their
+# QR factors and n q^2 for the product, against the n q normals they save
+# (timed on a 2-core x86 host with OpenBLAS, rotated against plain draws
+# into R^1023: at q = 68 2.2x faster at 20000 directions and 1.2x at 2500;
+# at q = 80 2.0x and 1.3x; at q = 96 1.8x and 1.0x, and 0.7x at 1000; at
+# q = 128 slower at every n up to 20000).
+_ROTATE_MAX_Q = 80
 
 _ONE_SAMPLE_NOTE = "unreliable: one sample per facet gives no sample variance"
 
@@ -261,7 +273,7 @@ def sphere_surface(prof: MeasureProfile, R: float) -> SurfaceEstimate:
             stacklevel=2,
         )
         return SurfaceEstimate(0.0, 0.0, "exact", 0)
-    log_val = prof.m * math.log(R) - float(prof.phi.value(R)) - prof.log_Jm
+    log_val = prof.m * math.log(R) - prof.phi.value(R) - prof.log_Jm
     return SurfaceEstimate(math.exp(log_val), 0.0, "exact", 0)
 
 
@@ -439,6 +451,50 @@ def _sphere_coordinates(rng, n, k, m, out=None):
     return g
 
 
+def _rotation_count(n, q):
+    """R, the directions that `_rotated_coordinates` scores per drawn
+    Gaussian row in a chunk of n directions with q coordinates: about
+    sqrt(n / q), which balances the n q / R normals of the rows against the
+    (R - 1) q^2 of the rotations; 1 (no rotation) for q = 1 and above
+    _ROTATE_MAX_Q."""
+    if 2 <= q <= _ROTATE_MAX_Q:
+        return max(1, min(n, math.isqrt(n // q)))
+    return 1
+
+
+def _rotated_coordinates(rng, n, q, m, out):
+    """(n, q) array: the first q coordinates of n uniform unit vectors in
+    R^m, pairwise independent, written into the first rows of `out`, a
+    C-contiguous array with at least R ceil(n / R) rows, R =
+    `_rotation_count(n, q)`.
+
+    With R = 1 this is `_sphere_coordinates(rng, n, q, m)`, bit for bit.
+    Otherwise it draws n0 = ceil(n / R) Gaussian rows g and normalises them
+    to theta = g / |g|, then R - 1 Haar rotations Q_k (the QR factors of a
+    (R - 1, q, q) Gaussian stack, their columns multiplied by the signs of
+    R's diagonal, Mezzadri 2007), and writes theta, theta Q_1, ...,
+    theta Q_(R-1); when q < m it then scales every row by a fresh radius
+    sqrt(Beta(q/2, (m-q)/2)), the law of the length of the first q
+    coordinates.  For a fixed theta and a Haar Q, theta Q is uniform and
+    independent of theta, so any two rows are independent, whether they
+    share a base row or not."""
+    R = _rotation_count(n, q)
+    if R == 1:
+        return _sphere_coordinates(rng, n, q, m, out=out[:n])
+    n0 = -(-n // R)
+    # theta gets its own array: numpy's matmul reads an operand that shares
+    # memory with `out` up to 300x slower (n0 = 500, q = 48)
+    theta = _sphere_coordinates(rng, n0, q, q)
+    Q, T = np.linalg.qr(rng.standard_normal((R - 1, q, q)))
+    Q *= np.where(np.diagonal(T, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+    out[:n0] = theta
+    np.matmul(theta, Q, out=out[n0:R * n0].reshape(R - 1, n0, q))
+    u = out[:n]
+    if q < m:
+        u *= np.sqrt(rng.beta(0.5 * q, 0.5 * (m - q), n))[:, None]
+    return u
+
+
 def _gram_factor(A):
     """Rows with the Gram matrix A A^T of the (k, m) array A in min(k, m)
     columns: R^T from A^T = Q R when k < m, else A itself."""
@@ -519,10 +575,28 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     (built at |rho_i|), and through the signed anchor products rho_i
     <X_i, X_j>, so the origin may lie outside the body.
 
+    The directions of a chunk of n samples come from
+    `_rotated_coordinates`: with 2 <= q <= _ROTATE_MAX_Q it draws
+    n0 = ceil(n / R) Gaussian rows, R = `_rotation_count(n, q)` (about
+    sqrt(n / q)), and scores each normalised row theta at theta and at
+    theta Q_1, ..., theta Q_(R-1), with R - 1 Haar rotations from the QR
+    factors of a Gaussian stack (Mezzadri 2007), then gives every row a
+    fresh radius sqrt(Beta(q/2, (d-1-q)/2)) when q < d-1.  For a fixed
+    theta and a Haar Q, theta Q is uniform and independent of theta, so
+    any two directions of the chunk are independent, whether they share a
+    base row or not.  Pairwise independence is all that the mean and the
+    sample variance use: the variance of the mean is still var / S, and the
+    std_error above is unbiased for it in the same way.  Only higher-order
+    dependence differs (the rows of one rotation keep their mutual
+    angles).  This is not a reflection of u: a signed permutation keeps
+    w(u) and w(u P D) correlated, a Haar rotation does not.
+
     Each facet consumes an independent RNG stream derived from
     (seed, facet index), so any facet subset reproduces exactly.  Per chunk
-    of _CHUNK samples the draw order is: g, then the chi^2 completion when
-    q < d-1; every chunk is drawn into one block, reused by every facet.
+    of _CHUNK samples the draw order is: g, then the Haar stack, then the
+    radii when q < d-1 (with R = 1: g, then the chi^2 completion when
+    q < d-1, as `_sphere_coordinates` draws); every chunk is drawn into one
+    block, reused by every facet.
 
     Returns (values, std_errors, accepted, attempted) arrays over the
     requested facets; accepted is the sum of the pair means, the expected
@@ -541,7 +615,9 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     accepted = np.zeros(idx.size)
     attempted = np.zeros(idx.size, dtype=bool)
     coords = np.empty((N - 1, d - 1))  # the normals of every facet in turn
-    block = np.empty((min(S, _CHUNK), min(N - 1, d - 1)))  # the directions
+    q = min(N - 1, d - 1)  # the direction coordinates
+    rows = min(S, _CHUNK)
+    block = np.empty((rows + _rotation_count(rows, q) - 1, q))  # directions
 
     for pos, i in enumerate(idx):
         r = float(rho[i])
@@ -563,8 +639,7 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         done = 0
         while done < S:
             n = min(_CHUNK, S - done)
-            u = _sphere_coordinates(rng, n, normals.shape[1], d - 1,
-                                    out=block[:n])
+            u = _rotated_coordinates(rng, n, q, d - 1, block)
             lo, hi = _kernels.facet_chords(u, normals, base, ro)  # u, then -u
             w = table.cdf_at(hi)
             if lo.any():

@@ -192,6 +192,9 @@ _WITNESS_STEPS = 64
 _WITNESS_SOFTMAX = 20.0
 #: angle in radians of the first step; step k turns by _WITNESS_TURN/sqrt(k+1)
 _WITNESS_TURN = 0.3
+#: weight of the all-ones diagonal in the first ray, relative to the
+#: largest entry of the rows x_j/c_j
+_WITNESS_TIE = 1e-3
 
 
 def _reach_witness(dirs, offs, cap):
@@ -201,9 +204,11 @@ def _reach_witness(dirs, offs, cap):
     Every offset must be finite and positive.  Fewer rows than dimensions
     leave a direction v with dirs v = 0, and the line through v lies in the
     body.  Otherwise the ray t u stays in the body up to t = 1/g(u), where
-    g(u) = max_j <u, x_j>/c_j.  The first ray is u = -sum_j x_j/c_j, and
-    each further one takes a softmax-weighted subgradient step on g along
-    the sphere; the search stops at the first ray that reaches past `cap`.
+    g(u) = max_j <u, x_j>/c_j.  The first ray is u = -sum_j x_j/c_j plus
+    a fixed tie-breaker along the all-ones diagonal (_WITNESS_TIE of the
+    rows' largest entry), and each further one takes a softmax-weighted
+    subgradient step on g along the sphere; the search stops at the first
+    ray that reaches past `cap`.
     A candidate is returned only once it passes both checks as computed.
     """
     n, d = dirs.shape
@@ -221,9 +226,11 @@ def _reach_witness(dirs, offs, cap):
         x = 2.0 * goal / np.linalg.norm(v) * v
         return x if holds(x) else None
     a = dirs / offs[:, None]
-    u = -a.sum(axis=0)
-    if not np.any(u):
-        return None  # the rows cancel (a centred box): no first ray
+    # the tie-breaker: where the rows cancel (a centred box) the first ray
+    # is the diagonal, and where one row is parallel to the sum (a box off
+    # centre along one axis) the steps leave that row toward it
+    tie = _WITNESS_TIE * np.abs(a).max() / math.sqrt(d)
+    u = tie - a.sum(axis=0)
     for k in range(_WITNESS_STEPS):
         u /= np.linalg.norm(u)
         s = a @ u

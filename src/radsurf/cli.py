@@ -401,7 +401,7 @@ def _verify_rows(prof, seed: int) -> List[Dict]:
             prof.lambda_i >= lo - 1e-12,
             prof.lambda_i,
         ))
-        phi_t0 = float(phi.value(t0))
+        phi_t0 = phi.value(t0)
         rows.append(_check("potential-at-t0-below-m", phi_t0 <= m + 1e-9,
                            phi_t0))
         dfi = functionals.psi(prof, -prof.lambda_i)

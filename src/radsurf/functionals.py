@@ -112,7 +112,7 @@ def _one_nat_step(phi, r, rise, x_edge):
     R = phi.support_radius
 
     def pred(x):
-        return rise(x, float(phi.value(min(r(x), R)))) <= 1.0
+        return rise(x, phi.value(min(r(x), R))) <= 1.0
 
     if math.isfinite(x_edge):
         if pred(x_edge):
@@ -217,7 +217,7 @@ def _radial_law(phi, k, rho=0.0):
     def logf(s):
         if s < 0.0:
             return -math.inf
-        v = float(phi.value(math.hypot(rho, s)))
+        v = phi.value(math.hypot(rho, s))
         if not math.isfinite(v):
             return -math.inf
         if k == 0:
@@ -226,8 +226,7 @@ def _radial_law(phi, k, rho=0.0):
 
     def logf_vec(s):
         s = np.asarray(s, dtype=float)
-        val = np.asarray(phi.value(np.minimum(np.hypot(rho, s), R)),
-                         dtype=float)
+        val = phi.value(np.minimum(np.hypot(rho, s), R))
         with np.errstate(divide="ignore", invalid="ignore"):
             out = k * np.log(s) - val if k else -val
         return np.where(np.isfinite(val) & ((s > 0) | (k == 0)), out, -np.inf)
@@ -244,7 +243,7 @@ def _radial_law(phi, k, rho=0.0):
 
         def excess(s):
             r = math.hypot(rho, s)
-            return s * s * float(phi.derivative(r)) / r - k
+            return s * s * phi.derivative(r) / r - k
 
         if math.isfinite(s_max):
             hi = s_max * (1.0 - 1e-12)
@@ -314,10 +313,10 @@ def _deficit(phi, m, t0):
     with phi(t0) evaluated once.  It is log g_m(t0) - log g_m(t0 (1+x)):
     zero at x = 0 and nonnegative when t0 is the mode of g_m, and +inf
     beyond the support."""
-    phi_t0 = float(phi.value(t0))
+    phi_t0 = phi.value(t0)
 
     def deficit(x):
-        return float(phi.value(t0 * (1.0 + x))) - phi_t0 - m * math.log1p(x)
+        return phi.value(t0 * (1.0 + x)) - phi_t0 - m * math.log1p(x)
 
     return deficit
 
@@ -342,7 +341,7 @@ def solve_lambda_outer(phi, m, t0):
     x_max = phi.support_radius / t0 - 1.0
     if x_max <= 0.0:
         return 0.0
-    phi_t0 = float(phi.value(t0))
+    phi_t0 = phi.value(t0)
     x = _one_nat_step(phi, lambda x: t0 * (1.0 + x),
                       lambda x, v: v - phi_t0 - m * math.log1p(x), x_max)
     return x_max if x is None else x
@@ -476,7 +475,7 @@ def tail_mass_bound(phi, m, t0, x, psi_floor):
             f"tail hypothesis not satisfied: psi_floor={psi_floor:.6g} "
             f"exceeds the log-profile deficit {deficit:.6g} at x={x:.6g}"
         )
-    log_g_t0 = m * math.log(t0) - float(phi.value(t0))
+    log_g_t0 = m * math.log(t0) - phi.value(t0)
     return math.log(x) + math.log(t0) + log_g_t0 - math.log(psi_floor) - psi_floor
 
 

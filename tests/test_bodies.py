@@ -294,6 +294,80 @@ def test_sphere_coordinates_of_a_full_vector_draw_no_chi2():
     assert np.all(np.linalg.norm(w, axis=1) < 1.0)
 
 
+@pytest.mark.parametrize("n, q, m", [
+    (500, 1, 1), (500, 1, 6), (30, 8, 8),  # q = 1, and n < 4q
+    (500, bodies._ROTATE_MAX_Q + 1, bodies._ROTATE_MAX_Q + 1),
+    (500, bodies._ROTATE_MAX_Q + 1, 2 * bodies._ROTATE_MAX_Q),
+])
+def test_rotated_coordinates_without_rotation_are_the_sphere_draw(n, q, m):
+    assert bodies._rotation_count(n, q) == 1
+    rng, ref = bodies._rng(7), bodies._rng(7)
+    got = bodies._rotated_coordinates(rng, n, q, m, np.empty((n, q)))
+    want = _sphere_coordinates(ref, n, q, m)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert rng.random() == ref.random()
+
+
+def _rotated_blocks(q, m, n=4000, blocks=200):
+    """(u, theta, rotated) per block from independent streams: the n rows
+    drawn, the base rows, and theta Q_k for every rotation k whose rows
+    all lie among the n (directions, so divided by their radius)."""
+    R = bodies._rotation_count(n, q)
+    n0 = -(-n // R)
+    assert R > 1
+    for b in range(blocks):
+        out = np.empty((R * n0, q))
+        u = bodies._rotated_coordinates(bodies._rng(b), n, q, m, out)
+        dirs = u / np.linalg.norm(u, axis=1)[:, None]
+        full = n // n0
+        yield u, dirs[:n0], dirs[n0:full * n0].reshape(full - 1, n0, q)
+
+
+def _within(stats_per_block, truth, nsigma=5.0):
+    """The blocks' mean within nsigma of truth, elementwise, with the
+    standard error from the spread across the independent blocks."""
+    a = np.asarray(stats_per_block)
+    mean = a.mean(axis=0)
+    se = a.std(axis=0, ddof=1) / math.sqrt(a.shape[0])
+    return np.all(np.abs(mean - truth) <= nsigma * se)
+
+
+@pytest.mark.parametrize("q, m", [(6, 6), (5, 9)])
+def test_rotated_block_is_isotropic_and_pairwise_independent(q, m):
+    # E[u u^T] = I E|u|^2 / q, with E|u|^2 = q / m; for a base row and its
+    # rotations <theta, theta Q_k> has mean 0 and mean square 1 / q.  Rows
+    # that are pairwise independent make the variance of a block's mean
+    # var / n, whatever the higher-order dependence: rows that shared one
+    # rotation or repeated theta would inflate it up to R-fold.
+    n = 4000
+    second, dots, squares, means, variances = [], [], [], [], []
+    for u, theta, rotated in _rotated_blocks(q, m, n):
+        second.append(u.T @ u / n)
+        c = np.einsum("ij,kij->ki", theta, rotated)
+        dots.append(c.mean())
+        squares.append((c * c).mean())
+        means.append(u[:, 0].mean())
+        variances.append(u[:, 0].var(ddof=1))
+    assert _within(second, np.eye(q) / m)
+    assert _within(dots, 0.0)
+    assert _within(squares, 1.0 / q)
+    ratio = np.var(means, ddof=1) / (np.mean(variances) / n)
+    assert 0.5 <= ratio <= 1.5  # 5 sigma for a variance of 200 blocks
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_facet_mc_matches_the_gaussian_box_with_rotations(d, get_profile):
+    pr = get_profile("gaussian", d)
+    h = np.linspace(0.6, 1.6, d) * pr.t0 / math.sqrt(d)
+    S = 20_000
+    assert bodies._rotation_count(S, d - 1) > 1
+    mass = 2.0 * stats.norm.cdf(h) - 1.0
+    exact = sum(2.0 * stats.norm.pdf(h[j]) * np.prod(np.delete(mass, j))
+                for j in range(d))
+    est = polytope_surface_mc(pr, HyperRectangle(h), S, seed=5)
+    assert abs(est.value - exact) <= 4.0 * est.std_error
+
+
 @pytest.mark.parametrize("k", [4, 6])
 def test_sphere_coordinates_into_a_buffer_draw_the_same_bits(k):
     # k < m (with the chi^2 completion) and k = m: the buffer form draws
@@ -668,17 +742,34 @@ def test_facet_std_error_below_the_binomial_one(get_profile):
 
 def test_facet_values_chunks_keep_the_mean_and_variance(get_profile,
                                                        monkeypatch):
-    # with q = d - 1 direction coordinates nothing but g is drawn, so any
-    # chunking draws the same samples; the chunks' means and squared
-    # deviations must then combine to the one-pass figures
+    # with q = d - 1 > _ROTATE_MAX_Q direction coordinates nothing but g is
+    # drawn (R = 1, no chi^2 completion), so any chunking draws the same
+    # samples; the chunks' means and squared deviations must then combine
+    # to the one-pass figures
+    d = bodies._ROTATE_MAX_Q + 2
+    pr = get_profile("gaussian", d)
+    body = HyperRectangle(np.linspace(0.8, 1.6, d))
+    whole = _facet_values(pr, body, 3000, seed=6, facet_indices=[0, 1, 2])
+    monkeypatch.setattr(bodies, "_CHUNK", 700)
+    chunked = _facet_values(pr, body, 3000, seed=6, facet_indices=[0, 1, 2])
+    for a, b in zip(whole[:3], chunked[:3]):
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+    assert np.all(whole[1] > 0.0)
+
+
+def test_rotated_facet_values_chunks_agree_within_their_errors(get_profile,
+                                                               monkeypatch):
+    # with q = 2 each chunk draws R = isqrt(n // 2) rotations, so chunking
+    # changes the samples, not the law: the runs agree within their errors
     pr = get_profile("gaussian", 3)
     body = circumscribed_polytope(3, 1.2, 5, seed=31)
     whole = _facet_values(pr, body, 3000, seed=6)
     monkeypatch.setattr(bodies, "_CHUNK", 700)
     chunked = _facet_values(pr, body, 3000, seed=6)
-    for a, b in zip(whole[:3], chunked[:3]):
-        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
-    assert np.all(whole[1] > 0.0)
+    assert not np.array_equal(whole[0], chunked[0])
+    assert np.all(np.abs(whole[0] - chunked[0])
+                  <= 4.0 * np.hypot(whole[1], chunked[1]))
+    assert np.allclose(whole[1], chunked[1], rtol=0.1, atol=0.0)
 
 
 def _binomial_facet_mc(pr, body, S, seed):

@@ -504,6 +504,39 @@ def test_no_reach_lp_on_a_slab_or_a_half_space(d, get_profile, lp_calls,
     assert certs == [_lp_path(pr, body, monkeypatch) for body in cases]
 
 
+def _boxes(pr):
+    """A centred box and one off centre along one axis, half-widths t0/2
+    times 0.5-1.5: corner radius about sqrt(d) t0/2, far past cap."""
+    d = pr.d
+    h = pr.t0 / 2 * np.random.default_rng(d).uniform(0.5, 1.5, d)
+    offs = np.concatenate([h, h])
+    offs[0], offs[d] = 1.5 * h[0], 0.5 * h[0]
+    eye = np.eye(d)
+    return [HyperRectangle(h), Polytope(np.vstack([eye, -eye]), offs)]
+
+
+def test_no_reach_lp_on_a_box_at_d256(get_profile, monkeypatch):
+    # the rows of a centred box cancel, and off centre along one axis the
+    # first ray's only active row is parallel to it: the tie-breaker gives
+    # both a first ray and a first step
+    pr = get_profile("gaussian", 256)
+    calls = []
+    real = certificates._facet_radius_range
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    for body in _boxes(pr):
+        x = _reach_witness(*as_facets(body), _cap(pr))
+        assert x is not None
+        with monkeypatch.context() as mp:
+            mp.setattr(certificates, "_facet_radius_range", counting)
+            cert = certificate_upper_bound(pr, body)
+        assert calls == []
+        assert cert == _lp_path(pr, body, monkeypatch)
+
+
 def test_a_small_box_still_runs_the_reach_lps(get_profile, lp_calls,
                                               monkeypatch):
     # corner radius |(0.2, 0.2, 0.3, 0.3)| = 0.51, below cap = 2; the box is
@@ -525,6 +558,7 @@ def test_the_witness_lies_in_the_body_beyond_cap(get_profile):
         cases += [(pr, body) for body in _lines(pr)]
     pr = get_profile("gaussian", 256)
     cases.append((pr, _box_and_eight(pr, seed=3)))
+    cases += [(pr, body) for body in _boxes(pr)]
     found = 0
     for pr, body in cases:
         dirs, offs = as_facets(body)
