@@ -25,10 +25,21 @@ evaluated densely in float64, with -<a_r, x_j> for -a_r: c_j < 0 with
 empty when c_j < 0 and <a_r, x_j> >= 0 or when c_j = 0 and
 <a_r, x_j> > 0.
 
-Below _FLOAT32_MIN_D columns or _FLOAT32_MIN_K constraints the product is
-taken in float64.  Above, M_r comes from a filtered predicate (Shewchuk
-1997): a cheap float32 evaluation with a rigorous error bound, and a
-float64 recheck of only the constraints inside the bound.
+The normals may come as a stack of R sets (an (R, k, q) array) that share
+base and offsets: facet Monte Carlo scores a direction theta Q_s through
+<theta Q_s, x_j> = <theta, x_j Q_s^T>, so it rotates the k normals rather
+than the n directions.  The chords of every row against every set come
+from one float64 product per block of constraints: the block's R b
+normals, stored constraint-major, times the q x n directions, one
+(R b) x q x n GEMM, reduced over the block's constraints.  A (k, q) array
+is the stack with R = 1 and takes exactly the unstacked product.
+
+Below _FLOAT32_MIN_D columns or _FLOAT32_MIN_K constraints, and for every
+stack of R > 1 sets, the product is taken in float64.  Above, M_r comes
+from a filtered predicate (Shewchuk 1997): a cheap float32 evaluation with
+a rigorous error bound, and a float64 recheck of only the constraints
+inside the bound.  (Facet Monte Carlo stacks sets only up to q = 80
+coordinates, below _FLOAT32_MIN_D, so its filtered products have R = 1.)
 
 Write u = 2^-24 and u' = 2^-53 for the unit roundoffs of float32 and
 float64, eta = 2^-150 for the absolute error of a float32 rounding that
@@ -108,17 +119,23 @@ def facet_chords(dirs, normals, base, offsets):
     entry n + r that of its reflection -dirs[r], both from one product, as
     the float64 expressions give them (see the module docstring).  An empty
     chord reads lo = hi = 0; with no constraints every chord is [0, inf).
+
+    With an (R, k, q) stack of normals the chords are those of dirs against
+    each set in turn, 2 R n entries: entry s n + r < R n is the chord of
+    dirs[r] against set s, entry R n + s n + r that of -dirs[r].
     """
-    n = dirs.shape[0]
+    sets = normals if normals.ndim == 3 else normals[None]
+    R, k = sets.shape[:2]
+    n = R * dirs.shape[0]  # chords per half
     lo = np.zeros(2 * n)
     hi = np.full(2 * n, math.inf)
-    if normals.shape[0] == 0 or n == 0:
+    if k == 0 or n == 0:
         return lo, hi
     slack = offsets - base
     up = slack > 0.0
     empty = np.zeros(2 * n, dtype=bool)
     if not up.all():
-        t = dirs @ normals[~up].T
+        t = np.concatenate([dirs @ x[~up].T for x in sets])
         t = np.concatenate([t, -t])
         c = slack[~up]
         neg = c < 0.0
@@ -129,7 +146,7 @@ def facet_chords(dirs, normals, base, offsets):
     if up.any():
         # 1 / c_j on the upper constraints; a zero row never lowers hi
         inv = np.divide(1.0, slack, out=np.zeros_like(slack), where=up)
-        top, bottom = _row_extremes(dirs, normals, inv)
+        top, bottom = _row_extremes(dirs, sets, inv)
         top = np.concatenate([top, -bottom])  # M_r of dirs, then of -dirs
         hi = np.divide(1.0, top, out=hi, where=top > 0.0)
     empty |= ~(lo < hi)
@@ -138,27 +155,36 @@ def facet_chords(dirs, normals, base, offsets):
     return lo, hi
 
 
-def _row_extremes(dirs, normals, inv):
-    """max_j and min_j of inv[j] <dirs[r], normals[j]> per row r (the module
-    docstring's M_r of dirs[r] and -M_r of -dirs[r]), in float32 with a
-    float64 recheck on large products, else in float64."""
+def _row_extremes(dirs, sets, inv):
+    """max_j and min_j of inv[j] <dirs[r], sets[s, j]> per row r and set s
+    (the module docstring's M_r of dirs[r] and -M_r of -dirs[r]), as R n
+    entries, set by set: in float32 with a float64 recheck on large
+    products with one set, else in float64."""
     n, d = dirs.shape
-    k = normals.shape[0]
+    R, k = sets.shape[:2]
     margin2 = None
-    if d >= _FLOAT32_MIN_D and k >= _FLOAT32_MIN_K:
-        margin2 = _chord_margins(dirs, normals, inv)
-    top = np.full(n, -np.inf)
-    bottom = np.full(n, np.inf)
+    if R == 1 and d >= _FLOAT32_MIN_D and k >= _FLOAT32_MIN_K:
+        margin2 = _chord_margins(dirs, sets[0], inv)
     if margin2 is None:
-        blocks = _blocks(k, _BLOCK64_ENTRIES // n)
-        buf = np.empty((blocks[0].stop, n))
+        # constraint-major rows: the R rows of constraint j are j R, ..., so
+        # a block of constraints is one contiguous (R b, d) operand; one set
+        # is passed as given, in its own memory order, for the unstacked bits
+        rows = sets[0] if R == 1 else sets.swapaxes(0, 1).reshape(k * R, d)
+        top = np.full((R, n), -np.inf)
+        bottom = np.full((R, n), np.inf)
+        blocks = _blocks(k, _BLOCK64_ENTRIES // (R * n))
+        buf = np.empty((blocks[0].stop * R, n))
         for blk in blocks:
-            t = buf[:blk.stop - blk.start]
-            np.matmul(normals[blk], dirs.T, out=t)
-            t *= inv[blk, None]
+            t = buf[:(blk.stop - blk.start) * R]
+            np.matmul(rows[blk.start * R:blk.stop * R], dirs.T, out=t)
+            t = t.reshape(-1, R, n)
+            t *= inv[blk, None, None]
             np.maximum(top, t.max(axis=0), out=top)
             np.minimum(bottom, t.min(axis=0), out=bottom)
-        return top, bottom
+        return top.ravel(), bottom.ravel()
+    normals = sets[0]
+    top = np.full(n, -np.inf)
+    bottom = np.full(n, np.inf)
     blocks = _blocks(k, _BLOCK_ENTRIES // n)
     a32 = dirs.astype(np.float32)
     inv32 = inv.astype(np.float32)

@@ -16,7 +16,10 @@ radius integrated out exactly over the chord of accepted radii, with the
 CDF of the on-hyperplane radius table, and each direction scored together
 with its reflection (antithetic pairs).  Up to _ROTATE_MAX_Q coordinates,
 each drawn Gaussian row scores R pairwise independent directions: itself
-and its images under R - 1 Haar rotations (`_rotated_coordinates`).
+and its images under R - 1 Haar rotations (`_rotated_coordinates`).  As
+<theta Q, x> = <theta, x Q^T>, the k neighbour normals are rotated instead
+of the n directions, and a direction's radius rho > 0 divides the chord
+ends afterwards (the chord of rho v is the chord of v over rho).
 Independently, the Minkowski difference quotient
 [mu(Q + eps B) - mu(Q)] / eps is estimated by direct sampling as a
 validation oracle, which likewise draws only what the body's shell test
@@ -69,12 +72,13 @@ _UNIT_TOL = 1e-12
 _OUTER_ENTRIES = 1 << 18  # float64 entries of one rank-1 update step
 
 # The most direction coordinates that facet Monte Carlo draws in rotated
-# blocks (`_rotated_coordinates`).  The rotations cost (R - 1) q^3 for their
-# QR factors and n q^2 for the product, against the n q normals they save
-# (timed on a 2-core x86 host with OpenBLAS, rotated against plain draws
-# into R^1023: at q = 68 2.2x faster at 20000 directions and 1.2x at 2500;
-# at q = 80 2.0x and 1.3x; at q = 96 1.8x and 1.0x, and 0.7x at 1000; at
-# q = 128 slower at every n up to 20000).
+# blocks (`_rotated_coordinates`).  The rotations cost (R - 1)(q^3 + k q^2)
+# for their QR factors and the k rotated normals, against the n q normals
+# they save.  The threshold was timed when the n directions were rotated
+# instead, at an extra n q^2 (on a 2-core x86 host with OpenBLAS, rotated
+# against plain draws into R^1023: at q = 68 2.2x faster at 20000
+# directions and 1.2x at 2500; at q = 80 2.0x and 1.3x; at q = 96 1.8x and
+# 1.0x, and 0.7x at 1000; at q = 128 slower at every n up to 20000).
 _ROTATE_MAX_Q = 80
 
 _ONE_SAMPLE_NOTE = "unreliable: one sample per facet gives no sample variance"
@@ -88,17 +92,19 @@ def _rng(*key):
 
 
 def _unit_rows(z):
-    """Rows of z scaled to unit length; zero rows stay zero."""
+    """The rows of z scaled to unit length in place, and z; zero rows stay
+    zero."""
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
-    return z / norms[:, None]
+    z /= norms[:, None]
+    return z
 
 
 def _as_unit_rows(vecs, what):
     v = np.atleast_2d(np.asarray(vecs, dtype=float))
     if not np.all(np.isfinite(v)):
         raise InputError(f"{what} must be finite")
-    norms = np.linalg.norm(v, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
     if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
         raise InputError(f"{what} must be unit vectors (to {_UNIT_TOL:g})")
     return v
@@ -349,7 +355,7 @@ class _InverseCdfTable:
     NumericsError when that needs more than `max_knots` knots.
     """
 
-    __slots__ = ("grid", "cdf")
+    __slots__ = ("grid", "cdf", "slope")
 
     def __init__(self, logf_vec, a, b, log_peak, max_knots=1 << 16):
         if not b > a:
@@ -378,6 +384,7 @@ class _InverseCdfTable:
         cdf[0], cdf[-1] = 0.0, 1.0
         self.grid = grid
         self.cdf = cdf
+        self.slope = None  # set by the first `cdf_at`; samplers never read it
 
     def sample(self, u):
         """Map uniforms in [0, 1) to radii by linear interpolation."""
@@ -397,8 +404,10 @@ class _InverseCdfTable:
         knot off; one comparison on each side corrects that.
         """
         g, c = self.grid, self.cdf
-        # np.interp's slope on each knot interval, and 0 past the last knot
-        slope = np.append(np.diff(c) / np.diff(g), 0.0)
+        if self.slope is None:
+            # np.interp's slope on each knot interval, and 0 past the last knot
+            self.slope = np.append(np.diff(c) / np.diff(g), 0.0)
+        slope = self.slope
         x = np.clip(t, g[0], g[-1])
         # fmin maps nan to the last interval, where the formula gives nan
         scale = (g.size - 1) / (g[-1] - g[0])
@@ -434,16 +443,13 @@ def _point_chunk(rng, table, d, n):
     return r[:, None] * _sphere_coordinates(rng, n, d, d)
 
 
-def _sphere_coordinates(rng, n, k, m, out=None):
+def _sphere_coordinates(rng, n, k, m):
     """(n, k) array: the first k <= m coordinates of n uniform unit vectors
     in R^m, g / sqrt(|g|^2 + chi^2_(m-k)) with g ~ N(0, I_k).  Draws g,
-    then the chi^2 completion if k < m; k = 0 draws nothing.  Written into
-    `out`, a C-contiguous (n, k) array, when given; the draws are the same."""
-    if out is None:
-        out = np.empty((n, k))
+    then the chi^2 completion if k < m; k = 0 draws nothing."""
     if k == 0:
-        return out
-    g = rng.standard_normal(out=out)
+        return np.empty((n, 0))
+    g = rng.standard_normal((n, k))
     sq = np.einsum("ij,ij->i", g, g)
     if k < m:
         sq += rng.chisquare(m - k, n)
@@ -462,37 +468,31 @@ def _rotation_count(n, q):
     return 1
 
 
-def _rotated_coordinates(rng, n, q, m, out):
-    """(n, q) array: the first q coordinates of n uniform unit vectors in
-    R^m, pairwise independent, written into the first rows of `out`, a
-    C-contiguous array with at least R ceil(n / R) rows, R =
-    `_rotation_count(n, q)`.
+def _rotated_coordinates(rng, n, q, m):
+    """The draw of n directions with the first q coordinates of uniform
+    unit vectors in R^m, pairwise independent: (theta, rotations, radii)
+    such that the directions are the first n rows of
+    [theta; theta Q_1; ...; theta Q_(R-1)], each scaled by its radius,
+    R = `_rotation_count(n, q)`.
 
-    With R = 1 this is `_sphere_coordinates(rng, n, q, m)`, bit for bit.
-    Otherwise it draws n0 = ceil(n / R) Gaussian rows g and normalises them
-    to theta = g / |g|, then R - 1 Haar rotations Q_k (the QR factors of a
-    (R - 1, q, q) Gaussian stack, their columns multiplied by the signs of
-    R's diagonal, Mezzadri 2007), and writes theta, theta Q_1, ...,
-    theta Q_(R-1); when q < m it then scales every row by a fresh radius
+    With R = 1 theta is `_sphere_coordinates(rng, n, q, m)`, bit for bit,
+    and rotations and radii are None.  Otherwise it draws n0 = ceil(n / R)
+    Gaussian rows g and normalises them to theta = g / |g|, then the R - 1
+    Haar rotations Q_k of the (R - 1, q, q) array `rotations` (the QR
+    factors of a Gaussian stack, their columns multiplied by the signs of
+    R's diagonal, Mezzadri 2007), then, when q < m, the n radii
     sqrt(Beta(q/2, (m-q)/2)), the law of the length of the first q
-    coordinates.  For a fixed theta and a Haar Q, theta Q is uniform and
-    independent of theta, so any two rows are independent, whether they
-    share a base row or not."""
+    coordinates (radii None when q = m).  For a fixed theta and a Haar Q,
+    theta Q is uniform and independent of theta, so any two directions are
+    independent, whether they share a base row or not."""
     R = _rotation_count(n, q)
     if R == 1:
-        return _sphere_coordinates(rng, n, q, m, out=out[:n])
-    n0 = -(-n // R)
-    # theta gets its own array: numpy's matmul reads an operand that shares
-    # memory with `out` up to 300x slower (n0 = 500, q = 48)
-    theta = _sphere_coordinates(rng, n0, q, q)
+        return _sphere_coordinates(rng, n, q, m), None, None
+    theta = _sphere_coordinates(rng, -(-n // R), q, q)
     Q, T = np.linalg.qr(rng.standard_normal((R - 1, q, q)))
     Q *= np.where(np.diagonal(T, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
-    out[:n0] = theta
-    np.matmul(theta, Q, out=out[n0:R * n0].reshape(R - 1, n0, q))
-    u = out[:n]
-    if q < m:
-        u *= np.sqrt(rng.beta(0.5 * q, 0.5 * (m - q), n))[:, None]
-    return u
+    radii = np.sqrt(rng.beta(0.5 * q, 0.5 * (m - q), n)) if q < m else None
+    return theta, Q, radii
 
 
 def _gram_factor(A):
@@ -591,12 +591,19 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     angles).  This is not a reflection of u: a signed permutation keeps
     w(u) and w(u P D) correlated, a Haar rotation does not.
 
+    No direction rho theta Q_k is built.  Since <theta Q, x> = <theta, x Q^T>,
+    the chunk's R - 1 rotations turn the k normals into the sets
+    normals Q_k^T, (R - 1) k q^2 flops in place of n q^2, and
+    `facet_chords` scores theta against the stack of all R sets.  The chord
+    of rho v is the chord of v divided by rho (rho > 0), so both ends of
+    each of the first n chords are divided by the direction's radius.  The
+    chords equal those of the built directions up to rounding.
+
     Each facet consumes an independent RNG stream derived from
     (seed, facet index), so any facet subset reproduces exactly.  Per chunk
     of _CHUNK samples the draw order is: g, then the Haar stack, then the
     radii when q < d-1 (with R = 1: g, then the chi^2 completion when
-    q < d-1, as `_sphere_coordinates` draws); every chunk is drawn into one
-    block, reused by every facet.
+    q < d-1, as `_sphere_coordinates` draws).
 
     Returns (values, std_errors, accepted, attempted) arrays over the
     requested facets; accepted is the sum of the pair means, the expected
@@ -616,8 +623,6 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     attempted = np.zeros(idx.size, dtype=bool)
     coords = np.empty((N - 1, d - 1))  # the normals of every facet in turn
     q = min(N - 1, d - 1)  # the direction coordinates
-    rows = min(S, _CHUNK)
-    block = np.empty((rows + _rotation_count(rows, q) - 1, q))  # directions
 
     for pos, i in enumerate(idx):
         r = float(rho[i])
@@ -639,12 +644,23 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         done = 0
         while done < S:
             n = min(_CHUNK, S - done)
-            u = _rotated_coordinates(rng, n, q, d - 1, block)
-            lo, hi = _kernels.facet_chords(u, normals, base, ro)  # u, then -u
+            theta, rotations, radii = _rotated_coordinates(rng, n, q, d - 1)
+            sets = normals
+            if rotations is not None:  # <theta Q, x> = <theta, x Q^T>
+                sets = np.concatenate(
+                    [normals[None], normals @ rotations.swapaxes(1, 2)])
+            lo, hi = _kernels.facet_chords(theta, sets, base, ro)
+            # theta against every set, then -theta: the first n of each half;
+            # the chord of rho v is that of v divided by rho
+            lo, hi = (e.reshape(2, -1)[:, :n] for e in (lo, hi))
+            if radii is not None:
+                hi /= radii
             w = table.cdf_at(hi)
             if lo.any():
+                if radii is not None:
+                    lo /= radii
                 w -= table.cdf_at(lo)
-            w = 0.5 * (w[:n] + w[n:])
+            w = 0.5 * (w[0] + w[1])
             mean = w.mean()
             # Chan's update of the squared deviations over the chunks
             sq += float(np.square(w - mean).sum())

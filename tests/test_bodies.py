@@ -302,22 +302,29 @@ def test_sphere_coordinates_of_a_full_vector_draw_no_chi2():
 def test_rotated_coordinates_without_rotation_are_the_sphere_draw(n, q, m):
     assert bodies._rotation_count(n, q) == 1
     rng, ref = bodies._rng(7), bodies._rng(7)
-    got = bodies._rotated_coordinates(rng, n, q, m, np.empty((n, q)))
+    got, rotations, radii = bodies._rotated_coordinates(rng, n, q, m)
+    assert rotations is None and radii is None
     want = _sphere_coordinates(ref, n, q, m)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert rng.random() == ref.random()
 
 
 def _rotated_blocks(q, m, n=4000, blocks=200):
-    """(u, theta, rotated) per block from independent streams: the n rows
-    drawn, the base rows, and theta Q_k for every rotation k whose rows
-    all lie among the n (directions, so divided by their radius)."""
+    """(u, theta, rotated) per block from independent streams: the n
+    directions that facet MC scores, rebuilt from the draw as the first n
+    rows of [theta; theta Q_1; ...] times their radii, the base rows, and
+    theta Q_k for every rotation k whose rows all lie among the n
+    (directions, so divided by their radius)."""
     R = bodies._rotation_count(n, q)
     n0 = -(-n // R)
     assert R > 1
     for b in range(blocks):
-        out = np.empty((R * n0, q))
-        u = bodies._rotated_coordinates(bodies._rng(b), n, q, m, out)
+        theta, rotations, radii = bodies._rotated_coordinates(
+            bodies._rng(b), n, q, m)
+        assert theta.shape == (n0, q) and rotations.shape == (R - 1, q, q)
+        u = np.concatenate([theta, *(theta @ rotations)])[:n]
+        if radii is not None:
+            u *= radii[:, None]
         dirs = u / np.linalg.norm(u, axis=1)[:, None]
         full = n // n0
         yield u, dirs[:n0], dirs[n0:full * n0].reshape(full - 1, n0, q)
@@ -366,20 +373,6 @@ def test_facet_mc_matches_the_gaussian_box_with_rotations(d, get_profile):
                 for j in range(d))
     est = polytope_surface_mc(pr, HyperRectangle(h), S, seed=5)
     assert abs(est.value - exact) <= 4.0 * est.std_error
-
-
-@pytest.mark.parametrize("k", [4, 6])
-def test_sphere_coordinates_into_a_buffer_draw_the_same_bits(k):
-    # k < m (with the chi^2 completion) and k = m: the buffer form draws
-    # the same stream, whatever the buffer held before
-    n, m = 500, 6
-    rng, ref = bodies._rng(5), bodies._rng(5)
-    buf = np.full((n + 7, k), np.nan)
-    got = _sphere_coordinates(rng, n, k, m, out=buf[:n])
-    want = _sphere_coordinates(ref, n, k, m)
-    assert got.base is buf
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert rng.random() == ref.random()
 
 
 # --- inverse-CDF tables ----------------------------------------------------

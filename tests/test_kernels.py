@@ -219,6 +219,18 @@ def _reflected(dirs, normals, base, offsets):
     return np.vstack([dirs, -dirs]), normals, base, offsets
 
 
+def _stacked_dense64(dirs, normals, base, offsets):
+    """`_chords_dense64` of [dirs; -dirs] against each set of a (k, q)
+    array or an (R, k, q) stack, in `facet_chords`' order: the chords of
+    dirs against every set, then those of -dirs."""
+    sets = normals if normals.ndim == 3 else normals[None]
+    n = dirs.shape[0]
+    per_set = [_chords_dense64(*_reflected(dirs, x, base, offsets))
+               for x in sets]
+    return tuple(np.concatenate([e[:n] for e in ends] + [e[n:] for e in ends])
+                 for ends in zip(*per_set))
+
+
 def _assert_same_chords(got, ref, dirs, normals, base, offsets):
     """Equal chord ends up to float64 rounding of the inner products: 1/end
     is an inner product over a slack, so compare the reciprocals within
@@ -424,6 +436,65 @@ def test_facet_chords_nonpositive_slack_cases(chord_path):
     assert np.all(np.isinf(hi[both[:, 1] < 0.0])) and not lo.any()
 
 
+def test_facet_chords_of_a_stack_of_one_set_are_the_unstacked_chords(
+        chord_path):
+    # every slack positive, and one negative: the filtered (or float64)
+    # product and the dense branch both take a (1, k, q) stack as (k, q)
+    for offsets_first in (0.2, -0.2):
+        dirs, normals, base, offsets = _chord_workload(6, k=9)
+        offsets[0] = base[0] + offsets_first
+        want = facet_chords(dirs, normals, base, offsets)
+        got = facet_chords(dirs, normals[None], base, offsets)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def _facet_arguments(X, rho):
+    """facet_chords' normals, base and offsets for facet 0 of the polytope
+    {<x, X_j> <= rho_j}, as facet MC builds them."""
+    Xx = X @ X[0]
+    normals = bodies._gram_factor(bodies._hyperplane_coordinates(X, 0, Xx))
+    return normals, rho[0] * Xx[1:], rho[1:]
+
+
+@pytest.mark.parametrize("case", ["positive", "nonpositive", "q = d-1"])
+def test_facet_chords_of_rotated_normals_are_those_of_rotated_directions(
+        case):
+    # <theta Q, x> = <theta, x Q^T>, and the chord of rho v is the chord of
+    # v divided by rho: the stack of rotated normals, divided by the radii,
+    # gives the chords of the directions rho theta Q_k themselves
+    rng = np.random.default_rng(8)
+    d, N = (6, 10) if case == "q = d-1" else (12, 8)
+    X = rng.standard_normal((N, d))
+    rho = np.full(N, 1.5)
+    if case == "nonpositive":
+        # a near-parallel neighbour nearer the origin: c_1 < 0
+        X[1] = X[0] + 1e-2 * rng.standard_normal(d)
+        rho[0], rho[1] = 2.0, 0.5
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    normals, base, offsets = _facet_arguments(X, rho)
+    q = normals.shape[1]
+    assert ((offsets - base).min() < 0.0) == (case == "nonpositive")
+    n = 3000
+    theta, rotations, radii = bodies._rotated_coordinates(
+        np.random.default_rng(9), n, q, d - 1)
+    assert rotations is not None and (radii is None) == (case == "q = d-1")
+    sets = np.concatenate([normals[None], normals @ rotations.swapaxes(1, 2)])
+    lo, hi = (e.reshape(2, -1)[:, :n]
+              for e in facet_chords(theta, sets, base, offsets))
+    u = np.concatenate([theta, *(theta @ rotations)])[:n]
+    if radii is not None:
+        lo, hi = lo / radii, hi / radii
+        u *= radii[:, None]
+    want = (e.reshape(2, n) for e in facet_chords(u, normals, base, offsets))
+    for g, w in zip((lo, hi), want):
+        assert np.array_equal(g == 0.0, w == 0.0)
+        assert np.array_equal(np.isinf(g), np.isinf(w))
+        assert np.allclose(g, w, rtol=1e-12, atol=0.0)
+    assert np.any(lo > 0.0) == (case == "nonpositive")
+    assert np.any(np.isfinite(hi) & (hi > 0.0))
+
+
 @pytest.mark.parametrize("d, subsample, samples",
                          [(1024, 2, 500), (256, 4, 2000)])
 def test_facet_values_counts_match_dense_float64(get_profile, monkeypatch,
@@ -431,18 +502,18 @@ def test_facet_values_counts_match_dense_float64(get_profile, monkeypatch,
     # construction polytopes: at d = 1024 (N = 5007) u has all d - 1
     # in-plane coordinates, the normals are the reflected unit rows and
     # the kernel takes its float32 product; at d = 256 (N = 69) u has 68
-    # coordinates and the normals are the non-unit rows of the triangular
-    # factor.  The weights F(hi) - F(lo) equal those of dense float64
-    # chords of the directions and their reflections up to the rounding of
-    # the chord ends.
+    # coordinates, the normals are the non-unit rows of the triangular
+    # factor and the kernel gets them as a stack of rotated sets.  The
+    # weights F(hi) - F(lo) equal those of dense float64 chords of the
+    # directions and their reflections up to the rounding of the chord
+    # ends.
     prof = get_profile("gaussian", d)
     spec = construction.plan(prof, c_rho=1.0, seed=3)
     body = construction.sample_polytope(spec, prof)
     picked = np.arange(subsample)
     val, err, acc, att = bodies._facet_values(prof, body, samples, 9,
                                               facet_indices=picked)
-    monkeypatch.setattr(_kernels, "facet_chords",
-                        lambda *args: _chords_dense64(*_reflected(*args)))
+    monkeypatch.setattr(_kernels, "facet_chords", _stacked_dense64)
     rval, rerr, ref, ref_att = bodies._facet_values(prof, body, samples, 9,
                                                     facet_indices=picked)
     assert att.all() and ref_att.all()
