@@ -28,11 +28,11 @@ empty when c_j < 0 and <a_r, x_j> >= 0 or when c_j = 0 and
 The normals may come as a stack of R sets (an (R, k, q) array) that share
 base and offsets: facet Monte Carlo scores a direction theta Q_s through
 <theta Q_s, x_j> = <theta, x_j Q_s^T>, so it rotates the k normals rather
-than the n directions.  The chords of every row against every set come
-from one float64 product per block of constraints: the block's R b
-normals, stored constraint-major, times the q x n directions, one
-(R b) x q x n GEMM, reduced over the block's constraints.  A (k, q) array
-is the stack with R = 1 and takes exactly the unstacked product.
+than the n directions.  The chords of a block of rows against every set
+come from one float64 product: the R k normals times the block's b
+directions, one (R k) x q x b GEMM, reduced over each set's constraints.
+A (k, q) array is the stack with R = 1 and takes exactly the unstacked
+product.
 
 Below _FLOAT32_MIN_D columns or _FLOAT32_MIN_K constraints, and for every
 stack of R > 1 sets, the product is taken in float64.  Above, M_r comes
@@ -70,16 +70,13 @@ float64 and returns their maximum, which is v_rj*.  For -a_r the same
 argument holds with a_r -> -a_r: |a_r| and so m_r are unchanged, and t_rj
 and v_rj change sign exactly, so the candidates are the pairs with
 t_rj <= min_j t_rj + 2 m_r and the float64 minimum over them is
-min_j v_rj.  One float64 pass rechecks both sets.  The constraints go in
-blocks of max(1, 2^22 // n), which bounds the float32 working set; a
-block's candidates are collected against the running maximum and minimum
-of t over the blocks so far, which only grow and shrink, so the final
-filter against the row's extremes loses none.  The bounds assume no
-float32 overflow: the product is taken in float64 unless P <= 2^100 and
-d u < 1/2, and then every float32 quantity above stays below 2^102.  The
-recheck's inner products come from another evaluation order than a BLAS
-product, so M_r can differ from the float64 path's in its last bits, which
-moves w = F(hi) - F(lo) by as little.
+min_j v_rj.  One float64 pass rechecks both sets.  A block of rows holds
+every constraint of its rows, so its R_r and min_j t_rj are final.  The
+bounds assume no float32 overflow: the product is taken in float64 unless
+P <= 2^100 and d u < 1/2, and then every float32 quantity above stays
+below 2^102.  The recheck's inner products come from another evaluation
+order than a BLAS product, so M_r can differ from the float64 path's in
+its last bits, which moves w = F(hi) - F(lo) by as little.
 """
 
 import math
@@ -90,16 +87,16 @@ _U32 = 2.0 ** -24
 _U64 = 2.0 ** -53
 _ETA = 2.0 ** -150
 _SAFE = 2.0 ** 100
-_BLOCK_ENTRIES = 1 << 22  # float32 entries of one block of products
 # float64 entries gathered per recheck step, few enough that the gathered
 # rows are still in cache for the inner products (2-core x86 host: 4100
 # candidates at d = 1023 took 6.6 ms in steps of 2^16 entries, 20-24 ms in
 # steps of 2^20)
 _RECHECK_ENTRIES = 1 << 16
-# float64 entries of one block of the float64 product: at 20000 samples of
-# 68 coordinates (construct-d256) one 10.9 MB block raised the peak RSS by
-# 10 MB over blocks of at most 8 MB (glibc's dynamic mmap threshold)
-_BLOCK64_ENTRIES = 1 << 20
+# bytes of one block of products, float32 or float64, each block holding
+# every constraint of its rows: at 20000 samples of 68 coordinates
+# (construct-d256) one 10.9 MB block raised the peak RSS by 10 MB over
+# blocks of at most 8 MB (glibc's dynamic mmap threshold)
+_BLOCK_BYTES = 8 << 20
 # The float32 product pays for its filter only on large products: below
 # these sizes the float64 product is the faster one (timed on a 2-core x86
 # host with OpenBLAS: at d = 68, k = 68 or d = 511, k = 511 float64 was
@@ -159,71 +156,67 @@ def _row_extremes(dirs, sets, inv):
     """max_j and min_j of inv[j] <dirs[r], sets[s, j]> per row r and set s
     (the module docstring's M_r of dirs[r] and -M_r of -dirs[r]), as R n
     entries, set by set: in float32 with a float64 recheck on large
-    products with one set, else in float64."""
+    products with one set, else in float64.  Both products go in blocks of
+    rows, each block holding every constraint of its rows."""
     n, d = dirs.shape
     R, k = sets.shape[:2]
     margin2 = None
     if R == 1 and d >= _FLOAT32_MIN_D and k >= _FLOAT32_MIN_K:
         margin2 = _chord_margins(dirs, sets[0], inv)
     if margin2 is None:
-        # constraint-major rows: the R rows of constraint j are j R, ..., so
-        # a block of constraints is one contiguous (R b, d) operand; one set
-        # is passed as given, in its own memory order, for the unstacked bits
-        rows = sets[0] if R == 1 else sets.swapaxes(0, 1).reshape(k * R, d)
-        top = np.full((R, n), -np.inf)
-        bottom = np.full((R, n), np.inf)
-        blocks = _blocks(k, _BLOCK64_ENTRIES // (R * n))
-        buf = np.empty((blocks[0].stop * R, n))
+        top = np.empty((R, n))
+        bottom = np.empty((R, n))
+        rows = sets.reshape(R * k, d)
+        # a multiple of 8 rows where the budget allows: OpenBLAS's x86 dgemm
+        # tiles these columns by 8, and other block lengths move the last
+        # bit of many more products off the unblocked product's (1177 rows
+        # of 68 coordinates against 17 sets: 7638 of 1.4 million products
+        # in blocks of 907 rows, 19 in blocks of 904)
+        per_block = _BLOCK_BYTES // (8 * R * k)
+        blocks = _blocks(n, per_block - per_block % 8 or per_block)
+        buf = np.empty(R * k * blocks[0].stop)
         for blk in blocks:
-            t = buf[:(blk.stop - blk.start) * R]
-            np.matmul(rows[blk.start * R:blk.stop * R], dirs.T, out=t)
-            t = t.reshape(-1, R, n)
-            t *= inv[blk, None, None]
-            np.maximum(top, t.max(axis=0), out=top)
-            np.minimum(bottom, t.min(axis=0), out=bottom)
+            t = buf[:R * k * (blk.stop - blk.start)].reshape(R * k, -1)
+            np.matmul(rows, dirs[blk].T, out=t)
+            t = t.reshape(R, k, -1)
+            t *= inv[:, None]
+            t.max(axis=1, out=top[:, blk])
+            t.min(axis=1, out=bottom[:, blk])
         return top.ravel(), bottom.ravel()
     normals = sets[0]
     top = np.full(n, -np.inf)
     bottom = np.full(n, np.inf)
-    blocks = _blocks(k, _BLOCK_ENTRIES // n)
     a32 = dirs.astype(np.float32)
-    inv32 = inv.astype(np.float32)
-    buf = np.empty((blocks[0].stop, d), dtype=np.float32)
-    run_top = np.full(n, -np.inf, dtype=np.float32)
-    run_bottom = np.full(n, np.inf, dtype=np.float32)
-    found = []
-    for blk in blocks:
-        y32 = buf[:blk.stop - blk.start]
-        y32[...] = normals[blk]
-        y32 *= inv32[blk, None]
-        t = y32 @ a32.T  # (block, rows): row extremes reduce over axis 0
-        np.maximum(run_top, t.max(axis=0), out=run_top)
-        np.minimum(run_bottom, t.min(axis=0), out=run_bottom)
-        near = t >= _below32(run_top - margin2)
-        near |= t <= _above32(run_bottom + margin2)
-        flat = np.flatnonzero(near)
-        found.append((flat // n + blk.start, flat % n, t.ravel()[flat]))
-    j, r, t = (np.concatenate(parts) for parts in zip(*found))
-    near_top = t >= run_top[r] - margin2[r]
-    near_bottom = t <= run_bottom[r] + margin2[r]
-    keep = near_top | near_bottom
-    j, r = j[keep], r[keep]
-    near_top, near_bottom = near_top[keep], near_bottom[keep]
+    y32 = normals.astype(np.float32)
+    y32 *= inv.astype(np.float32)[:, None]
+    blocks = _blocks(n, _BLOCK_BYTES // (4 * k))
+    buf = np.empty(k * blocks[0].stop, dtype=np.float32)
     step = max(1, _RECHECK_ENTRIES // d)
-    for i0 in range(0, j.size, step):
-        sl = slice(i0, i0 + step)
-        jj, rr = j[sl], r[sl]
-        v = np.einsum("ij,ij->i", dirs[rr], normals[jj])
-        v *= inv[jj]
-        np.maximum.at(top, rr[near_top[sl]], v[near_top[sl]])
-        np.minimum.at(bottom, rr[near_bottom[sl]], v[near_bottom[sl]])
+    for blk in blocks:
+        b = blk.stop - blk.start
+        t = buf[:k * b].reshape(k, b)
+        np.matmul(y32, a32[blk].T, out=t)
+        # the float32 t >= x, for float64 x, is t >= _above32(x)
+        up = t >= _above32(t.max(axis=0) - margin2[blk])
+        down = t <= _below32(t.min(axis=0) + margin2[blk])
+        flat = np.flatnonzero(up | down)
+        up, down = up.ravel()[flat], down.ravel()[flat]
+        j, r = np.divmod(flat, b)
+        r += blk.start
+        for i0 in range(0, flat.size, step):
+            sl = slice(i0, i0 + step)
+            rr, jj = r[sl], j[sl]
+            v = np.einsum("ij,ij->i", dirs[rr], normals[jj])
+            v *= inv[jj]
+            np.maximum.at(top, rr[up[sl]], v[up[sl]])
+            np.minimum.at(bottom, rr[down[sl]], v[down[sl]])
     return top, bottom
 
 
-def _blocks(k, step):
-    """Slices of range(k) of length max(1, step)."""
+def _blocks(count, step):
+    """Slices of range(count) of length max(1, step)."""
     step = max(1, step)
-    return [slice(j0, min(j0 + step, k)) for j0 in range(0, k, step)]
+    return [slice(i0, min(i0 + step, count)) for i0 in range(0, count, step)]
 
 
 def _chord_margins(dirs, normals, inv):
@@ -261,7 +254,7 @@ def facet_accept_count(dirs, scales, normals, base, offsets):
     """
     n = dirs.shape[0]
     keep = np.ones(n, dtype=bool)
-    for blk in _blocks(normals.shape[0], _BLOCK64_ENTRIES // max(n, 1)):
+    for blk in _blocks(normals.shape[0], _BLOCK_BYTES // max(8 * n, 1)):
         t = dirs @ normals[blk].T
         keep &= np.all(base[blk] + scales[:, None] * t <= offsets[blk], axis=1)
     return int(np.count_nonzero(keep))

@@ -600,10 +600,12 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     chords equal those of the built directions up to rounding.
 
     Each facet consumes an independent RNG stream derived from
-    (seed, facet index), so any facet subset reproduces exactly.  Per chunk
-    of _CHUNK samples the draw order is: g, then the Haar stack, then the
-    radii when q < d-1 (with R = 1: g, then the chi^2 completion when
-    q < d-1, as `_sphere_coordinates` draws).
+    (seed, facet index), so any facet subset reproduces exactly, in any
+    order.  The facets run in stable order of |rho_i|: one half-space law
+    and radius table is built per distinct |rho_i|, and only the current
+    one is kept.  Per chunk of _CHUNK samples the draw order is: g, then
+    the Haar stack, then the radii when q < d-1 (with R = 1: g, then the
+    chi^2 completion when q < d-1, as `_sphere_coordinates` draws).
 
     Returns (values, std_errors, accepted, attempted) arrays over the
     requested facets; accepted is the sum of the pair means, the expected
@@ -616,7 +618,6 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     if S < 1:
         raise InputError("samples_per_facet must be >= 1")
 
-    per_offset = {}  # |rho| -> (half-space value, radius table or None)
     values = np.zeros(idx.size)
     errors = np.zeros(idx.size)
     accepted = np.zeros(idx.size)
@@ -624,13 +625,14 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     coords = np.empty((N - 1, d - 1))  # the normals of every facet in turn
     q = min(N - 1, d - 1)  # the direction coordinates
 
-    for pos, i in enumerate(idx):
+    dist = None
+    for pos in np.argsort(np.abs(rho[idx]), kind="stable"):
+        i = idx[pos]
         r = float(rho[i])
-        dist = abs(r)
-        if dist not in per_offset:
+        if abs(r) != dist:
+            dist = abs(r)
             hs, law = _halfspace_law(prof, dist)
-            per_offset[dist] = hs, (_facet_table(law) if hs != 0.0 else None)
-        hs, table = per_offset[dist]
+            table = _facet_table(law) if hs != 0.0 else None
         if hs == 0.0:
             continue  # facet outside the support: exact zero contribution
 

@@ -201,30 +201,21 @@ def _reach_witness(dirs, offs, cap):
     """A point x with dirs x <= offs in float64 and |x| >= cap (1 + 1e-6),
     or None when none was found.
 
-    Every offset must be finite and positive.  Fewer rows than dimensions
-    leave a direction v with dirs v = 0, and the line through v lies in the
-    body.  Otherwise the ray t u stays in the body up to t = 1/g(u), where
-    g(u) = max_j <u, x_j>/c_j.  The first ray is u = -sum_j x_j/c_j plus
-    a fixed tie-breaker along the all-ones diagonal (_WITNESS_TIE of the
-    rows' largest entry), and each further one takes a softmax-weighted
-    subgradient step on g along the sphere; the search stops at the first
-    ray that reaches past `cap`.
+    Every offset must be finite and positive, and there must be at least
+    as many rows as dimensions.  The ray t u stays in the body up to
+    t = 1/g(u), where g(u) = max_j <u, x_j>/c_j.  The first ray is
+    u = -sum_j x_j/c_j plus a fixed tie-breaker along the all-ones diagonal
+    (_WITNESS_TIE of the rows' largest entry), and each further one takes
+    a softmax-weighted subgradient step on g along the sphere; the search
+    stops at the first ray that reaches past `cap`.
     A candidate is returned only once it passes both checks as computed.
     """
-    n, d = dirs.shape
+    d = dirs.shape[1]
     goal = cap * (1.0 + 1e-6)
 
     def holds(x):
         return np.linalg.norm(x) >= goal and np.all(dirs @ x <= offs)
 
-    if n < d:
-        q = np.linalg.qr(dirs.T)[0]  # orthonormal basis of the rows' span
-        # the axis e_i nearest to orthogonal: |q[i]|^2 <= n/d < 1
-        i = np.argmin((q * q).sum(axis=1))
-        v = -(q @ q[i])
-        v[i] += 1.0  # e_i minus its projection onto the span
-        x = 2.0 * goal / np.linalg.norm(v) * v
-        return x if holds(x) else None
     a = dirs / offs[:, None]
     # the tie-breaker: where the rows cancel (a centred box) the first ray
     # is the diagonal, and where one row is parallel to the sum (a box off
@@ -306,12 +297,14 @@ def certificate_upper_bound(
     in the body, so a slab that misses it is an InputError.
 
     With cap = min(r*, R) and r_in < cap, the radius is r = min(cap, r_hi).
-    `_reach_witness` first looks for a point of the body with
-    |x| >= cap (1 + 1e-6), which takes a few matrix-vector products.  If it
-    finds one, r = cap.  This is the value the reach LPs of
-    `_facet_radius_range` give: their box radius is at least |x|, so they
-    return inf or a bound above cap (their tolerance is below the 1e-6
-    margin), and min(cap, r_hi) = cap in both cases.  It is also sound
+    Rows with offset +inf are dropped.  With fewer rows left than
+    dimensions some v has dirs v = 0, the line through v lies in the body,
+    r_hi = inf and r = cap.  Otherwise `_reach_witness` first looks for a
+    point of the body with |x| >= cap (1 + 1e-6), which takes a few
+    matrix-vector products.  If it finds one, r = cap.  This is the value
+    the reach LPs of `_facet_radius_range` give: their box radius is at
+    least |x|, so they return inf or a bound above cap (their tolerance is
+    below the 1e-6 margin), and min(cap, r_hi) = cap in both cases.  It is also sound
     whatever the reach, since cap minimises xi1 over all of [r_in, R].
     The LPs run only when no witness is found.
     """
@@ -343,7 +336,8 @@ def certificate_upper_bound(
             finite = offs < math.inf
             dirs, offs = dirs[finite], offs[finite]
             r = cap
-            if _reach_witness(dirs, offs, cap) is None:
+            if (dirs.shape[0] >= dirs.shape[1]
+                    and _reach_witness(dirs, offs, cap) is None):
                 r = min(cap, _facet_radius_range(dirs, offs, cap))
         best = (math.log(r_in) + prof.log_Jm + phi.value(r)
                 - (m + 1) * math.log(r))

@@ -67,6 +67,12 @@ def plan(prof: MeasureProfile, c_rho: float = 0.2, seed: int = 0) -> PolytopeSpe
     m, t0, lam = prof.m, prof.t0, prof.lambda_sum
     rho = c_rho * t0 / math.sqrt(lam * m)
     W = lam * t0
+    if t0 <= W:
+        raise DegeneratePlanError(
+            f"the critical annulus reaches the origin at this measure and "
+            f"dimension (half-width {W:.6g} >= t0 = {t0:.6g}); no c_rho "
+            f"gives a polytope"
+        )
     if rho >= t0 - W:
         raise DegeneratePlanError(
             f"facet offset rho={rho:.6g} reaches the annulus inner radius "

@@ -28,8 +28,9 @@ class NormalizationError(InputError):
 
 class DegeneratePlanError(InputError):
     """The polytope construction degenerates at this dimension for the
-    chosen c_rho: the facet offset reaches the annulus inner radius, or
-    the plan has too many facets to allocate."""
+    chosen c_rho: the facet offset reaches the annulus inner radius (for
+    every c_rho when the annulus reaches the origin), or the plan has too
+    many facets to allocate."""
 
 
 class NumericsError(RadsurfError, ArithmeticError):

@@ -3,6 +3,7 @@ import functools
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -528,6 +529,43 @@ def test_facet_values_subset_reproduces_full_run(get_profile):
     sub = _facet_values(pr, body, 1000, seed=9, facet_indices=[2, 5, 6])
     assert np.array_equal(full[0][[2, 5, 6]], sub[0])
     assert np.array_equal(full[2][[2, 5, 6]], sub[2])
+
+
+def test_facet_values_keep_one_table_per_distinct_offset(get_profile,
+                                                        monkeypatch):
+    # the box's offsets a, b, a, c repeat, but not next to each other: the
+    # facets run in order of |rho|, so each distinct offset gets one law,
+    # each table is freed before the next one is built, and every value is
+    # the facet's own, bit for bit
+    pr = get_profile("gaussian", 4)
+    body = HyperRectangle([0.6, 0.9, 0.6, 1.2])
+    alone = [_facet_values(pr, body, 300, seed=7, facet_indices=[i])
+             for i in range(8)]
+    laws, tables = [], []
+    halfspace_law = bodies._halfspace_law
+
+    class Table(_InverseCdfTable):
+        __slots__ = ("__weakref__",)
+
+    def counting_law(prof, dist):
+        laws.append(dist)
+        return halfspace_law(prof, dist)
+
+    def tracked_table(law):
+        assert sum(t() is not None for t in tables) <= 1
+        table = Table(law.logf_vec, *law.window, law.log_peak)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(bodies, "_halfspace_law", counting_law)
+    monkeypatch.setattr(bodies, "_facet_table", tracked_table)
+    together = _facet_values(pr, body, 300, seed=7)
+    assert laws == [0.6, 0.9, 1.2] and len(tables) == 3
+    for got, want in zip(together, zip(*alone)):
+        want = np.concatenate(want)
+        assert np.array_equal(got, want)
+        if got.dtype == float:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_facet_mc_agrees_with_exact_on_simplex(get_profile):

@@ -356,6 +356,20 @@ def test_construct_degenerate_plan_fails_cleanly(capsys):
     assert "degenerates" in err
 
 
+def test_construct_where_no_c_rho_works_says_so(capsys):
+    # the critical annulus of the gaussian reaches the origin at d = 3
+    code, out, err = run_cli(capsys, "construct", "--measure", "gaussian",
+                             "--dim", "3", "--c-rho", "1e-6")
+    assert code == 2 and out == ""
+    assert "reaches the origin" in err and "no c_rho gives a polytope" in err
+    assert "smaller c_rho" not in err
+    code, out, _ = run_cli(capsys, "sweep", "--measure", "gaussian",
+                           "--dims", "3", "--format", "csv")
+    assert code == 0
+    row, = csv.DictReader(io.StringIO(out))
+    assert row["construction_estimate"] == "nan"
+
+
 @pytest.mark.parametrize("dim", ["256", "1024"])
 def test_construct_plan_too_large_to_allocate_fails_cleanly(dim, capsys):
     # N_eff is 7.5e14 at d = 256 (numpy raises MemoryError) and 4.4e30 at

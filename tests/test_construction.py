@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from radsurf import construction
-from radsurf.errors import InputError
+from radsurf.errors import DegeneratePlanError, InputError
 from radsurf.bodies import halfspace_surface
 from radsurf.construction import (
     PolytopeSpec,
@@ -69,6 +69,19 @@ def test_plan_degenerate_offset_rejected(get_profile):
         plan(get_profile("gaussian", 8), c_rho=1.0)
     with pytest.raises(InputError):
         plan(get_profile("gaussian", 16), c_rho=-0.5)
+
+
+@pytest.mark.parametrize("name, d", [("gaussian", 3), ("gp1", 8),
+                                     ("gp4", 2)])
+def test_plan_where_no_c_rho_works_says_so(get_profile, name, d):
+    # the annulus half-width W reaches t0: rho >= t0 - W for every c_rho
+    prof = get_profile(name, d)
+    assert prof.lambda_sum >= 1.0
+    for c_rho in (1e-6, 1.0):
+        with pytest.raises(DegeneratePlanError,
+                           match="no c_rho gives a polytope") as exc:
+            plan(prof, c_rho=c_rho)
+        assert "smaller c_rho" not in str(exc.value)
 
 
 def test_plan_rejects_non_finite_c_rho(get_profile):

@@ -258,14 +258,39 @@ def _chord_workload(seed, n=2048, k=5, d=5):
     return dirs, normals, base, offsets
 
 
-@pytest.fixture(params=["float64", "float32"])
+def _tiny_blocks(monkeypatch, itemsize):
+    """Make every `_row_extremes` call take its rows in blocks of 3 (2 when
+    3 divides them), so that a test crosses block boundaries and its last
+    block is partial: the budget is set per call to that many rows of
+    products of `itemsize` bytes.  A float64 product under a float32
+    budget takes blocks of one row."""
+    row_extremes = _kernels._row_extremes
+
+    def tiny(dirs, sets, inv):
+        rows = 3 if dirs.shape[0] % 3 else 2
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES",
+                            rows * itemsize * sets.shape[0] * sets.shape[1])
+        return row_extremes(dirs, sets, inv)
+
+    monkeypatch.setattr(_kernels, "_row_extremes", tiny)
+
+
+def _force_float32(monkeypatch):
+    monkeypatch.setattr(_kernels, "_FLOAT32_MIN_D", 0)
+    monkeypatch.setattr(_kernels, "_FLOAT32_MIN_K", 0)
+
+
+@pytest.fixture(params=["float64", "float32", "float64-rows", "float32-rows"])
 def chord_path(request, monkeypatch):
     """Runs a test on both products of the kernel: float64 (the default at
-    these sizes) and the filtered float32 one, forced."""
-    if request.param == "float32":
-        monkeypatch.setattr(_kernels, "_FLOAT32_MIN_D", 0)
-        monkeypatch.setattr(_kernels, "_FLOAT32_MIN_K", 0)
-    return request.param
+    these sizes) and the filtered float32 one, forced; each also in blocks
+    of a few rows (`_tiny_blocks`)."""
+    product = request.param.split("-")[0]
+    if product == "float32":
+        _force_float32(monkeypatch)
+    if request.param.endswith("-rows"):
+        _tiny_blocks(monkeypatch, 4 if product == "float32" else 8)
+    return product
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -369,10 +394,28 @@ def test_facet_chords_near_ties_at_the_row_minimum_match_loop(chord_path,
     _check_near_ties(seed, -1.0)
 
 
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_float32_chords_in_tiny_blocks_are_the_default_block_chords(
+        monkeypatch, side):
+    # a block's candidates are filtered against its own rows' extremes, so
+    # the blocking moves no candidate and no recheck
+    _force_float32(monkeypatch)
+    args, _ = _near_tie_workload(0, side=side)
+    dirs, normals, base, offsets = args
+    assert _kernels._chord_margins(dirs, normals, 1.0 / (offsets - base)) \
+        is not None
+    want = facet_chords(*args)
+    _tiny_blocks(monkeypatch, 4)
+    got = facet_chords(*args)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
 def test_facet_chords_large_shape_matches_dense_float64():
     # d = 1024, k = 3000 (the float32 product with its float64 recheck, in
-    # two blocks): unit neighbour normals and the non-unit rows of R^T from
-    # the QR factorisation of projected normals, as facet MC builds them
+    # several blocks of rows): unit neighbour normals and the non-unit rows
+    # of R^T from the QR factorisation of projected normals, as facet MC
+    # builds them
     rng = np.random.default_rng(21)
     n, d = 2000, 1024
     X = rng.standard_normal((3001, d))
@@ -383,7 +426,7 @@ def test_facet_chords_large_shape_matches_dense_float64():
     normals = np.vstack([X[1201:], R.T])
     assert normals.shape[0] >= _kernels._FLOAT32_MIN_K
     assert d >= _kernels._FLOAT32_MIN_D
-    assert n * normals.shape[0] > _kernels._BLOCK_ENTRIES
+    assert 4 * n * normals.shape[0] > _kernels._BLOCK_BYTES
     r = 2.0
     base = r * (normals @ X0)
     offsets = np.full(normals.shape[0], r)
