@@ -17,9 +17,11 @@ CDF of the on-hyperplane radius table, and each direction scored together
 with its reflection (antithetic pairs).  Up to _ROTATE_MAX_Q coordinates,
 each drawn Gaussian row scores R pairwise independent directions: itself
 and its images under R - 1 Haar rotations (`_rotated_coordinates`).  As
-<theta Q, x> = <theta, x Q^T>, the k neighbour normals are rotated instead
-of the n directions, and a direction's radius rho > 0 divides the chord
-ends afterwards (the chord of rho v is the chord of v over rho).
+<theta Q, x> = <theta, x Q^T>, the draw rotates the k neighbour normals
+instead of the n directions and hands back the stack of normal sets, and a
+direction's radius rho > 0 divides the chord ends afterwards (the chord of
+rho v is the chord of v over rho).  A facet's statistics come from one
+array of its S pair means, so they do not depend on the chunking.
 Independently, the Minkowski difference quotient
 [mu(Q + eps B) - mu(Q)] / eps is estimated by direct sampling as a
 validation oracle, which likewise draws only what the body's shell test
@@ -80,6 +82,9 @@ _OUTER_ENTRIES = 1 << 18  # float64 entries of one rank-1 update step
 # directions and 1.2x at 2500; at q = 80 2.0x and 1.3x; at q = 96 1.8x and
 # 1.0x, and 0.7x at 1000; at q = 128 slower at every n up to 20000).
 _ROTATE_MAX_Q = 80
+
+# exp(x) is 0.0 below this, with a margin for the rounding of x
+_LOG_UNDERFLOW = math.log(math.ulp(0.0)) - 1.0
 
 _ONE_SAMPLE_NOTE = "unreliable: one sample per facet gives no sample variance"
 
@@ -318,13 +323,19 @@ def halfspace_surface(prof: MeasureProfile, rho: float) -> SurfaceEstimate:
 
 def _halfspace_law(prof, rho):
     """(C_d m nu_m I_{m-1}(rho), the law of I_{m-1}(rho)) for rho >= 0;
-    (0.0, None) when the hyperplane misses the support."""
+    (0.0, None) when the hyperplane misses the support.  The value is 0.0
+    without quadrature when log_peak + log(b - a) bounds it below underflow
+    (the peak-normalized integrand is at most 1 on the window [a, b]): far
+    in the tail the rounding of phi(rho) would swamp the quadrature target."""
     if rho >= prof.support_radius:
         return 0.0, None
     m = prof.m
     law = _radial_law(prof.phi, m - 1, rho)
-    return math.exp(prof.log_normalizer + math.log(m) + log_ball_volume(m)
-                    + law.log_integral()), law
+    log_scale = prof.log_normalizer + math.log(m) + log_ball_volume(m)
+    a, b = law.window
+    if log_scale + law.log_peak + math.log(b - a) < _LOG_UNDERFLOW:
+        return 0.0, law
+    return math.exp(log_scale + law.log_integral()), law
 
 
 def slab_surface(prof: MeasureProfile, rho1: float, rho2: float) -> SurfaceEstimate:
@@ -384,7 +395,8 @@ class _InverseCdfTable:
         cdf[0], cdf[-1] = 0.0, 1.0
         self.grid = grid
         self.cdf = cdf
-        self.slope = None  # set by the first `cdf_at`; samplers never read it
+        # np.interp's slope on each knot interval, and 0 past the last knot
+        self.slope = np.append(np.diff(cdf) / np.diff(grid), 0.0)
 
     def sample(self, u):
         """Map uniforms in [0, 1) to radii by linear interpolation."""
@@ -403,11 +415,7 @@ class _InverseCdfTable:
         is its offset over the knot spacing, which rounding can put one
         knot off; one comparison on each side corrects that.
         """
-        g, c = self.grid, self.cdf
-        if self.slope is None:
-            # np.interp's slope on each knot interval, and 0 past the last knot
-            self.slope = np.append(np.diff(c) / np.diff(g), 0.0)
-        slope = self.slope
+        g, c, slope = self.grid, self.cdf, self.slope
         x = np.clip(t, g[0], g[-1])
         # fmin maps nan to the last interval, where the formula gives nan
         scale = (g.size - 1) / (g[-1] - g[0])
@@ -468,31 +476,33 @@ def _rotation_count(n, q):
     return 1
 
 
-def _rotated_coordinates(rng, n, q, m):
+def _rotated_coordinates(rng, n, normals, m):
     """The draw of n directions with the first q coordinates of uniform
-    unit vectors in R^m, pairwise independent: (theta, rotations, radii)
-    such that the directions are the first n rows of
-    [theta; theta Q_1; ...; theta Q_(R-1)], each scaled by its radius,
-    R = `_rotation_count(n, q)`.
+    unit vectors in R^m, pairwise independent, for the (k, q) `normals`:
+    (theta, sets, radii) such that the directions are the first n rows of
+    [theta; theta Q_1; ...; theta Q_(R-1)], each scaled by its radius, and
+    sets = [normals; normals Q_1^T; ...], whose products with theta are
+    those of the directions with normals, R = `_rotation_count(n, q)`.
 
     With R = 1 theta is `_sphere_coordinates(rng, n, q, m)`, bit for bit,
-    and rotations and radii are None.  Otherwise it draws n0 = ceil(n / R)
+    sets is normals and radii is 1.0.  Otherwise it draws n0 = ceil(n / R)
     Gaussian rows g and normalises them to theta = g / |g|, then the R - 1
-    Haar rotations Q_k of the (R - 1, q, q) array `rotations` (the QR
-    factors of a Gaussian stack, their columns multiplied by the signs of
-    R's diagonal, Mezzadri 2007), then, when q < m, the n radii
-    sqrt(Beta(q/2, (m-q)/2)), the law of the length of the first q
-    coordinates (radii None when q = m).  For a fixed theta and a Haar Q,
-    theta Q is uniform and independent of theta, so any two directions are
-    independent, whether they share a base row or not."""
+    Haar rotations Q_k (the QR factors of a Gaussian stack, their columns
+    multiplied by the signs of R's diagonal, Mezzadri 2007), then, when
+    q < m, the n radii sqrt(Beta(q/2, (m-q)/2)), the law of the length of
+    the first q coordinates (radii 1.0 when q = m).  For a fixed theta and
+    a Haar Q, theta Q is uniform and independent of theta, so any two
+    directions are independent, whether they share a base row or not."""
+    q = normals.shape[1]
     R = _rotation_count(n, q)
     if R == 1:
-        return _sphere_coordinates(rng, n, q, m), None, None
+        return _sphere_coordinates(rng, n, q, m), normals, 1.0
     theta = _sphere_coordinates(rng, -(-n // R), q, q)
     Q, T = np.linalg.qr(rng.standard_normal((R - 1, q, q)))
     Q *= np.where(np.diagonal(T, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
-    radii = np.sqrt(rng.beta(0.5 * q, 0.5 * (m - q), n)) if q < m else None
-    return theta, Q, radii
+    radii = np.sqrt(rng.beta(0.5 * q, 0.5 * (m - q), n)) if q < m else 1.0
+    sets = np.concatenate([normals[None], normals @ Q.swapaxes(1, 2)])
+    return theta, sets, radii
 
 
 def _gram_factor(A):
@@ -529,11 +539,8 @@ def sample_points(prof: MeasureProfile, n: int, seed: int) -> np.ndarray:
     rng = _rng(seed)
     table = _radial_table(prof)
     out = np.empty((n, prof.d))
-    done = 0
-    while done < n:
-        take = min(_CHUNK, n - done)
-        out[done:done + take] = _point_chunk(rng, table, prof.d, take)
-        done += take
+    for blk in _kernels._blocks(n, _CHUNK):
+        out[blk] = _point_chunk(rng, table, prof.d, blk.stop - blk.start)
     return out
 
 
@@ -561,7 +568,8 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     correlated, and var(w) itself when w(u) = w(-u), as on a box.  The
     std_error is hs sqrt(var / S), var the sample variance of the S pair
     means, which holds whatever the pair correlation; NaN at S = 1, where
-    the sample variance is undefined.
+    the sample variance is undefined.  Both are taken from one array of
+    the S pair means, so they do not depend on how the samples are chunked.
 
     Acceptance reads u only through its products with the neighbour
     normals projected into X_i^perp, whose law depends on those normals
@@ -592,9 +600,9 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     w(u) and w(u P D) correlated, a Haar rotation does not.
 
     No direction rho theta Q_k is built.  Since <theta Q, x> = <theta, x Q^T>,
-    the chunk's R - 1 rotations turn the k normals into the sets
-    normals Q_k^T, (R - 1) k q^2 flops in place of n q^2, and
-    `facet_chords` scores theta against the stack of all R sets.  The chord
+    the draw turns the k normals into the sets normals Q_k^T, (R - 1) k q^2
+    flops in place of n q^2, and hands back the stack of all R sets, which
+    `facet_chords` scores theta against (normals alone with R = 1).  The chord
     of rho v is the chord of v divided by rho (rho > 0), so both ends of
     each of the first n chords are divided by the direction's radius.  The
     chords equal those of the built directions up to rounding.
@@ -623,7 +631,6 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     accepted = np.zeros(idx.size)
     attempted = np.zeros(idx.size, dtype=bool)
     coords = np.empty((N - 1, d - 1))  # the normals of every facet in turn
-    q = min(N - 1, d - 1)  # the direction coordinates
 
     dist = None
     for pos in np.argsort(np.abs(rho[idx]), kind="stable"):
@@ -642,37 +649,23 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         normals = _gram_factor(_hyperplane_coordinates(X, i, Xx, out=coords))
 
         rng = _rng(seed, i)
-        total = sq = 0.0  # sum of w and of its squared deviations
-        done = 0
-        while done < S:
-            n = min(_CHUNK, S - done)
-            theta, rotations, radii = _rotated_coordinates(rng, n, q, d - 1)
-            sets = normals
-            if rotations is not None:  # <theta Q, x> = <theta, x Q^T>
-                sets = np.concatenate(
-                    [normals[None], normals @ rotations.swapaxes(1, 2)])
+        w = np.empty(S)  # the pair means
+        for blk in _kernels._blocks(S, _CHUNK):
+            n = blk.stop - blk.start
+            theta, sets, radii = _rotated_coordinates(rng, n, normals, d - 1)
             lo, hi = _kernels.facet_chords(theta, sets, base, ro)
             # theta against every set, then -theta: the first n of each half;
             # the chord of rho v is that of v divided by rho
             lo, hi = (e.reshape(2, -1)[:, :n] for e in (lo, hi))
-            if radii is not None:
-                hi /= radii
-            w = table.cdf_at(hi)
+            hi /= radii
+            u = table.cdf_at(hi)
             if lo.any():
-                if radii is not None:
-                    lo /= radii
-                w -= table.cdf_at(lo)
-            w = 0.5 * (w[0] + w[1])
-            mean = w.mean()
-            # Chan's update of the squared deviations over the chunks
-            sq += float(np.square(w - mean).sum())
-            if done:
-                delta = mean - total / done
-                sq += delta * delta * done * n / (done + n)
-            total += float(w.sum())
-            done += n
-        p = total / S
-        values[pos] = hs * p
+                lo /= radii
+                u -= table.cdf_at(lo)
+            w[blk] = 0.5 * (u[0] + u[1])
+        total = float(w.sum())
+        values[pos] = hs * (total / S)
+        sq = float(np.square(w - w.mean()).sum())
         errors[pos] = hs * math.sqrt(sq / (S - 1) / S) if S > 1 else math.nan
         accepted[pos] = total
         attempted[pos] = True
@@ -758,9 +751,8 @@ def minkowski_fd_surface(prof: MeasureProfile, body, epsilon: float,
     rng = _rng(seed)
     table = _radial_table(prof)
     shell_total = 0
-    done = 0
-    while done < samples:
-        n = min(_CHUNK, samples - done)
+    for blk in _kernels._blocks(samples, _CHUNK):
+        n = blk.stop - blk.start
         if isinstance(body, Ball):
             shell = _kernels.shell_count(table.sample(rng.random(n)) - body.R,
                                          epsilon)
@@ -774,7 +766,6 @@ def minkowski_fd_surface(prof: MeasureProfile, body, epsilon: float,
             shell = _kernels.polytope_shell_counts(r[:, None] * w, F,
                                                    offsets, epsilon)
         shell_total += shell
-        done += n
     p = shell_total / samples
     value = p / epsilon
     std_error = math.sqrt(p * (1.0 - p) / samples) / epsilon

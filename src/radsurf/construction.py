@@ -18,6 +18,7 @@ is large.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -80,6 +81,11 @@ def plan(prof: MeasureProfile, c_rho: float = 0.2, seed: int = 0) -> PolytopeSpe
         )
     q = rho / (t0 + W)
     log_N = 0.5 * math.log(m) + math.log(rho / t0) - 0.5 * m * math.log1p(-q * q)
+    if log_N > math.log(sys.float_info.max):
+        raise DegeneratePlanError(
+            f"the plan asks for N = e^{log_N:.6g} facets, beyond the double "
+            f"range -- use a smaller c_rho"
+        )
     N_real = math.exp(log_N)
     N_eff = max(1, round(N_real))
     return PolytopeSpec(rho=rho, W=W, N_real=N_real, N_eff=N_eff,

@@ -94,6 +94,16 @@ def test_halfspace_outside_support_is_zero(get_profile):
     assert est.value == 0.0
 
 
+@pytest.mark.parametrize("name, d, rho", [
+    ("gaussian", 3, 1e4), ("gaussian", 3, 1e6), ("gaussian", 64, 1e4),
+    ("gaussian", 64, 1e6), ("gp4", 8, 100.0),
+])
+def test_halfspace_far_in_the_tail_is_zero(get_profile, name, d, rho):
+    # the value underflows; a quadrature there would meet the rounding of
+    # phi(rho), far above its target, and raise
+    assert halfspace_surface(get_profile(name, d), rho).value == 0.0
+
+
 @pytest.mark.parametrize("d", [3, 7, 33])
 def test_ball_unit_sphere_surface_is_d(d, get_profile):
     # equality case of the rough bound m J_{m-1} / J_m
@@ -303,8 +313,9 @@ def test_sphere_coordinates_of_a_full_vector_draw_no_chi2():
 def test_rotated_coordinates_without_rotation_are_the_sphere_draw(n, q, m):
     assert bodies._rotation_count(n, q) == 1
     rng, ref = bodies._rng(7), bodies._rng(7)
-    got, rotations, radii = bodies._rotated_coordinates(rng, n, q, m)
-    assert rotations is None and radii is None
+    normals = np.eye(q)
+    got, sets, radii = bodies._rotated_coordinates(rng, n, normals, m)
+    assert sets is normals and radii == 1.0
     want = _sphere_coordinates(ref, n, q, m)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert rng.random() == ref.random()
@@ -320,12 +331,13 @@ def _rotated_blocks(q, m, n=4000, blocks=200):
     n0 = -(-n // R)
     assert R > 1
     for b in range(blocks):
-        theta, rotations, radii = bodies._rotated_coordinates(
-            bodies._rng(b), n, q, m)
-        assert theta.shape == (n0, q) and rotations.shape == (R - 1, q, q)
-        u = np.concatenate([theta, *(theta @ rotations)])[:n]
-        if radii is not None:
-            u *= radii[:, None]
+        # with normals I the sets after the first are the Q_k^T
+        theta, sets, radii = bodies._rotated_coordinates(
+            bodies._rng(b), n, np.eye(q), m)
+        assert theta.shape == (n0, q) and sets.shape == (R, q, q)
+        assert np.array_equal(sets[0], np.eye(q))
+        u = np.concatenate([theta, *(theta @ sets[1:].swapaxes(1, 2))])[:n]
+        u *= np.reshape(radii, (-1, 1))
         dirs = u / np.linalg.norm(u, axis=1)[:, None]
         full = n // n0
         yield u, dirs[:n0], dirs[n0:full * n0].reshape(full - 1, n0, q)
@@ -468,6 +480,17 @@ def test_box_mc_equals_box_as_polytope(get_profile):
     eye = np.eye(3)
     poly = Polytope(np.vstack([eye, -eye]), np.concatenate([h, h]))
     assert box == polytope_surface_mc(pr, poly, 2000, seed=4)
+
+
+def test_a_facet_far_in_the_tail_adds_nothing(get_profile):
+    # a redundant facet whose half-space value underflows is skipped, as a
+    # facet outside the support is; the box's facets keep their streams
+    pr = get_profile("gaussian", 3)
+    box = HyperRectangle(np.ones(3))
+    X, rho = as_facets(box)
+    far = Polytope(np.vstack([X, np.eye(3)[:1]]), np.append(rho, 1e4))
+    assert (polytope_surface_mc(pr, far, 1000, seed=1)
+            == polytope_surface_mc(pr, box, 1000, seed=1))
 
 
 def test_single_facet_polytope_equals_halfspace(get_profile):
@@ -775,8 +798,8 @@ def test_facet_values_chunks_keep_the_mean_and_variance(get_profile,
                                                        monkeypatch):
     # with q = d - 1 > _ROTATE_MAX_Q direction coordinates nothing but g is
     # drawn (R = 1, no chi^2 completion), so any chunking draws the same
-    # samples; the chunks' means and squared deviations must then combine
-    # to the one-pass figures
+    # samples; the pair means are summarized once, so the figures are
+    # those of one pass, bit for bit
     d = bodies._ROTATE_MAX_Q + 2
     pr = get_profile("gaussian", d)
     body = HyperRectangle(np.linspace(0.8, 1.6, d))
@@ -784,7 +807,7 @@ def test_facet_values_chunks_keep_the_mean_and_variance(get_profile,
     monkeypatch.setattr(bodies, "_CHUNK", 700)
     chunked = _facet_values(pr, body, 3000, seed=6, facet_indices=[0, 1, 2])
     for a, b in zip(whole[:3], chunked[:3]):
-        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
     assert np.all(whole[1] > 0.0)
 
 

@@ -396,6 +396,29 @@ def test_sweep_plan_too_large_to_allocate_is_a_nan_row(capsys):
         assert float(r["theorem_bound"]) > 0
 
 
+def test_construct_with_more_facets_than_doubles_hold_fails_cleanly(capsys):
+    # log N_real = 1304.6 at d = 4096: beyond the double range
+    code, out, err = run_cli(capsys, "construct", "--measure", "gaussian",
+                             "--dim", "4096", "--c-rho", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the plan asks for N = e^1304.56 facets")
+    assert err.count("\n") == 1
+
+
+def test_sweep_with_more_facets_than_doubles_hold_is_a_nan_row(capsys):
+    # log N_real is 1074.3 at d = 2048 and 1304.6 at d = 4096: both plans
+    # overflow a double
+    code, out, _ = run_cli(capsys, "sweep", "--measure", "gaussian",
+                           "--dims", "2048,4096", "--c-rho", "8",
+                           "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["d"]) for r in rows] == [2048, 4096]
+    for r in rows:
+        assert r["construction_estimate"] == r["construction_stderr"] == "nan"
+        assert float(r["theorem_bound"]) > 0
+
+
 def test_surface_mc_slab_off_the_origin(capsys):
     # the slab {1 <= x_0 <= 2} misses the origin; facet MC takes it and
     # matches the exact value, while the certificate refuses it

@@ -84,6 +84,16 @@ def test_plan_where_no_c_rho_works_says_so(get_profile, name, d):
         assert "smaller c_rho" not in str(exc.value)
 
 
+@pytest.mark.parametrize("d, c_rho", [(4096, 8.0), (16384, 5.0),
+                                      (65536, 5.0)])
+def test_plan_with_more_facets_than_doubles_hold_says_so(get_profile, d,
+                                                         c_rho):
+    # log N exceeds log(DBL_MAX): e^log_N would overflow
+    with pytest.raises(DegeneratePlanError,
+                       match=r"N = e\^[0-9.]+ facets, beyond the double range"):
+        plan(get_profile("gaussian", d), c_rho=c_rho)
+
+
 def test_plan_rejects_non_finite_c_rho(get_profile):
     for c_rho in (math.nan, math.inf):
         with pytest.raises(InputError, match="c_rho"):
