@@ -95,7 +95,9 @@ _RECHECK_ENTRIES = 1 << 16
 # bytes of one block of products, float32 or float64, each block holding
 # every constraint of its rows: at 20000 samples of 68 coordinates
 # (construct-d256) one 10.9 MB block raised the peak RSS by 10 MB over
-# blocks of at most 8 MB (glibc's dynamic mmap threshold)
+# blocks of at most 8 MB (glibc's dynamic mmap threshold).  Facet Monte
+# Carlo on two threads gives each thread's products half of it
+# (`facet_chords`' budget).
 _BLOCK_BYTES = 8 << 20
 # The float32 product pays for its filter only on large products: below
 # these sizes the float64 product is the faster one (timed on a 2-core x86
@@ -109,13 +111,18 @@ def _gamma(n, u):
     return n * u / (1.0 - n * u) if n * u < 0.5 else math.inf
 
 
-def facet_chords(dirs, normals, base, offsets):
+def facet_chords(dirs, normals, base, offsets, budget=None, y32=None):
     """The chords [lo, hi] of radii s >= 0 at which
     base[j] + s <a, normals[j]> <= offsets[j] holds for every j, for the
     2n directions a of [dirs; -dirs]: entry r < n is the chord of dirs[r],
     entry n + r that of its reflection -dirs[r], both from one product, as
     the float64 expressions give them (see the module docstring).  An empty
     chord reads lo = hi = 0; with no constraints every chord is [0, inf).
+
+    The products go in blocks of at most `budget` bytes (_BLOCK_BYTES by
+    default).  `y32`, a float32 array of at least k q entries, receives the
+    float32 copy of the scaled normals when that product runs, so a caller
+    can reuse one buffer across calls; its values do not matter.
 
     With an (R, k, q) stack of normals the chords are those of dirs against
     each set in turn, 2 R n entries: entry s n + r < R n is the chord of
@@ -143,7 +150,8 @@ def facet_chords(dirs, normals, base, offsets):
     if up.any():
         # 1 / c_j on the upper constraints; a zero row never lowers hi
         inv = np.divide(1.0, slack, out=np.zeros_like(slack), where=up)
-        top, bottom = _row_extremes(dirs, sets, inv)
+        top, bottom = _row_extremes(dirs, sets, inv,
+                                    _BLOCK_BYTES if budget is None else budget, y32)
         top = np.concatenate([top, -bottom])  # M_r of dirs, then of -dirs
         hi = np.divide(1.0, top, out=hi, where=top > 0.0)
     empty |= ~(lo < hi)
@@ -152,12 +160,13 @@ def facet_chords(dirs, normals, base, offsets):
     return lo, hi
 
 
-def _row_extremes(dirs, sets, inv):
+def _row_extremes(dirs, sets, inv, budget, y32):
     """max_j and min_j of inv[j] <dirs[r], sets[s, j]> per row r and set s
     (the module docstring's M_r of dirs[r] and -M_r of -dirs[r]), as R n
     entries, set by set: in float32 with a float64 recheck on large
     products with one set, else in float64.  Both products go in blocks of
-    rows, each block holding every constraint of its rows."""
+    rows of at most `budget` bytes, each block holding every constraint of
+    its rows; the float32 normals go into `y32` when it is not None."""
     n, d = dirs.shape
     R, k = sets.shape[:2]
     margin2 = None
@@ -172,7 +181,7 @@ def _row_extremes(dirs, sets, inv):
         # bit of many more products off the unblocked product's (1177 rows
         # of 68 coordinates against 17 sets: 7638 of 1.4 million products
         # in blocks of 907 rows, 19 in blocks of 904)
-        per_block = _BLOCK_BYTES // (8 * R * k)
+        per_block = budget // (8 * R * k)
         blocks = _blocks(n, per_block - per_block % 8 or per_block)
         buf = np.empty(R * k * blocks[0].stop)
         for blk in blocks:
@@ -187,9 +196,12 @@ def _row_extremes(dirs, sets, inv):
     top = np.full(n, -np.inf)
     bottom = np.full(n, np.inf)
     a32 = dirs.astype(np.float32)
-    y32 = normals.astype(np.float32)
+    if y32 is None:
+        y32 = np.empty(k * d, dtype=np.float32)
+    y32 = y32[:k * d].reshape(k, d)
+    np.copyto(y32, normals, casting="same_kind")
     y32 *= inv.astype(np.float32)[:, None]
-    blocks = _blocks(n, _BLOCK_BYTES // (4 * k))
+    blocks = _blocks(n, budget // (4 * k))
     buf = np.empty(k * blocks[0].stop, dtype=np.float32)
     step = max(1, _RECHECK_ENTRIES // d)
     for blk in blocks:

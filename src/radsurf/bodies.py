@@ -22,6 +22,14 @@ instead of the n directions and hands back the stack of normal sets, and a
 direction's radius rho > 0 divides the chord ends afterwards (the chord of
 rho v is the chord of v over rho).  A facet's statistics come from one
 array of its S pair means, so they do not depend on the chunking.
+The facets of one call run on two threads when each has at least
+_POOL_MIN_SAMPLES samples, a chord product of at least _POOL_MIN_PRODUCTS
+products per sample, and neighbour normals that fit in half of the chord
+kernel's 8 MB block budget: the calling thread builds each offset's
+law and table and shares the facets with one pool thread, the two split
+the block budget, and numpy's OpenBLAS is pinned to one thread while they
+run.  Every facet draws from its own stream into its own slot, so the bits
+do not depend on the threads.
 Independently, the Minkowski difference quotient
 [mu(Q + eps B) - mu(Q)] / eps is estimated by direct sampling as a
 validation oracle, which likewise draws only what the body's shell test
@@ -35,8 +43,12 @@ m J_{m-1}/J_m.
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +94,24 @@ _OUTER_ENTRIES = 1 << 18  # float64 entries of one rank-1 update step
 # directions and 1.2x at 2500; at q = 80 2.0x and 1.3x; at q = 96 1.8x and
 # 1.0x, and 0.7x at 1000; at q = 128 slower at every n up to 20000).
 _ROTATE_MAX_Q = 80
+
+# Facet Monte Carlo runs the facets of a call on two threads only from
+# _POOL_MIN_SAMPLES samples per facet and _POOL_MIN_PRODUCTS products per
+# sample in the chord product (k q: k neighbour normals of q coordinates),
+# the part of a facet that runs without the GIL.  Below 8192 samples the
+# GIL, held between a chunk's small numpy calls, made two workers slower
+# (2-core x86 host: 2500-sample polytopes at d <= 16, by 20-40%).  Right
+# after a threaded OpenBLAS product, whose idle helper thread keeps spinning
+# on a core for a while, two threads took 1.06-1.22x one thread's time at
+# every size (same host, 4 facets x 20000 samples, d = 3 to 256); after a
+# pause, 0.63-0.75x from k q = 256 to 4624 but 0.76-1.02x from k q = 4 to
+# 49, too small a gain to risk on small facets.
+_POOL_MIN_SAMPLES = 8192
+_POOL_MIN_PRODUCTS = 64
+
+# numpy's bundled OpenBLAS exports its thread count under these names
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_",
+                        "scipy_openblas_set_num_threads64_")
 
 # exp(x) is 0.0 below this, with a margin for the rounding of x
 _LOG_UNDERFLOW = math.log(math.ulp(0.0)) - 1.0
@@ -363,12 +393,14 @@ class _InverseCdfTable:
 
     The grid is refined (doubling from _TABLE_KNOTS) until the midpoint
     interpolation error of the CDF is below _TABLE_TOL in probability;
-    NumericsError when that needs more than `max_knots` knots.
+    NumericsError when that needs more than `max_knots` knots.  `slope`,
+    which only `cdf_at` reads, is built when `slopes` is true and is None
+    otherwise.
     """
 
     __slots__ = ("grid", "cdf", "slope")
 
-    def __init__(self, logf_vec, a, b, log_peak, max_knots=1 << 16):
+    def __init__(self, logf_vec, a, b, log_peak, max_knots=1 << 16, slopes=True):
         if not b > a:
             raise InputError("empty sampling window")
         n = _TABLE_KNOTS
@@ -396,7 +428,7 @@ class _InverseCdfTable:
         self.grid = grid
         self.cdf = cdf
         # np.interp's slope on each knot interval, and 0 past the last knot
-        self.slope = np.append(np.diff(cdf) / np.diff(grid), 0.0)
+        self.slope = np.append(np.diff(cdf) / np.diff(grid), 0.0) if slopes else None
 
     def sample(self, u):
         """Map uniforms in [0, 1) to radii by linear interpolation."""
@@ -428,11 +460,13 @@ class _InverseCdfTable:
 def _radial_table(prof: MeasureProfile) -> _InverseCdfTable:
     """Inverse-CDF table of the point radius: the law of I_m(0).  Built on
     the first call for a profile and kept on it (profiles are immutable;
-    the table is no dataclass field, so equality and repr ignore it)."""
+    the table is no dataclass field, so equality and repr ignore it).  It
+    is only sampled, so it carries no slopes."""
     table = vars(prof).get("_radius_table")
     if table is None:
         law = _radial_law(prof.phi, prof.m)
-        table = _InverseCdfTable(law.logf_vec, *law.window, law.log_peak)
+        table = _InverseCdfTable(law.logf_vec, *law.window, law.log_peak,
+                                 slopes=False)
         object.__setattr__(prof, "_radius_table", table)
     return table
 
@@ -548,6 +582,37 @@ def sample_points(prof: MeasureProfile, n: int, seed: int) -> np.ndarray:
 # polytope facet Monte Carlo
 
 
+def _facet_workers(S, N, d, facets):
+    """Threads for a `_facet_values` call of `facets` facets with S samples
+    each on N facets in R^d: min(2, usable CPUs, facets) when
+    S >= _POOL_MIN_SAMPLES, k q >= _POOL_MIN_PRODUCTS (k = N - 1 neighbour
+    normals of q = min(k, d - 1) coordinates) and a facet's neighbour
+    normals, k (d - 1) float64 entries, fit in half of
+    _kernels._BLOCK_BYTES, else 1.  Each worker holds its own normals, so
+    at d = 1024, where they take 41 MB, the call stays on one thread."""
+    k = N - 1
+    if (S < _POOL_MIN_SAMPLES or k * min(k, d - 1) < _POOL_MIN_PRODUCTS
+            or 16 * k * (d - 1) > _kernels._BLOCK_BYTES):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(2, cpus, facets))
+
+
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, looked
+    up in the library of numpy's core module; None when either is
+    missing."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = (getattr(lib, name) for name in _BLAS_THREAD_SYMBOLS)
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
 def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     """Per-facet boundary contributions value_i = halfspace(|rho_i|) * p_i.
 
@@ -574,9 +639,9 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     Acceptance reads u only through its products with the neighbour
     normals projected into X_i^perp, whose law depends on those normals
     only through their Gram matrix.  So the normals are written in
-    coordinates of X_i^perp (one buffer, reused by every facet) and cut to
-    q = min(k, d-1) columns with that Gram matrix, and u is the first q
-    coordinates of a uniform unit vector in R^(d-1).  Rank-deficient
+    coordinates of X_i^perp (one buffer per worker, reused by its facets)
+    and cut to q = min(k, d-1) columns with that Gram matrix, and u is the
+    first q coordinates of a uniform unit vector in R^(d-1).  Rank-deficient
     neighbours (parallel facets, slabs) need no special case.
 
     A facet reads its offset rho_i only through rho_i^2, in the radial law
@@ -618,6 +683,21 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     Returns (values, std_errors, accepted, attempted) arrays over the
     requested facets; accepted is the sum of the pair means, the expected
     number of accepted radii.
+
+    The facets of a call run on `_facet_workers` threads, with the same
+    bits as on one: two from _POOL_MIN_SAMPLES samples per facet and
+    _POOL_MIN_PRODUCTS products per sample, when the neighbour normals
+    take at most half of _kernels._BLOCK_BYTES, else the calling thread
+    alone.  The calling thread builds each |rho_i| group's law and table
+    (the benchmark's tracer wraps both, and it is single-threaded), deals
+    the group's facets round-robin to itself and one pool thread, each
+    with its own normals and float32 buffers, and builds the next table
+    once the group is done.  The workers share one block budget: each
+    chord product is blocked under _BLOCK_BYTES divided by the workers.
+    While the pool is open numpy's OpenBLAS runs on one thread
+    (`_blas_threads`); the earlier count is restored when the call ends,
+    also when a facet raises.  Without the thread-count symbols the call
+    runs on one thread.  The pool is shut down before the call returns.
     """
     X, rho = as_facets(body)
     N, d = X.shape
@@ -630,21 +710,20 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     errors = np.zeros(idx.size)
     accepted = np.zeros(idx.size)
     attempted = np.zeros(idx.size, dtype=bool)
-    coords = np.empty((N - 1, d - 1))  # the normals of every facet in turn
 
-    dist = None
-    for pos in np.argsort(np.abs(rho[idx]), kind="stable"):
+    workers = _facet_workers(S, N, d, idx.size)
+    blas = _blas_threads() if workers > 1 else None
+    if blas is None:
+        workers = 1
+    budget = _kernels._BLOCK_BYTES // workers
+    # per worker: the normals of its facets in turn, and their float32 copy
+    buffers = [(np.empty((N - 1, d - 1)), np.empty((N - 1) * (d - 1), np.float32))
+               for _ in range(workers)]
+
+    def facet(pos, table, hs, coords, y32):
         i = idx[pos]
-        r = float(rho[i])
-        if abs(r) != dist:
-            dist = abs(r)
-            hs, law = _halfspace_law(prof, dist)
-            table = _facet_table(law) if hs != 0.0 else None
-        if hs == 0.0:
-            continue  # facet outside the support: exact zero contribution
-
         Xx = X @ X[i]
-        base = r * np.delete(Xx, i)
+        base = float(rho[i]) * np.delete(Xx, i)
         ro = np.delete(rho, i)
         normals = _gram_factor(_hyperplane_coordinates(X, i, Xx, out=coords))
 
@@ -653,7 +732,7 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         for blk in _kernels._blocks(S, _CHUNK):
             n = blk.stop - blk.start
             theta, sets, radii = _rotated_coordinates(rng, n, normals, d - 1)
-            lo, hi = _kernels.facet_chords(theta, sets, base, ro)
+            lo, hi = _kernels.facet_chords(theta, sets, base, ro, budget, y32)
             # theta against every set, then -theta: the first n of each half;
             # the chord of rho v is that of v divided by rho
             lo, hi = (e.reshape(2, -1)[:, :n] for e in (lo, hi))
@@ -669,6 +748,37 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         errors[pos] = hs * math.sqrt(sq / (S - 1) / S) if S > 1 else math.nan
         accepted[pos] = total
         attempted[pos] = True
+
+    def deal(positions, table, hs, j):
+        for pos in positions[j::workers]:
+            facet(pos, table, hs, *buffers[j])
+
+    def groups():
+        """(positions, table, hs) per distinct |rho_i| inside the support,
+        in order of |rho_i|; a facet outside it contributes exactly 0."""
+        order = np.argsort(np.abs(rho[idx]), kind="stable")
+        for dist, group in itertools.groupby(
+                order, key=lambda pos: abs(float(rho[idx[pos]]))):
+            hs, law = _halfspace_law(prof, dist)
+            if hs != 0.0:
+                yield list(group), _facet_table(law), hs
+
+    if workers == 1:
+        for group in groups():
+            deal(*group, 0)
+    else:
+        get_threads, set_threads = blas
+        threads = get_threads()
+        set_threads(1)
+        try:
+            with ThreadPoolExecutor(workers - 1) as pool:
+                for group in groups():
+                    jobs = [pool.submit(deal, *group, j) for j in range(1, workers)]
+                    deal(*group, 0)
+                    for job in jobs:
+                        job.result()
+        finally:
+            set_threads(threads)
     return values, errors, accepted, attempted
 
 

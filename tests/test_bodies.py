@@ -1,6 +1,10 @@
 import collections
 import functools
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -10,7 +14,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from radsurf import bodies
+from radsurf import _kernels, bodies
 from radsurf.errors import InputError, NumericsError, QuadratureError
 from radsurf.bodies import (
     Ball,
@@ -853,6 +857,190 @@ def test_conditional_acceptance_agrees_with_the_binomial_estimator(get_profile):
         ref, ref_se = _binomial_facet_mc(pr, body, 20_000, seed=14)
         assert est.std_error < ref_se
         assert abs(est.value - ref) <= 4.0 * math.hypot(est.std_error, ref_se)
+
+
+# --- facets on two threads ------------------------------------------------
+
+
+def _pooled(monkeypatch, workers):
+    """Runs `_facet_values` on `workers` threads whatever the call and the
+    host (1: on the calling thread); returns the set of thread ids that
+    draw facet directions.  Skips where numpy's BLAS cannot be pinned, as
+    the pool then does not run."""
+    if workers > 1 and bodies._blas_threads() is None:
+        pytest.skip("numpy's BLAS exports no thread-count symbols")
+    threads = set()
+    draw = bodies._rotated_coordinates
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return draw(*args)
+
+    monkeypatch.setattr(bodies, "_facet_workers", lambda *args: workers)
+    monkeypatch.setattr(bodies, "_rotated_coordinates", recorded)
+    return threads
+
+
+def _same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _construction_body(get_profile, d):
+    from radsurf import construction
+
+    prof = get_profile("gaussian", d)
+    return prof, construction.sample_polytope(
+        construction.plan(prof, c_rho=1.0, seed=3), prof)
+
+
+def test_facet_workers_follow_the_sample_floor_and_memory():
+    S = bodies._POOL_MIN_SAMPLES
+    cpus = min(2, len(os.sched_getaffinity(0)))
+    assert bodies._facet_workers(S, 69, 256, 4) == cpus  # construct-d256
+    assert bodies._facet_workers(S, 69, 256, 1) == 1
+    assert bodies._facet_workers(S - 1, 69, 256, 4) == 1
+    # k q = 63 products per sample, then 64
+    assert bodies._facet_workers(S, 10, 8, 4) == 1
+    assert bodies._facet_workers(S, 17, 5, 4) == cpus
+    # at d = 1024 a facet's 5006 neighbour normals take 41 MB
+    assert bodies._facet_workers(S, 5007, 1024, 2) == 1
+
+
+@pytest.mark.parametrize("case", ["box", "construction-d256", "subset"])
+def test_two_workers_give_the_bits_of_one(case, get_profile, monkeypatch):
+    if case == "box":
+        # repeated half-widths: each |rho| group is dealt to both workers
+        prof = get_profile("gaussian", 9)
+        body = HyperRectangle([0.5, 0.8, 0.5, 1.1, 0.8, 0.5, 0.9, 1.1, 0.5])
+        picked = None
+    else:
+        prof, body = _construction_body(get_profile, 256)
+        picked = [0, 1, 2, 3] if case != "subset" else [9, 2, 40]
+    S = bodies._POOL_MIN_SAMPLES
+    # the floor and the memory rule put these calls on the pool
+    assert bodies._facet_workers(S, *as_facets(body)[0].shape, 3) == min(
+        2, len(os.sched_getaffinity(0)))
+    threads = _pooled(monkeypatch, 1)
+    one = _facet_values(prof, body, S, 5, facet_indices=picked)
+    assert threads == {threading.get_ident()}
+    threads = _pooled(monkeypatch, 2)
+    two = _facet_values(prof, body, S, 5, facet_indices=picked)
+    assert len(threads) == 2 and threading.get_ident() in threads
+    _same_bits(two, one)
+    assert one[3].all()
+
+
+def test_more_workers_than_cores_give_the_same_bits(get_profile,
+                                                    monkeypatch):
+    # four workers with a short switch interval: every facet still writes
+    # only its own slot
+    prof = get_profile("gaussian", 9)
+    body = HyperRectangle([0.5, 0.8, 0.5, 1.1, 0.8, 0.5, 0.9, 1.1, 0.5])
+    _pooled(monkeypatch, 1)
+    one = _facet_values(prof, body, 2000, seed=5)
+    threads = _pooled(monkeypatch, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = _facet_values(prof, body, 2000, seed=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == 4
+    _same_bits(four, one)
+
+
+def test_tables_and_laws_are_built_on_the_calling_thread(get_profile,
+                                                         monkeypatch):
+    # the benchmark's tracer wraps both and is single-threaded
+    callers = []
+    law, table = bodies._halfspace_law, bodies._facet_table
+
+    def law_here(*args):
+        callers.append(threading.get_ident())
+        return law(*args)
+
+    def table_here(*args):
+        callers.append(threading.get_ident())
+        return table(*args)
+
+    monkeypatch.setattr(bodies, "_halfspace_law", law_here)
+    monkeypatch.setattr(bodies, "_facet_table", table_here)
+    threads = _pooled(monkeypatch, 2)
+    prof = get_profile("gaussian", 4)
+    _facet_values(prof, HyperRectangle([0.6, 0.9, 0.6, 1.2]), 2000, seed=7)
+    assert len(threads) == 2
+    assert len(callers) == 6 and set(callers) == {threading.get_ident()}
+
+
+def test_pool_pins_blas_and_restores_it(get_profile, monkeypatch):
+    _pooled(monkeypatch, 2)
+    get_threads, set_threads = bodies._blas_threads()
+    seen = []
+    chords = _kernels.facet_chords
+
+    def recorded(*args):
+        seen.append(get_threads())
+        return chords(*args)
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            raise RuntimeError("worker fails")
+        return chords(*args)
+
+    caller = threading.get_ident()
+    prof = get_profile("gaussian", 4)
+    box = HyperRectangle([0.6, 0.9, 0.6, 1.2])
+    before = get_threads()
+    threads_before = threading.active_count()
+    set_threads(2)
+    try:
+        monkeypatch.setattr(_kernels, "facet_chords", recorded)
+        _facet_values(prof, box, 2000, seed=7)
+        assert seen and set(seen) == {1}
+        assert get_threads() == 2
+        monkeypatch.setattr(_kernels, "facet_chords", failing)
+        with pytest.raises(RuntimeError, match="worker fails"):
+            _facet_values(prof, box, 2000, seed=7)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+    assert threading.active_count() == threads_before
+
+
+def test_missing_blas_symbol_runs_on_the_calling_thread(get_profile,
+                                                        monkeypatch):
+    prof = get_profile("gaussian", 4)
+    box = HyperRectangle([0.6, 0.9, 0.6, 1.2])
+    threads = _pooled(monkeypatch, 2)
+    two = _facet_values(prof, box, 2000, seed=7)
+    assert len(threads) == 2
+    monkeypatch.setattr(bodies, "_BLAS_THREAD_SYMBOLS",
+                        ("scipy_openblas_get_num_threads64_", "no_such_symbol"))
+    assert bodies._blas_threads() is None
+    threads.clear()
+    _same_bits(_facet_values(prof, box, 2000, seed=7), two)
+    assert threads == {threading.get_ident()}
+
+
+def test_no_thread_outlives_a_call_or_the_import(get_profile):
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import threading, radsurf; print(threading.active_count())"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "1"
+    prof, body = _construction_body(get_profile, 256)
+    before = threading.active_count()
+    _facet_values(prof, body, bodies._POOL_MIN_SAMPLES, 5, facet_indices=[0, 1])
+    assert threading.active_count() == before
+
+
+def test_point_radius_table_carries_no_slopes(get_profile):
+    pr = get_profile("gaussian", 5)
+    assert _radial_table(pr).slope is None
+    table = _facet_table(_radial_law(pr.phi, pr.m - 1, 0.35 * pr.t0))
+    assert table.slope.shape == table.grid.shape
 
 
 # --- one solve per radial law ----------------------------------------------

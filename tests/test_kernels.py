@@ -219,10 +219,11 @@ def _reflected(dirs, normals, base, offsets):
     return np.vstack([dirs, -dirs]), normals, base, offsets
 
 
-def _stacked_dense64(dirs, normals, base, offsets):
+def _stacked_dense64(dirs, normals, base, offsets, budget=None, y32=None):
     """`_chords_dense64` of [dirs; -dirs] against each set of a (k, q)
     array or an (R, k, q) stack, in `facet_chords`' order: the chords of
-    dirs against every set, then those of -dirs."""
+    dirs against every set, then those of -dirs.  The kernel's block
+    budget and float32 buffer play no part in a dense product."""
     sets = normals if normals.ndim == 3 else normals[None]
     n = dirs.shape[0]
     per_set = [_chords_dense64(*_reflected(dirs, x, base, offsets))
@@ -266,11 +267,10 @@ def _tiny_blocks(monkeypatch, itemsize):
     budget takes blocks of one row."""
     row_extremes = _kernels._row_extremes
 
-    def tiny(dirs, sets, inv):
+    def tiny(dirs, sets, inv, budget, y32):
         rows = 3 if dirs.shape[0] % 3 else 2
-        monkeypatch.setattr(_kernels, "_BLOCK_BYTES",
-                            rows * itemsize * sets.shape[0] * sets.shape[1])
-        return row_extremes(dirs, sets, inv)
+        budget = rows * itemsize * sets.shape[0] * sets.shape[1]
+        return row_extremes(dirs, sets, inv, budget, y32)
 
     monkeypatch.setattr(_kernels, "_row_extremes", tiny)
 
@@ -409,6 +409,22 @@ def test_float32_chords_in_tiny_blocks_are_the_default_block_chords(
     got = facet_chords(*args)
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def test_float32_chords_with_a_reused_buffer_are_the_fresh_chords(
+        monkeypatch):
+    # facet MC hands the kernel one float32 buffer for all its facets; what
+    # an earlier call left in it, and its extra length, change nothing
+    _force_float32(monkeypatch)
+    args, _ = _near_tie_workload(0, side=1.0)
+    dirs, normals = args[:2]
+    want = facet_chords(*args)
+    y32 = np.full(normals.size + 7, np.float32(3.5))
+    for _ in range(2):
+        got = facet_chords(*args, y32=y32)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    assert not np.all(y32[:normals.size] == np.float32(3.5))
 
 
 def test_facet_chords_large_shape_matches_dense_float64():
