@@ -477,12 +477,12 @@ def _facet_table(law) -> _InverseCdfTable:
     return _InverseCdfTable(law.logf_vec, *law.window, law.log_peak)
 
 
-def _point_chunk(rng, table, d, n):
-    """n points: radius by inverse CDF, then a uniform direction
-    (`_sphere_coordinates` with k = m = d).  Draw order (radii, then
-    directions) is part of the determinism contract."""
+def _point_chunk(rng, table, k, d, n):
+    """The first k <= d coordinates of n points in R^d: radius by inverse
+    CDF, then a uniform direction (`_sphere_coordinates` with m = d).  Draw
+    order (radii, then directions) is part of the determinism contract."""
     r = table.sample(rng.random(n))
-    return r[:, None] * _sphere_coordinates(rng, n, d, d)
+    return r[:, None] * _sphere_coordinates(rng, n, k, d)
 
 
 def _sphere_coordinates(rng, n, k, m):
@@ -574,7 +574,7 @@ def sample_points(prof: MeasureProfile, n: int, seed: int) -> np.ndarray:
     table = _radial_table(prof)
     out = np.empty((n, prof.d))
     for blk in _kernels._blocks(n, _CHUNK):
-        out[blk] = _point_chunk(rng, table, prof.d, blk.stop - blk.start)
+        out[blk] = _point_chunk(rng, table, prof.d, prof.d, blk.stop - blk.start)
     return out
 
 
@@ -682,7 +682,10 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
 
     Returns (values, std_errors, accepted, attempted) arrays over the
     requested facets; accepted is the sum of the pair means, the expected
-    number of accepted radii.
+    number of accepted radii.  Callers check samples_per_facet >= 1.
+    InputError when an evaluated facet's row repeats another row bit for
+    bit, direction and offset (both copies would accept the whole face, so
+    it would count twice); the candidates are the rows with X_j.X_i > 1/2.
 
     The facets of a call run on `_facet_workers` threads, with the same
     bits as on one: two from _POOL_MIN_SAMPLES samples per facet and
@@ -703,8 +706,6 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     N, d = X.shape
     idx = np.arange(N) if facet_indices is None else np.asarray(facet_indices, int)
     S = int(samples_per_facet)
-    if S < 1:
-        raise InputError("samples_per_facet must be >= 1")
 
     values = np.zeros(idx.size)
     errors = np.zeros(idx.size)
@@ -723,6 +724,10 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     def facet(pos, table, hs, coords, y32):
         i = idx[pos]
         Xx = X @ X[i]
+        for j in np.flatnonzero(Xx > 0.5):
+            if j != i and rho[j] == rho[i] and np.array_equal(X[j], X[i]):
+                raise InputError(f"facet rows {min(i, j)} and {max(i, j)} are "
+                                 "the same hyperplane (direction and offset)")
         base = float(rho[i]) * np.delete(Xx, i)
         ro = np.delete(rho, i)
         normals = _gram_factor(_hyperplane_coordinates(X, i, Xx, out=coords))
@@ -829,12 +834,11 @@ def minkowski_fd_surface(prof: MeasureProfile, body, epsilon: float,
     then only what the body's shell test reads:
 
     * Ball: nothing more; the test is r - R in (0, eps].
-    * HyperRectangle: full points (`_point_chunk`), tested by the exact
-      Euclidean distance to the box.
-    * Any other facet body (Slab with rho1 < 0 too), with N rows X: the
-      test reads x = r u only through x X^T, whose law depends on X only
-      through its Gram matrix, so the chunk draws the first min(N, d)
-      coordinates w of a uniform unit vector and tests r w F^T, with
+    * Any other facet body, with N rows X, draws the first k = min(N, d)
+      coordinates of the points (`_point_chunk`), k = d for a box.  A box
+      tests the exact Euclidean distance.  Any other (Slab with rho1 < 0
+      too) reads x only through x X^T, whose law depends on X only through
+      its Gram matrix, so the k coordinates x' suffice: it tests x' F^T,
       F = `_gram_factor(X)`.  The test is the offset relaxation (largest
       violation in (0, eps]), which over-counts near edges by O(eps^2).
 
@@ -866,15 +870,13 @@ def minkowski_fd_surface(prof: MeasureProfile, body, epsilon: float,
         if isinstance(body, Ball):
             shell = _kernels.shell_count(table.sample(rng.random(n)) - body.R,
                                          epsilon)
-        elif isinstance(body, HyperRectangle):
-            q = np.abs(_point_chunk(rng, table, d, n)) - body.half_widths
-            shell = _kernels.shell_count(
-                np.linalg.norm(np.maximum(q, 0.0), axis=1), epsilon)
         else:
-            r = table.sample(rng.random(n))
-            w = _sphere_coordinates(rng, n, F.shape[1], d)
-            shell = _kernels.polytope_shell_counts(r[:, None] * w, F,
-                                                   offsets, epsilon)
+            x = _point_chunk(rng, table, F.shape[1], d, n)  # k = d for a box
+            if isinstance(body, HyperRectangle):
+                q = np.maximum(np.abs(x) - body.half_widths, 0.0)
+                shell = _kernels.shell_count(np.linalg.norm(q, axis=1), epsilon)
+            else:
+                shell = _kernels.polytope_shell_counts(x, F, offsets, epsilon)
         shell_total += shell
     p = shell_total / samples
     value = p / epsilon

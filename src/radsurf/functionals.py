@@ -34,8 +34,9 @@ once and reads everything from it (a law solves its window once):
 
 All integrals are evaluated in the log domain: the integrand is normalized
 by its peak value and restricted to the window where it stays within
-exp(-60) of the peak, which keeps every exponent in range for any dimension
-while bounding the truncation error far below the 1e-10 relative target.
+exp(-60) of the peak, which keeps every exponent in range for any dimension.
+The quadrature's relative error on the window is checked to be at most
+1e-10; the mass the window cuts off is not yet bounded.
 """
 
 from __future__ import annotations
@@ -68,11 +69,10 @@ __all__ = [
 ]
 
 #: Window half-depth in nats: integrands are truncated where they fall this
-#: far below their peak.  exp(-60) ~ 8.8e-27 keeps truncation error far
-#: below the 1e-10 relative quadrature target.
+#: far below their peak (exp(-60) ~ 8.8e-27 of the peak value).
 WINDOW_NATS = 60.0
 
-#: Relative accuracy every radial quadrature must certify.
+#: Relative error estimate every radial quadrature must stay within.
 _REL_TOL = 1e-10
 
 
@@ -175,19 +175,26 @@ class _RadialLaw:
         return a, b
 
     def log_integral(self):
-        """log I_k(rho), integrated peak-normalized over the window, so no
-        exponential overflows; truncation error ~ exp(-60), far below the
-        relative tolerance."""
+        """log I_k(rho) by one `quad` call on the peak-normalized integrand
+        over the window, with the kinks and the peak inside it as break
+        points.  QuadratureError (with the achieved error) when the error
+        estimate exceeds _REL_TOL relative; that checks the window only."""
         a, b = self.window
-        logf, peak, log_peak = self.logf, self.peak, self.log_peak
+        logf, log_peak = self.logf, self.log_peak
 
         def f(s):
             return math.exp(min(logf(s) - log_peak, 0.0))
 
-        pts = list(self.breaks)
-        if a < peak < b:
-            pts.append(peak)
-        return log_peak + math.log(_quad_window(f, a, b, pts))
+        pts = sorted(x for x in (*self.breaks, self.peak) if a < x < b)
+        val, err = quad(f, a, b, points=pts or None, limit=800,
+                        epsabs=0.0, epsrel=1e-12)
+        if err > _REL_TOL * abs(val):
+            raise QuadratureError(
+                f"quadrature did not converge: error estimate {err:.3e} "
+                f"exceeds {_REL_TOL:.1e} x {abs(val):.6e}",
+                achieved_error=err,
+            )
+        return log_peak + math.log(val)
 
 
 def _radial_law(phi, k, rho=0.0):
@@ -284,27 +291,6 @@ def solve_t0(phi, m):
     if m < 1:
         raise InputError(f"radial exponent must be >= 1, got {m}")
     return _radial_law(phi, m).peak
-
-
-def _quad_window(f, a, b, breaks):
-    """Adaptive quadrature on [a, b] with interior break points.
-
-    Raises QuadratureError (with the achieved error estimate) when the
-    relative accuracy _REL_TOL cannot be certified after refinement.
-    """
-    pts = sorted(x for x in breaks if a < x < b)
-    val, err = quad(f, a, b, points=pts or None, limit=200,
-                    epsabs=0.0, epsrel=1e-12)
-    if err > _REL_TOL * abs(val):
-        val, err = quad(f, a, b, points=pts or None, limit=800,
-                        epsabs=0.0, epsrel=1e-12)
-    if err > _REL_TOL * abs(val):
-        raise QuadratureError(
-            f"quadrature did not converge: error estimate {err:.3e} "
-            f"exceeds {_REL_TOL:.1e} x {abs(val):.6e}",
-            achieved_error=err,
-        )
-    return val
 
 
 def _deficit(phi, m, t0):
@@ -462,8 +448,8 @@ def tail_mass_bound(phi, m, t0, x, psi_floor):
 
     The caller supplies any positive psi_floor not exceeding the log-profile
     deficit psi = phi((1+x)t0) - phi(t0) - m log(1+x); the bound is then
-    x t0 g_m(t0) / (psi_floor e^psi_floor).  This is the estimate that
-    justifies the 60-nat quadrature truncation window.
+    x t0 g_m(t0) / (psi_floor e^psi_floor), the estimate a bound on the
+    mass beyond the 60-nat quadrature window would start from.
     """
     if x <= 0:
         raise InputError(f"tail bound requires x > 0, got {x}")

@@ -43,7 +43,7 @@ from radsurf.bodies import (
     sphere_surface,
 )
 from radsurf.functionals import _radial_law, log_ball_volume, profile
-from radsurf.potential import ball, tabulated
+from radsurf.potential import ball, shell, tabulated
 
 from conftest import MEASURE_NAMES, circumscribed_polytope
 
@@ -91,6 +91,23 @@ def test_ball_halfspace_where_the_support_edge_rounds_outward():
 def test_ball_halfspace_d3_is_three_quarters(get_profile):
     est = halfspace_surface(get_profile("ball", 3), 0.0)
     assert est.value == pytest.approx(0.75, rel=1e-10)
+
+
+@pytest.mark.parametrize("rho, expected", [
+    (0.0, 0.335063038088), (0.5, 0.394348845540), (0.95, 1.046234001099)])
+def test_shell_halfspace_in_the_plane_is_the_chord_over_the_annulus(rho,
+                                                                    expected):
+    # uniform on the annulus 0.9 <= |x| <= 1 in R^2: the boundary measure of
+    # {x_0 <= rho} is the length of the line x_0 = rho inside the annulus
+    # over its area.  I_0(rho) has no finite value at s = 0 while the line
+    # crosses the hole (rho < 0.9), so its law peaks mid-annulus
+    R, eps = 1.0, 0.1
+    pr = profile(shell(R, eps, allow_non_logconcave=True), 2)
+    closed = 2.0 * (math.sqrt(R * R - rho * rho)
+                    - math.sqrt(max((R - eps) ** 2 - rho * rho, 0.0))) / (
+        math.pi * (R * R - (R - eps) ** 2))
+    assert closed == pytest.approx(expected, abs=1e-12)
+    assert halfspace_surface(pr, rho).value == pytest.approx(closed, rel=1e-12)
 
 
 def test_halfspace_outside_support_is_zero(get_profile):
@@ -495,6 +512,35 @@ def test_a_facet_far_in_the_tail_adds_nothing(get_profile):
     far = Polytope(np.vstack([X, np.eye(3)[:1]]), np.append(rho, 1e4))
     assert (polytope_surface_mc(pr, far, 1000, seed=1)
             == polytope_surface_mc(pr, box, 1000, seed=1))
+
+
+def test_mc_rejects_a_repeated_facet_row(get_profile):
+    # both copies of a repeated row accept the whole face, so it would be
+    # scored twice: 0.7896 for this box, whose surface is 0.6767
+    pr = get_profile("gaussian", 3)
+    box = HyperRectangle(np.ones(3))
+    X, rho = as_facets(box)
+    twice = Polytope(np.vstack([X, X[:1]]), np.append(rho, rho[0]))
+    with pytest.raises(InputError, match="rows 0 and 6"):
+        polytope_surface_mc(pr, twice, 20_000, seed=1)
+    with pytest.raises(InputError, match="rows 0 and 6"):
+        _facet_values(pr, twice, 100, 1, facet_indices=[6])
+    # facets other than the copies still run, on their own streams
+    subset = _facet_values(pr, twice, 100, 1, facet_indices=[1, 2])
+    assert np.array_equal(subset[0], _facet_values(pr, box, 100, 1,
+                                                   facet_indices=[1, 2])[0])
+    # a parallel row at another offset is a redundant facet, not a repeat
+    parallel = Polytope(np.vstack([X, X[:1]]), np.append(rho, 2.0))
+    est = polytope_surface_mc(pr, parallel, 20_000, seed=1)
+    assert est.value == polytope_surface_mc(pr, box, 20_000, seed=1).value
+
+
+def test_mc_checks_the_dimension_and_the_sample_count(get_profile):
+    pr = get_profile("gaussian", 3)
+    with pytest.raises(InputError, match=r"R\^4, measure in R\^3"):
+        polytope_surface_mc(pr, HyperRectangle(np.ones(4)), 100, seed=1)
+    with pytest.raises(InputError, match="samples_per_facet must be >= 1"):
+        polytope_surface_mc(pr, HyperRectangle(np.ones(3)), 0, seed=1)
 
 
 def test_single_facet_polytope_equals_halfspace(get_profile):

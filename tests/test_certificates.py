@@ -113,6 +113,22 @@ def test_lambda_infeasible_near_hard_cutoff(get_profile):
     assert Lambda(pr, 0.9) is None  # flat potential up to the jump
 
 
+def test_one_nat_steps_bisect_up_to_a_finite_support_edge():
+    # cutoff table phi = 0.5, 3, 9 at t = 1, 2, 3 (linear in between,
+    # infinite past 3): where the step to the edge climbs more than a nat,
+    # the edge bounds the bisection and the root is on a linear piece
+    pr = profile(tabulated([1, 2, 3], [0.5, 3, 9], "cutoff"), 5)
+    assert Lambda(pr, 1.5) == pytest.approx(1.9 / 1.5 - 1.0, rel=1e-12)
+    assert Lambda(pr, 2.5) == pytest.approx((8 / 3) / 2.5 - 1.0, rel=1e-12)
+    assert Lambda(pr, 2.99) is None
+    # the step along the normal that reaches radius 8/3, where phi = 7
+    y, a = 2.5, 0.3
+    t1 = -y * a + math.sqrt(y * y * a * a + (8 / 3) ** 2 - y * y)
+    assert t1 / math.e == pytest.approx(0.163026420084, abs=1e-12)
+    assert xi2_lower(pr, BoundaryPoint(y, a)) == pytest.approx(t1 / math.e,
+                                                               rel=1e-12)
+
+
 def test_lambda_infeasible_where_the_edge_step_rounds_past_the_cutoff():
     # (1 + (R/t - 1)) t rounds past R for some t; the edge step reads phi(R)
     assert Lambda(profile(ball(0.7), 5), 0.01) is None

@@ -326,6 +326,18 @@ def test_surface_mc_halfspace_through_origin(capsys):
     assert row["std_error"] == 0.0
 
 
+def test_surface_mc_rejects_a_repeated_polytope_row(capsys, tmp_path):
+    path = tmp_path / "box.txt"
+    eye = np.eye(3)
+    rows = np.hstack([np.vstack([eye, -eye, eye[:1]]), np.ones((7, 1))])
+    np.savetxt(path, rows)
+    code, out, err = run_cli(capsys, "surface", "--measure", "gaussian",
+                             "--dim", "3", "--body", f"polytope:file={path}",
+                             "--method", "mc", "--samples", "2000")
+    assert code == 2
+    assert out == "" and "rows 0 and 6 are the same hyperplane" in err
+
+
 @pytest.mark.parametrize("body", ["ball:R=1", "sphere:R=1"])
 @pytest.mark.parametrize("command", [("surface", "--method", "mc"),
                                      ("certificate",)])

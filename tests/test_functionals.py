@@ -4,8 +4,10 @@ import math
 import mpmath as mp
 import pytest
 
-from radsurf.errors import InputError, NormalizationError
+from radsurf import functionals
+from radsurf.errors import InputError, NormalizationError, QuadratureError
 from radsurf.functionals import (
+    _radial_law,
     log_ball_volume,
     mu_candidate,
     profile,
@@ -162,6 +164,27 @@ def test_tabulated_quadrature_matches_mpmath_reference():
     Jm1 = mp.quad(lambda t: t ** (m + 1) * mp.e ** (-f(t)), pts)
     assert pr.log_J[m] == pytest.approx(float(mp.log(Jm)), abs=1e-11)
     assert pr.expectation == pytest.approx(float(Jm1 / Jm), rel=1e-11)
+
+
+def test_a_radial_law_makes_one_quad_call_and_raises_on_a_missed_target(
+        monkeypatch):
+    calls = []
+
+    def missed(f, a, b, **kwargs):
+        calls.append(kwargs)
+        return 1.0, 1e-6
+
+    monkeypatch.setattr(functionals, "quad", missed)
+    law = _radial_law(tabulated(*make_random_table()), 7)
+    with pytest.raises(QuadratureError, match="error estimate 1.000e-06") as info:
+        law.log_integral()
+    assert info.value.achieved_error == 1e-6
+    assert len(calls) == 1
+    # the break points: the kinks inside the window and the peak, sorted
+    a, b = law.window
+    assert calls[0]["points"] == sorted(
+        x for x in (*law.breaks, law.peak) if a < x < b)
+    assert (calls[0]["limit"], calls[0]["epsabs"]) == (800, 0.0)
 
 
 def test_bound_formulas_recompute_from_fields(get_profile):
