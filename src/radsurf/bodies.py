@@ -22,14 +22,10 @@ instead of the n directions and hands back the stack of normal sets, and a
 direction's radius rho > 0 divides the chord ends afterwards (the chord of
 rho v is the chord of v over rho).  A facet's statistics come from one
 array of its S pair means, so they do not depend on the chunking.
-The facets of one call run on two threads when each has at least
-_POOL_MIN_SAMPLES samples, a chord product of at least _POOL_MIN_PRODUCTS
-products per sample, and neighbour normals that fit in half of the chord
-kernel's 8 MB block budget: the calling thread builds each offset's
-law and table and shares the facets with one pool thread, the two split
-the block budget, and numpy's OpenBLAS is pinned to one thread while they
-run.  Every facet draws from its own stream into its own slot, so the bits
-do not depend on the threads.
+The facets of one call run on two threads, with the bits of one, when
+each has at least _POOL_MIN_SAMPLES samples, a chord product of at least
+_POOL_MIN_PRODUCTS products per sample, and neighbour normals that fit in
+half of the chord kernel's 8 MB block budget (`_facet_values`).
 Independently, the Minkowski difference quotient
 [mu(Q + eps B) - mu(Q)] / eps is estimated by direct sampling as a
 validation oracle, which likewise draws only what the body's shell test
@@ -43,6 +39,7 @@ m J_{m-1}/J_m.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import math
@@ -83,8 +80,6 @@ _CHUNK = 1 << 16  # fixed sampling chunk: part of the determinism contract
 
 _UNIT_TOL = 1e-12
 
-_OUTER_ENTRIES = 1 << 18  # float64 entries of one rank-1 update step
-
 # The most direction coordinates that facet Monte Carlo draws in rotated
 # blocks (`_rotated_coordinates`).  The rotations cost (R - 1)(q^3 + k q^2)
 # for their QR factors and the k rotated normals, against the n q normals
@@ -95,8 +90,7 @@ _OUTER_ENTRIES = 1 << 18  # float64 entries of one rank-1 update step
 # 1.0x, and 0.7x at 1000; at q = 128 slower at every n up to 20000).
 _ROTATE_MAX_Q = 80
 
-# Facet Monte Carlo runs the facets of a call on two threads only from
-# _POOL_MIN_SAMPLES samples per facet and _POOL_MIN_PRODUCTS products per
+# The floors of `_facet_workers`: samples per facet, and products per
 # sample in the chord product (k q: k neighbour normals of q coordinates),
 # the part of a facet that runs without the GIL.  Below 8192 samples the
 # GIL, held between a chunk's small numpy calls, made two workers slower
@@ -559,12 +553,9 @@ def _hyperplane_coordinates(X, i, Xx, out=None):
     Ah = np.delete(Xx + sign * X[:, 0], i)  # A h
     if out is None:
         out = np.empty((X.shape[0] - 1, X.shape[1] - 1))
-    out[:i] = X[:i, 1:]
-    out[i:] = X[i + 1:, 1:]
-    ch = c * x[1:]  # c h[1:]
-    step = max(1, _OUTER_ENTRIES // ch.size)
-    for j in range(0, Ah.size, step):
-        out[j:j + step] += np.outer(Ah[j:j + step], ch)
+    np.multiply.outer(Ah, c * x[1:], out=out)  # A h c h[1:]^T
+    out[:i] += X[:i, 1:]
+    out[i:] += X[i + 1:, 1:]
     return out
 
 
@@ -683,24 +674,32 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     Returns (values, std_errors, accepted, attempted) arrays over the
     requested facets; accepted is the sum of the pair means, the expected
     number of accepted radii.  Callers check samples_per_facet >= 1.
-    InputError when an evaluated facet's row repeats another row bit for
-    bit, direction and offset (both copies would accept the whole face, so
-    it would count twice); the candidates are the rows with X_j.X_i > 1/2.
 
-    The facets of a call run on `_facet_workers` threads, with the same
-    bits as on one: two from _POOL_MIN_SAMPLES samples per facet and
+    InputError when an evaluated facet's row repeats another row to
+    rounding, in direction and offset: both copies would accept the whole
+    face, so it would count twice.  The unit gate lets a row's norm be
+    u = _UNIT_TOL off 1, so two rows of one direction can have X_j.X_i as
+    low as (1 - u)^2 > 1 - 2u, and the product's rounding adds at most
+    d eps / 2, below 2u up to d = 18 000.  So row j repeats row i when
+    X_j.X_i >= 1 - 4u and |rho_j - rho_i| <= 4u |rho_i|, one test on the
+    facet's products Xx.  Rows at one offset less than about
+    sqrt(8u) = 2.8e-6 rad apart are refused too: the norms the gate lets
+    through move X_j.X_i as much as such an angle does.
+
+    The facets of a call run on `_facet_workers` threads, with the bits
+    of one: two from _POOL_MIN_SAMPLES samples per facet and
     _POOL_MIN_PRODUCTS products per sample, when the neighbour normals
-    take at most half of _kernels._BLOCK_BYTES, else the calling thread
-    alone.  The calling thread builds each |rho_i| group's law and table
-    (the benchmark's tracer wraps both, and it is single-threaded), deals
-    the group's facets round-robin to itself and one pool thread, each
-    with its own normals and float32 buffers, and builds the next table
-    once the group is done.  The workers share one block budget: each
-    chord product is blocked under _BLOCK_BYTES divided by the workers.
-    While the pool is open numpy's OpenBLAS runs on one thread
-    (`_blas_threads`); the earlier count is restored when the call ends,
-    also when a facet raises.  Without the thread-count symbols the call
-    runs on one thread.  The pool is shut down before the call returns.
+    take at most half of _kernels._BLOCK_BYTES, else one.  Every call runs
+    one loop over the |rho_i| groups: the calling thread builds a group's
+    law and table (the benchmark's tracer wraps both, and it is
+    single-threaded), deals its facets round-robin to itself and the pool
+    threads, each worker with its own normals, float32 buffers and
+    _BLOCK_BYTES / workers of block budget, and waits for the group before
+    it builds the next table.  With more than one worker one ExitStack
+    opens the pool and pins numpy's OpenBLAS to one thread
+    (`_blas_threads`); it shuts the pool down and restores the earlier
+    count before the call returns, also when a facet raises.  Without the thread-count symbols
+    the call runs on one thread.
     """
     X, rho = as_facets(body)
     N, d = X.shape
@@ -724,10 +723,13 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     def facet(pos, table, hs, coords, y32):
         i = idx[pos]
         Xx = X @ X[i]
-        for j in np.flatnonzero(Xx > 0.5):
-            if j != i and rho[j] == rho[i] and np.array_equal(X[j], X[i]):
-                raise InputError(f"facet rows {min(i, j)} and {max(i, j)} are "
-                                 "the same hyperplane (direction and offset)")
+        tol = 4.0 * _UNIT_TOL  # rows equal to row i to rounding (see above)
+        same = (Xx >= 1.0 - tol) & (np.abs(rho - rho[i]) <= tol * abs(rho[i]))
+        same[i] = False
+        if same.any():
+            j = int(np.argmax(same))
+            raise InputError(f"facet rows {min(i, j)} and {max(i, j)} are "
+                             "the same hyperplane (direction and offset)")
         base = float(rho[i]) * np.delete(Xx, i)
         ro = np.delete(rho, i)
         normals = _gram_factor(_hyperplane_coordinates(X, i, Xx, out=coords))
@@ -758,32 +760,26 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         for pos in positions[j::workers]:
             facet(pos, table, hs, *buffers[j])
 
-    def groups():
-        """(positions, table, hs) per distinct |rho_i| inside the support,
-        in order of |rho_i|; a facet outside it contributes exactly 0."""
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            get_threads, set_threads = blas
+            stack.callback(set_threads, get_threads())
+            set_threads(1)
+            pool = stack.enter_context(ThreadPoolExecutor(workers - 1))
+        # one law and table per distinct |rho_i| inside the support, in order
+        # of |rho_i|; a facet outside it contributes exactly 0
         order = np.argsort(np.abs(rho[idx]), kind="stable")
         for dist, group in itertools.groupby(
                 order, key=lambda pos: abs(float(rho[idx[pos]]))):
             hs, law = _halfspace_law(prof, dist)
-            if hs != 0.0:
-                yield list(group), _facet_table(law), hs
-
-    if workers == 1:
-        for group in groups():
-            deal(*group, 0)
-    else:
-        get_threads, set_threads = blas
-        threads = get_threads()
-        set_threads(1)
-        try:
-            with ThreadPoolExecutor(workers - 1) as pool:
-                for group in groups():
-                    jobs = [pool.submit(deal, *group, j) for j in range(1, workers)]
-                    deal(*group, 0)
-                    for job in jobs:
-                        job.result()
-        finally:
-            set_threads(threads)
+            if hs == 0.0:
+                continue
+            positions, table = list(group), _facet_table(law)
+            jobs = [pool.submit(deal, positions, table, hs, j)
+                    for j in range(1, workers)]  # none with one worker
+            deal(positions, table, hs, 0)
+            for job in jobs:
+                job.result()
     return values, errors, accepted, attempted
 
 

@@ -196,6 +196,8 @@ def test_body_validation_gates():
         HalfSpace(direction=[1.0, 1.0], offset=0.5)  # not unit length
     with pytest.raises(InputError):
         HalfSpace(direction=[1.0, 0.0], offset=-0.1)
+    with pytest.raises(InputError, match="half-space direction must be finite"):
+        HalfSpace(direction=[math.nan, 0.0, 0.0], offset=1.0)
     with pytest.raises(InputError):
         Slab(direction=[0.0, 1.0], rho1=-1.0, rho2=0.5)  # empty
     with pytest.raises(InputError):
@@ -533,6 +535,38 @@ def test_mc_rejects_a_repeated_facet_row(get_profile):
     parallel = Polytope(np.vstack([X, X[:1]]), np.append(rho, 2.0))
     est = polytope_surface_mc(pr, parallel, 20_000, seed=1)
     assert est.value == polytope_surface_mc(pr, box, 20_000, seed=1).value
+
+
+def _with_rows(box, rows, offsets):
+    X, rho = as_facets(box)
+    return Polytope(np.vstack([X, *rows]), np.append(rho, offsets))
+
+
+def test_mc_rejects_a_row_that_repeats_another_to_rounding(get_profile):
+    # (1, 1 + 1e-15, 0) normalised is (1, 1, 0)/sqrt(2) to rounding; scored
+    # as a second facet it read 0.68769 +- 0.00040 for a body of 0.66353
+    pr = get_profile("gaussian", 3)
+    box = HyperRectangle(np.ones(3))
+    diag = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    near = np.array([1.0, 1.0 + 1e-15, 0.0])
+    near /= np.linalg.norm(near)
+    # a row the unit gate passes 5e-13 short of unit length read 0.71674
+    for row, offset in ((near, 1.0), (diag * (1.0 - 5e-13), 1.0),
+                        (diag, 1.0 + 1e-13)):
+        with pytest.raises(InputError, match="rows 6 and 7 are the same"):
+            polytope_surface_mc(pr, _with_rows(box, [diag, row], [1.0, offset]),
+                                2000, seed=1)
+    one = polytope_surface_mc(pr, _with_rows(box, [diag], [1.0]), 20_000, seed=1)
+    # a row 1e-4 rad away is a facet of its own, which takes half the face
+    turn = math.pi / 4.0 + 1e-4
+    tilted = np.array([math.cos(turn), math.sin(turn), 0.0])
+    two = polytope_surface_mc(pr, _with_rows(box, [diag, tilted], [1.0, 1.0]),
+                              20_000, seed=1)
+    assert abs(two.value - one.value) <= 4.0 * math.hypot(one.std_error,
+                                                          two.std_error)
+    # a parallel row 1e-11 further out is a redundant facet
+    outer = _with_rows(box, [diag, diag], [1.0, 1.0 + 1e-11])
+    assert polytope_surface_mc(pr, outer, 20_000, seed=1).value == one.value
 
 
 def test_mc_checks_the_dimension_and_the_sample_count(get_profile):
@@ -1310,6 +1344,12 @@ def test_cube_check_surface_and_identity():
         assert c.surface == 2.0 * d
         # Var|X| is computed as d/12 - (E|X|)^2 for the unit cube
         assert c.expectation**2 + c.variance == pytest.approx(d / 12.0, rel=1e-13)
+
+
+def test_cube_check_needs_a_positive_integer_dimension():
+    for d in (0, 2.5):
+        with pytest.raises(InputError, match="dimension must be a positive integer"):
+            cube_lebesgue_check(d)
 
 
 def test_cube_check_one_dimensional_closed_form():

@@ -30,7 +30,7 @@ from radsurf.certificates import (
     xi2_lower,
 )
 from radsurf.functionals import profile, rough_upper_bound
-from radsurf.potential import ball, tabulated
+from radsurf.potential import ball, gaussian, shell, tabulated
 
 from conftest import circumscribed_polytope
 
@@ -158,6 +158,13 @@ def test_lambda_domain_gates(get_profile):
         Lambda(get_profile("gaussian", 5), -1.0)
 
 
+def test_lambda_refuses_a_radius_where_the_potential_is_infinite():
+    # the shell's potential is +inf inside its inner radius 0.9
+    pr = profile(shell(1.0, 0.1, allow_non_logconcave=True), 3)
+    with pytest.raises(InputError, match="potential not finite at t=0.5"):
+        Lambda(pr, 0.5)
+
+
 # --- xi1 ---------------------------------------------------------------------
 
 
@@ -189,6 +196,11 @@ def test_xi1_scales_linearly_in_alpha(get_profile):
 def test_xi1_outside_support_rejected(get_profile):
     with pytest.raises(InputError):
         xi1(get_profile("ball", 5), BoundaryPoint(1.5, 1.0))
+
+
+def test_xi1_overflows_to_infinity_near_the_origin():
+    # |y|^(-m) at |y| = 1e-3 and m = 200 is 1e600, past the float range
+    assert xi1(profile(gaussian(), 201), BoundaryPoint(1e-3, 1.0)) == math.inf
 
 
 # --- xi2 lower bound ---------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -100,7 +101,8 @@ def test_parse_dims_ratio_one_ulp_above_one_terminates():
     code = ("from radsurf.cli import _parse_dims; "
             "print(_parse_dims('8:64:geometric:1.0000000000000002'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=30)
+                         text=True, timeout=30,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.returncode == 0
     assert out.stdout == f"{list(range(8, 65))}\n"
 
@@ -336,6 +338,22 @@ def test_surface_mc_rejects_a_repeated_polytope_row(capsys, tmp_path):
                              "--method", "mc", "--samples", "2000")
     assert code == 2
     assert out == "" and "rows 0 and 6 are the same hyperplane" in err
+
+
+def test_surface_mc_rejects_a_row_that_repeats_another_to_rounding(capsys,
+                                                                  tmp_path):
+    path = tmp_path / "near.txt"
+    diag = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    near = np.array([1.0, 1.0 + 1e-15, 0.0])
+    near /= np.linalg.norm(near)
+    eye = np.eye(3)
+    rows = np.hstack([np.vstack([eye, -eye, diag, near]), np.ones((8, 1))])
+    np.savetxt(path, rows)
+    code, out, err = run_cli(capsys, "surface", "--measure", "gaussian",
+                             "--dim", "3", "--body", f"polytope:file={path}",
+                             "--method", "mc", "--samples", "2000")
+    assert code == 2
+    assert out == "" and "rows 6 and 7 are the same hyperplane" in err
 
 
 @pytest.mark.parametrize("body", ["ball:R=1", "sphere:R=1"])
@@ -706,11 +724,27 @@ def test_exit_code_numerical_failure(capsys, monkeypatch):
     assert "numerical" in err
 
 
+@pytest.mark.parametrize("exc, code, prefix", [
+    (ValueError("synthetic bad value"), 2, "error: "),
+    (ArithmeticError("synthetic overflow"), 3, "numerical failure: "),
+])
+def test_exit_codes_of_python_errors(capsys, monkeypatch, exc, code, prefix):
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_functionals", boom)
+    got, out, err = run_cli(capsys, "functionals", "--measure", "gaussian",
+                            "--dim", "4")
+    assert got == code and out == ""
+    assert err == f"{prefix}{exc}\n"
+
+
 def test_installed_entry_point_runs():
     out = subprocess.run(
         [sys.executable, "-m", "radsurf.cli", "functionals", "--measure",
          "gaussian", "--dim", "4", "--format", "json"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["d"] == 4

@@ -275,6 +275,11 @@ def test_profile_rejects_unnormalizable_measure():
         solve_t0(flat, 4)
 
 
+def test_solve_t0_needs_a_positive_exponent():
+    with pytest.raises(InputError, match="radial exponent must be >= 1, got 0"):
+        solve_t0(gaussian(), 0)
+
+
 def test_profile_dimension_gate():
     with pytest.raises(InputError):
         profile(gaussian(), 1)
