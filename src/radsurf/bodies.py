@@ -14,14 +14,20 @@ hyperplane: per sample, by rotation invariance, only the min(N-1, d-1)
 direction coordinates that the other facets' normals can see, and the
 radius integrated out exactly over the chord of accepted radii, with the
 CDF of the on-hyperplane radius table, and each direction scored together
-with its reflection (antithetic pairs).  Up to _ROTATE_MAX_Q coordinates,
-each drawn Gaussian row scores R pairwise independent directions: itself
-and its images under R - 1 Haar rotations (`_rotated_coordinates`).  As
-<theta Q, x> = <theta, x Q^T>, the draw rotates the k neighbour normals
-instead of the n directions and hands back the stack of normal sets, and a
-direction's radius rho > 0 divides the chord ends afterwards (the chord of
-rho v is the chord of v over rho).  A facet's statistics come from one
-array of its S pair means, so they do not depend on the chunking.
+with its reflection (antithetic pairs).  When the direction has all
+q = d-1 coordinates and 2 <= q <= _RQMC_MAX_Q, the directions are
+randomised quasi-Monte Carlo: one fixed low-discrepancy base under
+_RQMC_REPLICATES independent Haar rotations, and the std_error comes from
+the spread of the replicate means.  Otherwise, up to _ROTATE_MAX_Q
+coordinates, each drawn Gaussian row scores R pairwise independent
+directions: itself and its images under R - 1 Haar rotations
+(`_rotated_coordinates`).  As <theta Q, x> = <theta, x Q^T>, both draws
+rotate the k neighbour normals instead of the n directions and hand back
+the stack of normal sets, and a direction's radius rho > 0 divides the
+chord ends afterwards (the chord of rho v is the chord of v over rho).  A
+facet's statistics come from one array of its S pair means.  The RQMC
+directions do not depend on the chunking; the rotated draw, with its R
+per chunk, does.
 The facets of one call run on two threads, with the bits of one, when
 each has at least _POOL_MIN_SAMPLES samples, a chord product of at least
 _POOL_MIN_PRODUCTS products per sample, and neighbour normals that fit in
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import itertools
 import math
 import os
@@ -50,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erf
+from scipy.special import erf, ndtri
 
 from . import _kernels
 from .errors import InputError, NumericsError, QuadratureError
@@ -89,6 +96,20 @@ _UNIT_TOL = 1e-12
 # directions and 1.2x at 2500; at q = 80 2.0x and 1.3x; at q = 96 1.8x and
 # 1.0x, and 0.7x at 1000; at q = 128 slower at every n up to 20000).
 _ROTATE_MAX_Q = 80
+
+# The most direction coordinates q = d - 1 for which facet Monte Carlo
+# scores randomised QMC directions (`_rotated_coordinates` with
+# replicates): _RQMC_REPLICATES Haar rotations of one fixed low-discrepancy
+# base, so the std_error has _RQMC_REPLICATES - 1 degrees of freedom.  The
+# threshold was set by std_error^2 x seconds against the rotated i.i.d.
+# draw (2-core x86 host with OpenBLAS; Gaussian polytopes of d + 3 and 2d
+# random facets at 0.65 and 0.8 t0, 4 facets each, 60 seeds): at 2500
+# samples per facet 1.5-1.7x better at q = 15, 1.1-1.4x at q = 19, 1.1x at
+# q = 23, 0.95-1.1x at q = 24, 0.85-1.0x at q = 31 and 0.6-0.7x at q = 47;
+# at 20000 samples 2.4-2.5x at q = 15, 1.4-1.9x at q = 23 and 1.2-1.4x at
+# q = 31.
+_RQMC_MAX_Q = 23
+_RQMC_REPLICATES = 16
 
 # The floors of `_facet_workers`: samples per facet, and products per
 # sample in the chord product (k q: k neighbour normals of q coordinates),
@@ -387,12 +408,12 @@ class _InverseCdfTable:
 
     The grid is refined (doubling from _TABLE_KNOTS) until the midpoint
     interpolation error of the CDF is below _TABLE_TOL in probability;
-    NumericsError when that needs more than `max_knots` knots.  `slope`,
-    which only `cdf_at` reads, is built when `slopes` is true and is None
-    otherwise.
+    NumericsError when that needs more than `max_knots` knots.  `cdf_error`
+    is the midpoint error that the final grid reaches.  `slope`, which only
+    `cdf_at` reads, is built when `slopes` is true and is None otherwise.
     """
 
-    __slots__ = ("grid", "cdf", "slope")
+    __slots__ = ("grid", "cdf", "slope", "cdf_error")
 
     def __init__(self, logf_vec, a, b, log_peak, max_knots=1 << 16, slopes=True):
         if not b > a:
@@ -421,6 +442,7 @@ class _InverseCdfTable:
         cdf[0], cdf[-1] = 0.0, 1.0
         self.grid = grid
         self.cdf = cdf
+        self.cdf_error = float(mid_err)
         # np.interp's slope on each knot interval, and 0 past the last knot
         self.slope = np.append(np.diff(cdf) / np.diff(grid), 0.0) if slopes else None
 
@@ -504,33 +526,135 @@ def _rotation_count(n, q):
     return 1
 
 
-def _rotated_coordinates(rng, n, normals, m):
-    """The draw of n directions with the first q coordinates of uniform
-    unit vectors in R^m, pairwise independent, for the (k, q) `normals`:
-    (theta, sets, radii) such that the directions are the first n rows of
-    [theta; theta Q_1; ...; theta Q_(R-1)], each scaled by its radius, and
-    sets = [normals; normals Q_1^T; ...], whose products with theta are
-    those of the directions with normals, R = `_rotation_count(n, q)`.
+def _haar(rng, count, q):
+    """count Haar-distributed q x q orthogonal matrices: the QR factors of
+    a Gaussian stack, their columns multiplied by the signs of R's diagonal
+    (Mezzadri 2007)."""
+    Q, T = np.linalg.qr(rng.standard_normal((count, q, q)))
+    Q *= np.where(np.diagonal(T, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+    return Q
 
+
+@functools.lru_cache(maxsize=8)
+def _rqmc_base(n, q):
+    """The fixed low-discrepancy base of n unit rows in R^q (q >= 2) that
+    the RQMC draw rotates, read-only and cached: for q = 2 the angles
+    pi (j + 1/2) / n, j < n, equally spaced over half the circle (the
+    antithetic -u covers the other half); for q >= 3 ndtri of the
+    Kronecker points frac(1/2 + j alpha), j = 1 .. n, alpha_l = g^-l with
+    g the root of g^(q+1) = g + 1 (the generalised golden ratio, Roberts
+    2018), normalised.  Row j does not depend on n for q >= 3."""
+    if q == 2:
+        a = (np.arange(n) + 0.5) * (math.pi / n)
+        z = np.stack([np.cos(a), np.sin(a)], axis=1)
+    else:
+        g, last = 2.0, 0.0
+        while g != last:
+            g, last = (1.0 + g) ** (1.0 / (q + 1)), g
+        alpha = g ** -np.arange(1.0, q + 1)
+        t = np.modf(0.5 + np.arange(1.0, n + 1)[:, None] * alpha)[0]
+        z = _unit_rows(ndtri(t))
+    z.flags.writeable = False
+    return z
+
+
+def _replicates(S, q, m):
+    """(B, n, long) for a facet's S RQMC directions with q of m
+    coordinates: B = min(_RQMC_REPLICATES, S) replicates, the first `long`
+    (1 <= long <= B) of n = ceil(S / B) directions and the rest of n - 1,
+    so that they sum to S.  None unless 2 <= q = m <= _RQMC_MAX_Q."""
+    if not 2 <= q == m <= _RQMC_MAX_Q:
+        return None
+    B = min(_RQMC_REPLICATES, S)
+    n = -(-S // B)
+    return B, n, S - B * (n - 1)
+
+
+def _rotated_coordinates(rng, n, normals, m, replicates=0):
+    """The draw of n directions with the first q coordinates of uniform
+    unit vectors in R^m, for the (k, q) `normals`: (theta, sets, radii)
+    such that the products of the directions with the normals are those of
+    the rows of theta with sets, each scaled by its radius.
+
+    With replicates = B > 0 (RQMC, 2 <= q = m) theta is the cached base
+    `_rqmc_base(ceil(n / B), q)`, sets = [normals Q_1^T; ...; normals Q_B^T]
+    for B Haar rotations Q_b, the only draw, and radii 1.0: set b scores
+    the base rotated by Q_b, b's replicate.  Every rotated base row is
+    uniform, and the B replicates are i.i.d.
+
+    Otherwise the directions are pairwise independent: the first n rows of
+    [theta; theta Q_1; ...; theta Q_(R-1)] with
+    sets = [normals; normals Q_1^T; ...], R = `_rotation_count(n, q)`.
     With R = 1 theta is `_sphere_coordinates(rng, n, q, m)`, bit for bit,
     sets is normals and radii is 1.0.  Otherwise it draws n0 = ceil(n / R)
     Gaussian rows g and normalises them to theta = g / |g|, then the R - 1
-    Haar rotations Q_k (the QR factors of a Gaussian stack, their columns
-    multiplied by the signs of R's diagonal, Mezzadri 2007), then, when
-    q < m, the n radii sqrt(Beta(q/2, (m-q)/2)), the law of the length of
-    the first q coordinates (radii 1.0 when q = m).  For a fixed theta and
-    a Haar Q, theta Q is uniform and independent of theta, so any two
-    directions are independent, whether they share a base row or not."""
+    Haar rotations Q_k (`_haar`), then, when q < m, the n radii
+    sqrt(Beta(q/2, (m-q)/2)), the law of the length of the first q
+    coordinates (radii 1.0 when q = m).  For a fixed theta and a Haar Q,
+    theta Q is uniform and independent of theta, so any two directions are
+    independent, whether they share a base row or not."""
     q = normals.shape[1]
+    if replicates:
+        Q = _haar(rng, replicates, q)
+        return _rqmc_base(-(-n // replicates), q), normals @ Q.swapaxes(1, 2), 1.0
     R = _rotation_count(n, q)
     if R == 1:
         return _sphere_coordinates(rng, n, q, m), normals, 1.0
     theta = _sphere_coordinates(rng, -(-n // R), q, q)
-    Q, T = np.linalg.qr(rng.standard_normal((R - 1, q, q)))
-    Q *= np.where(np.diagonal(T, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+    Q = _haar(rng, R - 1, q)
     radii = np.sqrt(rng.beta(0.5 * q, 0.5 * (m - q), n)) if q < m else 1.0
     sets = np.concatenate([normals[None], normals @ Q.swapaxes(1, 2)])
     return theta, sets, radii
+
+
+def _direction_blocks(rng, w, normals, m, replicates):
+    """The draws of a facet's directions, chunk by chunk, each as
+    (theta, sets, radii, out): the chords of theta against every set, the
+    first out.size of each antithetic half in set-major order, score the
+    pair means that go into `out`, a view of the pair-mean buffer w.
+
+    I.i.d. (replicates None): one `_rotated_coordinates` draw per chunk of
+    _CHUNK samples into w[chunk], w of S entries.  RQMC (`_replicates`,
+    (B, n, long)): one draw of the B rotations per facet, and w holds n B
+    entries, row r of replicate b at r B + b, so that the first S are the
+    scored ones.  A chunk scores _CHUNK // B base rows against all B sets.
+    For q >= 3 the base of n - 1 rows is the first n - 1 of n
+    (`_rqmc_base`), and a short replicate's last-row score falls in the
+    unused tail; for q = 2 the short replicates score their own base of
+    n - 1 angles against their sets.  The directions do not depend on
+    _CHUNK."""
+    if replicates is None:
+        for blk in _kernels._blocks(w.size, _CHUNK):
+            yield (*_rotated_coordinates(rng, blk.stop - blk.start, normals, m),
+                   w[blk])
+        return
+    B, n, long = replicates
+    theta, sets, _ = _rotated_coordinates(rng, B * (n - 1) + long, normals, m, B)
+    rows = w.reshape(n, B)
+    q = theta.shape[1]
+    groups = [(theta, 0, B)] if q > 2 or long == B else [
+        (theta, 0, long), (_rqmc_base(n - 1, q), long, B)]
+    for base, s0, s1 in groups:
+        for blk in _kernels._blocks(base.shape[0], _CHUNK // B):
+            yield base[blk], sets[s0:s1], 1.0, rows[blk, s0:s1].T
+
+
+def _replicate_error(buf, p, B, n, long, table):
+    """The std_error over hs of an RQMC facet's mean p of its S pair means,
+    laid out in buf as `_direction_blocks` writes them: the spread of the B
+    i.i.d. replicate sums T_b of n_b directions about n_b p,
+    sqrt(B / (B - 1) sum_b (T_b - n_b p)^2) / S (with equal n_b the sample
+    variance of the replicate means over B), and, in quadrature, twice the
+    table's CDF error, which bounds the bias of w = F(hi) - F(lo): the
+    replicate spread alone can fall below it."""
+    rows = buf.reshape(n, B)
+    sums = rows[:n - 1].sum(axis=0)
+    sums[:long] += rows[n - 1, :long]
+    sizes = np.full(B, n - 1.0)
+    sizes[:long] += 1.0
+    S = B * (n - 1) + long
+    var = float(np.square(sums - sizes * p).sum()) * B / (B - 1)
+    return math.hypot(math.sqrt(var) / S, 2.0 * table.cdf_error)
 
 
 def _gram_factor(A):
@@ -622,10 +746,18 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     Hammersley and Morton 1956): still unbiased, with half of var(w) when
     w(u) and w(-u) are uncorrelated, less when they are negatively
     correlated, and var(w) itself when w(u) = w(-u), as on a box.  The
-    std_error is hs sqrt(var / S), var the sample variance of the S pair
-    means, which holds whatever the pair correlation; NaN at S = 1, where
-    the sample variance is undefined.  Both are taken from one array of
-    the S pair means, so they do not depend on how the samples are chunked.
+    value is hs times the mean of the S pair means.  With i.i.d.
+    directions the std_error is hs sqrt(var / S), var the sample variance
+    of the S pair means, which holds whatever the pair correlation.  With
+    RQMC directions (below) it is hs times the spread of the B replicate
+    means (`_replicate_error`) and, in quadrature, 2 hs times the radius
+    table's CDF error (`_InverseCdfTable.cdf_error`): F is the table's
+    CDF, not the exact one, so w is biased by up to twice that error, a
+    bias that the replicate spread does not see and that it can undercut
+    at q = 2.  The std_error covers the sampling error and that bias, not
+    the error of hs itself (the quadrature's 1e-10).  It is NaN at S = 1,
+    where no spread is defined.  Both figures are taken from one array of
+    the pair means, after the last chunk.
 
     Acceptance reads u only through its products with the neighbour
     normals projected into X_i^perp, whose law depends on those normals
@@ -639,12 +771,29 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     (built at |rho_i|), and through the signed anchor products rho_i
     <X_i, X_j>, so the origin may lie outside the body.
 
-    The directions of a chunk of n samples come from
-    `_rotated_coordinates`: with 2 <= q <= _ROTATE_MAX_Q it draws
-    n0 = ceil(n / R) Gaussian rows, R = `_rotation_count(n, q)` (about
-    sqrt(n / q)), and scores each normalised row theta at theta and at
-    theta Q_1, ..., theta Q_(R-1), with R - 1 Haar rotations from the QR
-    factors of a Gaussian stack (Mezzadri 2007), then gives every row a
+    The directions come from `_rotated_coordinates` in one of two ways.
+
+    RQMC, when q = d-1 (no chi^2 or Beta completion) and
+    2 <= q <= _RQMC_MAX_Q: the facet draws B = min(_RQMC_REPLICATES, S)
+    Haar rotations Q_b, and replicate b is a fixed low-discrepancy base
+    (`_rqmc_base`: equally spaced angles at q = 2, a Kronecker sequence
+    through ndtri above) rotated by Q_b.  S % B replicates have
+    ceil(S / B) directions and the rest one fewer (`_replicates`), so
+    exactly S are scored.  Each rotated base row is uniform, so each
+    replicate mean is unbiased, and the replicates are i.i.d., so the
+    spread of their means gives the std_error (B - 1 degrees of freedom).
+    Since w is continuous and piecewise smooth in u, a rotated base set
+    errs far less than as many i.i.d. directions (Owen 1997 for scrambled
+    nets): at 2500 samples per facet the variance fell about 10^6-fold at
+    q = 2, 2-3.6x at q = 7 and 1-1.8x at q = 15 (Gaussian boxes and
+    polytopes).  A chunk scores _CHUNK // B base rows against all B sets,
+    so the directions and the figures do not depend on _CHUNK.
+
+    Otherwise, for a chunk of n samples with 2 <= q <= _ROTATE_MAX_Q it
+    draws n0 = ceil(n / R) Gaussian rows, R = `_rotation_count(n, q)`
+    (about sqrt(n / q)), and scores each normalised row theta at theta and
+    at theta Q_1, ..., theta Q_(R-1), with R - 1 Haar rotations from the
+    QR factors of a Gaussian stack (Mezzadri 2007), then gives every row a
     fresh radius sqrt(Beta(q/2, (d-1-q)/2)) when q < d-1.  For a fixed
     theta and a Haar Q, theta Q is uniform and independent of theta, so
     any two directions of the chunk are independent, whether they share a
@@ -655,21 +804,24 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     angles).  This is not a reflection of u: a signed permutation keeps
     w(u) and w(u P D) correlated, a Haar rotation does not.
 
-    No direction rho theta Q_k is built.  Since <theta Q, x> = <theta, x Q^T>,
-    the draw turns the k normals into the sets normals Q_k^T, (R - 1) k q^2
-    flops in place of n q^2, and hands back the stack of all R sets, which
-    `facet_chords` scores theta against (normals alone with R = 1).  The chord
-    of rho v is the chord of v divided by rho (rho > 0), so both ends of
-    each of the first n chords are divided by the direction's radius.  The
-    chords equal those of the built directions up to rounding.
+    No rotated direction is built.  Since <theta Q, x> = <theta, x Q^T>,
+    the draw turns the k normals into the sets normals Q^T, a k q^2 product
+    per rotation in place of one q^2 product per direction, and hands back
+    the stack of sets, which `facet_chords` scores theta against (normals
+    alone with R = 1).  The chord of rho v is the chord of v divided by rho
+    (rho > 0), so both ends of each kept chord are divided by the
+    direction's radius.  The chords equal those of the built directions up
+    to rounding.
 
     Each facet consumes an independent RNG stream derived from
     (seed, facet index), so any facet subset reproduces exactly, in any
     order.  The facets run in stable order of |rho_i|: one half-space law
     and radius table is built per distinct |rho_i|, and only the current
-    one is kept.  Per chunk of _CHUNK samples the draw order is: g, then
-    the Haar stack, then the radii when q < d-1 (with R = 1: g, then the
-    chi^2 completion when q < d-1, as `_sphere_coordinates` draws).
+    one is kept.  An RQMC facet draws once, the Gaussian stack of its B
+    rotations.  Otherwise, per chunk of _CHUNK samples the draw order is:
+    g, then the Haar stack, then the radii when q < d-1 (with R = 1: g,
+    then the chi^2 completion when q < d-1, as `_sphere_coordinates`
+    draws).
 
     Returns (values, std_errors, accepted, attempted) arrays over the
     requested facets; accepted is the sum of the pair means, the expected
@@ -735,24 +887,30 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         normals = _gram_factor(_hyperplane_coordinates(X, i, Xx, out=coords))
 
         rng = _rng(seed, i)
-        w = np.empty(S)  # the pair means
-        for blk in _kernels._blocks(S, _CHUNK):
-            n = blk.stop - blk.start
-            theta, sets, radii = _rotated_coordinates(rng, n, normals, d - 1)
+        rep = _replicates(S, normals.shape[1], d - 1)
+        buf = np.empty(S if rep is None else rep[0] * rep[1])
+        for theta, sets, radii, out in _direction_blocks(rng, buf, normals,
+                                                         d - 1, rep):
             lo, hi = _kernels.facet_chords(theta, sets, base, ro, budget, y32)
-            # theta against every set, then -theta: the first n of each half;
-            # the chord of rho v is that of v divided by rho
-            lo, hi = (e.reshape(2, -1)[:, :n] for e in (lo, hi))
+            # theta against every set, then -theta: the first out.size of
+            # each half; the chord of rho v is that of v divided by rho
+            lo, hi = (e.reshape(2, -1)[:, :out.size] for e in (lo, hi))
             hi /= radii
             u = table.cdf_at(hi)
             if lo.any():
                 lo /= radii
                 u -= table.cdf_at(lo)
-            w[blk] = 0.5 * (u[0] + u[1])
+            out[...] = (0.5 * (u[0] + u[1])).reshape(out.shape)
+        w = buf[:S]  # the pair means
         total = float(w.sum())
         values[pos] = hs * (total / S)
-        sq = float(np.square(w - w.mean()).sum())
-        errors[pos] = hs * math.sqrt(sq / (S - 1) / S) if S > 1 else math.nan
+        if S == 1:
+            errors[pos] = math.nan
+        elif rep is None:
+            sq = float(np.square(w - w.mean()).sum())
+            errors[pos] = hs * math.sqrt(sq / (S - 1) / S)
+        else:
+            errors[pos] = hs * _replicate_error(buf, total / S, *rep, table)
         accepted[pos] = total
         attempted[pos] = True
 

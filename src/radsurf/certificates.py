@@ -44,7 +44,7 @@ from .functionals import (
     mu_candidate,
     psi,
     rough_upper_bound,
-    solve_t0,
+    _next_mode,
     _one_nat_step,
 )
 
@@ -328,8 +328,8 @@ def certificate_upper_bound(
     if r_in == 0.0:
         best = -math.inf  # hyperplane through the origin: alpha = 0
     else:
-        # r* = solve_t0(phi, m + 1) minimizes exp(phi(r)) / r^(m+1)
-        cap = min(solve_t0(phi, m + 1), R_sup)
+        # r* = t_{m+1} minimizes exp(phi(r)) / r^(m+1)
+        cap = min(_next_mode(prof), R_sup)
         r = r_in
         if r_in < cap:
             # a row with offset +inf constrains nothing

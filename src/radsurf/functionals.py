@@ -23,8 +23,9 @@ and `_radial_law(phi, k, rho)` is the one place that builds its integrand,
 peak, support edge and window.  Each operation builds each law it needs
 once and reads everything from it (a law solves its window once):
 
-* `profile` builds I_k(0), k = m-1 .. m+2: ``J_k`` are their integrals and
-  ``t0`` is the peak of I_m(0);
+* `profile` builds I_k(0), k = m-1 .. m+2: ``J_k`` are their integrals,
+  ``t0`` is the peak of I_m(0), and the peak of I_{m+1}(0), which the
+  certificate reads, is kept on the profile (`_next_mode`);
 * the half-space boundary measure at offset rho is C_d m nu_m I_{m-1}(rho),
   and facet Monte Carlo builds that law once per distinct facet offset, for
   both this value and the on-hyperplane radius table;
@@ -387,8 +388,9 @@ def profile(phi, d):
     m = d - 1
     law_m = _radial_law(phi, m)  # t0 is its peak and g_m(t0) its peak value
     t0 = law_m.peak
-    log_J = {k: (law_m if k == m else _radial_law(phi, k)).log_integral()
-             for k in (m - 1, m, m + 1, m + 2)}
+    laws = {k: law_m if k == m else _radial_law(phi, k)
+            for k in (m - 1, m, m + 1, m + 2)}
+    log_J = {k: law.log_integral() for k, law in laws.items()}
     expectation = math.exp(log_J[m + 1] - log_J[m])
     second_moment = math.exp(log_J[m + 2] - log_J[m])
     variance = second_moment - expectation * expectation
@@ -397,7 +399,7 @@ def profile(phi, d):
             "moment cancellation: second central moment not resolvable "
             "at quadrature accuracy"
         )
-    return MeasureProfile(
+    prof = MeasureProfile(
         phi=phi,
         d=d,
         t0=t0,
@@ -408,6 +410,21 @@ def profile(phi, d):
         expectation=expectation,
         variance=variance,
     )
+    object.__setattr__(prof, "_t_next", laws[m + 1].peak)
+    return prof
+
+
+def _next_mode(prof):
+    """t_{m+1}, the peak of I_{m+1}(0) (`solve_t0(phi, m + 1)`), which the
+    certificate reads.  `profile` keeps it on the profile, beside the
+    radius table of `bodies._radial_table`: no dataclass field, so equality
+    and repr ignore it.  A profile built otherwise solves it on first use
+    and keeps it."""
+    t = vars(prof).get("_t_next")
+    if t is None:
+        t = solve_t0(prof.phi, prof.m + 1)
+        object.__setattr__(prof, "_t_next", t)
+    return t
 
 
 def theorem_bound(prof):

@@ -398,15 +398,21 @@ def test_rotated_block_is_isotropic_and_pairwise_independent(q, m):
     assert 0.5 <= ratio <= 1.5  # 5 sigma for a variance of 200 blocks
 
 
-@pytest.mark.parametrize("d", [8, 16])
+def _gaussian_box_surface(h):
+    """The closed-form Gaussian surface of the box with half-widths h."""
+    mass = 2.0 * stats.norm.cdf(h) - 1.0
+    return sum(2.0 * stats.norm.pdf(h[j]) * np.prod(np.delete(mass, j))
+               for j in range(h.size))
+
+
+@pytest.mark.parametrize("d", [8, 16, bodies._RQMC_MAX_Q + 2])
 def test_facet_mc_matches_the_gaussian_box_with_rotations(d, get_profile):
+    # d = 8 and 16 score RQMC directions, d = _RQMC_MAX_Q + 2 rotated rows
     pr = get_profile("gaussian", d)
     h = np.linspace(0.6, 1.6, d) * pr.t0 / math.sqrt(d)
     S = 20_000
     assert bodies._rotation_count(S, d - 1) > 1
-    mass = 2.0 * stats.norm.cdf(h) - 1.0
-    exact = sum(2.0 * stats.norm.pdf(h[j]) * np.prod(np.delete(mass, j))
-                for j in range(d))
+    exact = _gaussian_box_surface(h)
     est = polytope_surface_mc(pr, HyperRectangle(h), S, seed=5)
     assert abs(est.value - exact) <= 4.0 * est.std_error
 
@@ -693,9 +699,7 @@ def test_facet_mc_matches_gaussian_partial_box_in_high_dimension(get_profile):
     h = np.array([0.5, 1.0, 1.5])
     eye = np.eye(d)[:3]
     body = Polytope(np.vstack([eye, -eye]), np.concatenate([h, h]))
-    mass = 2.0 * stats.norm.cdf(h) - 1.0
-    exact = sum(2.0 * stats.norm.pdf(h[j]) * np.prod(np.delete(mass, j))
-                for j in range(3))
+    exact = _gaussian_box_surface(h)
     est = polytope_surface_mc(pr, body, samples_per_facet=20_000, seed=3)
     assert abs(est.value - exact) <= 4.0 * est.std_error
 
@@ -830,9 +834,7 @@ def test_pair_mean_std_error_is_calibrated(case, get_profile):
     if case == "box":
         h = np.array([0.6, 1.0, 1.4])
         body = HyperRectangle(h)
-        mass = 2.0 * stats.norm.cdf(h) - 1.0
-        truth = sum(2.0 * stats.norm.pdf(h[j]) * np.prod(np.delete(mass, j))
-                    for j in range(3))
+        truth = _gaussian_box_surface(h)
     else:
         body = circumscribed_polytope(3, 1.2, 6, seed=31)
         truth = _gaussian_facet_integral(body.directions, body.offsets)
@@ -897,17 +899,127 @@ def test_facet_values_chunks_keep_the_mean_and_variance(get_profile,
 
 def test_rotated_facet_values_chunks_agree_within_their_errors(get_profile,
                                                                monkeypatch):
-    # with q = 2 each chunk draws R = isqrt(n // 2) rotations, so chunking
-    # changes the samples, not the law: the runs agree within their errors
-    pr = get_profile("gaussian", 3)
-    body = circumscribed_polytope(3, 1.2, 5, seed=31)
-    whole = _facet_values(pr, body, 3000, seed=6)
+    # above _RQMC_MAX_Q the i.i.d. draw stays: with q = d - 1 each chunk
+    # draws R = isqrt(n // q) rotations, so chunking changes the samples,
+    # not the law: the runs agree within their errors
+    d = bodies._RQMC_MAX_Q + 2
+    assert bodies._replicates(3000, d - 1, d - 1) is None
+    assert bodies._rotation_count(700, d - 1) > 1
+    pr = get_profile("gaussian", d)
+    body = circumscribed_polytope(d, 0.65 * pr.t0, 40, seed=31)
+    whole = _facet_values(pr, body, 3000, seed=6, facet_indices=range(5))
     monkeypatch.setattr(bodies, "_CHUNK", 700)
-    chunked = _facet_values(pr, body, 3000, seed=6)
+    chunked = _facet_values(pr, body, 3000, seed=6, facet_indices=range(5))
     assert not np.array_equal(whole[0], chunked[0])
     assert np.all(np.abs(whole[0] - chunked[0])
                   <= 4.0 * np.hypot(whole[1], chunked[1]))
     assert np.allclose(whole[1], chunked[1], rtol=0.1, atol=0.0)
+
+
+# --- randomised QMC directions ---------------------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, bodies._RQMC_MAX_Q])
+def test_rqmc_base_is_fixed_unit_rows(q):
+    base = bodies._rqmc_base(40, q)
+    assert base.shape == (40, q) and not base.flags.writeable
+    assert bodies._rqmc_base(40, q) is base
+    assert np.abs(np.linalg.norm(base, axis=1) - 1.0).max() < 1e-15
+    if q == 2:
+        # 40 equally spaced angles on half the circle: with the antithetic
+        # rows, 80 on the whole circle
+        angles = np.arctan2(base[:, 1], base[:, 0])
+        assert np.allclose(np.diff(angles), math.pi / 40, rtol=0, atol=1e-14)
+    else:
+        # a Kronecker sequence: the base of 39 rows is the first 39 of 40
+        assert np.array_equal(bodies._rqmc_base(39, q), base[:39])
+
+
+def test_rqmc_replicates_cover_exactly_the_samples():
+    q = 5
+    assert bodies._replicates(100, q, q + 1) is None  # q < d - 1
+    assert bodies._replicates(100, 1, 1) is None
+    assert bodies._replicates(100, bodies._RQMC_MAX_Q + 1,
+                              bodies._RQMC_MAX_Q + 1) is None
+    for S in (2, 5, 15, 16, 17, 40, 2500):
+        B, n, long = bodies._replicates(S, q, q)
+        assert B == min(16, S) and 1 <= long <= B
+        assert long * n + (B - long) * (n - 1) == S
+
+
+@pytest.mark.parametrize("d, S", [(3, 5), (3, 40), (8, 5), (8, 17), (8, 40)])
+def test_rqmc_facet_scores_exactly_its_samples(d, S, get_profile):
+    # rebuild each facet's S directions from its draw: replicate b is the
+    # base of its size rotated by the Haar Q_b, the first S % B replicates
+    # one direction longer; score them with unrotated normals and compare
+    # the value and the replicate std_error
+    pr = get_profile("gaussian", d)
+    body = HyperRectangle(np.linspace(0.6, 1.4, d) * pr.t0 / math.sqrt(d))
+    X, rho = as_facets(body)
+    values, errors, accepted, _ = _facet_values(pr, body, S, seed=3)
+    B, n, long = bodies._replicates(S, d - 1, d - 1)
+    sizes = [n] * long + [n - 1] * (B - long)
+    for i in range(X.shape[0]):
+        Xx = X @ X[i]
+        normals = _gram_factor(_hyperplane_coordinates(X, i, Xx))
+        Q = bodies._haar(bodies._rng(3, i), B, d - 1)
+        hs, law = bodies._halfspace_law(pr, abs(rho[i]))
+        table = _facet_table(law)
+        sums = []
+        for b, size in enumerate(sizes):
+            u = bodies._rqmc_base(size, d - 1) @ Q[b]
+            lo, hi = _kernels.facet_chords(u, normals, rho[i] * np.delete(Xx, i),
+                                           np.delete(rho, i))
+            w = table.cdf_at(hi) - table.cdf_at(lo)
+            sums.append(0.5 * (w[:size] + w[size:]).sum())
+        sums = np.array(sums)
+        p = sums.sum() / S
+        assert accepted[i] == pytest.approx(sums.sum(), rel=1e-12)
+        assert values[i] == pytest.approx(hs * p, rel=1e-12)
+        spread = math.sqrt(np.square(sums - np.array(sizes) * p).sum()
+                           * B / (B - 1)) / S
+        assert errors[i] == pytest.approx(
+            hs * math.hypot(spread, 2.0 * table.cdf_error), rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_rqmc_facet_values_do_not_depend_on_the_chunk(d, get_profile,
+                                                      monkeypatch):
+    # a chunk scores base rows against all B sets, and the rotations are
+    # drawn once per facet: any chunking scores the same directions
+    pr = get_profile("gaussian", d)
+    body = HyperRectangle(np.linspace(0.6, 1.4, d) * pr.t0 / math.sqrt(d))
+    S = 3001  # S % 16 = 9: replicates of two sizes
+    whole = _facet_values(pr, body, S, seed=6)
+    for chunk in (700, 160):  # 43 and 10 base rows per chunk
+        monkeypatch.setattr(bodies, "_CHUNK", chunk)
+        _same_bits(_facet_values(pr, body, S, seed=6), whole)
+
+
+def test_rqmc_std_error_covers_the_table_error(get_profile):
+    # at q = 2 the spread of 16 replicates of 6250 equally spaced directions
+    # falls below the radius table's CDF error; the std_error adds twice
+    # that error, so it still covers the bias of the table
+    pr = get_profile("gaussian", 3)
+    h = np.array([0.6, 1.0, 1.4])
+    truth = _gaussian_box_surface(h)
+    for seed in range(10):
+        est = polytope_surface_mc(pr, HyperRectangle(h), 100_000, seed)
+        assert abs(est.value - truth) <= 4.0 * est.std_error
+
+
+def test_rqmc_std_error_is_calibrated_at_q7(get_profile):
+    # a d = 8 box (q = 7): over 300 seeds (value - truth) / std_error has
+    # standard deviation 1 within its sampling spread, and mean 0
+    pr = get_profile("gaussian", 8)
+    h = np.linspace(0.6, 1.6, 8) * pr.t0 / math.sqrt(8)
+    truth = _gaussian_box_surface(h)
+    assert bodies._replicates(200, 7, 7) is not None
+    z = [(est.value - truth) / est.std_error
+         for est in (polytope_surface_mc(pr, HyperRectangle(h), 200, seed)
+                     for seed in range(300))]
+    assert 0.85 <= np.std(z) <= 1.15
+    assert abs(np.mean(z)) < 0.25
 
 
 def _binomial_facet_mc(pr, body, S, seed):
@@ -951,9 +1063,16 @@ def _pooled(monkeypatch, workers):
         pytest.skip("numpy's BLAS exports no thread-count symbols")
     threads = set()
     draw = bodies._rotated_coordinates
+    # the first draw of each thread waits until `workers` threads draw, so
+    # that the pool cannot hand a job to a thread that is done and idle
+    started, barrier = set(), threading.Barrier(workers)
 
     def recorded(*args):
-        threads.add(threading.get_ident())
+        ident = threading.get_ident()
+        threads.add(ident)
+        if ident not in started and len(started) < workers:
+            started.add(ident)
+            barrier.wait(timeout=60)
         return draw(*args)
 
     monkeypatch.setattr(bodies, "_facet_workers", lambda *args: workers)

@@ -617,6 +617,28 @@ def test_the_witness_lies_in_the_body_beyond_cap(get_profile):
     assert found >= 20
 
 
+@pytest.mark.parametrize("name", ["gaussian", "gp1", "gp4", "ball"])
+def test_certificate_reads_the_mode_that_profile_kept(name, get_profile,
+                                                      monkeypatch):
+    # profile keeps the peak of I_{m+1}(0), which it builds for J_{m+1}, so
+    # the certificate builds no radial law; a profile built otherwise
+    # solves it on first use, to the same bits
+    pr = get_profile(name, 8)
+    assert vars(pr)["_t_next"] == functionals.solve_t0(pr.phi, pr.m + 1)
+    box = HyperRectangle(np.linspace(0.4, 0.9, 8) * pr.t0)
+    fresh = dataclasses.replace(pr)
+    assert "_t_next" not in vars(fresh)
+    assert fresh == pr and repr(fresh) == repr(pr)
+    want = certificate_upper_bound(fresh, box)
+    built = []
+    law = functionals._radial_law
+    monkeypatch.setattr(functionals, "_radial_law",
+                        lambda *args: built.append(args) or law(*args))
+    assert certificate_upper_bound(pr, box) == want
+    assert built == []
+    assert vars(fresh)["_t_next"] == vars(pr)["_t_next"]
+
+
 @pytest.mark.parametrize("name", ["gaussian", "gp4"])
 def test_certificate_values_are_python_floats(name, get_profile):
     pr = get_profile(name, 8)
