@@ -778,8 +778,8 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     Haar rotations Q_b, and replicate b is a fixed low-discrepancy base
     (`_rqmc_base`: equally spaced angles at q = 2, a Kronecker sequence
     through ndtri above) rotated by Q_b.  S % B replicates have
-    ceil(S / B) directions and the rest one fewer (`_replicates`), so
-    exactly S are scored.  Each rotated base row is uniform, so each
+    S // B + 1 directions and the rest S // B (`_replicates`), so exactly
+    S are scored.  Each rotated base row is uniform, so each
     replicate mean is unbiased, and the replicates are i.i.d., so the
     spread of their means gives the std_error (B - 1 degrees of freedom).
     Since w is continuous and piecewise smooth in u, a rotated base set
