@@ -10,24 +10,25 @@ density over the boundary dQ.  Symmetric bodies admit exact formulas:
 
 (m = d-1, nu_k the unit-ball volume in R^k, J_m the radial moment).
 Polytopes are integrated facet by facet with Monte Carlo on each facet's
-hyperplane: per sample, by rotation invariance, only the min(N-1, d-1)
+hyperplane: per sample, by rotation invariance, only the q = min(N-1, d-1)
 direction coordinates that the other facets' normals can see, and the
 radius integrated out exactly over the chord of accepted radii, with the
 CDF of the on-hyperplane radius table, and each direction scored together
-with its reflection (antithetic pairs).  When the direction has all
-q = d-1 coordinates and 2 <= q <= _RQMC_MAX_Q, the directions are
-randomised quasi-Monte Carlo: one fixed low-discrepancy base under
-_RQMC_REPLICATES independent Haar rotations, and the std_error comes from
-the spread of the replicate means.  Otherwise, up to _ROTATE_MAX_Q
-coordinates, each drawn Gaussian row scores R pairwise independent
-directions: itself and its images under R - 1 Haar rotations
-(`_rotated_coordinates`).  As <theta Q, x> = <theta, x Q^T>, both draws
-rotate the k neighbour normals instead of the n directions and hand back
-the stack of normal sets, and a direction's radius rho > 0 divides the
-chord ends afterwards (the chord of rho v is the chord of v over rho).  A
-facet's statistics come from one array of its S pair means.  The RQMC
-directions do not depend on the chunking; the rotated draw, with its R
-per chunk, does.
+with its reflection (antithetic pairs).  For 2 <= q <= _ROTATE_MAX_Q a
+facet draws its directions once (`_rotated_draw`): B Haar rotations of a
+base of ceil(S / B) unit rows.  When q = d-1 <= _RQMC_MAX_Q the base is a
+fixed low-discrepancy set under B = _RQMC_REPLICATES rotations
+(randomised quasi-Monte Carlo), and the std_error comes from the spread of
+the replicate means; otherwise the base is normalised Gaussian rows under
+about sqrt(S / q) rotations, every two directions are independent, and the
+std_error comes from their sample spread.  As <theta Q, x> =
+<theta, x Q^T>, the draw rotates the k neighbour normals instead of the
+directions and hands back the stack of normal sets, and a direction's
+radius rho > 0 divides the chord ends afterwards (the chord of rho v is the
+chord of v over rho).  A facet's statistics come from one array of its S
+pair means.  Only the plain draw, for q <= 1 or q > _ROTATE_MAX_Q, draws
+per chunk of _CHUNK samples, so only its directions can depend on the
+chunking.
 The facets of one call run on two threads, with the bits of one, when
 each has at least _POOL_MIN_SAMPLES samples, a chord product of at least
 _POOL_MIN_PRODUCTS products per sample, and neighbour normals that fit in
@@ -87,19 +88,26 @@ _CHUNK = 1 << 16  # fixed sampling chunk: part of the determinism contract
 
 _UNIT_TOL = 1e-12
 
-# The most direction coordinates that facet Monte Carlo draws in rotated
-# blocks (`_rotated_coordinates`).  The rotations cost (R - 1)(q^3 + k q^2)
-# for their QR factors and the k rotated normals, against the n q normals
-# they save.  The threshold was timed when the n directions were rotated
-# instead, at an extra n q^2 (on a 2-core x86 host with OpenBLAS, rotated
-# against plain draws into R^1023: at q = 68 2.2x faster at 20000
-# directions and 1.2x at 2500; at q = 80 2.0x and 1.3x; at q = 96 1.8x and
-# 1.0x, and 0.7x at 1000; at q = 128 slower at every n up to 20000).
+# The most direction coordinates that facet Monte Carlo draws with one
+# rotated draw per facet (`_rotated_draw`): B Haar rotations of a base of
+# ceil(S / B) unit rows.  The rotations cost B (q^3 + k q^2) for their QR
+# factors and the k rotated normals, against the n q normals they save.
+# The threshold was timed when the n directions were rotated instead, at an
+# extra n q^2 (on a 2-core x86 host with OpenBLAS, rotated against plain
+# draws into R^1023: at q = 68 2.2x faster at 20000 directions and 1.2x at
+# 2500; at q = 80 2.0x and 1.3x; at q = 96 1.8x and 1.0x, and 0.7x at 1000;
+# at q = 128 slower at every n up to 20000).  Facets with q <= 1 or
+# q > _ROTATE_MAX_Q draw plain directions per chunk of _CHUNK samples.
 _ROTATE_MAX_Q = 80
 
+# The sample count beyond which a Gaussian base's rotation count
+# B = isqrt(S // q) stops growing: the stack of B k q rotated normals stays
+# at most what it takes at 2^16 samples.
+_ROTATE_MAX_SAMPLES = 1 << 16
+
 # The most direction coordinates q = d - 1 for which facet Monte Carlo
-# scores randomised QMC directions (`_rotated_coordinates` with
-# replicates): _RQMC_REPLICATES Haar rotations of one fixed low-discrepancy
+# scores randomised QMC directions (`_rotated_draw` with
+# `_rqmc_base`): _RQMC_REPLICATES Haar rotations of one fixed low-discrepancy
 # base, so the std_error has _RQMC_REPLICATES - 1 degrees of freedom.  The
 # threshold was set by std_error^2 x seconds against the rotated i.i.d.
 # draw (2-core x86 host with OpenBLAS; Gaussian polytopes of d + 3 and 2d
@@ -515,17 +523,6 @@ def _sphere_coordinates(rng, n, k, m):
     return g
 
 
-def _rotation_count(n, q):
-    """R, the directions that `_rotated_coordinates` scores per drawn
-    Gaussian row in a chunk of n directions with q coordinates: about
-    sqrt(n / q), which balances the n q / R normals of the rows against the
-    (R - 1) q^2 of the rotations; 1 (no rotation) for q = 1 and above
-    _ROTATE_MAX_Q."""
-    if 2 <= q <= _ROTATE_MAX_Q:
-        return max(1, min(n, math.isqrt(n // q)))
-    return 1
-
-
 def _haar(rng, count, q):
     """count Haar-distributed q x q orthogonal matrices: the QR factors of
     a Gaussian stack, their columns multiplied by the signs of R's diagonal
@@ -558,88 +555,73 @@ def _rqmc_base(n, q):
     return z
 
 
-def _replicates(S, q, m):
-    """(B, n, long) for a facet's S RQMC directions with q of m
-    coordinates: B = min(_RQMC_REPLICATES, S) replicates, the first `long`
-    (1 <= long <= B) of n = ceil(S / B) directions and the rest of n - 1,
-    so that they sum to S.  None unless 2 <= q = m <= _RQMC_MAX_Q."""
-    if not 2 <= q == m <= _RQMC_MAX_Q:
-        return None
-    B = min(_RQMC_REPLICATES, S)
-    n = -(-S // B)
-    return B, n, S - B * (n - 1)
+def _is_rqmc(q, m):
+    """Whether facet MC scores RQMC directions with q of m coordinates."""
+    return 2 <= q == m <= _RQMC_MAX_Q
 
 
-def _rotated_coordinates(rng, n, normals, m, replicates=0):
-    """The draw of n directions with the first q coordinates of uniform
-    unit vectors in R^m, for the (k, q) `normals`: (theta, sets, radii)
-    such that the products of the directions with the normals are those of
-    the rows of theta with sets, each scaled by its radius.
-
-    With replicates = B > 0 (RQMC, 2 <= q = m) theta is the cached base
-    `_rqmc_base(ceil(n / B), q)`, sets = [normals Q_1^T; ...; normals Q_B^T]
-    for B Haar rotations Q_b, the only draw, and radii 1.0: set b scores
-    the base rotated by Q_b, b's replicate.  Every rotated base row is
-    uniform, and the B replicates are i.i.d.
-
-    Otherwise the directions are pairwise independent: the first n rows of
-    [theta; theta Q_1; ...; theta Q_(R-1)] with
-    sets = [normals; normals Q_1^T; ...], R = `_rotation_count(n, q)`.
-    With R = 1 theta is `_sphere_coordinates(rng, n, q, m)`, bit for bit,
-    sets is normals and radii is 1.0.  Otherwise it draws n0 = ceil(n / R)
-    Gaussian rows g and normalises them to theta = g / |g|, then the R - 1
-    Haar rotations Q_k (`_haar`), then, when q < m, the n radii
-    sqrt(Beta(q/2, (m-q)/2)), the law of the length of the first q
-    coordinates (radii 1.0 when q = m).  For a fixed theta and a Haar Q,
-    theta Q is uniform and independent of theta, so any two directions are
-    independent, whether they share a base row or not."""
+def _rotated_draw(rng, S, normals, m):
+    """A facet's one draw of its S directions with the first q of m
+    coordinates, for the (k, q) `normals`: (theta, sets, radii), or None,
+    drawing nothing, unless 2 <= q <= _ROTATE_MAX_Q.  It draws B Haar
+    rotations Q_b (`_haar`), sets[b] = normals Q_b^T, then n = ceil(S / B)
+    unit base rows theta; direction (r, b) is radii[r, b] theta_r Q_b, and
+    the S scored ones are the first S in (n, B) row-major order.  RQMC
+    (`_is_rqmc`): B = min(_RQMC_REPLICATES, S), theta `_rqmc_base(n, q)`
+    and radii 1.0.  Otherwise B = max(1, isqrt(min(S, _ROTATE_MAX_SAMPLES)
+    // q)), theta is n normalised Gaussian rows and radii 1.0 when q = m,
+    else (n, B) draws of sqrt(Beta(q/2, (m-q)/2)), the law of the length of
+    the first q coordinates (see `_facet_values`)."""
     q = normals.shape[1]
-    if replicates:
-        Q = _haar(rng, replicates, q)
-        return _rqmc_base(-(-n // replicates), q), normals @ Q.swapaxes(1, 2), 1.0
-    R = _rotation_count(n, q)
-    if R == 1:
-        return _sphere_coordinates(rng, n, q, m), normals, 1.0
-    theta = _sphere_coordinates(rng, -(-n // R), q, q)
-    Q = _haar(rng, R - 1, q)
-    radii = np.sqrt(rng.beta(0.5 * q, 0.5 * (m - q), n)) if q < m else 1.0
-    sets = np.concatenate([normals[None], normals @ Q.swapaxes(1, 2)])
+    if not 2 <= q <= _ROTATE_MAX_Q:
+        return None
+    rqmc = _is_rqmc(q, m)
+    B = (min(_RQMC_REPLICATES, S) if rqmc
+         else max(1, math.isqrt(min(S, _ROTATE_MAX_SAMPLES) // q)))
+    n = -(-S // B)
+    sets = normals @ _haar(rng, B, q).swapaxes(1, 2)
+    if rqmc:
+        return _rqmc_base(n, q), sets, 1.0
+    theta = _sphere_coordinates(rng, n, q, q)
+    radii = (np.sqrt(rng.beta(0.5 * q, 0.5 * (m - q), (n, B))) if q < m
+             else 1.0)
     return theta, sets, radii
 
 
-def _direction_blocks(rng, w, normals, m, replicates):
-    """The draws of a facet's directions, chunk by chunk, each as
-    (theta, sets, radii, out): the chords of theta against every set, the
-    first out.size of each antithetic half in set-major order, score the
-    pair means that go into `out`, a view of the pair-mean buffer w.
+def _direction_blocks(rng, w, S, normals, m, draw):
+    """A facet's directions block by block, each as (theta, sets, radii,
+    out): the chords of theta against every set, divided by the radii,
+    score the pair means that go into `out`, a (sets, rows) view of the
+    pair-mean buffer w.
 
-    I.i.d. (replicates None): one `_rotated_coordinates` draw per chunk of
-    _CHUNK samples into w[chunk], w of S entries.  RQMC (`_replicates`,
-    (B, n, long)): one draw of the B rotations per facet, and w holds n B
-    entries, row r of replicate b at r B + b, so that the first S are the
-    scored ones.  A chunk scores _CHUNK // B base rows against all B sets.
-    For q >= 3 the base of n - 1 rows is the first n - 1 of n
-    (`_rqmc_base`), and a short replicate's last-row score falls in the
-    unused tail; for q = 2 the short replicates score their own base of
-    n - 1 angles against their sets.  The directions do not depend on
-    _CHUNK."""
-    if replicates is None:
-        for blk in _kernels._blocks(w.size, _CHUNK):
-            yield (*_rotated_coordinates(rng, blk.stop - blk.start, normals, m),
-                   w[blk])
+    The plain draw (draw None) is one `_sphere_coordinates` draw per chunk
+    of _CHUNK samples into w[chunk], w of S entries.  With the draw of
+    `_rotated_draw`, n base rows and B sets, w holds n B entries, direction
+    (r, b) at r B + b, so the first S are the scored ones, and a block
+    scores _CHUNK // B base rows against all B sets.  The base of n - 1
+    rows is the first n - 1 of n, so a short replicate's last-row score
+    falls in the unused tail, except at q = 2 = m (RQMC), where the short
+    replicates score their own base of n - 1 angles."""
+    if draw is None:
+        for blk in _kernels._blocks(S, _CHUNK):
+            yield (_sphere_coordinates(rng, blk.stop - blk.start,
+                                       normals.shape[1], m),
+                   normals, 1.0, w[blk])
         return
-    B, n, long = replicates
-    theta, sets, _ = _rotated_coordinates(rng, B * (n - 1) + long, normals, m, B)
+    theta, sets, radii = draw
+    n, B = theta.shape[0], sets.shape[0]
+    long = S - B * (n - 1)
     rows = w.reshape(n, B)
-    q = theta.shape[1]
-    groups = [(theta, 0, B)] if q > 2 or long == B else [
-        (theta, 0, long), (_rqmc_base(n - 1, q), long, B)]
+    groups = [(theta, 0, B)] if m > 2 or long == B else [
+        (theta, 0, long), (_rqmc_base(n - 1, 2), long, B)]
     for base, s0, s1 in groups:
         for blk in _kernels._blocks(base.shape[0], _CHUNK // B):
-            yield base[blk], sets[s0:s1], 1.0, rows[blk, s0:s1].T
+            yield (base[blk], sets[s0:s1],
+                   radii if np.isscalar(radii) else radii[blk, s0:s1].T,
+                   rows[blk, s0:s1].T)
 
 
-def _replicate_error(buf, p, B, n, long, table):
+def _replicate_error(buf, S, p, B, table):
     """The std_error over hs of an RQMC facet's mean p of its S pair means,
     laid out in buf as `_direction_blocks` writes them: the spread of the B
     i.i.d. replicate sums T_b of n_b directions about n_b p,
@@ -647,12 +629,13 @@ def _replicate_error(buf, p, B, n, long, table):
     variance of the replicate means over B), and, in quadrature, twice the
     table's CDF error, which bounds the bias of w = F(hi) - F(lo): the
     replicate spread alone can fall below it."""
-    rows = buf.reshape(n, B)
+    rows = buf.reshape(-1, B)
+    n = rows.shape[0]
+    long = S - B * (n - 1)
     sums = rows[:n - 1].sum(axis=0)
     sums[:long] += rows[n - 1, :long]
     sizes = np.full(B, n - 1.0)
     sizes[:long] += 1.0
-    S = B * (n - 1) + long
     var = float(np.square(sums - sizes * p).sum()) * B / (B - 1)
     return math.hypot(math.sqrt(var) / S, 2.0 * table.cdf_error)
 
@@ -746,18 +729,18 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     Hammersley and Morton 1956): still unbiased, with half of var(w) when
     w(u) and w(-u) are uncorrelated, less when they are negatively
     correlated, and var(w) itself when w(u) = w(-u), as on a box.  The
-    value is hs times the mean of the S pair means.  With i.i.d.
-    directions the std_error is hs sqrt(var / S), var the sample variance
-    of the S pair means, which holds whatever the pair correlation.  With
-    RQMC directions (below) it is hs times the spread of the B replicate
-    means (`_replicate_error`) and, in quadrature, 2 hs times the radius
-    table's CDF error (`_InverseCdfTable.cdf_error`): F is the table's
-    CDF, not the exact one, so w is biased by up to twice that error, a
-    bias that the replicate spread does not see and that it can undercut
-    at q = 2.  The std_error covers the sampling error and that bias, not
-    the error of hs itself (the quadrature's 1e-10).  It is NaN at S = 1,
-    where no spread is defined.  Both figures are taken from one array of
-    the pair means, after the last chunk.
+    value is hs times the mean of the S pair means.  With i.i.d. or
+    pairwise independent directions the std_error is hs sqrt(var / S), var
+    the sample variance of the S pair means, which holds whatever the pair
+    correlation.  With RQMC directions (below) it is hs times the spread
+    of the B replicate means (`_replicate_error`) and, in quadrature, 2 hs
+    times the radius table's CDF error (`_InverseCdfTable.cdf_error`): F is
+    the table's CDF, not the exact one, so w is biased by up to twice that
+    error, a bias that the replicate spread does not see and that it can
+    undercut at q = 2.  The std_error covers the sampling error and that
+    bias, not the error of hs itself (the quadrature's 1e-10).  It is NaN
+    at S = 1, where no spread is defined.  Both figures are taken from one
+    array of the pair means, after the last chunk.
 
     Acceptance reads u only through its products with the neighbour
     normals projected into X_i^perp, whose law depends on those normals
@@ -771,57 +754,58 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     (built at |rho_i|), and through the signed anchor products rho_i
     <X_i, X_j>, so the origin may lie outside the body.
 
-    The directions come from `_rotated_coordinates` in one of two ways.
+    For 2 <= q <= _ROTATE_MAX_Q a facet draws its directions once
+    (`_rotated_draw`): B Haar rotations Q_b from the QR factors of a
+    Gaussian stack (Mezzadri 2007), then a base of n = ceil(S / B) unit
+    rows theta_r; direction (r, b) is theta_r Q_b, times a radius when
+    q < d-1.  S % B of the B rotated copies of the base have S // B + 1
+    directions and the rest S // B, so exactly S are scored.  A chunk
+    scores _CHUNK // B base rows against all B sets, so the directions and
+    the figures do not depend on _CHUNK.  Facets with q <= 1 or
+    q > _ROTATE_MAX_Q draw plain directions (`_sphere_coordinates`) per
+    chunk, the one draw that can depend on _CHUNK (through the chi^2
+    completion, when q < d-1).  The base is one of two:
 
     RQMC, when q = d-1 (no chi^2 or Beta completion) and
-    2 <= q <= _RQMC_MAX_Q: the facet draws B = min(_RQMC_REPLICATES, S)
-    Haar rotations Q_b, and replicate b is a fixed low-discrepancy base
-    (`_rqmc_base`: equally spaced angles at q = 2, a Kronecker sequence
-    through ndtri above) rotated by Q_b.  S % B replicates have
-    S // B + 1 directions and the rest S // B (`_replicates`), so exactly
-    S are scored.  Each rotated base row is uniform, so each
-    replicate mean is unbiased, and the replicates are i.i.d., so the
-    spread of their means gives the std_error (B - 1 degrees of freedom).
-    Since w is continuous and piecewise smooth in u, a rotated base set
-    errs far less than as many i.i.d. directions (Owen 1997 for scrambled
-    nets): at 2500 samples per facet the variance fell about 10^6-fold at
-    q = 2, 2-3.6x at q = 7 and 1-1.8x at q = 15 (Gaussian boxes and
-    polytopes).  A chunk scores _CHUNK // B base rows against all B sets,
-    so the directions and the figures do not depend on _CHUNK.
+    2 <= q <= _RQMC_MAX_Q: B = min(_RQMC_REPLICATES, S), and the base is
+    fixed and low-discrepancy (`_rqmc_base`: equally spaced angles at
+    q = 2, a Kronecker sequence through ndtri above).  Each rotated base
+    row is uniform, so each replicate mean is unbiased, and the replicates
+    are i.i.d., so the spread of their means gives the std_error (B - 1
+    degrees of freedom).  Since w is continuous and piecewise smooth in u,
+    a rotated base set errs far less than as many i.i.d. directions (Owen
+    1997 for scrambled nets): at 2500 samples per facet the variance fell
+    about 10^6-fold at q = 2, 2-3.6x at q = 7 and 1-1.8x at q = 15
+    (Gaussian boxes and polytopes).
 
-    Otherwise, for a chunk of n samples with 2 <= q <= _ROTATE_MAX_Q it
-    draws n0 = ceil(n / R) Gaussian rows, R = `_rotation_count(n, q)`
-    (about sqrt(n / q)), and scores each normalised row theta at theta and
-    at theta Q_1, ..., theta Q_(R-1), with R - 1 Haar rotations from the
-    QR factors of a Gaussian stack (Mezzadri 2007), then gives every row a
-    fresh radius sqrt(Beta(q/2, (d-1-q)/2)) when q < d-1.  For a fixed
-    theta and a Haar Q, theta Q is uniform and independent of theta, so
-    any two directions of the chunk are independent, whether they share a
-    base row or not.  Pairwise independence is all that the mean and the
-    sample variance use: the variance of the mean is still var / S, and the
-    std_error above is unbiased for it in the same way.  Only higher-order
+    Otherwise the base is n normalised Gaussian rows under about
+    sqrt(S / q) rotations, and each direction gets its own radius
+    sqrt(Beta(q/2, (d-1-q)/2)) when q < d-1.  For a fixed theta and a Haar
+    Q, theta Q is uniform and independent of theta, so any two directions
+    are independent, whether they share a base row, a rotation or neither.
+    Pairwise independence is all that the mean and the sample variance
+    use: the variance of the mean is still var / S, and the std_error
+    above is unbiased for it in the same way.  Only higher-order
     dependence differs (the rows of one rotation keep their mutual
     angles).  This is not a reflection of u: a signed permutation keeps
     w(u) and w(u P D) correlated, a Haar rotation does not.
 
     No rotated direction is built.  Since <theta Q, x> = <theta, x Q^T>,
     the draw turns the k normals into the sets normals Q^T, a k q^2 product
-    per rotation in place of one q^2 product per direction, and hands back
-    the stack of sets, which `facet_chords` scores theta against (normals
-    alone with R = 1).  The chord of rho v is the chord of v divided by rho
-    (rho > 0), so both ends of each kept chord are divided by the
-    direction's radius.  The chords equal those of the built directions up
-    to rounding.
+    per rotation in place of one q^2 product per direction, which
+    `facet_chords` scores theta against (normals alone for the plain
+    draw).  The chord of rho v is the chord of v divided by rho (rho > 0),
+    so both ends of each chord are divided by the direction's radius.  The
+    chords equal those of the built directions up to rounding.
 
     Each facet consumes an independent RNG stream derived from
     (seed, facet index), so any facet subset reproduces exactly, in any
     order.  The facets run in stable order of |rho_i|: one half-space law
     and radius table is built per distinct |rho_i|, and only the current
-    one is kept.  An RQMC facet draws once, the Gaussian stack of its B
-    rotations.  Otherwise, per chunk of _CHUNK samples the draw order is:
-    g, then the Haar stack, then the radii when q < d-1 (with R = 1: g,
-    then the chi^2 completion when q < d-1, as `_sphere_coordinates`
-    draws).
+    one is kept.  A rotated facet draws the Gaussian stack of its B
+    rotations, then, for a Gaussian base, its base rows, then the radii
+    when q < d-1; the plain draw takes, per chunk, g, then the chi^2
+    completion when q < d-1.
 
     Returns (values, std_errors, accepted, attempted) arrays over the
     requested facets; accepted is the sum of the pair means, the expected
@@ -887,30 +871,31 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         normals = _gram_factor(_hyperplane_coordinates(X, i, Xx, out=coords))
 
         rng = _rng(seed, i)
-        rep = _replicates(S, normals.shape[1], d - 1)
-        buf = np.empty(S if rep is None else rep[0] * rep[1])
-        for theta, sets, radii, out in _direction_blocks(rng, buf, normals,
-                                                         d - 1, rep):
+        draw = _rotated_draw(rng, S, normals, d - 1)
+        buf = np.empty(S if draw is None else len(draw[0]) * len(draw[1]))
+        for theta, sets, radii, out in _direction_blocks(rng, buf, S, normals,
+                                                         d - 1, draw):
             lo, hi = _kernels.facet_chords(theta, sets, base, ro, budget, y32)
-            # theta against every set, then -theta: the first out.size of
-            # each half; the chord of rho v is that of v divided by rho
-            lo, hi = (e.reshape(2, -1)[:, :out.size] for e in (lo, hi))
+            # theta against every set, then -theta, each half shaped as
+            # out; the chord of rho v is that of v divided by rho
+            lo, hi = (e.reshape(2, *out.shape) for e in (lo, hi))
             hi /= radii
             u = table.cdf_at(hi)
             if lo.any():
                 lo /= radii
                 u -= table.cdf_at(lo)
-            out[...] = (0.5 * (u[0] + u[1])).reshape(out.shape)
+            out[...] = 0.5 * (u[0] + u[1])
         w = buf[:S]  # the pair means
         total = float(w.sum())
         values[pos] = hs * (total / S)
         if S == 1:
             errors[pos] = math.nan
-        elif rep is None:
+        elif _is_rqmc(normals.shape[1], d - 1):
+            errors[pos] = hs * _replicate_error(buf, S, total / S,
+                                                draw[1].shape[0], table)
+        else:
             sq = float(np.square(w - w.mean()).sum())
             errors[pos] = hs * math.sqrt(sq / (S - 1) / S)
-        else:
-            errors[pos] = hs * _replicate_error(buf, total / S, *rep, table)
         accepted[pos] = total
         attempted[pos] = True
 

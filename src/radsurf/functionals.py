@@ -213,11 +213,15 @@ def _radial_law(phi, k, rho=0.0):
     there.
 
     Raises NormalizationError when the peak lies beyond 1e154 (the profile
-    never turns over) or below 1e-154 (it peaks at radius 0).
+    never turns over) or below 1e-154 (it peaks at radius 0), and
+    InputError for a finite support radius whose square overflows.
     """
     R = phi.support_radius
     s_max = math.inf
     if math.isfinite(R):
+        if math.isinf(R * R):
+            raise InputError(f"support radius {R:g} is too large: its square "
+                             "overflows")
         s_max = math.sqrt(R * R - rho * rho)
         while math.hypot(rho, s_max) > R:
             s_max = math.nextafter(s_max, 0.0)

@@ -329,15 +329,18 @@ def test_sphere_coordinates_of_a_full_vector_draw_no_chi2():
 
 
 @pytest.mark.parametrize("n, q, m", [
-    (500, 1, 1), (500, 1, 6), (30, 8, 8),  # q = 1, and n < 4q
+    (500, 1, 1), (500, 1, 6),
     (500, bodies._ROTATE_MAX_Q + 1, bodies._ROTATE_MAX_Q + 1),
     (500, bodies._ROTATE_MAX_Q + 1, 2 * bodies._ROTATE_MAX_Q),
 ])
 def test_rotated_coordinates_without_rotation_are_the_sphere_draw(n, q, m):
-    assert bodies._rotation_count(n, q) == 1
+    # q <= 1 and q > _ROTATE_MAX_Q: no per-facet draw, and a chunk's
+    # directions are the plain sphere draw
     rng, ref = bodies._rng(7), bodies._rng(7)
     normals = np.eye(q)
-    got, sets, radii = bodies._rotated_coordinates(rng, n, normals, m)
+    assert bodies._rotated_draw(rng, n, normals, m) is None
+    [(got, sets, radii, _)] = bodies._direction_blocks(
+        rng, np.empty(n), n, normals, m, None)
     assert sets is normals and radii == 1.0
     want = _sphere_coordinates(ref, n, q, m)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -345,25 +348,21 @@ def test_rotated_coordinates_without_rotation_are_the_sphere_draw(n, q, m):
 
 
 def _rotated_blocks(q, m, n=4000, blocks=200):
-    """(u, theta, rotated) per block from independent streams: the n
+    """(u, first, rotated) per block from independent streams: the n
     directions that facet MC scores, rebuilt from the draw as the first n
-    rows of [theta; theta Q_1; ...] times their radii, the base rows, and
-    theta Q_k for every rotation k whose rows all lie among the n
-    (directions, so divided by their radius)."""
-    R = bodies._rotation_count(n, q)
-    n0 = -(-n // R)
-    assert R > 1
-    for b in range(blocks):
-        # with normals I the sets after the first are the Q_k^T
-        theta, sets, radii = bodies._rotated_coordinates(
-            bodies._rng(b), n, np.eye(q), m)
-        assert theta.shape == (n0, q) and sets.shape == (R, q, q)
-        assert np.array_equal(sets[0], np.eye(q))
-        u = np.concatenate([theta, *(theta @ sets[1:].swapaxes(1, 2))])[:n]
-        u *= np.reshape(radii, (-1, 1))
-        dirs = u / np.linalg.norm(u, axis=1)[:, None]
-        full = n // n0
-        yield u, dirs[:n0], dirs[n0:full * n0].reshape(full - 1, n0, q)
+    of radii[r, b] theta_r Q_b in (r, b) row-major order, and, over the
+    base rows r whose B directions are all scored, the unit directions
+    theta_r Q_1 and theta_r Q_b for every b > 1."""
+    for blk in range(blocks):
+        # with normals I the sets are the Q_b^T
+        theta, sets, radii = bodies._rotated_draw(
+            bodies._rng(blk), n, np.eye(q), m)
+        B = sets.shape[0]
+        n0 = -(-n // B)
+        assert B > 1 and theta.shape == (n0, q) and sets.shape == (B, q, q)
+        dirs = (theta @ sets.swapaxes(1, 2)).swapaxes(0, 1)  # [r, b]
+        u = (dirs * np.broadcast_to(radii, (n0, B))[..., None]).reshape(-1, q)
+        yield u[:n], dirs[:n0 - 1, 0], dirs[:n0 - 1, 1:].swapaxes(0, 1)
 
 
 def _within(stats_per_block, truth, nsigma=5.0):
@@ -375,13 +374,14 @@ def _within(stats_per_block, truth, nsigma=5.0):
     return np.all(np.abs(mean - truth) <= nsigma * se)
 
 
-@pytest.mark.parametrize("q, m", [(6, 6), (5, 9)])
+@pytest.mark.parametrize("q, m", [
+    (bodies._RQMC_MAX_Q + 1, bodies._RQMC_MAX_Q + 1), (5, 9)])
 def test_rotated_block_is_isotropic_and_pairwise_independent(q, m):
-    # E[u u^T] = I E|u|^2 / q, with E|u|^2 = q / m; for a base row and its
-    # rotations <theta, theta Q_k> has mean 0 and mean square 1 / q.  Rows
-    # that are pairwise independent make the variance of a block's mean
-    # var / n, whatever the higher-order dependence: rows that shared one
-    # rotation or repeated theta would inflate it up to R-fold.
+    # E[u u^T] = I E|u|^2 / q, with E|u|^2 = q / m; for a base row under
+    # two rotations <theta Q_1, theta Q_b> has mean 0 and mean square
+    # 1 / q.  Rows that are pairwise independent make the variance of a
+    # block's mean var / n, whatever the higher-order dependence: rows
+    # that shared one rotation or one theta would inflate it up to B-fold.
     n = 4000
     second, dots, squares, means, variances = [], [], [], [], []
     for u, theta, rotated in _rotated_blocks(q, m, n):
@@ -411,7 +411,8 @@ def test_facet_mc_matches_the_gaussian_box_with_rotations(d, get_profile):
     pr = get_profile("gaussian", d)
     h = np.linspace(0.6, 1.6, d) * pr.t0 / math.sqrt(d)
     S = 20_000
-    assert bodies._rotation_count(S, d - 1) > 1
+    sets = bodies._rotated_draw(bodies._rng(0), S, np.eye(d - 1), d - 1)[1]
+    assert sets.shape[0] > 1
     exact = _gaussian_box_surface(h)
     est = polytope_surface_mc(pr, HyperRectangle(h), S, seed=5)
     assert abs(est.value - exact) <= 4.0 * est.std_error
@@ -880,42 +881,6 @@ def test_facet_std_error_below_the_binomial_one(get_profile):
         assert np.all(errors > 0.0)
 
 
-def test_facet_values_chunks_keep_the_mean_and_variance(get_profile,
-                                                       monkeypatch):
-    # with q = d - 1 > _ROTATE_MAX_Q direction coordinates nothing but g is
-    # drawn (R = 1, no chi^2 completion), so any chunking draws the same
-    # samples; the pair means are summarized once, so the figures are
-    # those of one pass, bit for bit
-    d = bodies._ROTATE_MAX_Q + 2
-    pr = get_profile("gaussian", d)
-    body = HyperRectangle(np.linspace(0.8, 1.6, d))
-    whole = _facet_values(pr, body, 3000, seed=6, facet_indices=[0, 1, 2])
-    monkeypatch.setattr(bodies, "_CHUNK", 700)
-    chunked = _facet_values(pr, body, 3000, seed=6, facet_indices=[0, 1, 2])
-    for a, b in zip(whole[:3], chunked[:3]):
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    assert np.all(whole[1] > 0.0)
-
-
-def test_rotated_facet_values_chunks_agree_within_their_errors(get_profile,
-                                                               monkeypatch):
-    # above _RQMC_MAX_Q the i.i.d. draw stays: with q = d - 1 each chunk
-    # draws R = isqrt(n // q) rotations, so chunking changes the samples,
-    # not the law: the runs agree within their errors
-    d = bodies._RQMC_MAX_Q + 2
-    assert bodies._replicates(3000, d - 1, d - 1) is None
-    assert bodies._rotation_count(700, d - 1) > 1
-    pr = get_profile("gaussian", d)
-    body = circumscribed_polytope(d, 0.65 * pr.t0, 40, seed=31)
-    whole = _facet_values(pr, body, 3000, seed=6, facet_indices=range(5))
-    monkeypatch.setattr(bodies, "_CHUNK", 700)
-    chunked = _facet_values(pr, body, 3000, seed=6, facet_indices=range(5))
-    assert not np.array_equal(whole[0], chunked[0])
-    assert np.all(np.abs(whole[0] - chunked[0])
-                  <= 4.0 * np.hypot(whole[1], chunked[1]))
-    assert np.allclose(whole[1], chunked[1], rtol=0.1, atol=0.0)
-
-
 # --- randomised QMC directions ---------------------------------------------
 
 
@@ -936,43 +901,80 @@ def test_rqmc_base_is_fixed_unit_rows(q):
 
 
 def test_rqmc_replicates_cover_exactly_the_samples():
-    q = 5
-    assert bodies._replicates(100, q, q + 1) is None  # q < d - 1
-    assert bodies._replicates(100, 1, 1) is None
-    assert bodies._replicates(100, bodies._RQMC_MAX_Q + 1,
-                              bodies._RQMC_MAX_Q + 1) is None
-    for S in (2, 5, 15, 16, 17, 40, 2500):
-        B, n, long = bodies._replicates(S, q, q)
-        assert B == min(16, S) and 1 <= long <= B
-        assert long * n + (B - long) * (n - 1) == S
+    # B rotated copies of n = ceil(S / B) base rows, the first S % B (or
+    # all B) one row longer: RQMC takes B = 16, a Gaussian base
+    # isqrt(S // q), capped at its value for _ROTATE_MAX_SAMPLES samples
+    draw, cap = bodies._rotated_draw, bodies._ROTATE_MAX_SAMPLES
+    above = bodies._ROTATE_MAX_Q + 1
+    assert draw(bodies._rng(0), 100, np.eye(1), 1) is None
+    assert draw(bodies._rng(0), 100, np.eye(above), above) is None
+    for q, m in ((5, 5), (5, 6), (bodies._RQMC_MAX_Q + 1,) * 2):
+        for S in (2, 5, 15, 16, 17, 40, 2500, 2 * cap):
+            theta, sets, radii = draw(bodies._rng(S), S, np.eye(q), m)
+            B, n = sets.shape[0], theta.shape[0]
+            long = S - B * (n - 1)
+            assert theta.shape == (n, q) and 1 <= long <= B
+            assert long * n + (B - long) * (n - 1) == S
+            assert np.shape(radii) == ((n, B) if q < m else ())
+            if bodies._is_rqmc(q, m):
+                assert B == min(16, S)
+            else:
+                assert B == max(1, math.isqrt(min(S, cap) // q))
 
 
-@pytest.mark.parametrize("d, S", [(3, 5), (3, 40), (8, 5), (8, 17), (8, 40)])
+def _score_case(pr, d):
+    """A box, or at d = 12 a polytope of 6 random facets, whose
+    q = 5 < d - 1 directions take radii."""
+    if d != 12:
+        return HyperRectangle(np.linspace(0.6, 1.4, d) * pr.t0 / math.sqrt(d))
+    X = np.random.default_rng(12).standard_normal((6, d))
+    return Polytope(X / np.linalg.norm(X, axis=1)[:, None], np.full(6, 0.6 * pr.t0))
+
+
+@pytest.mark.parametrize("d, S", [(3, 5), (3, 40), (8, 5), (8, 17), (8, 40),
+                                  (12, 40), (12, 333), (25, 5), (25, 333)])
 def test_rqmc_facet_scores_exactly_its_samples(d, S, get_profile):
-    # rebuild each facet's S directions from its draw: replicate b is the
-    # base of its size rotated by the Haar Q_b, the first S % B replicates
-    # one direction longer; score them with unrotated normals and compare
-    # the value and the replicate std_error
+    # rebuild each facet's S directions from its draw, with normals I so
+    # that the sets are the Q_b^T, and score them with unrotated normals.
+    # RQMC (d = 3, 8): replicate b is the base of its size rotated by Q_b,
+    # the first S % B replicates one direction longer; compare the value
+    # and the replicate std_error.  A Gaussian base (d = 12, 25): the
+    # first S of radii[r, b] theta_r Q_b in (r, b) order; compare the
+    # value and the per-direction std_error
     pr = get_profile("gaussian", d)
-    body = HyperRectangle(np.linspace(0.6, 1.4, d) * pr.t0 / math.sqrt(d))
+    body = _score_case(pr, d)
     X, rho = as_facets(body)
     values, errors, accepted, _ = _facet_values(pr, body, S, seed=3)
-    B, n, long = bodies._replicates(S, d - 1, d - 1)
-    sizes = [n] * long + [n - 1] * (B - long)
     for i in range(X.shape[0]):
         Xx = X @ X[i]
         normals = _gram_factor(_hyperplane_coordinates(X, i, Xx))
-        Q = bodies._haar(bodies._rng(3, i), B, d - 1)
+        q = normals.shape[1]
+        theta, sets, radii = bodies._rotated_draw(bodies._rng(3, i), S,
+                                                  np.eye(q), d - 1)
+        B, n = sets.shape[0], theta.shape[0]
         hs, law = bodies._halfspace_law(pr, abs(rho[i]))
         table = _facet_table(law)
-        sums = []
-        for b, size in enumerate(sizes):
-            u = bodies._rqmc_base(size, d - 1) @ Q[b]
+
+        def pair_means(u):
             lo, hi = _kernels.facet_chords(u, normals, rho[i] * np.delete(Xx, i),
                                            np.delete(rho, i))
             w = table.cdf_at(hi) - table.cdf_at(lo)
-            sums.append(0.5 * (w[:size] + w[size:]).sum())
-        sums = np.array(sums)
+            return 0.5 * (w[:u.shape[0]] + w[u.shape[0]:])
+
+        if not bodies._is_rqmc(q, d - 1):
+            dirs = (theta @ sets.swapaxes(1, 2)).swapaxes(0, 1)  # [r, b]
+            u = dirs * np.broadcast_to(radii, (n, B))[..., None]
+            w = pair_means(u.reshape(-1, q)[:S])
+            assert accepted[i] == pytest.approx(w.sum(), rel=1e-12)
+            assert values[i] == pytest.approx(hs * w.mean(), rel=1e-12)
+            assert errors[i] == pytest.approx(
+                hs * w.std(ddof=1) / math.sqrt(S), rel=1e-9)
+            continue
+        long = S - B * (n - 1)
+        sizes = [n] * long + [n - 1] * (B - long)
+        sums = np.array([
+            pair_means(bodies._rqmc_base(size, q) @ sets[b].T).sum()
+            for b, size in enumerate(sizes)])
         p = sums.sum() / S
         assert accepted[i] == pytest.approx(sums.sum(), rel=1e-12)
         assert values[i] == pytest.approx(hs * p, rel=1e-12)
@@ -982,18 +984,31 @@ def test_rqmc_facet_scores_exactly_its_samples(d, S, get_profile):
             hs * math.hypot(spread, 2.0 * table.cdf_error), rel=1e-9)
 
 
-@pytest.mark.parametrize("d", [3, 8])
+@pytest.mark.parametrize("d", [3, 8, bodies._RQMC_MAX_Q + 2, 64,
+                               bodies._ROTATE_MAX_Q + 2])
 def test_rqmc_facet_values_do_not_depend_on_the_chunk(d, get_profile,
                                                       monkeypatch):
-    # a chunk scores base rows against all B sets, and the rotations are
-    # drawn once per facet: any chunking scores the same directions
-    pr = get_profile("gaussian", d)
-    body = HyperRectangle(np.linspace(0.6, 1.4, d) * pr.t0 / math.sqrt(d))
+    # boxes: RQMC at q = d - 1 = 2 and 7, a Gaussian base at q = 24 and
+    # the plain draw at q = 81, where nothing but g is drawn (no chi^2
+    # completion); at d = 64 a construction polytope, whose q = 6 < d - 1
+    # directions take Beta radii.  A chunk scores base rows against all B
+    # sets, and the rotations, base and radii are drawn once per facet:
+    # any chunking scores the same directions, and the pair means are
+    # summarized once, so the figures are those of one pass, bit for bit
+    if d == 64:
+        pr, body = _construction_body(get_profile, d)
+        assert as_facets(body)[0].shape[0] - 1 < d - 1
+    else:
+        pr = get_profile("gaussian", d)
+        body = HyperRectangle(np.linspace(0.6, 1.4, d) * pr.t0 / math.sqrt(d))
+    picked = None if d <= 8 else range(4)
     S = 3001  # S % 16 = 9: replicates of two sizes
-    whole = _facet_values(pr, body, S, seed=6)
-    for chunk in (700, 160):  # 43 and 10 base rows per chunk
+    whole = _facet_values(pr, body, S, seed=6, facet_indices=picked)
+    for chunk in (700, 160):  # 43 and 10 base rows per chunk at B = 16
         monkeypatch.setattr(bodies, "_CHUNK", chunk)
-        _same_bits(_facet_values(pr, body, S, seed=6), whole)
+        _same_bits(_facet_values(pr, body, S, seed=6, facet_indices=picked),
+                   whole)
+    assert np.all(whole[1] > 0.0)
 
 
 def test_rqmc_std_error_covers_the_table_error(get_profile):
@@ -1014,7 +1029,7 @@ def test_rqmc_std_error_is_calibrated_at_q7(get_profile):
     pr = get_profile("gaussian", 8)
     h = np.linspace(0.6, 1.6, 8) * pr.t0 / math.sqrt(8)
     truth = _gaussian_box_surface(h)
-    assert bodies._replicates(200, 7, 7) is not None
+    assert bodies._is_rqmc(7, 7)
     z = [(est.value - truth) / est.std_error
          for est in (polytope_surface_mc(pr, HyperRectangle(h), 200, seed)
                      for seed in range(300))]
@@ -1062,7 +1077,7 @@ def _pooled(monkeypatch, workers):
     if workers > 1 and bodies._blas_threads() is None:
         pytest.skip("numpy's BLAS exports no thread-count symbols")
     threads = set()
-    draw = bodies._rotated_coordinates
+    draw = bodies._rotated_draw
     # the first draw of each thread waits until `workers` threads draw, so
     # that the pool cannot hand a job to a thread that is done and idle
     started, barrier = set(), threading.Barrier(workers)
@@ -1076,7 +1091,7 @@ def _pooled(monkeypatch, workers):
         return draw(*args)
 
     monkeypatch.setattr(bodies, "_facet_workers", lambda *args: workers)
-    monkeypatch.setattr(bodies, "_rotated_coordinates", recorded)
+    monkeypatch.setattr(bodies, "_rotated_draw", recorded)
     return threads
 
 

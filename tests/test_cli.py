@@ -107,6 +107,25 @@ def test_parse_dims_ratio_one_ulp_above_one_terminates():
     assert out.stdout == f"{list(range(8, 65))}\n"
 
 
+@pytest.mark.parametrize("measure", [
+    "ball:R=1e300", "ball:R=1.4e154", "shell:R=1e300,eps=1e299", "table"])
+def test_support_radius_whose_square_overflows_exits_2(measure, tmp_path):
+    # the support edge sqrt(R^2 - rho^2) is inf once R^2 overflows, and a
+    # one-ulp search down from it never ends: a subprocess with a timeout,
+    # so a regression fails instead of hanging the suite
+    if measure == "table":
+        path = tmp_path / "phi.tsv"
+        path.write_text("0 0\n1 1\n1e300 2e300\n")
+        measure = f"table:file={path},extrapolation=cutoff"
+    out = subprocess.run(
+        [sys.executable, "-m", "radsurf.cli", "functionals", "--measure",
+         measure, "--dim", "3", "--allow-non-logconcave"],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.returncode == 2 and out.stdout == ""
+    assert "overflows" in out.stderr
+
+
 def test_bad_dim_and_format_exit_2(capsys):
     code, out, err = run_cli(capsys, "functionals", "--measure", "gaussian",
                              "--dim", "1")

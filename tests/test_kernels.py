@@ -535,20 +535,21 @@ def test_facet_chords_of_rotated_normals_are_those_of_rotated_directions(
     q = normals.shape[1]
     assert ((offsets - base).min() < 0.0) == (case == "nonpositive")
     n = 3000
-    theta, sets, radii = bodies._rotated_coordinates(
+    theta, sets, radii = bodies._rotated_draw(
         np.random.default_rng(9), n, normals, d - 1)
-    # the same draw with normals I gives the rotations: Q_k^T = I Q_k^T
-    _, eyes, _ = bodies._rotated_coordinates(
+    # the same draw with normals I gives the rotations: Q_b^T = I Q_b^T
+    _, eyes, _ = bodies._rotated_draw(
         np.random.default_rng(9), n, np.eye(q), d - 1)
-    rotations = eyes[1:].swapaxes(1, 2)
+    rotations = eyes.swapaxes(1, 2)
     assert sets.ndim == 3 and np.isscalar(radii) == (case == "q = d-1")
-    assert np.array_equal(sets[0], normals)
-    lo, hi = (e.reshape(2, -1)[:, :n]
-              for e in facet_chords(theta, sets, base, offsets))
-    u = np.concatenate([theta, *(theta @ rotations)])[:n]
+    assert np.array_equal(sets, normals @ eyes)
+    lo, hi = (e.reshape(2, -1) for e in facet_chords(theta, sets, base, offsets))
+    # set-major, as the chords come: theta Q_b for every b in turn
+    u = np.concatenate(list(theta @ rotations))
+    radii = np.broadcast_to(radii, (theta.shape[0], sets.shape[0])).T.ravel()
     lo, hi = lo / radii, hi / radii
-    u *= np.reshape(radii, (-1, 1))
-    want = (e.reshape(2, n) for e in facet_chords(u, normals, base, offsets))
+    u *= radii[:, None]
+    want = (e.reshape(2, -1) for e in facet_chords(u, normals, base, offsets))
     for g, w in zip((lo, hi), want):
         assert np.array_equal(g == 0.0, w == 0.0)
         assert np.array_equal(np.isinf(g), np.isinf(w))
