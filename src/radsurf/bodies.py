@@ -14,21 +14,22 @@ hyperplane: per sample, by rotation invariance, only the q = min(N-1, d-1)
 direction coordinates that the other facets' normals can see, and the
 radius integrated out exactly over the chord of accepted radii, with the
 CDF of the on-hyperplane radius table, and each direction scored together
-with its reflection (antithetic pairs).  For 2 <= q <= _ROTATE_MAX_Q a
-facet draws its directions once (`_rotated_draw`): B Haar rotations of a
-base of ceil(S / B) unit rows.  When q = d-1 <= _RQMC_MAX_Q the base is a
-fixed low-discrepancy set under B = _RQMC_REPLICATES rotations
-(randomised quasi-Monte Carlo), and the std_error comes from the spread of
-the replicate means; otherwise the base is normalised Gaussian rows under
-about sqrt(S / q) rotations, every two directions are independent, and the
-std_error comes from their sample spread.  As <theta Q, x> =
-<theta, x Q^T>, the draw rotates the k neighbour normals instead of the
-directions and hands back the stack of normal sets, and a direction's
-radius rho > 0 divides the chord ends afterwards (the chord of rho v is the
+with its reflection (antithetic pairs).  Every facet draws its directions
+with one draw (`_facet_draw`): B sets of its neighbour normals, Haar
+rotations of them for 2 <= q <= _ROTATE_MAX_Q and the normals themselves
+(B = 1) otherwise, and a base of ceil(S / B) unit rows scored against every
+set.  When q = d-1 <= _RQMC_MAX_Q the base is a fixed low-discrepancy set
+under B = _RQMC_REPLICATES rotations (randomised quasi-Monte Carlo), and
+the std_error comes from the spread of the replicate means; otherwise the
+base is normalised Gaussian rows under about sqrt(S / q) rotations (one
+unrotated set for q <= 1 or q > _ROTATE_MAX_Q), every two directions are
+independent, and the std_error comes from their sample spread.  As
+<theta Q, x> = <theta, x Q^T>, the draw rotates the k neighbour normals
+instead of the directions, and a direction's radius rho > 0, from one
+chi^2 law, divides the chord ends afterwards (the chord of rho v is the
 chord of v over rho).  A facet's statistics come from one array of its S
-pair means.  Only the plain draw, for q <= 1 or q > _ROTATE_MAX_Q, draws
-per chunk of _CHUNK samples, so only its directions can depend on the
-chunking.
+pair means.  No facet's directions depend on the chunking: in facet Monte
+Carlo _CHUNK only bounds the memory of a block.
 The facets of one call run on two threads, with the bits of one, when
 each has at least _POOL_MIN_SAMPLES samples, a chord product of at least
 _POOL_MIN_PRODUCTS products per sample, and neighbour normals that fit in
@@ -84,20 +85,24 @@ __all__ = [
     "CubeCheck",
 ]
 
-_CHUNK = 1 << 16  # fixed sampling chunk: part of the determinism contract
+# fixed sampling chunk: part of the determinism contract of the FD oracle
+# and `sample_points`; in facet Monte Carlo it only bounds a block's memory
+_CHUNK = 1 << 16
 
 _UNIT_TOL = 1e-12
 
-# The most direction coordinates that facet Monte Carlo draws with one
-# rotated draw per facet (`_rotated_draw`): B Haar rotations of a base of
-# ceil(S / B) unit rows.  The rotations cost B (q^3 + k q^2) for their QR
-# factors and the k rotated normals, against the n q normals they save.
+# The most direction coordinates for which facet Monte Carlo rotates the
+# normals (`_facet_draw`): B Haar rotations of the k neighbour normals,
+# scored against a base of ceil(S / B) unit rows.  The rotations cost
+# B (q^3 + k q^2) for their QR factors and the k rotated normals, against
+# the n q normals they save.
 # The threshold was timed when the n directions were rotated instead, at an
 # extra n q^2 (on a 2-core x86 host with OpenBLAS, rotated against plain
 # draws into R^1023: at q = 68 2.2x faster at 20000 directions and 1.2x at
 # 2500; at q = 80 2.0x and 1.3x; at q = 96 1.8x and 1.0x, and 0.7x at 1000;
 # at q = 128 slower at every n up to 20000).  Facets with q <= 1 or
-# q > _ROTATE_MAX_Q draw plain directions per chunk of _CHUNK samples.
+# q > _ROTATE_MAX_Q score S Gaussian base rows against the normals
+# themselves (B = 1, no rotation).
 _ROTATE_MAX_Q = 80
 
 # The sample count beyond which a Gaussian base's rotation count
@@ -106,7 +111,7 @@ _ROTATE_MAX_Q = 80
 _ROTATE_MAX_SAMPLES = 1 << 16
 
 # The most direction coordinates q = d - 1 for which facet Monte Carlo
-# scores randomised QMC directions (`_rotated_draw` with
+# scores randomised QMC directions (`_facet_draw` with
 # `_rqmc_base`): _RQMC_REPLICATES Haar rotations of one fixed low-discrepancy
 # base, so the std_error has _RQMC_REPLICATES - 1 degrees of freedom.  The
 # threshold was set by std_error^2 x seconds against the rotated i.i.d.
@@ -417,13 +422,13 @@ class _InverseCdfTable:
     The grid is refined (doubling from _TABLE_KNOTS) until the midpoint
     interpolation error of the CDF is below _TABLE_TOL in probability;
     NumericsError when that needs more than `max_knots` knots.  `cdf_error`
-    is the midpoint error that the final grid reaches.  `slope`, which only
-    `cdf_at` reads, is built when `slopes` is true and is None otherwise.
+    is the midpoint error that the final grid reaches.  `slope` is what
+    `cdf_at` reads.
     """
 
     __slots__ = ("grid", "cdf", "slope", "cdf_error")
 
-    def __init__(self, logf_vec, a, b, log_peak, max_knots=1 << 16, slopes=True):
+    def __init__(self, logf_vec, a, b, log_peak, max_knots=1 << 16):
         if not b > a:
             raise InputError("empty sampling window")
         n = _TABLE_KNOTS
@@ -452,7 +457,7 @@ class _InverseCdfTable:
         self.cdf = cdf
         self.cdf_error = float(mid_err)
         # np.interp's slope on each knot interval, and 0 past the last knot
-        self.slope = np.append(np.diff(cdf) / np.diff(grid), 0.0) if slopes else None
+        self.slope = np.append(np.diff(cdf) / np.diff(grid), 0.0)
 
     def sample(self, u):
         """Map uniforms in [0, 1) to radii by linear interpolation."""
@@ -484,13 +489,11 @@ class _InverseCdfTable:
 def _radial_table(prof: MeasureProfile) -> _InverseCdfTable:
     """Inverse-CDF table of the point radius: the law of I_m(0).  Built on
     the first call for a profile and kept on it (profiles are immutable;
-    the table is no dataclass field, so equality and repr ignore it).  It
-    is only sampled, so it carries no slopes."""
+    the table is no dataclass field, so equality and repr ignore it)."""
     table = vars(prof).get("_radius_table")
     if table is None:
         law = _radial_law(prof.phi, prof.m)
-        table = _InverseCdfTable(law.logf_vec, *law.window, law.log_peak,
-                                 slopes=False)
+        table = _InverseCdfTable(law.logf_vec, *law.window, law.log_peak)
         object.__setattr__(prof, "_radius_table", table)
     return table
 
@@ -560,65 +563,69 @@ def _is_rqmc(q, m):
     return 2 <= q == m <= _RQMC_MAX_Q
 
 
-def _rotated_draw(rng, S, normals, m):
-    """A facet's one draw of its S directions with the first q of m
-    coordinates, for the (k, q) `normals`: (theta, sets, radii), or None,
-    drawing nothing, unless 2 <= q <= _ROTATE_MAX_Q.  It draws B Haar
-    rotations Q_b (`_haar`), sets[b] = normals Q_b^T, then n = ceil(S / B)
-    unit base rows theta; direction (r, b) is radii[r, b] theta_r Q_b, and
-    the S scored ones are the first S in (n, B) row-major order.  RQMC
-    (`_is_rqmc`): B = min(_RQMC_REPLICATES, S), theta `_rqmc_base(n, q)`
-    and radii 1.0.  Otherwise B = max(1, isqrt(min(S, _ROTATE_MAX_SAMPLES)
-    // q)), theta is n normalised Gaussian rows and radii 1.0 when q = m,
-    else (n, B) draws of sqrt(Beta(q/2, (m-q)/2)), the law of the length of
-    the first q coordinates (see `_facet_values`)."""
+def _facet_draw(rng, S, normals, m):
+    """A facet's draw of its S directions with the first q of m
+    coordinates, for the (k, q) `normals`, up to its base rows:
+    (sets, n, lengths).  Direction (r, b) is rho_rb theta_r Q_b for
+    n = ceil(S / B) unit base rows theta_r and B normal sets
+    sets[b] = normals Q_b^T, and the S scored ones are the first S in
+    (n, B) row-major order.  B and Q_b:
+
+    * RQMC (`_is_rqmc`): B = min(_RQMC_REPLICATES, S) Haar rotations
+      (`_haar`).
+    * 2 <= q <= _ROTATE_MAX_Q otherwise: B = max(1, isqrt(min(S,
+      _ROTATE_MAX_SAMPLES) // q)) Haar rotations.
+    * q <= 1 or q > _ROTATE_MAX_Q: B = 1 and no rotation, sets normals[None].
+
+    lengths is None when q = 0 or q = m, where rho = 1; else (Y, X), Y an
+    (n, B) draw of chi^2_(m-q) and X an (n, B - 1) draw of chi^2_q, and
+    rho_rb^2 = X_rb / (X_rb + Y_rb), with X_r0 = |g_r|^2 from the base
+    row's own Gaussian vector (`_direction_blocks`).  Draws the rotations,
+    then Y, then X; the base rows come per block."""
     q = normals.shape[1]
-    if not 2 <= q <= _ROTATE_MAX_Q:
-        return None
-    rqmc = _is_rqmc(q, m)
-    B = (min(_RQMC_REPLICATES, S) if rqmc
-         else max(1, math.isqrt(min(S, _ROTATE_MAX_SAMPLES) // q)))
+    rotated = 2 <= q <= _ROTATE_MAX_Q
+    B = (min(_RQMC_REPLICATES, S) if _is_rqmc(q, m) else
+         max(1, math.isqrt(min(S, _ROTATE_MAX_SAMPLES) // q)) if rotated else 1)
     n = -(-S // B)
-    sets = normals @ _haar(rng, B, q).swapaxes(1, 2)
-    if rqmc:
-        return _rqmc_base(n, q), sets, 1.0
-    theta = _sphere_coordinates(rng, n, q, q)
-    radii = (np.sqrt(rng.beta(0.5 * q, 0.5 * (m - q), (n, B))) if q < m
-             else 1.0)
-    return theta, sets, radii
+    sets = normals @ _haar(rng, B, q).swapaxes(1, 2) if rotated else normals[None]
+    lengths = ((rng.chisquare(m - q, (n, B)), rng.chisquare(q, (n, B - 1)))
+               if 0 < q < m else None)
+    return sets, n, lengths
 
 
-def _direction_blocks(rng, w, S, normals, m, draw):
-    """A facet's directions block by block, each as (theta, sets, radii,
-    out): the chords of theta against every set, divided by the radii,
-    score the pair means that go into `out`, a (sets, rows) view of the
-    pair-mean buffer w.
-
-    The plain draw (draw None) is one `_sphere_coordinates` draw per chunk
-    of _CHUNK samples into w[chunk], w of S entries.  With the draw of
-    `_rotated_draw`, n base rows and B sets, w holds n B entries, direction
-    (r, b) at r B + b, so the first S are the scored ones, and a block
-    scores _CHUNK // B base rows against all B sets.  The base of n - 1
-    rows is the first n - 1 of n, so a short replicate's last-row score
-    falls in the unused tail, except at q = 2 = m (RQMC), where the short
-    replicates score their own base of n - 1 angles."""
-    if draw is None:
-        for blk in _kernels._blocks(S, _CHUNK):
-            yield (_sphere_coordinates(rng, blk.stop - blk.start,
-                                       normals.shape[1], m),
-                   normals, 1.0, w[blk])
-        return
-    theta, sets, radii = draw
-    n, B = theta.shape[0], sets.shape[0]
-    long = S - B * (n - 1)
+def _direction_blocks(rng, w, S, m, draw):
+    """A facet's directions block by block, from its `_facet_draw`, each
+    as (theta, sets, radii, out): the chords of theta against every set,
+    divided by the radii, score the pair means that go into `out`, a
+    (sets, rows) view of the pair-mean buffer w of n B entries, direction
+    (r, b) at r B + b.  A block scores _CHUNK // B base rows against all B
+    sets.  Its base rows are the `_rqmc_base` rows of the block for RQMC,
+    else the block's own n_blk q Gaussian rows g, drawn here in block
+    order and scaled to unit length; with lengths the radii are
+    sqrt(X / (X + Y)), X_r0 = |g_r|^2.  The RQMC base of n - 1 rows is the
+    first n - 1 of n, so a short replicate's last-row score falls in the
+    unused tail, except at q = 2 = m, where the short replicates score
+    their own base of n - 1 angles."""
+    sets, n, lengths = draw
+    B, q = sets.shape[0], sets.shape[2]
     rows = w.reshape(n, B)
-    groups = [(theta, 0, B)] if m > 2 or long == B else [
-        (theta, 0, long), (_rqmc_base(n - 1, 2), long, B)]
-    for base, s0, s1 in groups:
-        for blk in _kernels._blocks(base.shape[0], _CHUNK // B):
-            yield (base[blk], sets[s0:s1],
-                   radii if np.isscalar(radii) else radii[blk, s0:s1].T,
-                   rows[blk, s0:s1].T)
+    if _is_rqmc(q, m):
+        long = S - B * (n - 1)
+        groups = [(_rqmc_base(n, q), 0, B)] if q > 2 or long == B else [
+            (_rqmc_base(n, q), 0, long), (_rqmc_base(n - 1, 2), long, B)]
+        for base, s0, s1 in groups:
+            for blk in _kernels._blocks(base.shape[0], _CHUNK // B):
+                yield base[blk], sets[s0:s1], 1.0, rows[blk, s0:s1].T
+        return
+    for blk in _kernels._blocks(n, _CHUNK // B):
+        g = rng.standard_normal((blk.stop - blk.start, q))
+        sq = np.einsum("ij,ij->i", g, g)
+        g /= np.sqrt(sq)[:, None]
+        radii = 1.0
+        if lengths is not None:  # (Y, X), with X_r0 = |g_r|^2
+            x = np.column_stack((sq, lengths[1][blk]))
+            radii = np.sqrt(x / (x + lengths[0][blk])).T
+        yield g, sets, radii, rows[blk].T
 
 
 def _replicate_error(buf, S, p, B, table):
@@ -680,17 +687,24 @@ def sample_points(prof: MeasureProfile, n: int, seed: int) -> np.ndarray:
 # polytope facet Monte Carlo
 
 
+def _pool_floors(S, N, d):
+    """Whether a `_facet_values` call with S samples per facet on N facets
+    in R^d meets the pool's floors: S >= _POOL_MIN_SAMPLES,
+    k q >= _POOL_MIN_PRODUCTS (k = N - 1 neighbour normals of
+    q = min(k, d - 1) coordinates) and a facet's neighbour normals,
+    k (d - 1) float64 entries, fit in half of _kernels._BLOCK_BYTES.  Each
+    worker holds its own normals, so at d = 1024, where they take 41 MB,
+    the call stays on one thread."""
+    k = N - 1
+    return (S >= _POOL_MIN_SAMPLES and k * min(k, d - 1) >= _POOL_MIN_PRODUCTS
+            and 16 * k * (d - 1) <= _kernels._BLOCK_BYTES)
+
+
 def _facet_workers(S, N, d, facets):
     """Threads for a `_facet_values` call of `facets` facets with S samples
-    each on N facets in R^d: min(2, usable CPUs, facets) when
-    S >= _POOL_MIN_SAMPLES, k q >= _POOL_MIN_PRODUCTS (k = N - 1 neighbour
-    normals of q = min(k, d - 1) coordinates) and a facet's neighbour
-    normals, k (d - 1) float64 entries, fit in half of
-    _kernels._BLOCK_BYTES, else 1.  Each worker holds its own normals, so
-    at d = 1024, where they take 41 MB, the call stays on one thread."""
-    k = N - 1
-    if (S < _POOL_MIN_SAMPLES or k * min(k, d - 1) < _POOL_MIN_PRODUCTS
-            or 16 * k * (d - 1) > _kernels._BLOCK_BYTES):
+    each on N facets in R^d: min(2, usable CPUs, facets) when the call
+    meets `_pool_floors`, else 1."""
+    if not _pool_floors(S, N, d):
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -754,19 +768,19 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     (built at |rho_i|), and through the signed anchor products rho_i
     <X_i, X_j>, so the origin may lie outside the body.
 
-    For 2 <= q <= _ROTATE_MAX_Q a facet draws its directions once
-    (`_rotated_draw`): B Haar rotations Q_b from the QR factors of a
-    Gaussian stack (Mezzadri 2007), then a base of n = ceil(S / B) unit
-    rows theta_r; direction (r, b) is theta_r Q_b, times a radius when
-    q < d-1.  S % B of the B rotated copies of the base have S // B + 1
-    directions and the rest S // B, so exactly S are scored.  A chunk
-    scores _CHUNK // B base rows against all B sets, so the directions and
-    the figures do not depend on _CHUNK.  Facets with q <= 1 or
-    q > _ROTATE_MAX_Q draw plain directions (`_sphere_coordinates`) per
-    chunk, the one draw that can depend on _CHUNK (through the chi^2
-    completion, when q < d-1).  The base is one of two:
+    Every facet draws its directions with one draw (`_facet_draw`,
+    `_direction_blocks`): B sets of normals, a base of n = ceil(S / B)
+    unit rows theta_r, and direction (r, b) is rho_rb theta_r Q_b.  For
+    2 <= q <= _ROTATE_MAX_Q the Q_b are B Haar rotations from the QR
+    factors of a Gaussian stack (Mezzadri 2007); for q <= 1 or
+    q > _ROTATE_MAX_Q, B = 1 and Q_0 = I.  S % B of the B copies of the
+    base have S // B + 1 directions and the rest S // B, so exactly S are
+    scored.  A chunk scores _CHUNK // B base rows against all B sets, and
+    only the Gaussian base rows are drawn per chunk, in order, so no
+    facet's directions or figures depend on _CHUNK.  The base is one of
+    two:
 
-    RQMC, when q = d-1 (no chi^2 or Beta completion) and
+    RQMC, when q = d-1 (every radius 1) and
     2 <= q <= _RQMC_MAX_Q: B = min(_RQMC_REPLICATES, S), and the base is
     fixed and low-discrepancy (`_rqmc_base`: equally spaced angles at
     q = 2, a Kronecker sequence through ndtri above).  Each rotated base
@@ -778,23 +792,33 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     about 10^6-fold at q = 2, 2-3.6x at q = 7 and 1-1.8x at q = 15
     (Gaussian boxes and polytopes).
 
-    Otherwise the base is n normalised Gaussian rows under about
-    sqrt(S / q) rotations, and each direction gets its own radius
-    sqrt(Beta(q/2, (d-1-q)/2)) when q < d-1.  For a fixed theta and a Haar
-    Q, theta Q is uniform and independent of theta, so any two directions
-    are independent, whether they share a base row, a rotation or neither.
-    Pairwise independence is all that the mean and the sample variance
-    use: the variance of the mean is still var / S, and the std_error
-    above is unbiased for it in the same way.  Only higher-order
-    dependence differs (the rows of one rotation keep their mutual
-    angles).  This is not a reflection of u: a signed permutation keeps
-    w(u) and w(u P D) correlated, a Haar rotation does not.
+    Otherwise the base is n Gaussian rows g_r, theta_r = g_r / |g_r|,
+    under about sqrt(S / q) rotations, or under none for q <= 1 or
+    q > _ROTATE_MAX_Q.  When 0 < q < d-1 each direction has its own
+    radius, the length of the first q coordinates of a uniform unit vector
+    in R^(d-1): rho^2 = X / (X + Y) with X ~ chi^2_q and Y ~ chi^2_(d-1-q)
+    independent, so rho^2 ~ Beta(q/2, (d-1-q)/2).  Y is drawn per
+    direction; X is |g_r|^2 for b = 0, the base row's own Gaussian vector,
+    and a fresh chi^2_q for b >= 1.  With B = 1 this is the plain draw
+    g / sqrt(|g|^2 + Y), at one gamma variate per direction.  |g_r| is
+    independent of theta_r, so rho_r0 is independent of theta_r and of
+    every rotation.  For a fixed theta and a Haar Q, theta Q is uniform
+    and independent of theta, so any two directions are independent,
+    whether they share a base row, a rotation or neither: (rho_r0,
+    theta_r Q_0) and (rho_rb, theta_r Q_b) too, as rho_r0 depends on
+    none of theta_r, Q_0, Q_b and rho_rb.  Pairwise independence is all
+    that the mean and the sample variance use: the variance of the mean is
+    still var / S, and the std_error above is unbiased for it in the same
+    way.  Only higher-order dependence differs (the rows of one rotation
+    keep their mutual angles).  This is not a reflection of u: a signed
+    permutation keeps w(u) and w(u P D) correlated, a Haar rotation does
+    not.  At q = 0 (N = 1) nothing is drawn and every chord is [0, inf).
 
     No rotated direction is built.  Since <theta Q, x> = <theta, x Q^T>,
     the draw turns the k normals into the sets normals Q^T, a k q^2 product
     per rotation in place of one q^2 product per direction, which
-    `facet_chords` scores theta against (normals alone for the plain
-    draw).  The chord of rho v is the chord of v divided by rho (rho > 0),
+    `facet_chords` scores theta against (normals alone when B = 1 without
+    rotation).  The chord of rho v is the chord of v divided by rho (rho > 0),
     so both ends of each chord are divided by the direction's radius.  The
     chords equal those of the built directions up to rounding.
 
@@ -802,10 +826,11 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     (seed, facet index), so any facet subset reproduces exactly, in any
     order.  The facets run in stable order of |rho_i|: one half-space law
     and radius table is built per distinct |rho_i|, and only the current
-    one is kept.  A rotated facet draws the Gaussian stack of its B
-    rotations, then, for a Gaussian base, its base rows, then the radii
-    when q < d-1; the plain draw takes, per chunk, g, then the chi^2
-    completion when q < d-1.
+    one is kept.  A facet draws the Gaussian stack of its B rotations
+    when it is rotated, then, when 0 < q < d-1, all of Y as an (n, B)
+    array and all of X as an (n, B - 1) array (16 bytes per direction,
+    beside the 8 of the pair means), then, for a Gaussian base, the rows g
+    of each chunk in turn.
 
     Returns (values, std_errors, accepted, attempted) arrays over the
     requested facets; accepted is the sum of the pair means, the expected
@@ -830,12 +855,18 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     law and table (the benchmark's tracer wraps both, and it is
     single-threaded), deals its facets round-robin to itself and the pool
     threads, each worker with its own normals, float32 buffers and
-    _BLOCK_BYTES / workers of block budget, and waits for the group before
-    it builds the next table.  With more than one worker one ExitStack
-    opens the pool and pins numpy's OpenBLAS to one thread
-    (`_blas_threads`); it shuts the pool down and restores the earlier
-    count before the call returns, also when a facet raises.  Without the thread-count symbols
-    the call runs on one thread.
+    _BLOCK_BYTES / max(2, workers) of block budget, and waits for the
+    group before it builds the next table.  One ExitStack opens the pool
+    and pins numpy's OpenBLAS to one thread (`_blas_threads`); it shuts the
+    pool down and restores the earlier count before the call returns, also
+    when a facet raises.  A call that meets `_pool_floors` pins OpenBLAS
+    and halves the block budget on one worker too (one facet, one CPU):
+    OpenBLAS rounds the last columns of a product, those past a multiple
+    of 8, by the product's length and thread count (0.3.31 with its
+    Haswell kernels, 2-core x86 host), so the float64 chords and the
+    figures would otherwise depend on the worker count.  Without
+    the thread-count symbols the call runs on one thread with the whole
+    budget.
     """
     X, rho = as_facets(body)
     N, d = X.shape
@@ -848,10 +879,11 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     attempted = np.zeros(idx.size, dtype=bool)
 
     workers = _facet_workers(S, N, d, idx.size)
-    blas = _blas_threads() if workers > 1 else None
+    # the pool's layout also on one worker (see above)
+    blas = _blas_threads() if workers > 1 or _pool_floors(S, N, d) else None
     if blas is None:
         workers = 1
-    budget = _kernels._BLOCK_BYTES // workers
+    budget = _kernels._BLOCK_BYTES // (1 if blas is None else max(2, workers))
     # per worker: the normals of its facets in turn, and their float32 copy
     buffers = [(np.empty((N - 1, d - 1)), np.empty((N - 1) * (d - 1), np.float32))
                for _ in range(workers)]
@@ -871,10 +903,10 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         normals = _gram_factor(_hyperplane_coordinates(X, i, Xx, out=coords))
 
         rng = _rng(seed, i)
-        draw = _rotated_draw(rng, S, normals, d - 1)
-        buf = np.empty(S if draw is None else len(draw[0]) * len(draw[1]))
-        for theta, sets, radii, out in _direction_blocks(rng, buf, S, normals,
-                                                         d - 1, draw):
+        draw = _facet_draw(rng, S, normals, d - 1)
+        buf = np.empty(draw[1] * draw[0].shape[0])
+        for theta, sets, radii, out in _direction_blocks(rng, buf, S, d - 1,
+                                                         draw):
             lo, hi = _kernels.facet_chords(theta, sets, base, ro, budget, y32)
             # theta against every set, then -theta, each half shaped as
             # out; the chord of rho v is that of v divided by rho
@@ -892,7 +924,7 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
             errors[pos] = math.nan
         elif _is_rqmc(normals.shape[1], d - 1):
             errors[pos] = hs * _replicate_error(buf, S, total / S,
-                                                draw[1].shape[0], table)
+                                                draw[0].shape[0], table)
         else:
             sq = float(np.square(w - w.mean()).sum())
             errors[pos] = hs * math.sqrt(sq / (S - 1) / S)
@@ -904,10 +936,11 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
             facet(pos, table, hs, *buffers[j])
 
     with contextlib.ExitStack() as stack:
-        if workers > 1:
+        if blas is not None:
             get_threads, set_threads = blas
             stack.callback(set_threads, get_threads())
             set_threads(1)
+        if workers > 1:
             pool = stack.enter_context(ThreadPoolExecutor(workers - 1))
         # one law and table per distinct |rho_i| inside the support, in order
         # of |rho_i|; a facet outside it contributes exactly 0

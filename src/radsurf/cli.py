@@ -110,11 +110,14 @@ def _render(rows: List[Dict], fmt: str) -> str:
 
 def _emit(rows: List[Dict], args) -> None:
     """Render to --format if given, else csv for a file (--out) and human
-    for stdout."""
+    for stdout.  InputError when the --out file cannot be written."""
     text = _render(rows, args.format or ("csv" if args.out else "human"))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

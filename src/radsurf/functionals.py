@@ -77,7 +77,12 @@ WINDOW_NATS = 60.0
 _REL_TOL = 1e-10
 
 
-def _pred_edge(pred, t_true, t_false, iters=200):
+#: The most bisection steps of `_pred_edge`; it stops earlier once the
+#: midpoint rounds to an end of the bracket.
+_BISECT_STEPS = 200
+
+
+def _pred_edge(pred, t_true, t_false):
     """Boundary point of a monotone predicate by bisection.
 
     ``pred`` holds at ``t_true`` and fails at ``t_false`` (either ordering).
@@ -86,7 +91,7 @@ def _pred_edge(pred, t_true, t_false, iters=200):
     potentials where Newton steps are not.
     """
     a, b = t_true, t_false
-    for _ in range(iters):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break

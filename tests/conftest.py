@@ -8,6 +8,7 @@ without golden-value drift.
 import numpy as np
 import pytest
 
+from radsurf import bodies
 from radsurf import potential as pot
 from radsurf import functionals as fn
 from radsurf.bodies import Polytope
@@ -61,6 +62,25 @@ def circumscribed_polytope(d, rho, n, seed):
     dirs = rng.standard_normal((n, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return Polytope(directions=dirs, offsets=np.full(n, float(rho)))
+
+
+def whole_draw(rng, S, normals, m):
+    """(theta, sets, radii) of a facet's whole draw of S directions with
+    the first q of m coordinates, as `bodies._facet_draw` and
+    `bodies._direction_blocks` make it: the n unit base rows, collected
+    from the blocks, the B normal sets and the (n, B) radii, or the scalar
+    1.0 where every radius is 1, so that direction (r, b) is
+    radii[r, b] theta_r Q_b.  Not for RQMC at q = 2 with replicates of two
+    sizes, whose short replicates score a base of their own."""
+    draw = bodies._facet_draw(rng, S, normals, m)
+    sets, n, _ = draw
+    blocks = list(bodies._direction_blocks(
+        rng, np.empty(n * sets.shape[0]), S, m, draw))
+    assert all(np.array_equal(blk[1], sets) for blk in blocks)
+    theta = np.concatenate([blk[0] for blk in blocks])
+    radii = [blk[2] for blk in blocks]
+    return theta, sets, (1.0 if np.isscalar(radii[0])
+                         else np.concatenate([r.T for r in radii]))
 
 
 def pytest_terminal_summary(terminalreporter):

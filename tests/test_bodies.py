@@ -45,7 +45,7 @@ from radsurf.bodies import (
 from radsurf.functionals import _radial_law, log_ball_volume, profile
 from radsurf.potential import ball, shell, tabulated
 
-from conftest import MEASURE_NAMES, circumscribed_polytope
+from conftest import MEASURE_NAMES, circumscribed_polytope, whole_draw
 
 
 # --- exact formulas --------------------------------------------------------
@@ -334,16 +334,32 @@ def test_sphere_coordinates_of_a_full_vector_draw_no_chi2():
     (500, bodies._ROTATE_MAX_Q + 1, 2 * bodies._ROTATE_MAX_Q),
 ])
 def test_rotated_coordinates_without_rotation_are_the_sphere_draw(n, q, m):
-    # q <= 1 and q > _ROTATE_MAX_Q: no per-facet draw, and a chunk's
-    # directions are the plain sphere draw
+    # q <= 1 and q > _ROTATE_MAX_Q: one set, the normals themselves, and no
+    # rotation.  At q = m the directions are the plain sphere draw, bit for
+    # bit; at q < m the draw takes the chi^2_(m-q) lengths Y first, then g,
+    # and the radius sqrt(|g_r|^2 / (|g_r|^2 + Y_r)) times the unit row
+    # g_r / |g_r| is the plain law g_r / sqrt(|g_r|^2 + Y_r)
     rng, ref = bodies._rng(7), bodies._rng(7)
     normals = np.eye(q)
-    assert bodies._rotated_draw(rng, n, normals, m) is None
-    [(got, sets, radii, _)] = bodies._direction_blocks(
-        rng, np.empty(n), n, normals, m, None)
-    assert sets is normals and radii == 1.0
-    want = _sphere_coordinates(ref, n, q, m)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    draw = bodies._facet_draw(rng, n, normals, m)
+    sets, rows, lengths = draw
+    assert sets.shape == (1, q, q) and np.array_equal(sets[0], normals)
+    assert rows == n
+    [(got, got_sets, radii, out)] = bodies._direction_blocks(
+        rng, np.empty(n), n, m, draw)
+    assert got_sets is sets and out.shape == (1, n)
+    if q == m:
+        assert lengths is None and radii == 1.0
+        want = _sphere_coordinates(ref, n, q, m)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    else:
+        Y = ref.chisquare(m - q, (n, 1))
+        assert np.array_equal(lengths[0], Y) and lengths[1].shape == (n, 0)
+        g = ref.standard_normal((n, q))
+        sq = np.einsum("ij,ij->i", g, g)
+        assert np.array_equal(got, g / np.sqrt(sq)[:, None])
+        assert np.allclose(radii.T * got, g / np.sqrt(sq + Y[:, 0])[:, None],
+                           rtol=1e-14, atol=0.0)
     assert rng.random() == ref.random()
 
 
@@ -355,8 +371,7 @@ def _rotated_blocks(q, m, n=4000, blocks=200):
     theta_r Q_1 and theta_r Q_b for every b > 1."""
     for blk in range(blocks):
         # with normals I the sets are the Q_b^T
-        theta, sets, radii = bodies._rotated_draw(
-            bodies._rng(blk), n, np.eye(q), m)
+        theta, sets, radii = whole_draw(bodies._rng(blk), n, np.eye(q), m)
         B = sets.shape[0]
         n0 = -(-n // B)
         assert B > 1 and theta.shape == (n0, q) and sets.shape == (B, q, q)
@@ -411,7 +426,7 @@ def test_facet_mc_matches_the_gaussian_box_with_rotations(d, get_profile):
     pr = get_profile("gaussian", d)
     h = np.linspace(0.6, 1.6, d) * pr.t0 / math.sqrt(d)
     S = 20_000
-    sets = bodies._rotated_draw(bodies._rng(0), S, np.eye(d - 1), d - 1)[1]
+    sets = bodies._facet_draw(bodies._rng(0), S, np.eye(d - 1), d - 1)[0]
     assert sets.shape[0] > 1
     exact = _gaussian_box_surface(h)
     est = polytope_surface_mc(pr, HyperRectangle(h), S, seed=5)
@@ -903,19 +918,27 @@ def test_rqmc_base_is_fixed_unit_rows(q):
 def test_rqmc_replicates_cover_exactly_the_samples():
     # B rotated copies of n = ceil(S / B) base rows, the first S % B (or
     # all B) one row longer: RQMC takes B = 16, a Gaussian base
-    # isqrt(S // q), capped at its value for _ROTATE_MAX_SAMPLES samples
-    draw, cap = bodies._rotated_draw, bodies._ROTATE_MAX_SAMPLES
+    # isqrt(S // q), capped at its value for _ROTATE_MAX_SAMPLES samples,
+    # and q <= 1 or q > _ROTATE_MAX_Q one unrotated set of S rows; q < m
+    # takes (n, B) chi^2_(m-q) and (n, B - 1) chi^2_q lengths
+    draw, cap = bodies._facet_draw, bodies._ROTATE_MAX_SAMPLES
     above = bodies._ROTATE_MAX_Q + 1
-    assert draw(bodies._rng(0), 100, np.eye(1), 1) is None
-    assert draw(bodies._rng(0), 100, np.eye(above), above) is None
+    for q, m in ((1, 1), (1, 6), (above, above), (above, above + 1)):
+        sets, n, lengths = draw(bodies._rng(0), 100, np.eye(q), m)
+        assert sets.shape == (1, q, q) and np.array_equal(sets[0], np.eye(q))
+        assert n == 100
+        assert (lengths is None) == (q == m)
     for q, m in ((5, 5), (5, 6), (bodies._RQMC_MAX_Q + 1,) * 2):
         for S in (2, 5, 15, 16, 17, 40, 2500, 2 * cap):
-            theta, sets, radii = draw(bodies._rng(S), S, np.eye(q), m)
-            B, n = sets.shape[0], theta.shape[0]
+            sets, n, lengths = draw(bodies._rng(S), S, np.eye(q), m)
+            B = sets.shape[0]
             long = S - B * (n - 1)
-            assert theta.shape == (n, q) and 1 <= long <= B
+            assert sets.shape == (B, q, q) and 1 <= long <= B
             assert long * n + (B - long) * (n - 1) == S
-            assert np.shape(radii) == ((n, B) if q < m else ())
+            if q < m:
+                assert [a.shape for a in lengths] == [(n, B), (n, B - 1)]
+            else:
+                assert lengths is None
             if bodies._is_rqmc(q, m):
                 assert B == min(16, S)
             else:
@@ -939,8 +962,10 @@ def test_rqmc_facet_scores_exactly_its_samples(d, S, get_profile):
     # RQMC (d = 3, 8): replicate b is the base of its size rotated by Q_b,
     # the first S % B replicates one direction longer; compare the value
     # and the replicate std_error.  A Gaussian base (d = 12, 25): the
-    # first S of radii[r, b] theta_r Q_b in (r, b) order; compare the
-    # value and the per-direction std_error
+    # first S of radii[r, b] theta_r Q_b in (r, b) order, rebuilt from the
+    # stream in the draw's order (the rotations, the chi^2 lengths Y and X
+    # when q < d - 1, the Gaussian rows g), with X_r0 = |g_r|^2; compare
+    # the value and the per-direction std_error
     pr = get_profile("gaussian", d)
     body = _score_case(pr, d)
     X, rho = as_facets(body)
@@ -949,9 +974,8 @@ def test_rqmc_facet_scores_exactly_its_samples(d, S, get_profile):
         Xx = X @ X[i]
         normals = _gram_factor(_hyperplane_coordinates(X, i, Xx))
         q = normals.shape[1]
-        theta, sets, radii = bodies._rotated_draw(bodies._rng(3, i), S,
-                                                  np.eye(q), d - 1)
-        B, n = sets.shape[0], theta.shape[0]
+        sets, n, _ = bodies._facet_draw(bodies._rng(3, i), S, np.eye(q), d - 1)
+        B = sets.shape[0]
         hs, law = bodies._halfspace_law(pr, abs(rho[i]))
         table = _facet_table(law)
 
@@ -962,7 +986,19 @@ def test_rqmc_facet_scores_exactly_its_samples(d, S, get_profile):
             return 0.5 * (w[:u.shape[0]] + w[u.shape[0]:])
 
         if not bodies._is_rqmc(q, d - 1):
-            dirs = (theta @ sets.swapaxes(1, 2)).swapaxes(0, 1)  # [r, b]
+            ref = bodies._rng(3, i)
+            rotations = bodies._haar(ref, B, q)
+            radii = 1.0
+            if q < d - 1:
+                chi_y = ref.chisquare(d - 1 - q, (n, B))
+                chi_x = ref.chisquare(q, (n, B - 1))
+            g = ref.standard_normal((n, q))
+            sq = np.square(g).sum(axis=1)
+            if q < d - 1:
+                chi_x = np.column_stack([sq, chi_x])
+                radii = np.sqrt(chi_x / (chi_x + chi_y))
+            theta = g / np.sqrt(sq)[:, None]
+            dirs = (theta @ rotations).swapaxes(0, 1)  # [r, b]
             u = dirs * np.broadcast_to(radii, (n, B))[..., None]
             w = pair_means(u.reshape(-1, q)[:S])
             assert accepted[i] == pytest.approx(w.sum(), rel=1e-12)
@@ -984,24 +1020,31 @@ def test_rqmc_facet_scores_exactly_its_samples(d, S, get_profile):
             hs * math.hypot(spread, 2.0 * table.cdf_error), rel=1e-9)
 
 
-@pytest.mark.parametrize("d", [3, 8, bodies._RQMC_MAX_Q + 2, 64,
-                               bodies._ROTATE_MAX_Q + 2])
+@pytest.mark.parametrize("d", [3, 8, 16, bodies._RQMC_MAX_Q + 2, 64,
+                               bodies._ROTATE_MAX_Q + 2, 100])
 def test_rqmc_facet_values_do_not_depend_on_the_chunk(d, get_profile,
                                                       monkeypatch):
     # boxes: RQMC at q = d - 1 = 2 and 7, a Gaussian base at q = 24 and
-    # the plain draw at q = 81, where nothing but g is drawn (no chi^2
-    # completion); at d = 64 a construction polytope, whose q = 6 < d - 1
-    # directions take Beta radii.  A chunk scores base rows against all B
-    # sets, and the rotations, base and radii are drawn once per facet:
+    # one unrotated set at q = 81, where nothing but g is drawn (no chi^2
+    # lengths); construction polytopes at d = 16, whose N = 2 facets have
+    # q = 1 < d - 1 (one unrotated set and chi^2 lengths), and at d = 64,
+    # whose q = 6 < d - 1 directions are rotated and take chi^2 lengths;
+    # at d = 100 90 random facets, q = 89 > _ROTATE_MAX_Q and q < d - 1.
+    # A chunk scores base rows against all B sets, the rotations and the
+    # lengths are drawn once per facet and the Gaussian rows in order, so
     # any chunking scores the same directions, and the pair means are
-    # summarized once, so the figures are those of one pass, bit for bit
-    if d == 64:
+    # summarized once: the figures are those of one pass, bit for bit
+    if d in (16, 64):
         pr, body = _construction_body(get_profile, d)
         assert as_facets(body)[0].shape[0] - 1 < d - 1
+    elif d == 100:
+        pr = get_profile("gaussian", d)
+        X = np.random.default_rng(100).standard_normal((90, d))
+        body = Polytope(X / np.linalg.norm(X, axis=1)[:, None], np.full(90, 2.5))
     else:
         pr = get_profile("gaussian", d)
         body = HyperRectangle(np.linspace(0.6, 1.4, d) * pr.t0 / math.sqrt(d))
-    picked = None if d <= 8 else range(4)
+    picked = None if d <= 16 else range(4)
     S = 3001  # S % 16 = 9: replicates of two sizes
     whole = _facet_values(pr, body, S, seed=6, facet_indices=picked)
     for chunk in (700, 160):  # 43 and 10 base rows per chunk at B = 16
@@ -1077,7 +1120,7 @@ def _pooled(monkeypatch, workers):
     if workers > 1 and bodies._blas_threads() is None:
         pytest.skip("numpy's BLAS exports no thread-count symbols")
     threads = set()
-    draw = bodies._rotated_draw
+    draw = bodies._facet_draw
     # the first draw of each thread waits until `workers` threads draw, so
     # that the pool cannot hand a job to a thread that is done and idle
     started, barrier = set(), threading.Barrier(workers)
@@ -1091,7 +1134,7 @@ def _pooled(monkeypatch, workers):
         return draw(*args)
 
     monkeypatch.setattr(bodies, "_facet_workers", lambda *args: workers)
-    monkeypatch.setattr(bodies, "_rotated_draw", recorded)
+    monkeypatch.setattr(bodies, "_facet_draw", recorded)
     return threads
 
 
@@ -1143,6 +1186,18 @@ def test_two_workers_give_the_bits_of_one(case, get_profile, monkeypatch):
     assert len(threads) == 2 and threading.get_ident() in threads
     _same_bits(two, one)
     assert one[3].all()
+
+
+def test_a_facet_alone_has_the_bits_it_has_among_others(get_profile):
+    # alone, facet 9 runs on one worker; among others, on the pool.  A call
+    # that meets the pool's floors takes the pool's block budget and one
+    # OpenBLAS thread on one worker too, so its figures are the same bits
+    prof, body = _construction_body(get_profile, 256)
+    S = bodies._POOL_MIN_SAMPLES
+    assert bodies._facet_workers(S, *as_facets(body)[0].shape, 1) == 1
+    alone = _facet_values(prof, body, S, 5, facet_indices=[9])
+    among = _facet_values(prof, body, S, 5, facet_indices=[9, 2, 40])
+    _same_bits([a[:1] for a in among], alone)
 
 
 def test_more_workers_than_cores_give_the_same_bits(get_profile,
@@ -1250,11 +1305,14 @@ def test_no_thread_outlives_a_call_or_the_import(get_profile):
     assert threading.active_count() == before
 
 
-def test_point_radius_table_carries_no_slopes(get_profile):
+def test_every_radius_table_carries_its_slopes(get_profile):
     pr = get_profile("gaussian", 5)
-    assert _radial_table(pr).slope is None
-    table = _facet_table(_radial_law(pr.phi, pr.m - 1, 0.35 * pr.t0))
-    assert table.slope.shape == table.grid.shape
+    for table in (_radial_table(pr),
+                  _facet_table(_radial_law(pr.phi, pr.m - 1, 0.35 * pr.t0))):
+        assert table.slope.shape == table.grid.shape
+        t = np.linspace(table.grid[0], table.grid[-1], 1001)
+        assert np.array_equal(table.cdf_at(t), np.interp(t, table.grid,
+                                                         table.cdf))
 
 
 # --- one solve per radial law ----------------------------------------------

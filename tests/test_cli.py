@@ -551,6 +551,18 @@ def test_out_file_honours_format(capsys, tmp_path):
     assert row["t0"] == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("dest", ["missing/x.csv", "."],
+                         ids=["missing-directory", "directory"])
+def test_out_file_that_cannot_be_written_exits_2(dest, capsys, tmp_path):
+    # like an unreadable input file: an input error, exit 2, one error line
+    target = tmp_path / dest
+    code, out, err = run_cli(capsys, "functionals", "--measure", "gaussian",
+                             "--dim", "3", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write output file {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_twelve_digit_float_formatting():
     assert cli._fmt(1.0 / 3.0) == "0.333333333333"
     assert cli._fmt(float("nan")) == "nan"
@@ -730,6 +742,24 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
                            "--dim", "3", "--body", f"polytope:file={poly}")
     assert code == 2
     assert "polytope offsets must be finite" in err
+
+
+def test_malformed_spec_values_exit_2(capsys, tmp_path):
+    # a box halfwidth that is no number, a table with no knot beyond the
+    # origin, and a negative shell radius behind the log-concavity opt-in
+    table = tmp_path / "origin.tsv"
+    table.write_text("0 0\n")
+    for argv, message in (
+            (("surface", "--measure", "gaussian", "--body",
+              "box:halfwidths=1,x,2"), "box halfwidths must be numbers"),
+            (("functionals", "--measure", f"table:file={table}"),
+             "table needs at least one knot beyond the origin"),
+            (("functionals", "--measure", "shell:R=-1,eps=0.1",
+              "--allow-non-logconcave"),
+             "shell radius must be positive, got -1.0")):
+        code, out, err = run_cli(capsys, *argv, "--dim", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
 
 
 def test_exit_code_numerical_failure(capsys, monkeypatch):

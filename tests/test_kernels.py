@@ -5,6 +5,8 @@ from radsurf import _kernels, bodies, construction
 from radsurf._kernels import (facet_accept_count, facet_chords,
                               polytope_shell_counts)
 
+from conftest import whole_draw
+
 
 def _workload(seed, n=2048, k=7, d=5):
     rng = np.random.default_rng(seed)
@@ -427,6 +429,28 @@ def test_float32_chords_with_a_reused_buffer_are_the_fresh_chords(
     assert not np.all(y32[:normals.size] == np.float32(3.5))
 
 
+def test_chords_whose_float32_product_could_overflow_run_in_float64(
+        monkeypatch):
+    # one slack of 1e-31 scales its normal by 1e31, so P > 2^100 and the
+    # float32 filter's error bound no longer holds: the margins are None
+    # and the product runs in float64, with the bits of the float64 path
+    # that the shape takes below _FLOAT32_MIN_K constraints
+    n, k, d = 64, 1024, 384
+    assert d >= _kernels._FLOAT32_MIN_D and k >= _kernels._FLOAT32_MIN_K
+    dirs, normals, base, offsets = _chord_workload(3, n, k, d)
+    base[1], offsets[1] = 0.0, 1e-31
+    inv = np.divide(1.0, offsets - base, out=np.zeros(k),
+                    where=offsets > base)
+    assert inv.max() > 2.0 ** 100
+    assert _kernels._chord_margins(dirs, normals, inv) is None
+    got = facet_chords(dirs, normals, base, offsets)
+    monkeypatch.setattr(_kernels, "_FLOAT32_MIN_K", k + 1)
+    want = facet_chords(dirs, normals, base, offsets)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    assert np.any(np.isfinite(got[1]) & (got[1] > 0.0))
+
+
 def test_facet_chords_large_shape_matches_dense_float64():
     # d = 1024, k = 3000 (the float32 product with its float64 recheck, in
     # several blocks of rows): unit neighbour normals and the non-unit rows
@@ -535,11 +559,9 @@ def test_facet_chords_of_rotated_normals_are_those_of_rotated_directions(
     q = normals.shape[1]
     assert ((offsets - base).min() < 0.0) == (case == "nonpositive")
     n = 3000
-    theta, sets, radii = bodies._rotated_draw(
-        np.random.default_rng(9), n, normals, d - 1)
+    theta, sets, radii = whole_draw(np.random.default_rng(9), n, normals, d - 1)
     # the same draw with normals I gives the rotations: Q_b^T = I Q_b^T
-    _, eyes, _ = bodies._rotated_draw(
-        np.random.default_rng(9), n, np.eye(q), d - 1)
+    eyes = bodies._facet_draw(np.random.default_rng(9), n, np.eye(q), d - 1)[0]
     rotations = eyes.swapaxes(1, 2)
     assert sets.ndim == 3 and np.isscalar(radii) == (case == "q = d-1")
     assert np.array_equal(sets, normals @ eyes)

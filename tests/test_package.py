@@ -54,6 +54,22 @@ def test_every_name_the_benchmark_pins_resolves():
         pass
 
 
+def test_the_benchmark_wrappers_read_what_facet_mc_returns(get_profile):
+    # the tracer reads `_facet_values`' attempted flags (result[3]) and
+    # samples_per_facet from its arguments, under both names that call it
+    tracing = _perfbench("tracing")
+    tracer = tracing.Tracer()
+    pr = get_profile("gaussian", 16)
+    with tracing.LayerPatch(tracer):
+        radsurf.polytope_surface_mc(pr, radsurf.HyperRectangle(np.full(16, 1.5)),
+                                    50, seed=1)
+        assert tracer.counts["bodies._facet_values.samples"] == 50 * 32
+        radsurf.expected_surface(pr, c_rho=1.0, trials=1,
+                                 samples_per_facet=50, seed=2)
+    assert tracer.counts["bodies._facet_values.samples"] > 50 * 32
+    assert tracer.counts["construction.facets_evaluated"] > 0
+
+
 def test_the_benchmark_fingerprints_every_result_type(get_profile):
     # the benchmark fingerprints each op's result and fails the run on a
     # field type it cannot read (a numpy scalar or a list, say)

@@ -96,6 +96,8 @@ def test_tabulated_validation_gates():
         tabulated([1.0], [math.inf])
     with pytest.raises(InputError):
         tabulated([1.0, 2.0], [1.0, 2.0], extrapolation="quadratic")
+    with pytest.raises(InputError, match="equal length"):
+        tabulated([1, 2], [0.5])                 # one value for two knots
 
 
 @given(
