@@ -76,6 +76,7 @@ from .construction import (
     PolytopeSpec,
     cap_probability,
     expected_surface,
+    expected_surface_exact,
     plan,
     sample_polytope,
 )
@@ -111,5 +112,5 @@ __all__ = [
     "xi2_lower", "certificate_upper_bound", "annulus_remainder_bound",
     # construction
     "PolytopeSpec", "plan", "cap_probability", "sample_polytope",
-    "expected_surface",
+    "expected_surface", "expected_surface_exact",
 ]

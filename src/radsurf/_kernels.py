@@ -17,8 +17,9 @@ constraints with c_j > 0 bound a chord from above only, at
 
 i_j = fl64(1 / c_j), and hi_r = inf when M_r <= 0.  Negation is exact in
 floating point, so v_rj of -a_r is -v_rj and M_r of -a_r is -min_j v_rj:
-one matrix product, reduced per row by its maximum and its minimum, gives
-both upper ends.  That covers every constraint of a construction polytope,
+one matrix product gives both upper ends, reduced per row by its maximum
+and its minimum in float64, or filtered against the caller's window in
+float32 (below).  That covers every constraint of a construction polytope,
 a box or a circumscribed polytope.  The rare constraints with c_j <= 0 are
 evaluated densely in float64, with -<a_r, x_j> for -a_r: c_j < 0 with
 <a_r, x_j> < 0 raises the lower end to c_j / <a_r, x_j>, and the chord is
@@ -35,11 +36,29 @@ A (k, q) array is the stack with R = 1 and takes exactly the unstacked
 product.
 
 Below _FLOAT32_MIN_D columns or _FLOAT32_MIN_K constraints, and for every
-stack of R > 1 sets, the product is taken in float64.  Above, M_r comes
-from a filtered predicate (Shewchuk 1997): a cheap float32 evaluation with
-a rigorous error bound, and a float64 recheck of only the constraints
+stack of R > 1 sets, the product is taken in float64.  Above, the cuts
+come from a filtered predicate (Shewchuk 1997): a cheap float32 evaluation
+with a rigorous error bound, and a float64 recheck of only the entries
 inside the bound.  (Facet Monte Carlo stacks sets only up to q = 80
 coordinates, below _FLOAT32_MIN_D, so its filtered products have R = 1.)
+
+The filter works against the window top: facet Monte Carlo reads a chord
+end only through F(end / rho_r), the CDF of its radius table at the end
+divided by the direction's radius rho_r (`radii`), and F is exactly 1 at
+and above the table's top b (`top`).  Constraint j with v_rj > 0 alone
+ends the chord at s_rj = fl(fl(1 / v_rj) / rho_r), the expression the
+caller evaluates, and it is an in-window cut when s_rj < b.  The kernel
+returns those cuts as (row, constraint, v_rj).  s_rj is nonincreasing in
+v_rj, so when a row has a cut its largest v_rj is one, and that is M_r:
+hi_r = 1 / M_r exactly as the float64 expression gives it.  When a row has
+none, its end lies at or above b and the kernel returns hi_r = inf, which
+F maps to 1 as it maps the true end.  So w = F(hi) - F(lo) keeps its bits,
+and with b = inf (the default) every chord is the float64 expression's.
+For -a_r the cuts are the entries with -v_rj > 0 and
+fl(fl(1 / -v_rj) / rho_r) < b.  Every cut has v_rj > L_r, the float64
+value of (1 / (b rho_r)) (1 - 8u'), which is 0 for b = inf: the two
+roundings of s_rj and the three of L_r each move them by at most a
+factor 1 + u', less than the 1 - 8u' makes up.
 
 Write u = 2^-24 and u' = 2^-53 for the unit roundoffs of float32 and
 float64, eta = 2^-150 for the absolute error of a float32 rounding that
@@ -47,34 +66,38 @@ underflows, gamma_n = n u / (1 - n u) and gamma'_n likewise with u'.  An
 inner product of length d, in any summation order (so for any BLAS),
 errs by at most gamma_d sum_i |a_i x_i| (Higham, Accuracy and Stability
 of Numerical Algorithms, Thm 3.1), plus d eta from products that
-underflow.  With X = max_j |x_j|, I = max_j i_j, Y = max_j |x_j| i_j and
-P = (1 + max_r |a_r|)(1 + X)(1 + I):
+underflow.  With X = max_j X_j, X_j >= |x_j| the bound below,
+I = max_j i_j, Y = max_j X_j i_j and P = (1 + max_r |a_r|)(1 + X)(1 + I):
 
 * The float32 value t_rj = fl32(<fl32(a_r), y_j>), y_j =
   fl32(fl32(x_j) fl32(i_j)), differs from the exact i_j <a_r, x_j> by at
   most (gamma_d + 12u) |a_r| Y + 4 d eta P.  Relative to sum_i |a_i x_i|
-  i_j <= |a_r| Y (Cauchy-Schwarz), the roundings of a_i, x_i, i_j and of
-  both products cost (1 + u)^5 - 1 and the sum gamma_d, which with
+  i_j <= |a_r| |x_j| i_j (Cauchy-Schwarz), the roundings of a_i, x_i, i_j
+  and of both products cost (1 + u)^5 - 1 and the sum gamma_d, which with
   gamma_d <= 1 stays below gamma_d + 12u; an element or product that
   underflows costs at most eta (1 + |a_i|)(1 + |x_i|)(1 + I) <= eta P,
   doubled by the sum and the scale.
 * v_rj differs from the same exact value by at most gamma'_(d+1) |a_r| Y
   + d eta P.
+* X_j comes from the float32 copy fl32(x_j) that the product reads, so the
+  normals are read once: n_j, the float32 norm of that copy, errs by at
+  most gamma_(d+2) relative plus sqrt(d) 2^-75 absolute (the sum of
+  squares, the square root and squares that underflow), and each element
+  of x_j is within u relative plus 2^-149 of its copy, so
+  X_j = (1 + gamma_(d+3)) n_j + sqrt(d) 2^-74 >= |x_j|.
 
-So m_r, twice the sum of the two bounds (the factor 2 covering the float64
-rounding of m_r and of R_r - 2 m_r), bounds |t_rj - v_rj|.  Let j* be the
-argmax of v_rj and R_r = max_j t_rj, attained at j'; then
-t_rj* >= v_rj* - m_r >= v_rj' - m_r >= R_r - 2 m_r.  Every pair with
-t_rj >= R_r - 2 m_r is a candidate; the kernel recomputes only those in
-float64 and returns their maximum, which is v_rj*.  For -a_r the same
-argument holds with a_r -> -a_r: |a_r| and so m_r are unchanged, and t_rj
-and v_rj change sign exactly, so the candidates are the pairs with
-t_rj <= min_j t_rj + 2 m_r and the float64 minimum over them is
-min_j v_rj.  One float64 pass rechecks both sets.  A block of rows holds
-every constraint of its rows, so its R_r and min_j t_rj are final.  The
-bounds assume no float32 overflow: the product is taken in float64 unless
-P <= 2^100 and d u < 1/2, and then every float32 quantity above stays
-below 2^102.  The recheck's inner products come from another evaluation
+So e_r, the sum of the first two bounds, bounds |t_rj - v_rj|, and the
+margin is m_r = 2 e_r, the factor 2 covering the float64 rounding of m_r
+and of L_r - m_r.  Every entry with t_rj >= fl(L_r - m_r) is a candidate,
+and the kernel recomputes only those in float64.  No cut is missed: a cut
+has t_rj >= v_rj - e_r > L_r - e_r >= fl(L_r - m_r), because
+L_r < v_rj <= 2 |a_r| Y, so that subtraction errs by at most
+u' (L_r + m_r) <= e_r.  For -a_r the same argument holds with
+a_r -> -a_r: |a_r| and so m_r are unchanged, and t_rj and v_rj change sign
+exactly, so the candidates are the entries with t_rj <= -fl(L_r - m_r).
+One float64 pass rechecks both sets.  The bounds assume no float32
+overflow: the product is taken in float64 unless P <= 2^100 and d u < 1/2,
+and then every float32 quantity above stays below 2^102.  The recheck's inner products come from another evaluation
 order than a BLAS product, so M_r can differ from the float64 path's in
 its last bits, which moves w = F(hi) - F(lo) by as little.
 """
@@ -87,10 +110,11 @@ _U32 = 2.0 ** -24
 _U64 = 2.0 ** -53
 _ETA = 2.0 ** -150
 _SAFE = 2.0 ** 100
-# float64 entries gathered per recheck step, few enough that the gathered
-# rows are still in cache for the inner products (2-core x86 host: 4100
-# candidates at d = 1023 took 6.6 ms in steps of 2^16 entries, 20-24 ms in
-# steps of 2^20)
+# float64 entries gathered per recheck step into one reused buffer, few
+# enough that the gathered rows are still in cache for the inner products
+# (2-core x86 host, d = 1023: a recheck of 4100 candidates took 6.6 ms in
+# steps of 2^16 entries and 20-24 ms in steps of 2^20; one of 14 400 took
+# the same time in steps of 2^15 and 2^16)
 _RECHECK_ENTRIES = 1 << 16
 # bytes of one block of products, float32 or float64, each block holding
 # every constraint of its rows: at 20000 samples of 68 coordinates
@@ -111,13 +135,23 @@ def _gamma(n, u):
     return n * u / (1.0 - n * u) if n * u < 0.5 else math.inf
 
 
-def facet_chords(dirs, normals, base, offsets, budget=None, y32=None):
+def facet_chords(dirs, normals, base, offsets, budget=None, y32=None,
+                 top=math.inf, radii=1.0):
     """The chords [lo, hi] of radii s >= 0 at which
     base[j] + s <a, normals[j]> <= offsets[j] holds for every j, for the
     2n directions a of [dirs; -dirs]: entry r < n is the chord of dirs[r],
     entry n + r that of its reflection -dirs[r], both from one product, as
-    the float64 expressions give them (see the module docstring).  An empty
-    chord reads lo = hi = 0; with no constraints every chord is [0, inf).
+    the float64 expressions give them (see the module docstring), with the
+    in-window cuts of the float32 product: (lo, hi, cuts).  An empty chord
+    reads lo = hi = 0; with no constraints every chord is [0, inf).
+
+    `top` is the window top b of the caller's radius table and `radii` the
+    directions' radii rho_r (a scalar or n values).  On the float32 product
+    an upper end whose hi / rho_r lies at or above b reads inf, and cuts is
+    (rows, constraints, values): every entry row r < 2n, constraint j with
+    fl(fl(1 / v) / rho_r) < b for v = v_rj of dirs[r] (-v_rj of -dirs[r]
+    for row n + r).  On the float64 products the chords are exact and cuts
+    is None.
 
     The products go in blocks of at most `budget` bytes (_BLOCK_BYTES by
     default).  `y32`, a float32 array of at least k q entries, receives the
@@ -133,8 +167,9 @@ def facet_chords(dirs, normals, base, offsets, budget=None, y32=None):
     n = R * dirs.shape[0]  # chords per half
     lo = np.zeros(2 * n)
     hi = np.full(2 * n, math.inf)
+    cuts = None
     if k == 0 or n == 0:
-        return lo, hi
+        return lo, hi, cuts
     slack = offsets - base
     up = slack > 0.0
     empty = np.zeros(2 * n, dtype=bool)
@@ -150,79 +185,113 @@ def facet_chords(dirs, normals, base, offsets, budget=None, y32=None):
     if up.any():
         # 1 / c_j on the upper constraints; a zero row never lowers hi
         inv = np.divide(1.0, slack, out=np.zeros_like(slack), where=up)
-        top, bottom = _row_extremes(dirs, sets, inv,
-                                    _BLOCK_BYTES if budget is None else budget, y32)
-        top = np.concatenate([top, -bottom])  # M_r of dirs, then of -dirs
-        hi = np.divide(1.0, top, out=hi, where=top > 0.0)
+        budget = _BLOCK_BYTES if budget is None else budget
+        top_v = None
+        if filtered(R, k, dirs.shape[1]):
+            top_v, cuts = _window_cuts(dirs, sets[0], inv, budget, y32, top,
+                                       radii)
+        if top_v is None:
+            top_v = _row_extremes(dirs, sets, inv, budget)
+        hi = np.divide(1.0, top_v, out=hi, where=top_v > 0.0)
     empty |= ~(lo < hi)
     lo[empty] = 0.0
     hi[empty] = 0.0
-    return lo, hi
+    return lo, hi, cuts
 
 
-def _row_extremes(dirs, sets, inv, budget, y32):
-    """max_j and min_j of inv[j] <dirs[r], sets[s, j]> per row r and set s
-    (the module docstring's M_r of dirs[r] and -M_r of -dirs[r]), as R n
-    entries, set by set: in float32 with a float64 recheck on large
-    products with one set, else in float64.  Both products go in blocks of
-    rows of at most `budget` bytes, each block holding every constraint of
-    its rows; the float32 normals go into `y32` when it is not None."""
+def filtered(R, k, q):
+    """Whether `facet_chords` takes the filtered float32 product for R sets
+    of k normals with q coordinates (and returns cuts, unless that product
+    could overflow)."""
+    return R == 1 and q >= _FLOAT32_MIN_D and k >= _FLOAT32_MIN_K
+
+
+def _row_extremes(dirs, sets, inv, budget):
+    """M_r of every row of the module docstring, by the float64 product:
+    max_j inv[j] <dirs[r], sets[s, j]> per row r and set s, then the same
+    for -dirs[r] (minus the minimum), 2 R n entries in `facet_chords`'
+    order.  The product goes in blocks of rows of at most `budget` bytes,
+    each block holding every constraint of its rows."""
     n, d = dirs.shape
     R, k = sets.shape[:2]
-    margin2 = None
-    if R == 1 and d >= _FLOAT32_MIN_D and k >= _FLOAT32_MIN_K:
-        margin2 = _chord_margins(dirs, sets[0], inv)
-    if margin2 is None:
-        top = np.empty((R, n))
-        bottom = np.empty((R, n))
-        rows = sets.reshape(R * k, d)
-        # a multiple of 8 rows where the budget allows: OpenBLAS's x86 dgemm
-        # tiles these columns by 8, and other block lengths move the last
-        # bit of many more products off the unblocked product's (1177 rows
-        # of 68 coordinates against 17 sets: 7638 of 1.4 million products
-        # in blocks of 907 rows, 19 in blocks of 904)
-        per_block = budget // (8 * R * k)
-        blocks = _blocks(n, per_block - per_block % 8 or per_block)
-        buf = np.empty(R * k * blocks[0].stop)
-        for blk in blocks:
-            t = buf[:R * k * (blk.stop - blk.start)].reshape(R * k, -1)
-            np.matmul(rows, dirs[blk].T, out=t)
-            t = t.reshape(R, k, -1)
-            t *= inv[:, None]
-            t.max(axis=1, out=top[:, blk])
-            t.min(axis=1, out=bottom[:, blk])
-        return top.ravel(), bottom.ravel()
-    normals = sets[0]
-    top = np.full(n, -np.inf)
-    bottom = np.full(n, np.inf)
-    a32 = dirs.astype(np.float32)
+    top = np.empty((R, n))
+    bottom = np.empty((R, n))
+    rows = sets.reshape(R * k, d)
+    # a multiple of 8 rows where the budget allows: OpenBLAS's x86 dgemm
+    # tiles these columns by 8, and other block lengths move the last
+    # bit of many more products off the unblocked product's (1177 rows
+    # of 68 coordinates against 17 sets: 7638 of 1.4 million products
+    # in blocks of 907 rows, 19 in blocks of 904)
+    per_block = budget // (8 * R * k)
+    blocks = _blocks(n, per_block - per_block % 8 or per_block)
+    buf = np.empty(R * k * blocks[0].stop)
+    for blk in blocks:
+        t = buf[:R * k * (blk.stop - blk.start)].reshape(R * k, -1)
+        np.matmul(rows, dirs[blk].T, out=t)
+        t = t.reshape(R, k, -1)
+        t *= inv[:, None]
+        t.max(axis=1, out=top[:, blk])
+        t.min(axis=1, out=bottom[:, blk])
+    return np.concatenate([top.ravel(), -bottom.ravel()])
+
+
+def _window_cuts(dirs, normals, inv, budget, y32, top, radii):
+    """(M, cuts) by the filtered float32 product of the module docstring,
+    for the 2n rows of `facet_chords`: M_r the largest cut of row r (-inf
+    without one) and cuts its (rows, constraints, values); (None, None)
+    when the float32 evaluation could overflow.  The product goes in
+    blocks of rows of at most `budget` bytes, each block holding every
+    constraint of its rows; the float32 normals go into `y32` when it is
+    not None."""
+    n, d = dirs.shape
+    k = normals.shape[0]
     if y32 is None:
         y32 = np.empty(k * d, dtype=np.float32)
     y32 = y32[:k * d].reshape(k, d)
     np.copyto(y32, normals, casting="same_kind")
+    margin = _chord_margins(dirs, y32, inv)
+    if margin is None:
+        return None, None
     y32 *= inv.astype(np.float32)[:, None]
+    rho = np.broadcast_to(radii, (1, n)).ravel()
+    # the float32 |t| >= x, for float64 x, is |t| >= _above32(x): the
+    # candidates of both sides (rounding to float32 is odd)
+    floor = _above32(1.0 / (top * rho) * (1.0 - 8 * _U64) - margin)
+    a32 = dirs.astype(np.float32)
     blocks = _blocks(n, budget // (4 * k))
     buf = np.empty(k * blocks[0].stop, dtype=np.float32)
-    step = max(1, _RECHECK_ENTRIES // d)
+    near = np.empty(k * blocks[0].stop, dtype=bool)
+    found = []
     for blk in blocks:
         b = blk.stop - blk.start
         t = buf[:k * b].reshape(k, b)
         np.matmul(y32, a32[blk].T, out=t)
-        # the float32 t >= x, for float64 x, is t >= _above32(x)
-        up = t >= _above32(t.max(axis=0) - margin2[blk])
-        down = t <= _below32(t.min(axis=0) + margin2[blk])
-        flat = np.flatnonzero(up | down)
-        up, down = up.ravel()[flat], down.ravel()[flat]
-        j, r = np.divmod(flat, b)
-        r += blk.start
-        for i0 in range(0, flat.size, step):
-            sl = slice(i0, i0 + step)
-            rr, jj = r[sl], j[sl]
-            v = np.einsum("ij,ij->i", dirs[rr], normals[jj])
-            v *= inv[jj]
-            np.maximum.at(top, rr[up[sl]], v[up[sl]])
-            np.minimum.at(bottom, rr[down[sl]], v[down[sl]])
-    return top, bottom
+        np.greater_equal(np.abs(t, out=t), floor[blk], out=near[:k * b].reshape(k, b))
+        j, r = np.divmod(np.flatnonzero(near[:k * b]), b)
+        found.append((j, r + blk.start))
+    # the recheck reads the normals in order, each row once for all its
+    # candidates
+    j, r = (np.concatenate(e) for e in zip(*found))
+    order = np.argsort(j, kind="stable")
+    j, r = j[order], r[order]
+    v = np.empty(j.size)
+    step = max(1, _RECHECK_ENTRIES // d)
+    pair = np.empty((2, step, d))  # the gathered rows of a recheck step
+    for i0 in range(0, j.size, step):
+        sl = slice(i0, i0 + step)
+        a, x = pair[:, :v[sl].size]
+        np.take(dirs, r[sl], axis=0, out=a, mode="clip")
+        np.take(normals, j[sl], axis=0, out=x, mode="clip")
+        np.einsum("ij,ij->i", a, x, out=v[sl])
+    v *= inv[j]
+    with np.errstate(divide="ignore"):
+        inside = (1.0 / np.abs(v)) / rho[r] < top
+    up, down = inside & (v > 0.0), inside & (v < 0.0)
+    cuts = (np.concatenate([r[up], r[down] + n]), np.concatenate([j[up], j[down]]),
+            np.concatenate([v[up], -v[down]]))
+    M = np.full(2 * n, -np.inf)
+    np.maximum.at(M, cuts[0], cuts[2])
+    return M, cuts
 
 
 def _blocks(count, step):
@@ -231,24 +300,20 @@ def _blocks(count, step):
     return [slice(i0, min(i0 + step, count)) for i0 in range(0, count, step)]
 
 
-def _chord_margins(dirs, normals, inv):
-    """Twice the per-row margin m_r of the module docstring; None when the
-    float32 evaluation could overflow."""
+def _chord_margins(dirs, x32, inv):
+    """The per-row margin m_r of the module docstring, from the float32
+    copy x32 of the normals; None when the float32 evaluation could
+    overflow."""
     d = dirs.shape[1]
     a = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
-    x = np.sqrt(np.einsum("ij,ij->i", normals, normals))
+    n32 = np.sqrt(np.einsum("ij,ij->i", x32, x32)).astype(float)
+    x = n32 * (1.0 + _gamma(d + 3, _U32)) + math.sqrt(d) * 2.0 ** -74
     Y = float((x * inv).max())
     P = (1.0 + a.max()) * (1.0 + x.max()) * (1.0 + inv.max())
     if not (P <= _SAFE and d * _U32 < 0.5):
         return None
     alpha = 2.0 * (_gamma(d, _U32) + 12 * _U32 + _gamma(d + 1, _U64)) * Y
-    return 2.0 * (alpha * a + 10 * d * _ETA * P)
-
-
-def _below32(x):
-    """float32 values no larger than the float64 values x."""
-    x32 = x.astype(np.float32)
-    return np.where(x32 > x, np.nextafter(x32, np.float32(-np.inf)), x32)
+    return alpha * a + 10 * d * _ETA * P
 
 
 def _above32(x):

@@ -23,12 +23,11 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import betainc
 
 from .bodies import (_ONE_SAMPLE_NOTE, Polytope, SurfaceEstimate,
-                     _facet_values, _rng, _unit_rows)
-from .errors import DegeneratePlanError, InputError
-from .functionals import MeasureProfile
+                     _facet_values, _halfspace_law, _rng, _unit_rows)
+from .errors import DegeneratePlanError, InputError, QuadratureError
+from .functionals import _REL_TOL, MeasureProfile, _cap_tail
 
 __all__ = [
     "PolytopeSpec",
@@ -36,7 +35,14 @@ __all__ = [
     "cap_probability",
     "sample_polytope",
     "expected_surface",
+    "expected_surface_exact",
 ]
+
+#: `expected_surface_exact` starts from this many Gauss-Legendre nodes per
+#: window piece and doubles them until the rule agrees with the rule of
+#: twice as many nodes to _REL_TOL of the value, up to _EXACT_MAX_NODES.
+_EXACT_NODES = 64
+_EXACT_MAX_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -102,9 +108,10 @@ def cap_probability(prof: MeasureProfile, r: float, rho: float) -> float:
 
     for r > rho (0 otherwise), evaluated as the regularized incomplete beta
     ratio 0.5 I_{1-q^2}(m/2, 1/2) with q = rho/r (the closed form of the
-    two displayed integrals).  Reading it as the upper tail keeps full
-    relative precision as p -> 0, where 0.5 (1 - I_{q^2}(1/2, m/2))
-    cancels to nothing.
+    two displayed integrals; `functionals._cap_tail`).  Reading it as the
+    upper tail keeps full relative precision as p -> 0, where
+    0.5 (1 - I_{q^2}(1/2, m/2)) cancels to nothing; that form serves
+    q < 1e-4 instead, where 1 - q^2 rounds q away.
     """
     if not (r > 0):
         raise InputError(f"radius must be positive, got {r}")
@@ -112,9 +119,7 @@ def cap_probability(prof: MeasureProfile, r: float, rho: float) -> float:
         raise InputError(f"offset must be >= 0, got {rho}")
     if r <= rho:
         return 0.0
-    q = rho / r
-    half_m = 0.5 * prof.m  # = (m-2)/2 + 1
-    return 0.5 * float(betainc(half_m, 0.5, (1.0 - q) * (1.0 + q)))
+    return float(_cap_tail(prof.m, rho / r))
 
 
 def sample_polytope(spec: PolytopeSpec, prof: MeasureProfile) -> Polytope:
@@ -202,3 +207,48 @@ def expected_surface(
         if math.isnan(std_error):
             note = _ONE_SAMPLE_NOTE
     return SurfaceEstimate(value, std_error, "facet-mc", total_samples, note)
+
+
+def expected_surface_exact(prof: MeasureProfile,
+                           c_rho: float = 0.2) -> SurfaceEstimate:
+    """The expected boundary measure of the plan's random polytope by
+    quadrature, with no polytope and no sampling:
+
+        E[surface] = N hs(rho) E_s[(1 - p(sqrt(rho^2 + s^2)))^(N-1)],
+
+    N = N_eff, hs(rho) the half-space surface at the offset rho, s the
+    radius of a point on a facet's hyperplane (the law of I_{m-1}(rho))
+    and p = `cap_probability`.  A point y of facet i's hyperplane lies on
+    the boundary when none of the other N - 1 facets cuts it off; their
+    directions are i.i.d. uniform and independent of y, so each cuts it
+    off with probability p(|y|), independently, and the N exchangeable
+    facets contribute N times the first one's share.  The power is taken
+    as exp((N - 1) log1p(-p)).
+
+    It allocates no N x d array, so it also serves plans whose polytope
+    `sample_polytope` cannot allocate.  The expectation is
+    `_RadialLaw.expect`, with nodes doubled until its error estimate is at
+    most _REL_TOL of the value; QuadratureError when that takes more than
+    _EXACT_MAX_NODES nodes per window piece.
+    """
+    spec = plan(prof, c_rho)
+    N, rho = spec.N_eff, spec.rho
+    hs, law = _halfspace_law(prof, rho)
+    if hs == 0.0:
+        return SurfaceEstimate(0.0, 0.0, "exact", 0)
+
+    def survival(s):
+        p = _cap_tail(prof.m, rho / np.hypot(rho, s))
+        return np.exp((N - 1) * np.log1p(-p))
+
+    nodes = _EXACT_NODES
+    while True:
+        mean, err = law.expect(survival, nodes)
+        if err <= _REL_TOL * mean:
+            return SurfaceEstimate(N * hs * float(mean), 0.0, "exact", 0)
+        if nodes >= _EXACT_MAX_NODES:
+            raise QuadratureError(
+                f"the expected surface did not converge: error estimate "
+                f"{float(err):.3e} exceeds {_REL_TOL:.1e} x {float(mean):.6e} "
+                f"at {nodes} nodes", achieved_error=float(err))
+        nodes *= 2

@@ -22,7 +22,7 @@ from radsurf.bodies import (
     sphere_surface,
 )
 from radsurf.certificates import certificate_upper_bound
-from radsurf.construction import expected_surface
+from radsurf.construction import expected_surface, expected_surface_exact
 from radsurf.functionals import (
     profile,
     rough_upper_bound,
@@ -233,19 +233,25 @@ def test_criterion_07_certificate_soundness(polytope_results):
 
 def test_criterion_08_construction_scaling(get_profile, construction_results):
     ds = [d for d, _ in CONSTRUCTION_GRID]
-    vals, ratios, ok = [], [], True
+    vals, ratios, zs, ok = [], [], [], True
     for d in ds:
         est = construction_results[d]
-        tb = theorem_bound(get_profile("gaussian", d))
+        pr = get_profile("gaussian", d)
+        tb = theorem_bound(pr)
         vals.append(est.value)
         ratios.append(est.value / tb)
         ok = ok and est.value + 3.0 * est.std_error >= 0.05 * tb \
             and est.value - 3.0 * est.std_error > 0
+        # the Monte Carlo value meets the exact expectation within 4 sigma
+        zs.append((est.value - expected_surface_exact(pr, c_rho=1.0).value)
+                  / est.std_error)
+        ok = ok and abs(zs[-1]) <= 4.0
     slope = _slope(ds, vals)
     ok = ok and slope >= 0.15
     report(8, "random polytopes realize >= 5% of the scaling target, growing",
            ok, "ratios " + ", ".join(f"d={d}: {r:.3f}" for d, r in
-                                     zip(ds, ratios)) + f"; slope {slope:.4f}")
+                                     zip(ds, ratios)) + f"; slope {slope:.4f}"
+           + "; z vs exact " + ", ".join(f"{z:+.2f}" for z in zs))
 
 
 def test_criterion_09_counterexamples():

@@ -980,8 +980,9 @@ def test_rqmc_facet_scores_exactly_its_samples(d, S, get_profile):
         table = _facet_table(law)
 
         def pair_means(u):
-            lo, hi = _kernels.facet_chords(u, normals, rho[i] * np.delete(Xx, i),
-                                           np.delete(rho, i))
+            lo, hi, _ = _kernels.facet_chords(u, normals,
+                                              rho[i] * np.delete(Xx, i),
+                                              np.delete(rho, i))
             w = table.cdf_at(hi) - table.cdf_at(lo)
             return 0.5 * (w[:u.shape[0]] + w[u.shape[0]:])
 
@@ -1577,3 +1578,144 @@ def test_cube_expectation_asymptote():
     # E|X| / sqrt(d) climbs toward 1/sqrt(12) = 0.28868
     vals = [cube_lebesgue_check(d).expectation / math.sqrt(d) for d in (8, 512)]
     assert 0.28 < vals[0] < vals[1] < 0.29
+
+
+# --- the pair-cut control variate -------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _float32_polytope(d, N, seed):
+    """N random unit facets of R^d at the Gaussian plan's offset (c_rho =
+    1), or the plan's own polytope when N is None, whose facets take the
+    float32 chord product."""
+    from radsurf import construction, functionals, potential
+    prof = functionals.profile(potential.gaussian(), d)
+    spec = construction.plan(prof, c_rho=1.0, seed=seed)
+    if N is not None:
+        spec = construction.PolytopeSpec(spec.rho, spec.W, N, N, 1.0, seed)
+    body = construction.sample_polytope(spec, prof)
+    assert _kernels.filtered(1, body.n_facets - 1, d - 1)
+    return prof, body
+
+
+def _facet_inputs(prof, body, i):
+    """facet i's kernel arguments, law and table, as `_facet_values` builds
+    them."""
+    X, rho = as_facets(body)
+    Xx = X @ X[i]
+    normals = _gram_factor(_hyperplane_coordinates(X, i, Xx))
+    hs, law = bodies._halfspace_law(prof, abs(rho[i]))
+    return (normals, rho[i] * np.delete(Xx, i), np.delete(rho, i),
+            np.delete(Xx, i), law, _facet_table(law))
+
+
+@pytest.mark.parametrize("d, N", [(512, 1100), (1100, 1030)])
+def test_pair_cut_excess_is_nonnegative_on_every_direction(d, N):
+    # z = w + sum_j r_j - 1 >= 0 on every drawn direction and reflection,
+    # up to the rounding of its k + 2 terms (k its in-window cuts); at
+    # d = 1100 the 1029 neighbours leave q < d - 1 coordinates, so every
+    # direction has its own radius and its own threshold
+    prof, body = _float32_polytope(d, N, 2)
+    normals, base, offsets, _, _, table = _facet_inputs(prof, body, 3)
+    theta, _, radii = whole_draw(bodies._rng(7, 3), 1500, normals, d - 1)
+    assert np.isscalar(radii) == (normals.shape[1] == d - 1)
+    radii = np.broadcast_to(radii, (theta.shape[0], 1)).ravel()
+    lo, hi, cuts = _kernels.facet_chords(theta, normals, base, offsets,
+                                         top=table.grid[-1], radii=radii)
+    assert cuts is not None and not lo.any()
+    w = table.cdf_at(hi / np.tile(radii, 2))
+    z = bodies._cut_excess(w, cuts, radii, table)
+    k = np.bincount(cuts[0], minlength=w.size)
+    assert np.count_nonzero(k >= 2) > 100 and np.any(z > 1e-3)
+    assert np.all(z >= -(k + 2) * 2.0 ** -52)
+    # with one cut, the cut alone ends the chord: z = 0 up to rounding
+    one = k == 1
+    assert one.any() and np.all(np.abs(z[one]) <= 3 * 2.0 ** -52)
+
+
+def test_pair_cut_means_match_direct_expectations():
+    # the Chebyshev table against `expect` at single kappa and against scipy
+    # quad, from kappa -> 0 (M -> 1/2) through the construction's range,
+    # and 0 for a parallel neighbour (kappa = inf)
+    from radsurf.functionals import _cap_tail
+    prof, body = _float32_polytope(1024, None, 5)
+    _, _, _, _, law, _ = _facet_inputs(prof, body, 0)
+    kappa = np.concatenate([np.linspace(1e-9, 6.0, 300), [np.inf]])
+    mu, err = bodies._pair_cut_means(law, 1023, kappa)
+    assert err < 1e-9 and mu[-1] == 0.0
+    a, b = law.window
+
+    def density(s):
+        return math.exp(law.logf(s) - law.log_peak)
+
+    norm = quad(density, a, b, points=[law.peak], epsabs=0.0, epsrel=1e-13,
+                limit=400)[0]
+    for i in (0, 1, 57, 170, 299):
+        k = kappa[i]
+        direct, direct_err = law.expect(lambda s: _cap_tail(1022, k / s), 64)
+        assert abs(mu[i] - direct) <= err + direct_err + 1e-14
+        by_quad = quad(lambda s: density(s) * _cap_tail(1022, k / s), a, b,
+                       points=[law.peak], epsabs=0.0, epsrel=1e-13,
+                       limit=400)[0] / norm
+        assert abs(mu[i] - by_quad) <= err + 1e-12
+    assert abs(mu[0] - 0.5) < 1e-8
+
+
+@pytest.mark.parametrize("d, N, seed, facets", [
+    (1024, None, 5, (2236, 2379)),
+    (512, 1100, 2, (0, 1)),
+])
+def test_pair_cut_variate_agrees_with_the_plain_score(monkeypatch, d, N, seed,
+                                                      facets):
+    # the variate at S samples against the plain score at 10 S, within
+    # 4 sigma, with a smaller std_error at equal samples (sum_j mu_ij is
+    # 0.18 on the construction facets, 0.48 on the random ones)
+    prof, body = _float32_polytope(d, N, seed)
+    S = 1000
+    cv = _facet_values(prof, body, S, 9, facet_indices=list(facets))
+    monkeypatch.setattr(bodies, "_CV_MAX_SUM", -math.inf)
+    plain = _facet_values(prof, body, 10 * S, 9, facet_indices=list(facets))
+    for v, e, pv, pe in zip(cv[0], cv[1], plain[0], plain[1]):
+        assert abs(v - pv) <= 4.0 * math.hypot(e, pe)
+        assert e < pe * math.sqrt(10.0) / (2.0 if N is None else 1.2)
+
+
+def test_expected_surface_at_d1024_meets_the_exact_value(get_profile):
+    from radsurf import construction
+    pr = get_profile("gaussian", 1024)
+    est = construction.expected_surface(pr, c_rho=1.0, trials=8,
+                                        samples_per_facet=400,
+                                        facet_subsample=2, seed=3)
+    assert abs(est.value - 0.563149) <= 4.0 * est.std_error
+
+
+def test_facets_outside_the_variate_keep_their_bits(get_profile):
+    # float32-product facets that score the plain pair means, with the
+    # figures they had before the variate: a box whose neighbours cut off
+    # more than _CV_MAX_SUM, and a facet with a nonpositive slack
+    prof = get_profile("gaussian", 520)
+    box = HyperRectangle(np.linspace(2.6, 3.4, 520))
+    _, _, _, Xx, law, _ = _facet_inputs(prof, box, 0)
+    slack = 2.6 * (1.0 - Xx)
+    with np.errstate(divide="ignore"):
+        kappa = slack / np.sqrt((1.0 - Xx) * (1.0 + Xx))
+    assert bodies._pair_cut_means(law, 519, kappa)[0].sum() > bodies._CV_MAX_SUM
+    got = _facet_values(prof, box, 500, 11, facet_indices=[0, 777])
+    want = (["0x1.2b16eb8916487p-9", "0x1.8040e6d040fc8p-11"],
+            ["0x1.80b7b25932b93p-13", "0x1.f02571fd20af4p-15"],
+            ["0x1.4ffd7b7148e2cp+6", "0x1.46f213d03f305p+6"])
+    for g, w in zip(got, want):
+        assert [x.hex() for x in g] == w
+    prof = get_profile("gaussian", 400)
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((1100, 400))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    X[1] -= (X[1] @ X[0]) * X[0]
+    X[1] = np.cos(0.3) * X[0] + np.sin(0.3) * X[1] / np.linalg.norm(X[1])
+    rho = np.full(1100, 3.2)
+    rho[1] = 3.2 * np.cos(0.3) - 0.1  # the slack seen from facet 0: -0.1
+    got = _facet_values(prof, Polytope(X, rho), 500, 12, facet_indices=[0])
+    want = (["0x1.7d71d51105f4dp-12"], ["0x1.64502e64ee766p-16"],
+            ["0x1.312b1045fcfd8p+6"])
+    for g, w in zip(got, want):
+        assert [x.hex() for x in g] == w

@@ -6,12 +6,13 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from radsurf import construction
-from radsurf.errors import DegeneratePlanError, InputError
+from radsurf.errors import DegeneratePlanError, InputError, QuadratureError
 from radsurf.bodies import halfspace_surface
 from radsurf.construction import (
     PolytopeSpec,
     cap_probability,
     expected_surface,
+    expected_surface_exact,
     plan,
     sample_polytope,
 )
@@ -118,7 +119,7 @@ def test_cap_probability_matches_direct_quadrature(get_profile):
 
 def test_cap_probability_closed_forms(get_profile):
     pr3 = get_profile("gaussian", 3)  # m = 2: caps are linear in height
-    for r, rho in ((1.0, 0.25), (2.0, 1.5)):
+    for r, rho in ((1.0, 0.25), (2.0, 1.5), (1.0, 1e-9)):
         assert cap_probability(pr3, r, rho) == pytest.approx(
             (r - rho) / (2 * r), rel=1e-12
         )
@@ -304,3 +305,56 @@ def test_expected_surface_gates(get_profile):
         expected_surface(pr, samples_per_facet=0)
     with pytest.raises(InputError):
         expected_surface(pr, facet_subsample=0)
+
+
+# --- the exact expectation ------------------------------------------------
+
+
+# E[surface] of the Gaussian plan at c_rho = 1 by scipy quad on 32 pieces of
+# the law's window (quadrature error at most 6.3e-15), to 6 digits
+EXACT_PLAN = {16: 0.275253, 64: 0.328413, 256: 0.424973, 1024: 0.563149}
+
+
+@pytest.mark.parametrize("d", sorted(EXACT_PLAN))
+def test_expected_surface_exact_reproduces_the_quadrature_table(get_profile, d):
+    est = expected_surface_exact(get_profile("gaussian", d), c_rho=1.0)
+    assert (est.method, est.std_error, est.samples) == ("exact", 0.0, 0)
+    assert abs(est.value - EXACT_PLAN[d]) < 5e-7
+
+
+def test_expected_surface_exact_of_one_facet_is_the_halfspace(get_profile):
+    pr = get_profile("gaussian", 8)
+    spec = plan(pr, c_rho=0.2)
+    assert spec.N_eff == 1
+    est = expected_surface_exact(pr, c_rho=0.2)
+    assert abs(est.value - halfspace_surface(pr, spec.rho).value) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["gp4", "table"])
+def test_expected_surface_exact_agrees_with_monte_carlo(get_profile, name):
+    # a smooth and a kinked potential at d = 16: the mean over random
+    # polytopes by facet MC lies within 4 sigma
+    pr = get_profile(name, 16)
+    exact = expected_surface_exact(pr, c_rho=1.0).value
+    mc = expected_surface(pr, c_rho=1.0, trials=64, samples_per_facet=500,
+                          seed=4)
+    assert abs(mc.value - exact) <= 4.0 * mc.std_error
+
+
+def test_expected_surface_exact_raises_when_its_rule_does_not_converge(
+        get_profile, monkeypatch):
+    monkeypatch.setattr(construction, "_EXACT_NODES", 1)
+    monkeypatch.setattr(construction, "_EXACT_MAX_NODES", 2)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        expected_surface_exact(get_profile("gaussian", 64), c_rho=1.0)
+
+
+def test_expected_surface_exact_serves_plans_too_large_to_sample(get_profile):
+    # the plan that sample_polytope cannot allocate still has its value
+    pr = get_profile("gaussian", 256)
+    spec = plan(pr, c_rho=3.0)
+    with pytest.raises(DegeneratePlanError):
+        sample_polytope(spec, pr)
+    est = expected_surface_exact(pr, c_rho=3.0)
+    assert 0.0 < est.value < 2.0 * expected_surface_exact(pr, c_rho=1.0).value
+

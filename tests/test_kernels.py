@@ -221,17 +221,60 @@ def _reflected(dirs, normals, base, offsets):
     return np.vstack([dirs, -dirs]), normals, base, offsets
 
 
-def _stacked_dense64(dirs, normals, base, offsets, budget=None, y32=None):
+def _stacked_dense64(dirs, normals, base, offsets, budget=None, y32=None,
+                     top=np.inf, radii=1.0):
     """`_chords_dense64` of [dirs; -dirs] against each set of a (k, q)
     array or an (R, k, q) stack, in `facet_chords`' order: the chords of
-    dirs against every set, then those of -dirs.  The kernel's block
-    budget and float32 buffer play no part in a dense product."""
+    dirs against every set, then those of -dirs, and `_dense_cuts` where
+    the kernel's float32 product returns cuts.  The kernel's block budget
+    and float32 buffer play no part in a dense product."""
     sets = normals if normals.ndim == 3 else normals[None]
     n = dirs.shape[0]
     per_set = [_chords_dense64(*_reflected(dirs, x, base, offsets))
                for x in sets]
-    return tuple(np.concatenate([e[:n] for e in ends] + [e[n:] for e in ends])
-                 for ends in zip(*per_set))
+    lo, hi = (np.concatenate([e[:n] for e in ends] + [e[n:] for e in ends])
+              for ends in zip(*per_set))
+    cuts = None
+    if _kernels.filtered(*sets.shape):
+        cuts = _dense_cuts(dirs, sets[0], base, offsets, top, radii)
+    return lo, hi, cuts
+
+
+def _cut_values(dirs, normals, base, offsets):
+    """v_rj = fl(i_j <dirs[r], normals[j]>) of every entry, each inner
+    product by the einsum the kernel's recheck takes, for [dirs; -dirs]."""
+    slack = offsets - base
+    inv = np.divide(1.0, slack, out=np.zeros_like(slack), where=slack > 0.0)
+    n, k = dirs.shape[0], normals.shape[0]
+    v = np.empty((n, k))
+    for r0 in range(0, n, 16):  # 16 rows of pairs at a time
+        r, j = np.divmod(np.arange(r0 * k, min(r0 + 16, n) * k), k)
+        v[r0:r0 + 16] = (np.einsum("ij,ij->i", dirs[r], normals[j])
+                         * inv[j]).reshape(-1, k)
+    return np.vstack([v, -v])
+
+
+def _dense_cuts(dirs, normals, base, offsets, top, radii, v=None):
+    """The in-window cuts of [dirs; -dirs] by the dense float64 product
+    (or the values v given), sorted by row and constraint: every entry
+    with fl(fl(1 / v) / rho_r) < top, v > 0."""
+    if v is None:
+        slack = offsets - base
+        inv = np.divide(1.0, slack, out=np.zeros_like(slack),
+                        where=slack > 0.0)
+        v = (dirs @ normals.T) * inv
+        v = np.vstack([v, -v])
+    rho = np.tile(np.broadcast_to(radii, (1, dirs.shape[0])).ravel(), 2)
+    with np.errstate(divide="ignore"):
+        inside = (v > 0.0) & ((1.0 / v) / rho[:, None] < top)
+    r, j = np.nonzero(inside)
+    return r, j, v[r, j]
+
+
+def _sorted_cuts(cuts):
+    rows, cols, vals = cuts
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], vals[order]
 
 
 def _assert_same_chords(got, ref, dirs, normals, base, offsets):
@@ -262,19 +305,25 @@ def _chord_workload(seed, n=2048, k=5, d=5):
 
 
 def _tiny_blocks(monkeypatch, itemsize):
-    """Make every `_row_extremes` call take its rows in blocks of 3 (2 when
-    3 divides them), so that a test crosses block boundaries and its last
-    block is partial: the budget is set per call to that many rows of
-    products of `itemsize` bytes.  A float64 product under a float32
-    budget takes blocks of one row."""
-    row_extremes = _kernels._row_extremes
+    """Make every product of `facet_chords` take its rows in blocks of 3
+    (2 when 3 divides them), so that a test crosses block boundaries and
+    its last block is partial: the budget is set per call to that many
+    rows of products of `itemsize` bytes.  A float64 product under a
+    float32 budget takes blocks of one row."""
+    row_extremes, window_cuts = _kernels._row_extremes, _kernels._window_cuts
 
-    def tiny(dirs, sets, inv, budget, y32):
+    def budget(dirs, sets):
         rows = 3 if dirs.shape[0] % 3 else 2
-        budget = rows * itemsize * sets.shape[0] * sets.shape[1]
-        return row_extremes(dirs, sets, inv, budget, y32)
+        return rows * itemsize * int(np.prod(sets.shape[:-1]))
 
-    monkeypatch.setattr(_kernels, "_row_extremes", tiny)
+    def tiny_extremes(dirs, sets, inv, _):
+        return row_extremes(dirs, sets, inv, budget(dirs, sets))
+
+    def tiny_cuts(dirs, normals, inv, _, *rest):
+        return window_cuts(dirs, normals, inv, budget(dirs, normals), *rest)
+
+    monkeypatch.setattr(_kernels, "_row_extremes", tiny_extremes)
+    monkeypatch.setattr(_kernels, "_window_cuts", tiny_cuts)
 
 
 def _force_float32(monkeypatch):
@@ -299,7 +348,7 @@ def chord_path(request, monkeypatch):
 def test_facet_chords_match_loop_and_dense_float64(chord_path, seed):
     # upper ends (finite or not), lower ends and empty chords all occur
     args = _chord_workload(seed)
-    got = facet_chords(*args)
+    got = facet_chords(*args)[:2]
     both = _reflected(*args)
     _assert_same_chords(got, _chords_loop(*both), *both)
     _assert_same_chords(got, _chords_dense64(*both), *both)
@@ -310,7 +359,9 @@ def test_facet_chords_match_loop_and_dense_float64(chord_path, seed):
 
 def test_facet_chords_no_constraints():
     dirs = _chord_workload(11)[0]
-    lo, hi = facet_chords(dirs, np.zeros((0, 5)), np.zeros(0), np.zeros(0))
+    lo, hi, cuts = facet_chords(dirs, np.zeros((0, 5)), np.zeros(0),
+                                np.zeros(0))
+    assert cuts is None
     assert np.array_equal(lo, np.zeros(2 * dirs.shape[0]))
     assert np.array_equal(hi, np.full(2 * dirs.shape[0], np.inf))
 
@@ -322,7 +373,7 @@ def test_facet_chords_manual_case(chord_path):
     offsets = np.array([1.0, -0.5, 0.0])
     dirs = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
                      [0.0, -1.0], [1.0, -1.0], [1.0, 1.0]])
-    lo, hi = facet_chords(dirs, normals, base, offsets)
+    lo, hi, _ = facet_chords(dirs, normals, base, offsets)
     # then the reflected directions: only -(-1, 0) = (1, 0) meets x0 >= 0.5
     assert lo.tolist() == [0.5, 0.25, 0.0, 0.0, 0.0, 0.5, 0.0,
                            0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0]
@@ -373,7 +424,7 @@ def _check_near_ties(seed, side):
     i32 = (1.0 / (offsets - base)[:2 * pairs]).astype(np.float32)
     t32 = np.einsum("ij,ij->i", np.repeat(a32, 2, axis=0), x32) * i32
     assert np.any((t32[0::2] > t32[1::2]) != (sign > 0))
-    lo, hi = facet_chords(*args)
+    lo, hi, _ = facet_chords(*args)
     both = _reflected(*args)
     _assert_same_chords((lo, hi), _chords_loop(*both), *both)
     _assert_same_chords((lo, hi), _chords_dense64(*both), *both)
@@ -399,8 +450,8 @@ def test_facet_chords_near_ties_at_the_row_minimum_match_loop(chord_path,
 @pytest.mark.parametrize("side", [1.0, -1.0])
 def test_float32_chords_in_tiny_blocks_are_the_default_block_chords(
         monkeypatch, side):
-    # a block's candidates are filtered against its own rows' extremes, so
-    # the blocking moves no candidate and no recheck
+    # each entry is filtered against its own row's bound, so the blocking
+    # moves no candidate and no recheck
     _force_float32(monkeypatch)
     args, _ = _near_tie_workload(0, side=side)
     dirs, normals, base, offsets = args
@@ -409,7 +460,7 @@ def test_float32_chords_in_tiny_blocks_are_the_default_block_chords(
     want = facet_chords(*args)
     _tiny_blocks(monkeypatch, 4)
     got = facet_chords(*args)
-    for g, w in zip(got, want):
+    for g, w in zip(got[:2], want[:2]):
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
@@ -424,7 +475,7 @@ def test_float32_chords_with_a_reused_buffer_are_the_fresh_chords(
     y32 = np.full(normals.size + 7, np.float32(3.5))
     for _ in range(2):
         got = facet_chords(*args, y32=y32)
-        for g, w in zip(got, want):
+        for g, w in zip(got[:2], want[:2]):
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
     assert not np.all(y32[:normals.size] == np.float32(3.5))
 
@@ -446,8 +497,9 @@ def test_chords_whose_float32_product_could_overflow_run_in_float64(
     got = facet_chords(dirs, normals, base, offsets)
     monkeypatch.setattr(_kernels, "_FLOAT32_MIN_K", k + 1)
     want = facet_chords(dirs, normals, base, offsets)
-    for g, w in zip(got, want):
+    for g, w in zip(got[:2], want[:2]):
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    assert got[2] is None
     assert np.any(np.isfinite(got[1]) & (got[1] > 0.0))
 
 
@@ -473,11 +525,128 @@ def test_facet_chords_large_shape_matches_dense_float64():
     z = rng.standard_normal((n, d))
     z -= np.outer(z @ X0, X0)
     dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
-    got = facet_chords(dirs, normals, base, offsets)
     both = _reflected(dirs, normals, base, offsets)
-    _assert_same_chords(got, _chords_dense64(*both), *both)
-    assert np.array_equal(got[0], np.zeros(2 * n))
-    assert np.all(np.isfinite(got[1]))
+    ref = _chords_dense64(*both)
+    assert np.array_equal(ref[0], np.zeros(2 * n))
+    assert np.all(np.isfinite(ref[1]))
+    # a window top at the median end: the ends above it read inf
+    top = float(np.median(ref[1]))
+    lo, hi, cuts = facet_chords(dirs, normals, base, offsets, top=top)
+    below = ref[1] < top * (1.0 - 1e-9)
+    _assert_same_chords((lo[below], hi[below]), (ref[0][below], ref[1][below]),
+                        both[0][below], *both[1:])
+    assert np.all(np.isinf(hi[ref[1] > top * (1.0 + 1e-9)]))
+    assert not lo.any()
+    # the cuts: every entry whose end lies below the top (no entry lies
+    # within the rounding of the dense product of the top)
+    want = _dense_cuts(dirs, normals, base, offsets, top, 1.0)
+    got = _sorted_cuts(cuts)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.allclose(got[2], want[2], rtol=1e-12, atol=0.0)
+
+
+def _window_table(top):
+    """A radius table whose window ends at `top`: F is 1 from there on."""
+    return bodies._InverseCdfTable(lambda s: -(s - 0.5 * top) ** 2,
+                                   0.05 * top, top, 0.0)
+
+
+def _per_row_radii(seed, n):
+    return np.random.default_rng(seed).uniform(0.3, 1.0, n)
+
+
+def _ends_over_radii(lo, hi, radii):
+    rho = np.tile(radii, 2)
+    return lo / rho, hi / rho
+
+
+@pytest.mark.parametrize("workload", ["generic", "near ties"])
+@pytest.mark.parametrize("seed", range(2))
+def test_window_cuts_are_the_dense_cuts_and_keep_the_weights(chord_path,
+                                                             workload, seed):
+    # per-row radii (q < d - 1) and a window top at the median end: the
+    # float32 product's cuts are the entries whose end, over the radius,
+    # lies below the top, with the values of the float64 recheck, and
+    # w = F(hi) - F(lo) keeps the bits that the row maxima of those values
+    # give (the row-extreme filter's chords); a dirty, longer float32
+    # buffer changes nothing
+    args = (_chord_workload(seed) if workload == "generic"
+            else _near_tie_workload(seed)[0])
+    dirs, normals, base, offsets = args
+    radii = _per_row_radii(seed, dirs.shape[0])
+    v = _cut_values(*args)
+    M = v.max(axis=1)
+    with np.errstate(divide="ignore"):
+        max_hi = np.where(M > 0.0, 1.0 / M, np.inf)
+    ends = max_hi / np.tile(radii, 2)
+    top = float(np.median(ends[np.isfinite(ends)]))
+    table = _window_table(top)
+    y32 = np.full(normals.size + 5, np.float32(7.0))
+    for _ in range(2):
+        lo, hi, cuts = facet_chords(*args, y32=y32, top=top, radii=radii)
+        if chord_path == "float64":
+            assert cuts is None
+            continue
+        want = _dense_cuts(dirs, normals, base, offsets, top, radii, v=v)
+        assert want[0].size > 0
+        for g, w in zip(_sorted_cuts(cuts), want):
+            assert np.array_equal(g, w)
+        assert np.any(np.isinf(hi) & np.isfinite(max_hi))
+        # the row-extreme filter's chords: hi from the row maxima, lo and
+        # the chords that a nonpositive slack empties (hi = 0) as the dense
+        # branch gives them
+        empty = (hi == 0.0) | ~(lo < max_hi)
+        ref = (np.where(empty, 0.0, lo), np.where(empty, 0.0, max_hi))
+        rho = np.tile(radii, 2)
+        F = [table.cdf_at(e / rho) for e in (lo, hi)]
+        F_ref = [table.cdf_at(e / rho) for e in ref]
+        w, w_ref = F[1] - F[0], F_ref[1] - F_ref[0]
+        assert np.array_equal(w.view(np.int64), w_ref.view(np.int64))
+        # F(hi) and F(lo) themselves agree too, except where a nonpositive
+        # slack starts the chord at or beyond the top (w = 0 either way)
+        late = lo / rho >= top
+        assert np.all(w[late] == 0.0)
+        for g, r in zip(F, F_ref):
+            assert np.array_equal(g[~late].view(np.int64),
+                                  r[~late].view(np.int64))
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_window_cuts_at_ulps_from_the_threshold(monkeypatch, per_row):
+    # unit normals e_j with slack 1, so v_rj = a_rj exactly, set 4 ulps
+    # below to 3 above 1 / (b rho_r) (12 to 5 below on half the rows),
+    # negated on every other row (a cut of -a_r): an entry is a cut
+    # exactly when fl(fl(1 / v) / rho_r) < b
+    _force_float32(monkeypatch)
+    d, n, top = 8, 40, 3.7
+    radii = _per_row_radii(3, n) if per_row else np.ones(n)
+    dirs = np.empty((n, d))
+    for r in range(n):
+        val = 1.0 / (top * radii[r])
+        for _ in range(4 if r % 4 < 2 else 12):
+            val = np.nextafter(val, 0.0)
+        for c in range(d):
+            dirs[r, c] = val if r % 2 == 0 else -val
+            val = np.nextafter(val, np.inf)
+    lo, hi, cuts = facet_chords(dirs, np.eye(d), np.zeros(d), np.ones(d),
+                                top=top, radii=radii if per_row else 1.0)
+    v = np.vstack([dirs, -dirs])
+    rho = np.tile(radii, 2)[:, None]
+    inside = (v > 0.0) & ((1.0 / v) / rho < top)
+    assert inside.any() and (~inside & (v > 0.0)).any()
+    r, j = np.nonzero(inside)
+    got = _sorted_cuts(cuts)
+    assert np.array_equal(got[0], r) and np.array_equal(got[1], j)
+    assert np.array_equal(got[2], v[r, j])
+    # each row's upper end comes from its largest cut, and is inf (at or
+    # beyond the top) without one
+    M = np.where(inside, v, -np.inf).max(axis=1)
+    with np.errstate(divide="ignore"):
+        want = np.where(M > 0.0, 1.0 / M, np.inf)
+    assert np.array_equal(hi, want) and not lo.any()
+    past = np.isinf(want) & (v.max(axis=1) > 0.0)
+    assert past.any() and np.all((1.0 / v.max(axis=1)[past]) / rho[past, 0]
+                                 >= top)
 
 
 def test_facet_chords_huge_offsets(chord_path):
@@ -486,11 +655,11 @@ def test_facet_chords_huge_offsets(chord_path):
     huge = offsets.copy()
     huge[[1, 5]] = 1e300  # finite, far beyond float32
     for offs in (huge, np.full(9, 1e300)):
-        got = facet_chords(dirs, normals, base, offs)
+        got = facet_chords(dirs, normals, base, offs)[:2]
         both = _reflected(dirs, normals, base, offs)
         _assert_same_chords(got, _chords_loop(*both), *both)
     assert np.all(got[1] > 1e299)  # one in 2^9 rows would be inf
-    lo, hi = facet_chords(dirs, normals, base, np.full(9, -1e300))
+    lo, hi, _ = facet_chords(dirs, normals, base, np.full(9, -1e300))
     assert not lo.any() and not hi.any()  # every chord empty
 
 
@@ -504,16 +673,18 @@ def test_facet_chords_nonpositive_slack_cases(chord_path):
         # seen from the outer facet at 1.0, the inner one at 0.5 cuts the
         # whole hyperplane: every chord is empty or starts past 1e16, where
         # no radius table reaches
-        lo, hi = facet_chords(dirs, normals, np.array([1.0]), np.array([0.5]))
+        lo, hi, _ = facet_chords(dirs, normals, np.array([1.0]),
+                                 np.array([0.5]))
         assert np.all((hi == 0.0) | (lo > 1e16))
         assert not hi.any() if normals is zero else lo.any()
         # the inner facet sees the outer one (slab: the opposite side) as
         # no constraint at all
-        lo, hi = facet_chords(dirs, normals, np.array([0.5]), np.array([1.0]))
+        lo, hi, _ = facet_chords(dirs, normals, np.array([0.5]),
+                                 np.array([1.0]))
         assert not lo.any() and np.all(hi > 1e16)
     # zero slack: empty where the neighbour's normal leans forward
     normals = np.array([[0.0, 1.0, 0.0, 0.0]])
-    lo, hi = facet_chords(dirs, normals, np.zeros(1), np.zeros(1))
+    lo, hi, _ = facet_chords(dirs, normals, np.zeros(1), np.zeros(1))
     both = np.vstack([dirs, -dirs])
     assert np.array_equal(hi == 0.0, both[:, 1] > 0.0)
     assert np.all(np.isinf(hi[both[:, 1] < 0.0])) and not lo.any()
@@ -528,7 +699,7 @@ def test_facet_chords_of_a_stack_of_one_set_are_the_unstacked_chords(
         offsets[0] = base[0] + offsets_first
         want = facet_chords(dirs, normals, base, offsets)
         got = facet_chords(dirs, normals[None], base, offsets)
-        for g, w in zip(got, want):
+        for g, w in zip(got[:2], want[:2]):
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
@@ -565,13 +736,14 @@ def test_facet_chords_of_rotated_normals_are_those_of_rotated_directions(
     rotations = eyes.swapaxes(1, 2)
     assert sets.ndim == 3 and np.isscalar(radii) == (case == "q = d-1")
     assert np.array_equal(sets, normals @ eyes)
-    lo, hi = (e.reshape(2, -1) for e in facet_chords(theta, sets, base, offsets))
+    lo, hi = (e.reshape(2, -1)
+              for e in facet_chords(theta, sets, base, offsets)[:2])
     # set-major, as the chords come: theta Q_b for every b in turn
     u = np.concatenate(list(theta @ rotations))
     radii = np.broadcast_to(radii, (theta.shape[0], sets.shape[0])).T.ravel()
     lo, hi = lo / radii, hi / radii
     u *= radii[:, None]
-    want = (e.reshape(2, -1) for e in facet_chords(u, normals, base, offsets))
+    want = (e.reshape(2, -1) for e in facet_chords(u, normals, base, offsets)[:2])
     for g, w in zip((lo, hi), want):
         assert np.array_equal(g == 0.0, w == 0.0)
         assert np.array_equal(np.isinf(g), np.isinf(w))
