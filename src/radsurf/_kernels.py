@@ -45,15 +45,16 @@ coordinates, below _FLOAT32_MIN_D, so its filtered products have R = 1.)
 The filter works against the window top: facet Monte Carlo reads a chord
 end only through F(end / rho_r), the CDF of its radius table at the end
 divided by the direction's radius rho_r (`radii`), and F is exactly 1 at
-and above the table's top b (`top`).  Constraint j with v_rj > 0 alone
+and above a top b (`top`: the first knot from which the table's CDF reads
+exactly 1, at or below its window's end).  Constraint j with v_rj > 0 alone
 ends the chord at s_rj = fl(fl(1 / v_rj) / rho_r), the expression the
 caller evaluates, and it is an in-window cut when s_rj < b.  The kernel
-returns those cuts as (row, constraint, v_rj).  s_rj is nonincreasing in
-v_rj, so when a row has a cut its largest v_rj is one, and that is M_r:
-hi_r = 1 / M_r exactly as the float64 expression gives it.  When a row has
-none, its end lies at or above b and the kernel returns hi_r = inf, which
-F maps to 1 as it maps the true end.  So w = F(hi) - F(lo) keeps its bits,
-and with b = inf (the default) every chord is the float64 expression's.
+returns those cuts as (row, constraint, v_rj) when the caller asks for
+them (`cuts`).  s_rj is nonincreasing in v_rj, so when a row has a cut its
+largest v_rj is one, and that is M_r: hi_r = 1 / M_r exactly as the
+float64 expression gives it.  When a row has none, its end lies at or
+above b and the kernel returns hi_r = inf, which F maps to 1 as it maps
+the true end.  So w = F(hi) - F(lo) keeps its bits.
 For -a_r the cuts are the entries with -v_rj > 0 and
 fl(fl(1 / -v_rj) / rho_r) < b.  Every cut has v_rj > L_r, the float64
 value of (1 / (b rho_r)) (1 - 8u'), which is 0 for b = inf: the two
@@ -95,11 +96,25 @@ L_r < v_rj <= 2 |a_r| Y, so that subtraction errs by at most
 u' (L_r + m_r) <= e_r.  For -a_r the same argument holds with
 a_r -> -a_r: |a_r| and so m_r are unchanged, and t_rj and v_rj change sign
 exactly, so the candidates are the entries with t_rj <= -fl(L_r - m_r).
-One float64 pass rechecks both sets.  The bounds assume no float32
+
+Without `cuts` the kernel needs M_r alone, and it rechecks only the
+candidates that can attain it: those with also t_rj >= fl(R_r - 2 m_r),
+R_r = max_j t_rj (a block of rows holds every constraint of its rows, so
+R_r is final).  When the row has a cut, the argmax j* of v_rj is one and
+so a candidate, and with R_r attained at j',
+t_rj* >= v_rj* - e_r >= v_rj' - e_r >= R_r - 2 e_r >= fl(R_r - 2 m_r),
+that subtraction erring by at most u' (|R_r| + 2 m_r) <= e_r.  For -a_r
+the candidates are likewise also those with
+t_rj <= -fl(-min_j t_rj - 2 m_r).  That leaves about one recheck per row
+with a cut, where the cuts need every in-window entry, and costs a pass
+for each row extreme.
+
+One float64 pass rechecks both sides.  The bounds assume no float32
 overflow: the product is taken in float64 unless P <= 2^100 and d u < 1/2,
-and then every float32 quantity above stays below 2^102.  The recheck's inner products come from another evaluation
-order than a BLAS product, so M_r can differ from the float64 path's in
-its last bits, which moves w = F(hi) - F(lo) by as little.
+and then every float32 quantity above stays below 2^102.  The recheck's
+inner products come from another evaluation order than a BLAS product, so
+M_r can differ from the float64 path's in its last bits, which moves
+w = F(hi) - F(lo) by as little.
 """
 
 import math
@@ -135,23 +150,24 @@ def _gamma(n, u):
     return n * u / (1.0 - n * u) if n * u < 0.5 else math.inf
 
 
-def facet_chords(dirs, normals, base, offsets, budget=None, y32=None,
-                 top=math.inf, radii=1.0):
+def facet_chords(dirs, normals, base, offsets, top, radii, *, cuts=False,
+                 budget=None, y32=None):
     """The chords [lo, hi] of radii s >= 0 at which
     base[j] + s <a, normals[j]> <= offsets[j] holds for every j, for the
     2n directions a of [dirs; -dirs]: entry r < n is the chord of dirs[r],
     entry n + r that of its reflection -dirs[r], both from one product, as
-    the float64 expressions give them (see the module docstring), with the
-    in-window cuts of the float32 product: (lo, hi, cuts).  An empty chord
-    reads lo = hi = 0; with no constraints every chord is [0, inf).
+    the float64 expressions give them (see the module docstring), and the
+    in-window cuts of the float32 product when `cuts` is true:
+    (lo, hi, cuts).  An empty chord reads lo = hi = 0; with no constraints
+    every chord is [0, inf).
 
     `top` is the window top b of the caller's radius table and `radii` the
     directions' radii rho_r (a scalar or n values).  On the float32 product
-    an upper end whose hi / rho_r lies at or above b reads inf, and cuts is
-    (rows, constraints, values): every entry row r < 2n, constraint j with
-    fl(fl(1 / v) / rho_r) < b for v = v_rj of dirs[r] (-v_rj of -dirs[r]
-    for row n + r).  On the float64 products the chords are exact and cuts
-    is None.
+    an upper end whose hi / rho_r lies at or above b reads inf, and with
+    `cuts` the cuts are (rows, constraints, values): every entry row
+    r < 2n, constraint j with fl(fl(1 / v) / rho_r) < b for v = v_rj of
+    dirs[r] (-v_rj of -dirs[r] for row n + r).  Otherwise, and on the
+    float64 products, whose chords are exact, cuts is None.
 
     The products go in blocks of at most `budget` bytes (_BLOCK_BYTES by
     default).  `y32`, a float32 array of at least k q entries, receives the
@@ -167,9 +183,9 @@ def facet_chords(dirs, normals, base, offsets, budget=None, y32=None,
     n = R * dirs.shape[0]  # chords per half
     lo = np.zeros(2 * n)
     hi = np.full(2 * n, math.inf)
-    cuts = None
+    found = None
     if k == 0 or n == 0:
-        return lo, hi, cuts
+        return lo, hi, found
     slack = offsets - base
     up = slack > 0.0
     empty = np.zeros(2 * n, dtype=bool)
@@ -188,21 +204,21 @@ def facet_chords(dirs, normals, base, offsets, budget=None, y32=None,
         budget = _BLOCK_BYTES if budget is None else budget
         top_v = None
         if filtered(R, k, dirs.shape[1]):
-            top_v, cuts = _window_cuts(dirs, sets[0], inv, budget, y32, top,
-                                       radii)
+            top_v, found = _window_cuts(dirs, sets[0], inv, budget, y32, top,
+                                        radii, cuts)
         if top_v is None:
             top_v = _row_extremes(dirs, sets, inv, budget)
         hi = np.divide(1.0, top_v, out=hi, where=top_v > 0.0)
     empty |= ~(lo < hi)
     lo[empty] = 0.0
     hi[empty] = 0.0
-    return lo, hi, cuts
+    return lo, hi, found
 
 
 def filtered(R, k, q):
     """Whether `facet_chords` takes the filtered float32 product for R sets
-    of k normals with q coordinates (and returns cuts, unless that product
-    could overflow)."""
+    of k normals with q coordinates (and can return cuts, unless that
+    product could overflow)."""
     return R == 1 and q >= _FLOAT32_MIN_D and k >= _FLOAT32_MIN_K
 
 
@@ -235,14 +251,14 @@ def _row_extremes(dirs, sets, inv, budget):
     return np.concatenate([top.ravel(), -bottom.ravel()])
 
 
-def _window_cuts(dirs, normals, inv, budget, y32, top, radii):
+def _window_cuts(dirs, normals, inv, budget, y32, top, radii, cuts):
     """(M, cuts) by the filtered float32 product of the module docstring,
     for the 2n rows of `facet_chords`: M_r the largest cut of row r (-inf
-    without one) and cuts its (rows, constraints, values); (None, None)
-    when the float32 evaluation could overflow.  The product goes in
-    blocks of rows of at most `budget` bytes, each block holding every
-    constraint of its rows; the float32 normals go into `y32` when it is
-    not None."""
+    without one) and, when `cuts` is true, every cut as (rows,
+    constraints, values), else None; (None, None) when the float32
+    evaluation could overflow.  The product goes in blocks of rows of at
+    most `budget` bytes, each block holding every constraint of its rows;
+    the float32 normals go into `y32` when it is not None."""
     n, d = dirs.shape
     k = normals.shape[0]
     if y32 is None:
@@ -254,24 +270,32 @@ def _window_cuts(dirs, normals, inv, budget, y32, top, radii):
         return None, None
     y32 *= inv.astype(np.float32)[:, None]
     rho = np.broadcast_to(radii, (1, n)).ravel()
-    # the float32 |t| >= x, for float64 x, is |t| >= _above32(x): the
-    # candidates of both sides (rounding to float32 is odd)
+    # the float32 t >= x, for float64 x, is t >= _above32(x), and t <= -x
+    # is -t >= _above32(x) (rounding to float32 is odd)
     floor = _above32(1.0 / (top * rho) * (1.0 - 8 * _U64) - margin)
     a32 = dirs.astype(np.float32)
     blocks = _blocks(n, budget // (4 * k))
     buf = np.empty(k * blocks[0].stop, dtype=np.float32)
-    near = np.empty(k * blocks[0].stop, dtype=bool)
+    near = np.empty((2, k * blocks[0].stop), dtype=bool)
     found = []
     for blk in blocks:
         b = blk.stop - blk.start
         t = buf[:k * b].reshape(k, b)
         np.matmul(y32, a32[blk].T, out=t)
-        np.greater_equal(np.abs(t, out=t), floor[blk], out=near[:k * b].reshape(k, b))
-        j, r = np.divmod(np.flatnonzero(near[:k * b]), b)
+        up, down = (e[:k * b].reshape(k, b) for e in near)
+        if cuts:  # both sides at once: the recheck gives each its sign
+            np.greater_equal(np.abs(t, out=t), floor[blk], out=up)
+        else:  # the entries that can hold the row's largest cut, each side
+            lead = _above32(t.max(axis=0) - 2.0 * margin[blk])
+            np.greater_equal(t, np.maximum(floor[blk], lead), out=up)
+            lead = _above32(-t.min(axis=0) - 2.0 * margin[blk])
+            np.less_equal(t, -np.maximum(floor[blk], lead), out=down)
+            np.logical_or(up, down, out=up)
+        j, r = np.divmod(np.flatnonzero(up), b)
         found.append((j, r + blk.start))
+    j, r = (np.concatenate(e) for e in zip(*found))
     # the recheck reads the normals in order, each row once for all its
     # candidates
-    j, r = (np.concatenate(e) for e in zip(*found))
     order = np.argsort(j, kind="stable")
     j, r = j[order], r[order]
     v = np.empty(j.size)
@@ -287,11 +311,13 @@ def _window_cuts(dirs, normals, inv, budget, y32, top, radii):
     with np.errstate(divide="ignore"):
         inside = (1.0 / np.abs(v)) / rho[r] < top
     up, down = inside & (v > 0.0), inside & (v < 0.0)
-    cuts = (np.concatenate([r[up], r[down] + n]), np.concatenate([j[up], j[down]]),
-            np.concatenate([v[up], -v[down]]))
+    rows = np.concatenate([r[up], r[down] + n])
+    vals = np.concatenate([v[up], -v[down]])
     M = np.full(2 * n, -np.inf)
-    np.maximum.at(M, cuts[0], cuts[2])
-    return M, cuts
+    np.maximum.at(M, rows, vals)
+    if not cuts:
+        return M, None
+    return M, (rows, np.concatenate([j[up], j[down]]), vals)
 
 
 def _blocks(count, step):

@@ -132,13 +132,14 @@ _RQMC_REPLICATES = 16
 # float32 chord product scores the pair-cut control variate
 # (`_facet_values`).  Set by std_error^2 x seconds, variate over plain, at
 # 2000 samples per facet (2-core x86 host; Gaussian; mean std_error^2 of 3
-# seeds; the two took the same time to within the host's noise):
-# construction polytopes at d = 1024 (sum 0.18) 8.5-8.9x, random polytopes
-# of 1100 facets at d = 400 and 512 (sum 0.21 to 9.4) 6.1-6.5x at 0.21,
-# 3.6-4.0x at 0.30, 1.8-2.0x at 0.47, 1.3-1.4x at 0.57, 0.86-0.94x at 0.70,
-# 0.57-0.62x at 0.86, 0.12-0.13x at 1.6 and 0.0009x at 5.4, and boxes at
-# d = 520 16-20x at 0.11, 2.3-2.4x at 0.47, 1.2x at 0.67, 0.58x at 0.93 and
-# 0.10x at 1.8.
+# to 5 seeds; the variate took 0.75-1.04x the plain score's time at sums
+# up to 0.18 and 1.1-1.5x from 0.21 to 0.93): construction polytopes at
+# d = 1024 (sum 0.18) 9-12x, random polytopes of 1100 facets at d = 400
+# and 512 (sum 0.21 to 9.4) 5.3-5.8x at 0.21, 3.0-3.5x at 0.30, 1.4-1.7x at
+# 0.47, 0.91-1.10x at 0.57, 0.68-0.79x at 0.70, 0.41-0.50x at 0.86,
+# 0.06-0.08x at 1.6 and 0.0003x at 5.4, and boxes at d = 520 15-20x at
+# 0.11, 1.9-2.1x at 0.47, 1.0-1.1x at 0.67, 0.41-0.49x at 0.93 and 0.06x
+# at 1.8.
 _CV_MAX_SUM = 0.6
 
 # The pair-cut table (`_pair_cut_means`) starts from a Chebyshev
@@ -451,10 +452,11 @@ class _InverseCdfTable:
     interpolation error of the CDF is below _TABLE_TOL in probability;
     NumericsError when that needs more than `max_knots` knots.  `cdf_error`
     is the midpoint error that the final grid reaches.  `slope` is what
-    `cdf_at` reads.
+    `cdf_at` reads.  `top` is the first knot at which the CDF rounds to 1:
+    `cdf_at` reads exactly 1 at and above it, at or below the window's end.
     """
 
-    __slots__ = ("grid", "cdf", "slope", "cdf_error")
+    __slots__ = ("grid", "cdf", "slope", "cdf_error", "top")
 
     def __init__(self, logf_vec, a, b, log_peak, max_knots=1 << 16):
         if not b > a:
@@ -486,6 +488,9 @@ class _InverseCdfTable:
         self.cdf_error = float(mid_err)
         # np.interp's slope on each knot interval, and 0 past the last knot
         self.slope = np.append(np.diff(cdf) / np.diff(grid), 0.0)
+        # the knots from here on hold 1, and so do the intervals between
+        # them (slope 0), which is where cdf_at puts every t >= top
+        self.top = float(grid[np.argmax(cdf == 1.0)])
 
     def sample(self, u):
         """Map uniforms in [0, 1) to radii by linear interpolation."""
@@ -532,13 +537,14 @@ def _facet_table(law) -> _InverseCdfTable:
     return _InverseCdfTable(law.logf_vec, *law.window, law.log_peak)
 
 
-def _pair_cut_means(law, n, kappa):
+def _pair_cut_means(law, n, kappa, limit):
     """(mu, error): the pair-cut means mu_j = M(kappa_j) of a facet law for
     the kappa_j > 0 of its neighbours, and one bound on the error of every
-    mu_j.  M(kappa) = E_s[T_n(kappa / s)], s from `law` (the facet's radius
-    law) and T_n(tau) = P(u_1 > tau) for u uniform on the unit sphere of
-    R^n (`_cap_tail` with n - 1), is the probability that a neighbour at
-    slack sigma and unit normal of in-plane length sqrt(1 - c^2),
+    mu_j; None when sum_j mu_j exceeds `limit`.
+    M(kappa) = E_s[T_n(kappa / s)], s from `law` (the facet's radius law)
+    and T_n(tau) = P(u_1 > tau) for u uniform on the unit sphere of R^n
+    (`_cap_tail` with n - 1), is the probability that a neighbour at slack
+    sigma and unit normal of in-plane length sqrt(1 - c^2),
     kappa = sigma / sqrt(1 - c^2), cuts off a point of the facet's
     hyperplane.  An infinite kappa (a parallel neighbour) gives 0.
 
@@ -548,7 +554,10 @@ def _pair_cut_means(law, n, kappa):
     degree, which interleave with its nodes, and with the degree doubled
     from _PAIR_DEGREE until it is within _PAIR_TOL of M there, or reaches
     _PAIR_MAX_DEGREE.  The error is that check's plus the largest
-    quadrature error of `expect`."""
+    quadrature error of `expect`.  M is nonincreasing, so the first
+    degree's points already bound the sum from below (each mu_j by M at the
+    next point above kappa_j, less its quadrature error), and a sum that
+    bound puts above `limit` ends the table there."""
     mu = np.zeros(kappa.size)
     fin = np.isfinite(kappa)
     ks = kappa[fin]
@@ -563,20 +572,26 @@ def _pair_cut_means(law, n, kappa):
     if uniq.size <= 2 * _PAIR_DEGREE:
         vals, err = tails(uniq)
         mu[fin] = vals[np.searchsorted(uniq, ks)]
-        return mu, float(err.max())
+        return (mu, float(err.max())) if mu.sum() <= limit else None
     cheb = np.polynomial.chebyshev
     mid, half = 0.5 * (uniq[-1] + uniq[0]), 0.5 * (uniq[-1] - uniq[0])
     deg = _PAIR_DEGREE
     while True:
         nodes, check = cheb.chebpts1(deg + 1), cheb.chebpts2(deg + 2)
-        vals, err = tails(mid + half * np.concatenate([nodes, check]))
+        grid = mid + half * np.concatenate([nodes, check])
+        vals, err = tails(grid)
+        if deg == _PAIR_DEGREE:
+            order = np.argsort(grid)
+            low = np.append(vals[order] - err[order], 0.0)  # 0 above the grid
+            if low[np.searchsorted(grid[order], ks)].sum() > limit:
+                return None
         coef = cheb.chebfit(nodes, vals[:deg + 1], deg)
         check_err = float(np.abs(cheb.chebval(check, coef) - vals[deg + 1:]).max())
         if check_err <= _PAIR_TOL or deg >= _PAIR_MAX_DEGREE:
             break
         deg *= 2
     mu[fin] = cheb.chebval((ks - mid) / half, coef)
-    return mu, check_err + float(err.max())
+    return (mu, check_err + float(err.max())) if mu.sum() <= limit else None
 
 
 def _pair_cut_sum(law, d, shape, slack, c):
@@ -590,9 +605,10 @@ def _pair_cut_sum(law, d, shape, slack, c):
         return None
     with np.errstate(divide="ignore"):
         kappa = slack / np.sqrt(np.maximum((1.0 - c) * (1.0 + c), 0.0))
-    mu, err = _pair_cut_means(law, d - 1, kappa)
-    total = float(mu.sum())
-    return (total, shape[0] * err) if total <= _CV_MAX_SUM else None
+    means = _pair_cut_means(law, d - 1, kappa, _CV_MAX_SUM)
+    if means is None:
+        return None
+    return float(means[0].sum()), shape[0] * means[1]
 
 
 def _cut_excess(w, cuts, radii, table):
@@ -874,13 +890,15 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     pair-cut mean of `_pair_cut_means` (the probability that j cuts off a
     point of the hyperplane, a 1-D expectation over the facet's law).  So
     p_i = 1 - sum_j mu_ij + E[z], and only the overlap of the cuts is
-    sampled.  r_j is 0 unless t_j lies below the table's window top, and
-    the kernel returns exactly those cuts.  The value is
+    sampled.  r_j is 0 unless t_j lies below the table's `top`, from which
+    its CDF reads exactly 1, and the kernel returns exactly those cuts (and
+    reads chord ends at or above it as inf, which keeps w's bits).  The
+    value is
     hs (1 - sum_j mu_ij + mean z), z from the same draw's pair means; the
     std_error is hs times their spread, as for w, and in quadrature two
     table terms: hs times the summed error of the mu_ij, and
-    hs (2 + c) cdf_error, c the mean number of in-window cuts per
-    direction (F enters w once and each r_j once; 2 cdf_error is the RQMC
+    hs (2 + c) cdf_error, c the mean number of those cuts per direction
+    (F enters w once and each r_j once; 2 cdf_error is the RQMC
     rule's bound on the bias of w).  accepted stays the sum of the pair
     means of w, and the draw and the RNG stream are the plain score's.  At
     d = 1024 (construction polytopes, sum_j mu_ij = 0.18) the variance
@@ -1041,8 +1059,9 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
         zs, cut_count = [], 0
         for theta, sets, radii, out in _direction_blocks(rng, buf, S, d - 1,
                                                          draw):
-            lo, hi, cuts = _kernels.facet_chords(theta, sets, base, ro, budget,
-                                                 y32, table.grid[-1], radii)
+            lo, hi, cuts = _kernels.facet_chords(
+                theta, sets, base, ro, table.top, radii,
+                cuts=cv is not None, budget=budget, y32=y32)
             # theta against every set, then -theta, each half shaped as
             # out; the chord of rho v is that of v divided by rho
             lo, hi = (e.reshape(2, *out.shape) for e in (lo, hi))

@@ -209,7 +209,7 @@ class _RadialLaw:
             )
         return log_peak + math.log(val)
 
-    def expect(self, g, nodes=64):
+    def expect(self, g, nodes):
         """(E[g(s)], error) under the law's density, normalised on its
         window: a Gauss-Legendre rule of `nodes` and of 2 `nodes` nodes on
         each piece of the window between its ends, the peak and the kinks,

@@ -982,7 +982,8 @@ def test_rqmc_facet_scores_exactly_its_samples(d, S, get_profile):
         def pair_means(u):
             lo, hi, _ = _kernels.facet_chords(u, normals,
                                               rho[i] * np.delete(Xx, i),
-                                              np.delete(rho, i))
+                                              np.delete(rho, i),
+                                              table.top, 1.0)
             w = table.cdf_at(hi) - table.cdf_at(lo)
             return 0.5 * (w[:u.shape[0]] + w[u.shape[0]:])
 
@@ -1249,14 +1250,14 @@ def test_pool_pins_blas_and_restores_it(get_profile, monkeypatch):
     seen = []
     chords = _kernels.facet_chords
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         seen.append(get_threads())
-        return chords(*args)
+        return chords(*args, **kwargs)
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         if threading.get_ident() != caller:
             raise RuntimeError("worker fails")
-        return chords(*args)
+        return chords(*args, **kwargs)
 
     caller = threading.get_ident()
     prof = get_profile("gaussian", 4)
@@ -1314,6 +1315,14 @@ def test_every_radius_table_carries_its_slopes(get_profile):
         t = np.linspace(table.grid[0], table.grid[-1], 1001)
         assert np.array_equal(table.cdf_at(t), np.interp(t, table.grid,
                                                          table.cdf))
+        # exactly 1 from `top` on (the facet chord kernel's window top),
+        # short of the window's end, and below 1 a knot before it
+        past = np.append(np.linspace(table.top, 2.0 * table.grid[-1], 1001),
+                         np.inf)
+        assert np.all(table.cdf_at(past) == 1.0)
+        k = int(np.searchsorted(table.grid, table.top))
+        assert k < table.grid.size - 1 and table.grid[k] == table.top
+        assert table.cdf_at(table.grid[k - 1]) < 1.0
 
 
 # --- one solve per radial law ----------------------------------------------
@@ -1617,11 +1626,11 @@ def test_pair_cut_excess_is_nonnegative_on_every_direction(d, N):
     # direction has its own radius and its own threshold
     prof, body = _float32_polytope(d, N, 2)
     normals, base, offsets, _, _, table = _facet_inputs(prof, body, 3)
-    theta, _, radii = whole_draw(bodies._rng(7, 3), 1500, normals, d - 1)
+    theta, _, radii = whole_draw(bodies._rng(7, 3), 2500, normals, d - 1)
     assert np.isscalar(radii) == (normals.shape[1] == d - 1)
     radii = np.broadcast_to(radii, (theta.shape[0], 1)).ravel()
     lo, hi, cuts = _kernels.facet_chords(theta, normals, base, offsets,
-                                         top=table.grid[-1], radii=radii)
+                                         table.top, radii, cuts=True)
     assert cuts is not None and not lo.any()
     w = table.cdf_at(hi / np.tile(radii, 2))
     z = bodies._cut_excess(w, cuts, radii, table)
@@ -1641,7 +1650,7 @@ def test_pair_cut_means_match_direct_expectations():
     prof, body = _float32_polytope(1024, None, 5)
     _, _, _, _, law, _ = _facet_inputs(prof, body, 0)
     kappa = np.concatenate([np.linspace(1e-9, 6.0, 300), [np.inf]])
-    mu, err = bodies._pair_cut_means(law, 1023, kappa)
+    mu, err = bodies._pair_cut_means(law, 1023, kappa, math.inf)
     assert err < 1e-9 and mu[-1] == 0.0
     a, b = law.window
 
@@ -1689,6 +1698,32 @@ def test_expected_surface_at_d1024_meets_the_exact_value(get_profile):
     assert abs(est.value - 0.563149) <= 4.0 * est.std_error
 
 
+def test_pair_cut_table_stops_where_its_first_points_pass_the_limit(
+        get_profile, monkeypatch):
+    # a d = 520 box, whose neighbours cut off more than _CV_MAX_SUM: with a
+    # check tolerance of 0 the table doubles its degree to _PAIR_MAX_DEGREE,
+    # but the first degree's points already bound the sum above the limit
+    from radsurf import functionals
+    prof = get_profile("gaussian", 520)
+    box = HyperRectangle(np.linspace(2.6, 3.4, 520))
+    _, base, offsets, Xx, law, _ = _facet_inputs(prof, box, 0)
+    with np.errstate(divide="ignore"):
+        kappa = (offsets - base) / np.sqrt((1.0 - Xx) * (1.0 + Xx))
+    calls = []
+    expect = functionals._RadialLaw.expect
+
+    def counted(self, g, nodes):
+        calls.append(nodes)
+        return expect(self, g, nodes)
+
+    monkeypatch.setattr(functionals._RadialLaw, "expect", counted)
+    monkeypatch.setattr(bodies, "_PAIR_TOL", 0.0)
+    assert bodies._pair_cut_means(law, 519, kappa, bodies._CV_MAX_SUM) is None
+    assert len(calls) == 1
+    mu, _ = bodies._pair_cut_means(law, 519, kappa, math.inf)
+    assert mu.sum() > bodies._CV_MAX_SUM and len(calls) > 2
+
+
 def test_facets_outside_the_variate_keep_their_bits(get_profile):
     # float32-product facets that score the plain pair means, with the
     # figures they had before the variate: a box whose neighbours cut off
@@ -1699,7 +1734,9 @@ def test_facets_outside_the_variate_keep_their_bits(get_profile):
     slack = 2.6 * (1.0 - Xx)
     with np.errstate(divide="ignore"):
         kappa = slack / np.sqrt((1.0 - Xx) * (1.0 + Xx))
-    assert bodies._pair_cut_means(law, 519, kappa)[0].sum() > bodies._CV_MAX_SUM
+    assert bodies._pair_cut_means(law, 519, kappa, math.inf)[0].sum() \
+        > bodies._CV_MAX_SUM
+    assert bodies._pair_cut_means(law, 519, kappa, bodies._CV_MAX_SUM) is None
     got = _facet_values(prof, box, 500, 11, facet_indices=[0, 777])
     want = (["0x1.2b16eb8916487p-9", "0x1.8040e6d040fc8p-11"],
             ["0x1.80b7b25932b93p-13", "0x1.f02571fd20af4p-15"],

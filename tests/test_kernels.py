@@ -221,8 +221,8 @@ def _reflected(dirs, normals, base, offsets):
     return np.vstack([dirs, -dirs]), normals, base, offsets
 
 
-def _stacked_dense64(dirs, normals, base, offsets, budget=None, y32=None,
-                     top=np.inf, radii=1.0):
+def _stacked_dense64(dirs, normals, base, offsets, top, radii, *, cuts=False,
+                     budget=None, y32=None):
     """`_chords_dense64` of [dirs; -dirs] against each set of a (k, q)
     array or an (R, k, q) stack, in `facet_chords`' order: the chords of
     dirs against every set, then those of -dirs, and `_dense_cuts` where
@@ -234,10 +234,10 @@ def _stacked_dense64(dirs, normals, base, offsets, budget=None, y32=None,
                for x in sets]
     lo, hi = (np.concatenate([e[:n] for e in ends] + [e[n:] for e in ends])
               for ends in zip(*per_set))
-    cuts = None
-    if _kernels.filtered(*sets.shape):
-        cuts = _dense_cuts(dirs, sets[0], base, offsets, top, radii)
-    return lo, hi, cuts
+    found = None
+    if cuts and _kernels.filtered(*sets.shape):
+        found = _dense_cuts(dirs, sets[0], base, offsets, top, radii)
+    return lo, hi, found
 
 
 def _cut_values(dirs, normals, base, offsets):
@@ -275,6 +275,15 @@ def _sorted_cuts(cuts):
     rows, cols, vals = cuts
     order = np.lexsort((cols, rows))
     return rows[order], cols[order], vals[order]
+
+
+def _top_above(dirs, normals, base, offsets):
+    """A window top just above every finite upper end of the dense chords
+    of [dirs; -dirs] (1 without one): the float32 product filters its
+    entries against it, and every chord keeps its end."""
+    hi = _chords_dense64(*_reflected(dirs, normals, base, offsets))[1]
+    ends = hi[np.isfinite(hi)]
+    return 1.000001 * ends.max() if ends.size else 1.0
 
 
 def _assert_same_chords(got, ref, dirs, normals, base, offsets):
@@ -348,7 +357,7 @@ def chord_path(request, monkeypatch):
 def test_facet_chords_match_loop_and_dense_float64(chord_path, seed):
     # upper ends (finite or not), lower ends and empty chords all occur
     args = _chord_workload(seed)
-    got = facet_chords(*args)[:2]
+    got = facet_chords(*args, _top_above(*args), 1.0)[:2]
     both = _reflected(*args)
     _assert_same_chords(got, _chords_loop(*both), *both)
     _assert_same_chords(got, _chords_dense64(*both), *both)
@@ -360,7 +369,7 @@ def test_facet_chords_match_loop_and_dense_float64(chord_path, seed):
 def test_facet_chords_no_constraints():
     dirs = _chord_workload(11)[0]
     lo, hi, cuts = facet_chords(dirs, np.zeros((0, 5)), np.zeros(0),
-                                np.zeros(0))
+                                np.zeros(0), 1.0, 1.0, cuts=True)
     assert cuts is None
     assert np.array_equal(lo, np.zeros(2 * dirs.shape[0]))
     assert np.array_equal(hi, np.full(2 * dirs.shape[0], np.inf))
@@ -373,7 +382,7 @@ def test_facet_chords_manual_case(chord_path):
     offsets = np.array([1.0, -0.5, 0.0])
     dirs = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
                      [0.0, -1.0], [1.0, -1.0], [1.0, 1.0]])
-    lo, hi, _ = facet_chords(dirs, normals, base, offsets)
+    lo, hi, _ = facet_chords(dirs, normals, base, offsets, 1.5, 1.0)
     # then the reflected directions: only -(-1, 0) = (1, 0) meets x0 >= 0.5
     assert lo.tolist() == [0.5, 0.25, 0.0, 0.0, 0.0, 0.5, 0.0,
                            0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0]
@@ -424,7 +433,7 @@ def _check_near_ties(seed, side):
     i32 = (1.0 / (offsets - base)[:2 * pairs]).astype(np.float32)
     t32 = np.einsum("ij,ij->i", np.repeat(a32, 2, axis=0), x32) * i32
     assert np.any((t32[0::2] > t32[1::2]) != (sign > 0))
-    lo, hi, _ = facet_chords(*args)
+    lo, hi, _ = facet_chords(*args, _top_above(*args), 1.0)
     both = _reflected(*args)
     _assert_same_chords((lo, hi), _chords_loop(*both), *both)
     _assert_same_chords((lo, hi), _chords_dense64(*both), *both)
@@ -457,9 +466,10 @@ def test_float32_chords_in_tiny_blocks_are_the_default_block_chords(
     dirs, normals, base, offsets = args
     assert _kernels._chord_margins(dirs, normals, 1.0 / (offsets - base)) \
         is not None
-    want = facet_chords(*args)
+    top = _top_above(*args)
+    want = facet_chords(*args, top, 1.0)
     _tiny_blocks(monkeypatch, 4)
-    got = facet_chords(*args)
+    got = facet_chords(*args, top, 1.0)
     for g, w in zip(got[:2], want[:2]):
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
@@ -471,10 +481,11 @@ def test_float32_chords_with_a_reused_buffer_are_the_fresh_chords(
     _force_float32(monkeypatch)
     args, _ = _near_tie_workload(0, side=1.0)
     dirs, normals = args[:2]
-    want = facet_chords(*args)
+    top = _top_above(*args)
+    want = facet_chords(*args, top, 1.0)
     y32 = np.full(normals.size + 7, np.float32(3.5))
     for _ in range(2):
-        got = facet_chords(*args, y32=y32)
+        got = facet_chords(*args, top, 1.0, y32=y32)
         for g, w in zip(got[:2], want[:2]):
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
     assert not np.all(y32[:normals.size] == np.float32(3.5))
@@ -494,9 +505,10 @@ def test_chords_whose_float32_product_could_overflow_run_in_float64(
                     where=offsets > base)
     assert inv.max() > 2.0 ** 100
     assert _kernels._chord_margins(dirs, normals, inv) is None
-    got = facet_chords(dirs, normals, base, offsets)
+    top = _top_above(dirs, normals, base, offsets)
+    got = facet_chords(dirs, normals, base, offsets, top, 1.0, cuts=True)
     monkeypatch.setattr(_kernels, "_FLOAT32_MIN_K", k + 1)
-    want = facet_chords(dirs, normals, base, offsets)
+    want = facet_chords(dirs, normals, base, offsets, top, 1.0)
     for g, w in zip(got[:2], want[:2]):
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
     assert got[2] is None
@@ -531,7 +543,8 @@ def test_facet_chords_large_shape_matches_dense_float64():
     assert np.all(np.isfinite(ref[1]))
     # a window top at the median end: the ends above it read inf
     top = float(np.median(ref[1]))
-    lo, hi, cuts = facet_chords(dirs, normals, base, offsets, top=top)
+    lo, hi, cuts = facet_chords(dirs, normals, base, offsets, top, 1.0,
+                                cuts=True)
     below = ref[1] < top * (1.0 - 1e-9)
     _assert_same_chords((lo[below], hi[below]), (ref[0][below], ref[1][below]),
                         both[0][below], *both[1:])
@@ -560,16 +573,17 @@ def _ends_over_radii(lo, hi, radii):
     return lo / rho, hi / rho
 
 
+@pytest.mark.parametrize("want_cuts", [True, False])
 @pytest.mark.parametrize("workload", ["generic", "near ties"])
 @pytest.mark.parametrize("seed", range(2))
-def test_window_cuts_are_the_dense_cuts_and_keep_the_weights(chord_path,
-                                                             workload, seed):
+def test_window_cuts_are_the_dense_cuts_and_keep_the_weights(
+        chord_path, want_cuts, workload, seed):
     # per-row radii (q < d - 1) and a window top at the median end: the
     # float32 product's cuts are the entries whose end, over the radius,
     # lies below the top, with the values of the float64 recheck, and
     # w = F(hi) - F(lo) keeps the bits that the row maxima of those values
-    # give (the row-extreme filter's chords); a dirty, longer float32
-    # buffer changes nothing
+    # give (the row-extreme filter's chords), with the cuts or without
+    # them; a dirty, longer float32 buffer changes nothing
     args = (_chord_workload(seed) if workload == "generic"
             else _near_tie_workload(seed)[0])
     dirs, normals, base, offsets = args
@@ -583,14 +597,17 @@ def test_window_cuts_are_the_dense_cuts_and_keep_the_weights(chord_path,
     table = _window_table(top)
     y32 = np.full(normals.size + 5, np.float32(7.0))
     for _ in range(2):
-        lo, hi, cuts = facet_chords(*args, y32=y32, top=top, radii=radii)
-        if chord_path == "float64":
+        lo, hi, cuts = facet_chords(*args, top, radii, cuts=want_cuts,
+                                    y32=y32)
+        if chord_path == "float64" or not want_cuts:
             assert cuts is None
+        if chord_path == "float64":
             continue
-        want = _dense_cuts(dirs, normals, base, offsets, top, radii, v=v)
-        assert want[0].size > 0
-        for g, w in zip(_sorted_cuts(cuts), want):
-            assert np.array_equal(g, w)
+        if want_cuts:
+            want = _dense_cuts(dirs, normals, base, offsets, top, radii, v=v)
+            assert want[0].size > 0
+            for g, w in zip(_sorted_cuts(cuts), want):
+                assert np.array_equal(g, w)
         assert np.any(np.isinf(hi) & np.isfinite(max_hi))
         # the row-extreme filter's chords: hi from the row maxima, lo and
         # the chords that a nonpositive slack empties (hi = 0) as the dense
@@ -629,7 +646,7 @@ def test_window_cuts_at_ulps_from_the_threshold(monkeypatch, per_row):
             dirs[r, c] = val if r % 2 == 0 else -val
             val = np.nextafter(val, np.inf)
     lo, hi, cuts = facet_chords(dirs, np.eye(d), np.zeros(d), np.ones(d),
-                                top=top, radii=radii if per_row else 1.0)
+                                top, radii if per_row else 1.0, cuts=True)
     v = np.vstack([dirs, -dirs])
     rho = np.tile(radii, 2)[:, None]
     inside = (v > 0.0) & ((1.0 / v) / rho < top)
@@ -655,11 +672,13 @@ def test_facet_chords_huge_offsets(chord_path):
     huge = offsets.copy()
     huge[[1, 5]] = 1e300  # finite, far beyond float32
     for offs in (huge, np.full(9, 1e300)):
-        got = facet_chords(dirs, normals, base, offs)[:2]
+        got = facet_chords(dirs, normals, base, offs,
+                           _top_above(dirs, normals, base, offs), 1.0)[:2]
         both = _reflected(dirs, normals, base, offs)
         _assert_same_chords(got, _chords_loop(*both), *both)
     assert np.all(got[1] > 1e299)  # one in 2^9 rows would be inf
-    lo, hi, _ = facet_chords(dirs, normals, base, np.full(9, -1e300))
+    lo, hi, _ = facet_chords(dirs, normals, base, np.full(9, -1e300), 1.0,
+                             1.0)
     assert not lo.any() and not hi.any()  # every chord empty
 
 
@@ -674,17 +693,18 @@ def test_facet_chords_nonpositive_slack_cases(chord_path):
         # whole hyperplane: every chord is empty or starts past 1e16, where
         # no radius table reaches
         lo, hi, _ = facet_chords(dirs, normals, np.array([1.0]),
-                                 np.array([0.5]))
+                                 np.array([0.5]), 1.0, 1.0)
         assert np.all((hi == 0.0) | (lo > 1e16))
         assert not hi.any() if normals is zero else lo.any()
         # the inner facet sees the outer one (slab: the opposite side) as
         # no constraint at all
         lo, hi, _ = facet_chords(dirs, normals, np.array([0.5]),
-                                 np.array([1.0]))
+                                 np.array([1.0]), 1.0, 1.0)
         assert not lo.any() and np.all(hi > 1e16)
     # zero slack: empty where the neighbour's normal leans forward
     normals = np.array([[0.0, 1.0, 0.0, 0.0]])
-    lo, hi, _ = facet_chords(dirs, normals, np.zeros(1), np.zeros(1))
+    lo, hi, _ = facet_chords(dirs, normals, np.zeros(1), np.zeros(1), 1.0,
+                             1.0)
     both = np.vstack([dirs, -dirs])
     assert np.array_equal(hi == 0.0, both[:, 1] > 0.0)
     assert np.all(np.isinf(hi[both[:, 1] < 0.0])) and not lo.any()
@@ -697,8 +717,9 @@ def test_facet_chords_of_a_stack_of_one_set_are_the_unstacked_chords(
     for offsets_first in (0.2, -0.2):
         dirs, normals, base, offsets = _chord_workload(6, k=9)
         offsets[0] = base[0] + offsets_first
-        want = facet_chords(dirs, normals, base, offsets)
-        got = facet_chords(dirs, normals[None], base, offsets)
+        top = _top_above(dirs, normals, base, offsets)
+        want = facet_chords(dirs, normals, base, offsets, top, 1.0)
+        got = facet_chords(dirs, normals[None], base, offsets, top, 1.0)
         for g, w in zip(got[:2], want[:2]):
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
@@ -737,13 +758,15 @@ def test_facet_chords_of_rotated_normals_are_those_of_rotated_directions(
     assert sets.ndim == 3 and np.isscalar(radii) == (case == "q = d-1")
     assert np.array_equal(sets, normals @ eyes)
     lo, hi = (e.reshape(2, -1)
-              for e in facet_chords(theta, sets, base, offsets)[:2])
+              for e in facet_chords(theta, sets, base, offsets, np.inf,
+                                    1.0)[:2])
     # set-major, as the chords come: theta Q_b for every b in turn
     u = np.concatenate(list(theta @ rotations))
     radii = np.broadcast_to(radii, (theta.shape[0], sets.shape[0])).T.ravel()
     lo, hi = lo / radii, hi / radii
     u *= radii[:, None]
-    want = (e.reshape(2, -1) for e in facet_chords(u, normals, base, offsets)[:2])
+    want = (e.reshape(2, -1)
+            for e in facet_chords(u, normals, base, offsets, np.inf, 1.0)[:2])
     for g, w in zip((lo, hi), want):
         assert np.array_equal(g == 0.0, w == 0.0)
         assert np.array_equal(np.isinf(g), np.isinf(w))
