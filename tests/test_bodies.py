@@ -1756,3 +1756,34 @@ def test_facets_outside_the_variate_keep_their_bits(get_profile):
             ["0x1.312b1045fcfd8p+6"])
     for g, w in zip(got, want):
         assert [x.hex() for x in g] == w
+
+
+def test_every_estimator_keeps_its_bits(get_profile):
+    # (value, std_error, accepted) of one facet per scoring rule: the
+    # pair-cut variate with per-row radii (q = 1029 < d - 1, sum_j mu_ij =
+    # 0.497), an RQMC box at q = 2 whose short replicates score a base of
+    # their own, and a construction facet of rotated Gaussian rows scored
+    # against a stack of float64 sets
+    prof = get_profile("gaussian", 1100)
+    X = np.random.default_rng(4).standard_normal((1030, 1100))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    body = Polytope(X, np.full(1030, 0.10 * prof.t0))
+    pr3 = get_profile("gaussian", 3)
+    box = HyperRectangle(np.linspace(0.6, 1.4, 3) * pr3.t0 / math.sqrt(3))
+    pr64 = get_profile("gaussian", 64)
+    from radsurf import construction
+    spec = construction.plan(pr64, c_rho=1.0, seed=3)
+    cases = [
+        ((prof, body, 300, 5, [0]),
+         ("0x1.fef78024e2f8bp-11", "0x1.6203fb568d75ap-16",
+          "0x1.7f27cd3d1ad4dp+7")),
+        ((pr3, box, 2500, 7, [1]),
+         ("0x1.48aeb3064b26bp-4", "0x1.258ed749af3f0p-20",
+          "0x1.5ee5f8f517a7fp+9")),
+        ((pr64, construction.sample_polytope(spec, pr64), 2000, 9, [0]),
+         ("0x1.8123078d89e59p-5", "0x1.126a36ebcce98p-12",
+          "0x1.ad5c3aa46baa2p+10")),
+    ]
+    for (pr, solid, S, seed, facets), want in cases:
+        got = _facet_values(pr, solid, S, seed, facet_indices=facets)
+        assert tuple(float(g[0]).hex() for g in got[:3]) == want
