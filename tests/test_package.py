@@ -191,3 +191,40 @@ def test_no_potential_method_converts_its_argument():
                 and call.args[0].id in args
             ]
     assert len(potentials) > 5 and not converts
+
+
+def _only_raises_not_implemented(func):
+    """Whether a function's body, past its docstring, only raises
+    NotImplementedError: an abstract method, whose parameters name the
+    interface."""
+    body = func.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(
+            body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
+        body = body[1:]
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and "NotImplementedError" in ast.unparse(body[0].exc))
+
+
+def test_no_unread_parameter():
+    # every parameter of every function is read in its body (or in a
+    # function nested in it): a parameter that nothing reads is a dead
+    # input that its callers keep passing.  A method's receiver is exempt,
+    # and so is a lambda, whose parameters the callback it stands for fixes
+    unread = []
+    for modname, tree in _source_trees().items():
+        methods = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or _only_raises_not_implemented(func):
+                continue
+            a = func.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            if id(func) in methods:
+                params = params[1:]
+            read = {n.id for stmt in func.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{modname}.{func.name}({p})" for p in params
+                       if p not in read]
+    assert not unread
