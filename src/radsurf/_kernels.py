@@ -26,6 +26,13 @@ evaluated densely in float64, with -<a_r, x_j> for -a_r: c_j < 0 with
 empty when c_j < 0 and <a_r, x_j> >= 0 or when c_j = 0 and
 <a_r, x_j> > 0.
 
+Each row a_r stands for the direction rho_r a_r, rho_r > 0 its radius
+(`radii`), and the chord of rho v is the chord of v over rho: the kernel
+returns both ends divided by rho_r, fl(end / rho_r), after the chord is
+decided (the lower end only when some c_j < 0; it is 0 otherwise).  So
+every end and every cut leaves the kernel on the direction's radius
+scale, by the one expression that its window test below assumes.
+
 The normals may come as a stack of R sets (an (R, k, q) array) that share
 base and offsets: facet Monte Carlo scores a direction theta Q_s through
 <theta Q_s, x_j> = <theta, x_j Q_s^T>, so it rotates the k normals rather
@@ -43,18 +50,20 @@ inside the bound.  (Facet Monte Carlo stacks sets only up to q = 80
 coordinates, below _FLOAT32_MIN_D, so its filtered products have R = 1.)
 
 The filter works against the window top: facet Monte Carlo reads a chord
-end only through F(end / rho_r), the CDF of its radius table at the end
-divided by the direction's radius rho_r (`radii`), and F is exactly 1 at
+end only through F(end), the CDF of its radius table at the end the
+kernel returns, on the direction's radius scale, and F is exactly 1 at
 and above a top b (`top`: the first knot from which the table's CDF reads
 exactly 1, at or below its window's end).  Constraint j with v_rj > 0 alone
-ends the chord at s_rj = fl(fl(1 / v_rj) / rho_r), the expression the
-caller evaluates, and it is an in-window cut when s_rj < b.  The kernel
-returns those cuts as (row, constraint, v_rj) when the caller asks for
-them (`cuts`).  s_rj is nonincreasing in v_rj, so when a row has a cut its
-largest v_rj is one, and that is M_r: hi_r = 1 / M_r exactly as the
-float64 expression gives it.  When a row has none, its end lies at or
-above b and the kernel returns hi_r = inf, which F maps to 1 as it maps
-the true end.  So w = F(hi) - F(lo) keeps its bits.
+ends the chord at s_rj = fl(fl(1 / v_rj) / rho_r), the expression by which
+the kernel divides the ends it returns, and it is an in-window cut when
+s_rj < b.  The kernel returns those cuts as (row, s_rj) when the caller
+asks for them (`cuts`).  s_rj is nonincreasing in v_rj, so when a row has
+a cut its largest v_rj is one, and that is M_r: the end fl(fl(1 / M_r) /
+rho_r) is exactly the one the float64 expression gives.  When a row has
+none, its end lies at or above b and the kernel returns hi_r = inf, which
+F maps to 1 as it maps the true end.  So w = F(hi) - F(lo) keeps its bits,
+and the proof rests on no arithmetic of the caller's: it reads the ends
+as they come.
 For -a_r the cuts are the entries with -v_rj > 0 and
 fl(fl(1 / -v_rj) / rho_r) < b.  Every cut has v_rj > L_r, the float64
 value of (1 / (b rho_r)) (1 - 8u'), which is 0 for b = inf: the two
@@ -152,22 +161,23 @@ def _gamma(n, u):
 
 def facet_chords(dirs, normals, base, offsets, top, radii, *, cuts=False,
                  budget=None, y32=None):
-    """The chords [lo, hi] of radii s >= 0 at which
+    """(lo, hi, cuts): the chords [lo, hi] of radii s >= 0 at which
     base[j] + s <a, normals[j]> <= offsets[j] holds for every j, for the
-    2n directions a of [dirs; -dirs]: entry r < n is the chord of dirs[r],
-    entry n + r that of its reflection -dirs[r], both from one product, as
-    the float64 expressions give them (see the module docstring), and the
-    in-window cuts of the float32 product when `cuts` is true:
-    (lo, hi, cuts).  An empty chord reads lo = hi = 0; with no constraints
-    every chord is [0, inf).
+    2n directions a of rho [dirs; -dirs]: entry r < n is the chord of
+    rho_r dirs[r], entry n + r that of its reflection -rho_r dirs[r], both
+    from one product, as the float64 expressions give them for dirs[r]
+    and then divided by rho_r (see the module docstring), and the
+    in-window cuts of the float32 product when `cuts` is true.  An empty
+    chord reads lo = hi = 0; with no constraints every chord is [0, inf).
 
     `top` is the window top b of the caller's radius table and `radii` the
-    directions' radii rho_r (a scalar or n values).  On the float32 product
-    an upper end whose hi / rho_r lies at or above b reads inf, and with
-    `cuts` the cuts are (rows, constraints, values): every entry row
-    r < 2n, constraint j with fl(fl(1 / v) / rho_r) < b for v = v_rj of
-    dirs[r] (-v_rj of -dirs[r] for row n + r).  Otherwise, and on the
-    float64 products, whose chords are exact, cuts is None.
+    directions' radii rho_r > 0 (a scalar or n values; (R, n) with a stack
+    of R sets).  On the float32 product an upper end that lies at or above
+    b reads inf, and with `cuts` the cuts are (rows, ends): every entry,
+    row r < 2n and constraint j, with end fl(fl(1 / v) / rho_r) < b for
+    v = v_rj > 0 of dirs[r] (-v_rj of -dirs[r] for row n + r), the end
+    that constraint alone sets.  Otherwise, and on the float64 products,
+    whose chords are exact, cuts is None.
 
     The products go in blocks of at most `budget` bytes (_BLOCK_BYTES by
     default).  `y32`, a float32 array of at least k q entries, receives the
@@ -189,6 +199,7 @@ def facet_chords(dirs, normals, base, offsets, top, radii, *, cuts=False,
     slack = offsets - base
     up = slack > 0.0
     empty = np.zeros(2 * n, dtype=bool)
+    ends = [hi]  # the ends to divide by the radii
     if not up.all():
         t = np.concatenate([dirs @ x[~up].T for x in sets])
         t = np.concatenate([t, -t])
@@ -198,6 +209,7 @@ def facet_chords(dirs, normals, base, offsets, top, radii, *, cuts=False,
         if neg.any():
             with np.errstate(divide="ignore", invalid="ignore"):
                 lo = np.maximum(np.max(c[neg] / t[:, neg], axis=1), 0.0)
+            ends.append(lo)
     if up.any():
         # 1 / c_j on the upper constraints; a zero row never lowers hi
         inv = np.divide(1.0, slack, out=np.zeros_like(slack), where=up)
@@ -212,6 +224,8 @@ def facet_chords(dirs, normals, base, offsets, top, radii, *, cuts=False,
     empty |= ~(lo < hi)
     lo[empty] = 0.0
     hi[empty] = 0.0
+    for e in ends:  # the chord of rho a is the chord of a over rho
+        np.divide(e.reshape(2, R, -1), radii, out=e.reshape(2, R, -1))
     return lo, hi, found
 
 
@@ -230,8 +244,9 @@ def _row_extremes(dirs, sets, inv, budget):
     each block holding every constraint of its rows."""
     n, d = dirs.shape
     R, k = sets.shape[:2]
-    top = np.empty((R, n))
-    bottom = np.empty((R, n))
+    # filled in place: a result built after the loop would be allocated
+    # while the product buffer is still held
+    top, bottom = extremes = np.empty((2, R, n))
     rows = sets.reshape(R * k, d)
     # a multiple of 8 rows where the budget allows: OpenBLAS's x86 dgemm
     # tiles these columns by 8, and other block lengths move the last
@@ -248,17 +263,19 @@ def _row_extremes(dirs, sets, inv, budget):
         t *= inv[:, None]
         t.max(axis=1, out=top[:, blk])
         t.min(axis=1, out=bottom[:, blk])
-    return np.concatenate([top.ravel(), -bottom.ravel()])
+    np.negative(bottom, out=bottom)
+    return extremes.ravel()
 
 
 def _window_cuts(dirs, normals, inv, budget, y32, top, radii, cuts):
     """(M, cuts) by the filtered float32 product of the module docstring,
-    for the 2n rows of `facet_chords`: M_r the largest cut of row r (-inf
-    without one) and, when `cuts` is true, every cut as (rows,
-    constraints, values), else None; (None, None) when the float32
-    evaluation could overflow.  The product goes in blocks of rows of at
-    most `budget` bytes, each block holding every constraint of its rows;
-    the float32 normals go into `y32` when it is not None."""
+    for the 2n rows of `facet_chords` and the `radii` of its n
+    directions: M_r the largest cut v_rj of row r (-inf without one) and,
+    when `cuts` is true, every cut as (rows, ends), else None; (None, None)
+    when the float32 evaluation could overflow.  The product goes in
+    blocks of rows of at most `budget` bytes, each block holding every
+    constraint of its rows; the float32 normals go into `y32` when it is
+    not None."""
     n, d = dirs.shape
     k = normals.shape[0]
     if y32 is None:
@@ -309,15 +326,15 @@ def _window_cuts(dirs, normals, inv, budget, y32, top, radii, cuts):
         np.einsum("ij,ij->i", a, x, out=v[sl])
     v *= inv[j]
     with np.errstate(divide="ignore"):
-        inside = (1.0 / np.abs(v)) / rho[r] < top
+        ends = (1.0 / np.abs(v)) / rho[r]
+    inside = ends < top
     up, down = inside & (v > 0.0), inside & (v < 0.0)
     rows = np.concatenate([r[up], r[down] + n])
-    vals = np.concatenate([v[up], -v[down]])
     M = np.full(2 * n, -np.inf)
-    np.maximum.at(M, rows, vals)
+    np.maximum.at(M, rows, np.concatenate([v[up], -v[down]]))
     if not cuts:
         return M, None
-    return M, (rows, np.concatenate([j[up], j[down]]), vals)
+    return M, (rows, np.concatenate([ends[up], ends[down]]))
 
 
 def _blocks(count, step):

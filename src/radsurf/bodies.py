@@ -29,10 +29,11 @@ control variate: the overlap of the cuts, with the first-order sum of the
 pair cuts known by quadrature (`_pair_cut_means`).  As
 <theta Q, x> = <theta, x Q^T>, the draw rotates the k neighbour normals
 instead of the directions, and a direction's radius rho > 0, from one
-chi^2 law, divides the chord ends afterwards (the chord of rho v is the
-chord of v over rho).  A facet's statistics come from one array of its S
-pair means.  No facet's directions depend on the chunking: in facet Monte
-Carlo _CHUNK only bounds the memory of a block.
+chi^2 law, goes to the chord kernel, which returns the chord ends divided
+by it (the chord of rho v is the chord of v over rho).  A facet's
+statistics come from one array of its S pair means.  No facet's
+directions depend on the chunking: in facet Monte Carlo _CHUNK only
+bounds the memory of a block.
 The facets of one call run on two threads, with the bits of one, when
 each has at least _POOL_MIN_SAMPLES samples, a chord product of at least
 _POOL_MIN_PRODUCTS products per sample, and neighbour normals that fit in
@@ -611,17 +612,15 @@ def _pair_cut_sum(law, d, shape, slack, c):
     return float(means[0].sum()), shape[0] * means[1]
 
 
-def _cut_excess(w, cuts, radii, table):
+def _cut_excess(w, cuts, table):
     """z = w + sum_j r_j - 1 for each direction of a `facet_chords` call on
     the float32 product, in the layout of w: r_j = 1 - F(t_j) over the
-    direction's in-window cuts, t_j = (1 / v_j) / rho the end that cut j
-    alone sets, divided by the direction's radius as the chord ends are,
-    and F the table's CDF.  The cuts along a ray are nested half-lines, so
+    direction's in-window cuts (rows, ends), t_j the end that cut j alone
+    sets, on the direction's radius scale as the chord ends are, and F the
+    table's CDF.  The cuts along a ray are nested half-lines, so
     1 - w = max_j r_j <= sum_j r_j and z >= 0 up to rounding."""
-    rows, _, v = cuts
-    nb = w.size // 2
-    rho = np.broadcast_to(radii, (1, nb)).ravel()
-    r = 1.0 - table.cdf_at((1.0 / v) / rho[rows % nb])
+    rows, ends = cuts
+    r = 1.0 - table.cdf_at(ends)
     excess = np.bincount(rows, weights=r, minlength=w.size)
     return (w + excess.reshape(w.shape)) - 1.0
 
@@ -635,11 +634,9 @@ def _point_chunk(rng, table, k, d, n):
 
 
 def _sphere_coordinates(rng, n, k, m):
-    """(n, k) array: the first k <= m coordinates of n uniform unit vectors
-    in R^m, g / sqrt(|g|^2 + chi^2_(m-k)) with g ~ N(0, I_k).  Draws g,
-    then the chi^2 completion if k < m; k = 0 draws nothing."""
-    if k == 0:
-        return np.empty((n, 0))
+    """(n, k) array: the first 1 <= k <= m coordinates of n uniform unit
+    vectors in R^m, g / sqrt(|g|^2 + chi^2_(m-k)) with g ~ N(0, I_k).
+    Draws g, then the chi^2 completion if k < m."""
     g = rng.standard_normal((n, k))
     sq = np.einsum("ij,ij->i", g, g)
     if k < m:
@@ -750,14 +747,12 @@ def _direction_blocks(rng, w, S, m, draw):
         yield g, sets, radii, rows[blk].T
 
 
-def _replicate_error(buf, S, p, B, table):
-    """The std_error over hs of an RQMC facet's mean p of its S pair means,
+def _replicate_error(buf, S, p, B):
+    """The replicate spread of an RQMC facet's mean p of its S pair means,
     laid out in buf as `_direction_blocks` writes them: the spread of the B
     i.i.d. replicate sums T_b of n_b directions about n_b p,
     sqrt(B / (B - 1) sum_b (T_b - n_b p)^2) / S (with equal n_b the sample
-    variance of the replicate means over B), and, in quadrature, twice the
-    table's CDF error, which bounds the bias of w = F(hi) - F(lo): the
-    replicate spread alone can fall below it."""
+    variance of the replicate means over B)."""
     rows = buf.reshape(-1, B)
     n = rows.shape[0]
     long = S - B * (n - 1)
@@ -766,7 +761,7 @@ def _replicate_error(buf, S, p, B, table):
     sizes = np.full(B, n - 1.0)
     sizes[:long] += 1.0
     var = float(np.square(sums - sizes * p).sum()) * B / (B - 1)
-    return math.hypot(math.sqrt(var) / S, 2.0 * table.cdf_error)
+    return math.sqrt(var) / S
 
 
 def _gram_factor(A):
@@ -864,19 +859,26 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     a sample scores the pair mean (w(u) + w(-u)) / 2 (antithetic variates,
     Hammersley and Morton 1956): still unbiased, with half of var(w) when
     w(u) and w(-u) are uncorrelated, less when they are negatively
-    correlated, and var(w) itself when w(u) = w(-u), as on a box.  The
-    value is hs times the mean of the S pair means.  With i.i.d. or
-    pairwise independent directions the std_error is hs sqrt(var / S), var
-    the sample variance of the S pair means, which holds whatever the pair
-    correlation.  With RQMC directions (below) it is hs times the spread
-    of the B replicate means (`_replicate_error`) and, in quadrature, 2 hs
-    times the radius table's CDF error (`_InverseCdfTable.cdf_error`): F is
-    the table's CDF, not the exact one, so w is biased by up to twice that
-    error, a bias that the replicate spread does not see and that it can
-    undercut at q = 2.  The std_error covers the sampling error and that
-    bias, not the error of hs itself (the quadrature's 1e-10).  It is NaN
-    at S = 1, where no spread is defined.  Both figures are taken from one
-    array of the pair means, after the last chunk.
+    correlated, and var(w) itself when w(u) = w(-u), as on a box.
+
+    One rule scores every facet.  It picks the scored pair means x (those
+    of w, or of z for the pair-cut variate below), an offset (0, or
+    1 - sum_j mu_ij for the variate) and table terms, and reports the
+    value hs (offset + mean x) and the std_error hs hypot(spread, terms).
+    The spread is that of the B replicate means with RQMC directions
+    (below, `_replicate_error`), else sqrt(var / S), var the sample
+    variance of the S values of x, which with i.i.d. or pairwise
+    independent directions holds whatever the pair correlation.  The table
+    terms bound biases that the spread does not see: F is the radius
+    table's CDF, not the exact one, and each read of it errs by up to its
+    CDF error (`_InverseCdfTable.cdf_error`).  The plain score takes none;
+    RQMC takes 2 cdf_error, the bound on the bias of w = F(hi) - F(lo),
+    which the replicate spread can undercut at q = 2; the variate takes
+    the summed error of its mu_ij and (2 + c) cdf_error, c the mean number
+    of cuts per direction (F enters w once and each r_j once).  The
+    std_error does not cover the error of hs itself (the quadrature's
+    1e-10).  It is NaN at S = 1, where no spread is defined.  Both figures
+    are taken from one array of pair means, after the last chunk.
 
     Pair-cut control variate.  A facet scores z = w + sum_j r_j - 1 in
     place of w when its chords come from the kernel's float32 product
@@ -893,17 +895,13 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     sampled.  r_j is 0 unless t_j lies below the table's `top`, from which
     its CDF reads exactly 1, and the kernel returns exactly those cuts (and
     reads chord ends at or above it as inf, which keeps w's bits).  The
-    value is
-    hs (1 - sum_j mu_ij + mean z), z from the same draw's pair means; the
-    std_error is hs times their spread, as for w, and in quadrature two
-    table terms: hs times the summed error of the mu_ij, and
-    hs (2 + c) cdf_error, c the mean number of those cuts per direction
-    (F enters w once and each r_j once; 2 cdf_error is the RQMC
-    rule's bound on the bias of w).  accepted stays the sum of the pair
-    means of w, and the draw and the RNG stream are the plain score's.  At
-    d = 1024 (construction polytopes, sum_j mu_ij = 0.18) the variance
-    fell 8-9x at the same time; as sum_j mu_ij grows the sum overcounts
-    the nested cuts and the variate loses (_CV_MAX_SUM's measurement).
+    value is hs (1 - sum_j mu_ij + mean z), z from the same draw's pair
+    means, and the std_error follows the rule above.  accepted stays the
+    sum of the pair means of w, and the draw and the RNG stream are the
+    plain score's.  At d = 1024 (construction polytopes,
+    sum_j mu_ij = 0.18) the variance fell 8-9x at the same time; as
+    sum_j mu_ij grows the sum overcounts the nested cuts and the variate
+    loses (_CV_MAX_SUM's measurement).
 
     Acceptance reads u only through its products with the neighbour
     normals projected into X_i^perp, whose law depends on those normals
@@ -967,9 +965,10 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     the draw turns the k normals into the sets normals Q^T, a k q^2 product
     per rotation in place of one q^2 product per direction, which
     `facet_chords` scores theta against (normals alone when B = 1 without
-    rotation).  The chord of rho v is the chord of v divided by rho (rho > 0),
-    so both ends of each chord are divided by the direction's radius.  The
-    chords equal those of the built directions up to rounding.
+    rotation), with the directions' radii: the chord of rho v is the chord
+    of v divided by rho (rho > 0), so the kernel returns both ends of each
+    chord divided by the direction's radius.  The chords equal those of
+    the built directions up to rounding.
 
     Each facet consumes an independent RNG stream derived from
     (seed, facet index), so any facet subset reproduces exactly, in any
@@ -1062,42 +1061,36 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
             lo, hi, cuts = _kernels.facet_chords(
                 theta, sets, base, ro, table.top, radii,
                 cuts=cv is not None, budget=budget, y32=y32)
-            # theta against every set, then -theta, each half shaped as
-            # out; the chord of rho v is that of v divided by rho
+            # theta against every set, then -theta, each half shaped as out
             lo, hi = (e.reshape(2, *out.shape) for e in (lo, hi))
-            hi /= radii
             u = table.cdf_at(hi)
             if lo.any():
-                lo /= radii
                 u -= table.cdf_at(lo)
             out[...] = 0.5 * (u[0] + u[1])
             if cuts is None:
                 cv = None  # the float64 product: no cuts to score
             elif cv is not None:
-                z = _cut_excess(u, cuts, radii, table)
+                z = _cut_excess(u, cuts, table)
                 zs.append(0.5 * (z[0] + z[1]).ravel())
                 cut_count += cuts[0].size
+        # the scored pair means x, an offset and the table terms (see above)
         w = buf[:S]  # the pair means
-        total = float(w.sum())
-        values[pos] = hs * (total / S)
+        rqmc = _is_rqmc(normals.shape[1], d - 1)
+        x, offset, terms = w, 0.0, ()
         if cv is not None:  # z's pair means in place of w's
-            z = np.concatenate(zs)
-            mean = float(z.sum()) / S
-            values[pos] = hs * (1.0 - cv[0] + mean)
-        if S == 1:
+            x, offset = np.concatenate(zs), 1.0 - cv[0]
+            terms = (cv[1], (2.0 + cut_count / (2 * S)) * table.cdf_error)
+        elif rqmc:
+            terms = (2.0 * table.cdf_error,)
+        mean = float(x.sum()) / S
+        values[pos] = hs * (offset + mean)
+        if S == 1:  # no spread is defined
             errors[pos] = math.nan
-        elif cv is not None:
-            sq = float(np.square(z - mean).sum())
-            table_err = (2.0 + cut_count / (2 * S)) * table.cdf_error
-            errors[pos] = hs * math.hypot(math.sqrt(sq / (S - 1) / S), cv[1],
-                                          table_err)
-        elif _is_rqmc(normals.shape[1], d - 1):
-            errors[pos] = hs * _replicate_error(buf, S, total / S,
-                                                draw[0].shape[0], table)
         else:
-            sq = float(np.square(w - w.mean()).sum())
-            errors[pos] = hs * math.sqrt(sq / (S - 1) / S)
-        accepted[pos] = total
+            spread = (_replicate_error(buf, S, mean, draw[0].shape[0]) if rqmc
+                      else math.sqrt(np.square(x - mean).sum() / (S - 1) / S))
+            errors[pos] = hs * math.hypot(spread, *terms)
+        accepted[pos] = float(w.sum())
         attempted[pos] = True
 
     def deal(positions, law, table, hs, j):

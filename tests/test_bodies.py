@@ -1632,8 +1632,8 @@ def test_pair_cut_excess_is_nonnegative_on_every_direction(d, N):
     lo, hi, cuts = _kernels.facet_chords(theta, normals, base, offsets,
                                          table.top, radii, cuts=True)
     assert cuts is not None and not lo.any()
-    w = table.cdf_at(hi / np.tile(radii, 2))
-    z = bodies._cut_excess(w, cuts, radii, table)
+    w = table.cdf_at(hi)
+    z = bodies._cut_excess(w, cuts, table)
     k = np.bincount(cuts[0], minlength=w.size)
     assert np.count_nonzero(k >= 2) > 100 and np.any(z > 1e-3)
     assert np.all(z >= -(k + 2) * 2.0 ** -52)

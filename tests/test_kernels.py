@@ -225,15 +225,17 @@ def _stacked_dense64(dirs, normals, base, offsets, top, radii, *, cuts=False,
                      budget=None, y32=None):
     """`_chords_dense64` of [dirs; -dirs] against each set of a (k, q)
     array or an (R, k, q) stack, in `facet_chords`' order: the chords of
-    dirs against every set, then those of -dirs, and `_dense_cuts` where
-    the kernel's float32 product returns cuts.  The kernel's block budget
-    and float32 buffer play no part in a dense product."""
+    dirs against every set, then those of -dirs, divided by the radii, and
+    `_dense_cuts` where the kernel's float32 product returns cuts.  The
+    kernel's block budget and float32 buffer play no part in a dense
+    product."""
     sets = normals if normals.ndim == 3 else normals[None]
     n = dirs.shape[0]
     per_set = [_chords_dense64(*_reflected(dirs, x, base, offsets))
                for x in sets]
+    rho = np.tile(np.broadcast_to(radii, (sets.shape[0], n)).ravel(), 2)
     lo, hi = (np.concatenate([e[:n] for e in ends] + [e[n:] for e in ends])
-              for ends in zip(*per_set))
+              / rho for ends in zip(*per_set))
     found = None
     if cuts and _kernels.filtered(*sets.shape):
         found = _dense_cuts(dirs, sets[0], base, offsets, top, radii)
@@ -256,8 +258,8 @@ def _cut_values(dirs, normals, base, offsets):
 
 def _dense_cuts(dirs, normals, base, offsets, top, radii, v=None):
     """The in-window cuts of [dirs; -dirs] by the dense float64 product
-    (or the values v given), sorted by row and constraint: every entry
-    with fl(fl(1 / v) / rho_r) < top, v > 0."""
+    (or the values v given), as (rows, ends) sorted by row and end: every
+    entry with end fl(fl(1 / v) / rho_r) < top, v > 0."""
     if v is None:
         slack = offsets - base
         inv = np.divide(1.0, slack, out=np.zeros_like(slack),
@@ -266,15 +268,15 @@ def _dense_cuts(dirs, normals, base, offsets, top, radii, v=None):
         v = np.vstack([v, -v])
     rho = np.tile(np.broadcast_to(radii, (1, dirs.shape[0])).ravel(), 2)
     with np.errstate(divide="ignore"):
-        inside = (v > 0.0) & ((1.0 / v) / rho[:, None] < top)
-    r, j = np.nonzero(inside)
-    return r, j, v[r, j]
+        ends = (1.0 / v) / rho[:, None]
+    r, j = np.nonzero((v > 0.0) & (ends < top))
+    return _sorted_cuts((r, ends[r, j]))
 
 
 def _sorted_cuts(cuts):
-    rows, cols, vals = cuts
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order], vals[order]
+    rows, ends = cuts
+    order = np.lexsort((ends, rows))
+    return rows[order], ends[order]
 
 
 def _top_above(dirs, normals, base, offsets):
@@ -554,8 +556,8 @@ def test_facet_chords_large_shape_matches_dense_float64():
     # within the rounding of the dense product of the top)
     want = _dense_cuts(dirs, normals, base, offsets, top, 1.0)
     got = _sorted_cuts(cuts)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert np.allclose(got[2], want[2], rtol=1e-12, atol=0.0)
+    assert np.array_equal(got[0], want[0])
+    assert np.allclose(got[1], want[1], rtol=1e-12, atol=0.0)
 
 
 def _window_table(top):
@@ -568,11 +570,6 @@ def _per_row_radii(seed, n):
     return np.random.default_rng(seed).uniform(0.3, 1.0, n)
 
 
-def _ends_over_radii(lo, hi, radii):
-    rho = np.tile(radii, 2)
-    return lo / rho, hi / rho
-
-
 @pytest.mark.parametrize("want_cuts", [True, False])
 @pytest.mark.parametrize("workload", ["generic", "near ties"])
 @pytest.mark.parametrize("seed", range(2))
@@ -580,10 +577,10 @@ def test_window_cuts_are_the_dense_cuts_and_keep_the_weights(
         chord_path, want_cuts, workload, seed):
     # per-row radii (q < d - 1) and a window top at the median end: the
     # float32 product's cuts are the entries whose end, over the radius,
-    # lies below the top, with the values of the float64 recheck, and
-    # w = F(hi) - F(lo) keeps the bits that the row maxima of those values
-    # give (the row-extreme filter's chords), with the cuts or without
-    # them; a dirty, longer float32 buffer changes nothing
+    # lies below the top, with the ends of the float64 recheck's values,
+    # and w = F(hi) - F(lo) keeps the bits that the row maxima of those
+    # values give (the row-extreme filter's chords), with the cuts or
+    # without them; a dirty, longer float32 buffer changes nothing
     args = (_chord_workload(seed) if workload == "generic"
             else _near_tie_workload(seed)[0])
     dirs, normals, base, offsets = args
@@ -609,19 +606,19 @@ def test_window_cuts_are_the_dense_cuts_and_keep_the_weights(
             for g, w in zip(_sorted_cuts(cuts), want):
                 assert np.array_equal(g, w)
         assert np.any(np.isinf(hi) & np.isfinite(max_hi))
-        # the row-extreme filter's chords: hi from the row maxima, lo and
-        # the chords that a nonpositive slack empties (hi = 0) as the dense
-        # branch gives them
-        empty = (hi == 0.0) | ~(lo < max_hi)
-        ref = (np.where(empty, 0.0, lo), np.where(empty, 0.0, max_hi))
-        rho = np.tile(radii, 2)
-        F = [table.cdf_at(e / rho) for e in (lo, hi)]
-        F_ref = [table.cdf_at(e / rho) for e in ref]
+        # the row-extreme filter's chords, over the radii: hi from the row
+        # maxima, lo and the chords that a nonpositive slack empties
+        # (hi = 0) as the dense branch gives them
+        ref_hi = max_hi / np.tile(radii, 2)
+        empty = (hi == 0.0) | ~(lo < ref_hi)
+        ref = (np.where(empty, 0.0, lo), np.where(empty, 0.0, ref_hi))
+        F = [table.cdf_at(e) for e in (lo, hi)]
+        F_ref = [table.cdf_at(e) for e in ref]
         w, w_ref = F[1] - F[0], F_ref[1] - F_ref[0]
         assert np.array_equal(w.view(np.int64), w_ref.view(np.int64))
         # F(hi) and F(lo) themselves agree too, except where a nonpositive
         # slack starts the chord at or beyond the top (w = 0 either way)
-        late = lo / rho >= top
+        late = lo >= top
         assert np.all(w[late] == 0.0)
         for g, r in zip(F, F_ref):
             assert np.array_equal(g[~late].view(np.int64),
@@ -652,14 +649,14 @@ def test_window_cuts_at_ulps_from_the_threshold(monkeypatch, per_row):
     inside = (v > 0.0) & ((1.0 / v) / rho < top)
     assert inside.any() and (~inside & (v > 0.0)).any()
     r, j = np.nonzero(inside)
-    got = _sorted_cuts(cuts)
-    assert np.array_equal(got[0], r) and np.array_equal(got[1], j)
-    assert np.array_equal(got[2], v[r, j])
-    # each row's upper end comes from its largest cut, and is inf (at or
-    # beyond the top) without one
+    for g, w in zip(_sorted_cuts(cuts),
+                    _sorted_cuts((r, ((1.0 / v) / rho)[r, j]))):
+        assert np.array_equal(g, w)
+    # each row's upper end comes from its largest cut, over the radius,
+    # and is inf (at or beyond the top) without one
     M = np.where(inside, v, -np.inf).max(axis=1)
     with np.errstate(divide="ignore"):
-        want = np.where(M > 0.0, 1.0 / M, np.inf)
+        want = np.where(M > 0.0, 1.0 / M, np.inf) / rho[:, 0]
     assert np.array_equal(hi, want) and not lo.any()
     past = np.isinf(want) & (v.max(axis=1) > 0.0)
     assert past.any() and np.all((1.0 / v.max(axis=1)[past]) / rho[past, 0]
@@ -736,8 +733,9 @@ def _facet_arguments(X, rho):
 def test_facet_chords_of_rotated_normals_are_those_of_rotated_directions(
         case):
     # <theta Q, x> = <theta, x Q^T>, and the chord of rho v is the chord of
-    # v divided by rho: the stack of rotated normals, divided by the radii,
-    # gives the chords of the directions rho theta Q_k themselves
+    # v divided by rho: the chords of the stack of rotated normals, which
+    # the kernel divides by the radii, are those of the directions
+    # rho theta Q_k themselves
     rng = np.random.default_rng(8)
     d, N = (6, 10) if case == "q = d-1" else (12, 8)
     X = rng.standard_normal((N, d))
@@ -757,14 +755,13 @@ def test_facet_chords_of_rotated_normals_are_those_of_rotated_directions(
     rotations = eyes.swapaxes(1, 2)
     assert sets.ndim == 3 and np.isscalar(radii) == (case == "q = d-1")
     assert np.array_equal(sets, normals @ eyes)
+    # set-major, as the chords come: theta Q_b for every b in turn
+    radii = np.broadcast_to(radii, (theta.shape[0], sets.shape[0])).T
     lo, hi = (e.reshape(2, -1)
               for e in facet_chords(theta, sets, base, offsets, np.inf,
-                                    1.0)[:2])
-    # set-major, as the chords come: theta Q_b for every b in turn
+                                    radii)[:2])
     u = np.concatenate(list(theta @ rotations))
-    radii = np.broadcast_to(radii, (theta.shape[0], sets.shape[0])).T.ravel()
-    lo, hi = lo / radii, hi / radii
-    u *= radii[:, None]
+    u *= radii.reshape(-1, 1)
     want = (e.reshape(2, -1)
             for e in facet_chords(u, normals, base, offsets, np.inf, 1.0)[:2])
     for g, w in zip((lo, hi), want):
