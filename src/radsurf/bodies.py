@@ -26,11 +26,13 @@ unrotated set for q <= 1 or q > _ROTATE_MAX_Q), every two directions are
 independent, and the std_error comes from their sample spread.  Facets on
 the chord kernel's float32 product whose neighbours cut off little score a
 control variate: the overlap of the cuts, with the first-order sum of the
-pair cuts known by quadrature (`_pair_cut_means`).  As
-<theta Q, x> = <theta, x Q^T>, the draw rotates the k neighbour normals
-instead of the directions, and a direction's radius rho > 0, from one
-chi^2 law, goes to the chord kernel, which returns the chord ends divided
-by it (the chord of rho v is the chord of v over rho).  A facet's
+pair cuts known by quadrature (`_pair_cut_means`).  A facet with at most
+one neighbour draws nothing: its share of the hyperplane is that 1-D
+quadrature alone (`_one_cut_share`).  As <theta Q, x> = <theta, x Q^T>,
+the draw rotates the k neighbour normals instead of the directions, and a
+direction's radius rho > 0, from one chi^2 law, goes to the chord kernel,
+which returns the chord ends divided by it (the chord of rho v is the
+chord of v over rho).  A facet's
 statistics come from one array of its S pair means.  No facet's
 directions depend on the chunking: in facet Monte Carlo _CHUNK only
 bounds the memory of a block.
@@ -153,6 +155,18 @@ _PAIR_TOL = 1e-9
 # Gauss-Legendre nodes per window piece of the pair-cut table's `expect`
 # (checked against twice as many): at d = 1024 the two rules agree to 1e-12
 _PAIR_NODES = 16
+
+# A facet with one neighbour is scored in closed form (`_one_cut_share`):
+# its rule breaks the facet law's window [a, b] at s = |kappa|, where
+# T_n(|kappa| / s) is not smooth, and at |kappa| + (b - a) 2^-j for
+# j = 1 .. _CUT_GRADING, a geometric grading toward that break, and doubles
+# its Gauss-Legendre nodes from _PAIR_NODES up to _CUT_MAX_NODES.  At d = 3,
+# where T_2 rises like sqrt(s - |kappa|) from the break, the rule without
+# the grading needed 256 to 2048 nodes for a relative error of 1e-10, and
+# without the break it did not get there by 4096; with both, 16 nodes
+# suffice from d = 3 to 16 and 32 at d = 64 (Gaussian wedges).
+_CUT_GRADING = 24
+_CUT_MAX_NODES = 128
 
 # The floors of `_facet_workers`: samples per facet, and products per
 # sample in the chord product (k q: k neighbour normals of q coordinates),
@@ -595,6 +609,40 @@ def _pair_cut_means(law, n, kappa, limit):
     return (mu, check_err + float(err.max())) if mu.sum() <= limit else None
 
 
+def _one_cut_share(law, n, slack, c):
+    """(p, error): the share p = 1 - mu of a facet's hyperplane, under its
+    law, that a single neighbour at slack sigma and product
+    c = <X_i, X_j> leaves, with the error of its quadrature; None when
+    that error does not reach _REL_TOL of p.
+
+    mu = M(kappa) of `_pair_cut_means`, kappa = sigma / sqrt(1 - c^2),
+    extended to every slack: for kappa < 0 by T_n(tau) = 1 - T_n(-tau),
+    so that p = E_s[T_n(|kappa| / s)]; 1/2 at kappa = 0; and for parallel
+    rows (1 - c^2 <= 0, kappa = +-inf: a slab, or nested rows of one
+    direction) 1 when sigma > 0 and 0 when sigma < 0.  The expectation is
+    `_RadialLaw.expect` with the window broken at |kappa| and graded toward
+    it (_CUT_GRADING), with its nodes doubled from _PAIR_NODES until its
+    error is within _REL_TOL of p, up to _CUT_MAX_NODES."""
+    w = (1.0 - c) * (1.0 + c)
+    kappa = slack / math.sqrt(w) if w > 0.0 else math.copysign(math.inf, slack)
+    if kappa == 0.0:
+        return 0.5, 0.0
+    if math.isinf(kappa):
+        return (1.0 if kappa > 0.0 else 0.0), 0.0
+    t = abs(kappa)
+    a, b = law.window
+    points = np.append(t, t + (b - a) * 0.5 ** np.arange(1, _CUT_GRADING + 1))
+    nodes = _PAIR_NODES
+    while nodes <= _CUT_MAX_NODES:
+        tail, err = law.expect(lambda s: _cap_tail(n - 1, t / s), nodes,
+                               points)
+        p = float(1.0 - tail if kappa > 0.0 else tail)
+        if err <= _REL_TOL * p:
+            return p, float(err)
+        nodes *= 2
+    return None
+
+
 def _pair_cut_sum(law, d, shape, slack, c):
     """(sum_j mu_ij, the summed error of the mu_ij) when a facet in R^d
     with (k, q) neighbour normals of that `shape`, slacks sigma_ij and
@@ -871,14 +919,28 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     independent directions holds whatever the pair correlation.  The table
     terms bound biases that the spread does not see: F is the radius
     table's CDF, not the exact one, and each read of it errs by up to its
-    CDF error (`_InverseCdfTable.cdf_error`).  The plain score takes none;
-    RQMC takes 2 cdf_error, the bound on the bias of w = F(hi) - F(lo),
-    which the replicate spread can undercut at q = 2; the variate takes
-    the summed error of its mu_ij and (2 + c) cdf_error, c the mean number
-    of cuts per direction (F enters w once and each r_j once).  The
-    std_error does not cover the error of hs itself (the quadrature's
-    1e-10).  It is NaN at S = 1, where no spread is defined.  Both figures
-    are taken from one array of pair means, after the last chunk.
+    CDF error (`_InverseCdfTable.cdf_error`).  The plain and RQMC scores
+    take 2 cdf_error, the bound on the bias of w = F(hi) - F(lo), which
+    the replicate spread can undercut at q = 2 and which the plain spread
+    misses where the neighbours cut off almost nothing (w is then nearly
+    constant); the variate takes the summed error of its mu_ij and
+    (2 + c) cdf_error, c the mean number of cuts per direction (F enters w
+    once and each r_j once).  The std_error does not cover the error of hs
+    itself (the quadrature's 1e-10).  It is NaN at S = 1, where no spread
+    is defined.  Both figures are taken from one array of pair means,
+    after the last chunk.
+
+    Closed form for k <= 1.  A facet with no neighbour or one draws
+    nothing: its value is hs (1 - mu), mu = 0 for k = 0, and for k = 1
+    the probability that the neighbour cuts off a point of the hyperplane,
+    mu = M(kappa) of `_pair_cut_means` extended to every slack
+    (`_one_cut_share`: negative and zero slacks, and parallel rows, a slab
+    or nested rows of one direction).  With one neighbour the pair-cut
+    variate's z is 0 on every direction, so sampling would add only noise.
+    The std_error is hs times the quadrature error of 1 - mu, with no table
+    term (no table is read), also at S = 1.  A facet whose rule cannot
+    reach _REL_TOL of 1 - mu is sampled as below.  A law's radius table is
+    built only when some facet of its |rho_i| group samples.
 
     Pair-cut control variate.  A facet scores z = w + sum_j r_j - 1 in
     place of w when its chords come from the kernel's float32 product
@@ -959,7 +1021,7 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     way.  Only higher-order dependence differs (the rows of one rotation
     keep their mutual angles).  This is not a reflection of u: a signed
     permutation keeps w(u) and w(u P D) correlated, a Haar rotation does
-    not.  At q = 0 (N = 1) nothing is drawn and every chord is [0, inf).
+    not.
 
     No rotated direction is built.  Since <theta Q, x> = <theta, x Q^T>,
     the draw turns the k normals into the sets normals Q^T, a k q^2 product
@@ -973,16 +1035,18 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     Each facet consumes an independent RNG stream derived from
     (seed, facet index), so any facet subset reproduces exactly, in any
     order.  The facets run in stable order of |rho_i|: one half-space law
-    and radius table is built per distinct |rho_i|, and only the current
-    one is kept.  A facet draws the Gaussian stack of its B rotations
-    when it is rotated, then, when 0 < q < d-1, all of Y as an (n, B)
+    and at most one radius table is built per distinct |rho_i|, and only
+    the current one is kept.  A facet draws the Gaussian stack of its B
+    rotations when it is rotated, then, when 0 < q < d-1, all of Y as an (n, B)
     array and all of X as an (n, B - 1) array (16 bytes per direction,
     beside the 8 of the pair means), then, for a Gaussian base, the rows g
     of each chunk in turn.
 
-    Returns (values, std_errors, accepted, attempted) arrays over the
+    Returns (values, std_errors, accepted, sampled) arrays over the
     requested facets; accepted is the sum of the pair means, the expected
-    number of accepted radii.  Callers check samples_per_facet >= 1.
+    number of accepted radii, and sampled flags the facets that drew their
+    S directions (a closed-form facet, or one outside the support, did
+    not, and its accepted is 0).  Callers check samples_per_facet >= 1.
 
     InputError when an evaluated facet's row repeats another row to
     rounding, in direction and offset: both copies would accept the whole
@@ -1000,11 +1064,12 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     _POOL_MIN_PRODUCTS products per sample, when the neighbour normals
     take at most half of _kernels._BLOCK_BYTES, else one.  Every call runs
     one loop over the |rho_i| groups: the calling thread builds a group's
-    law and table (the benchmark's tracer wraps both, and it is
-    single-threaded), deals its facets round-robin to itself and the pool
-    threads, each worker with its own normals, float32 buffers and
-    _BLOCK_BYTES / max(2, workers) of block budget, and waits for the
-    group before it builds the next table.  One ExitStack opens the pool
+    law, scores its closed-form facets and builds its table when some
+    facet remains (the benchmark's tracer wraps the law and the table, and
+    it is single-threaded), deals the remaining facets round-robin to
+    itself and the pool threads, each worker with its own normals, float32
+    buffers and _BLOCK_BYTES / max(2, workers) of block budget, and waits
+    for the group before it builds the next table.  One ExitStack opens the pool
     and pins numpy's OpenBLAS to one thread (`_blas_threads`); it shuts the
     pool down and restores the earlier count before the call returns, also
     when a facet raises.  A call that meets `_pool_floors` pins OpenBLAS
@@ -1024,7 +1089,7 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     values = np.zeros(idx.size)
     errors = np.zeros(idx.size)
     accepted = np.zeros(idx.size)
-    attempted = np.zeros(idx.size, dtype=bool)
+    sampled = np.zeros(idx.size, dtype=bool)
 
     workers = _facet_workers(S, N, d, idx.size)
     # the pool's layout also on one worker (see above)
@@ -1036,8 +1101,9 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
     buffers = [(np.empty((N - 1, d - 1)), np.empty((N - 1) * (d - 1), np.float32))
                for _ in range(workers)]
 
-    def facet(pos, law, table, hs, coords, y32):
-        i = idx[pos]
+    def neighbours(i):
+        """(Xx, c, base, ro): the products X @ X[i], those with the other
+        rows, the anchor products rho_i c and the other offsets."""
         Xx = X @ X[i]
         tol = 4.0 * _UNIT_TOL  # rows equal to row i to rounding (see above)
         same = (Xx >= 1.0 - tol) & (np.abs(rho - rho[i]) <= tol * abs(rho[i]))
@@ -1047,8 +1113,24 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
             raise InputError(f"facet rows {min(i, j)} and {max(i, j)} are "
                              "the same hyperplane (direction and offset)")
         c = np.delete(Xx, i)
-        base = float(rho[i]) * c
-        ro = np.delete(rho, i)
+        return Xx, c, float(rho[i]) * c, np.delete(rho, i)
+
+    def closed_form(pos, law, hs):
+        """Whether facet pos has k <= 1 neighbours and a certified
+        `_one_cut_share`; if so its value and std_error are set."""
+        if N > 2:
+            return False
+        _, c, base, ro = neighbours(idx[pos])
+        share = (1.0, 0.0) if N == 1 else _one_cut_share(law, d - 1,
+                                                         ro[0] - base[0], c[0])
+        if share is None:
+            return False
+        values[pos], errors[pos] = hs * share[0], hs * share[1]
+        return True
+
+    def facet(pos, law, table, hs, coords, y32):
+        i = idx[pos]
+        Xx, c, base, ro = neighbours(i)
         normals = _gram_factor(_hyperplane_coordinates(X, i, Xx, out=coords))
         cv = _pair_cut_sum(law, d, normals.shape, ro - base, c)
 
@@ -1075,23 +1157,21 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
                 cut_count += cuts[0].size
         # the scored pair means x, an offset and the table terms (see above)
         w = buf[:S]  # the pair means
-        rqmc = _is_rqmc(normals.shape[1], d - 1)
-        x, offset, terms = w, 0.0, ()
+        x, offset, terms = w, 0.0, (2.0 * table.cdf_error,)
         if cv is not None:  # z's pair means in place of w's
             x, offset = np.concatenate(zs), 1.0 - cv[0]
             terms = (cv[1], (2.0 + cut_count / (2 * S)) * table.cdf_error)
-        elif rqmc:
-            terms = (2.0 * table.cdf_error,)
         mean = float(x.sum()) / S
         values[pos] = hs * (offset + mean)
         if S == 1:  # no spread is defined
             errors[pos] = math.nan
         else:
-            spread = (_replicate_error(buf, S, mean, draw[0].shape[0]) if rqmc
+            spread = (_replicate_error(buf, S, mean, draw[0].shape[0])
+                      if _is_rqmc(normals.shape[1], d - 1)
                       else math.sqrt(np.square(x - mean).sum() / (S - 1) / S))
             errors[pos] = hs * math.hypot(spread, *terms)
         accepted[pos] = float(w.sum())
-        attempted[pos] = True
+        sampled[pos] = True
 
     def deal(positions, law, table, hs, j):
         for pos in positions[j::workers]:
@@ -1104,21 +1184,25 @@ def _facet_values(prof, body, samples_per_facet, seed, facet_indices=None):
             set_threads(1)
         if workers > 1:
             pool = stack.enter_context(ThreadPoolExecutor(workers - 1))
-        # one law and table per distinct |rho_i| inside the support, in order
-        # of |rho_i|; a facet outside it contributes exactly 0
+        # one law per distinct |rho_i| inside the support, in order of
+        # |rho_i|, and a table when some facet of it samples; a facet
+        # outside it contributes exactly 0
         order = np.argsort(np.abs(rho[idx]), kind="stable")
         for dist, group in itertools.groupby(
                 order, key=lambda pos: abs(float(rho[idx[pos]]))):
             hs, law = _halfspace_law(prof, dist)
             if hs == 0.0:
                 continue
-            positions, table = list(group), _facet_table(law)
+            positions = [pos for pos in group if not closed_form(pos, law, hs)]
+            if not positions:
+                continue
+            table = _facet_table(law)
             jobs = [pool.submit(deal, positions, law, table, hs, j)
                     for j in range(1, workers)]  # none with one worker
             deal(positions, law, table, hs, 0)
             for job in jobs:
                 job.result()
-    return values, errors, accepted, attempted
+    return values, errors, accepted, sampled
 
 
 def polytope_surface_mc(prof: MeasureProfile, body,
@@ -1126,11 +1210,13 @@ def polytope_surface_mc(prof: MeasureProfile, body,
     """Boundary measure of a facet body (see `as_facets`) by facet-wise
     hyperplane Monte Carlo.
 
-    When every sample of every facet scores 0 (each chord misses its
-    facet's radius table) the estimate is 0 and the std_error is NaN with
-    an explanatory note: the sample variance carries no information then.
-    With one sample per facet there is no sample variance: the std_error
-    is NaN, with a note, too.
+    When every sample of every sampled facet scores 0 (each chord misses
+    its facet's radius table) the estimate is 0 and the std_error is NaN
+    with an explanatory note: the sample variance carries no information
+    then.  With one sample per facet there is no sample variance: the
+    std_error is NaN, with a note, too.  Facets with at most one neighbour
+    draw nothing (a half-space, a slab, a wedge: see `_facet_values`), so
+    they count no samples and raise neither note.
     """
     dim = as_facets(body)[0].shape[1]
     if dim != prof.d:
@@ -1139,19 +1225,19 @@ def polytope_surface_mc(prof: MeasureProfile, body,
         raise InputError(
             f"samples_per_facet must be >= 1, got {samples_per_facet}"
         )
-    values, errors, accepted, attempted = _facet_values(
+    values, errors, accepted, sampled = _facet_values(
         prof, body, samples_per_facet, seed
     )
     total = float(values.sum())
     err = float(np.sqrt((errors ** 2).sum()))
     note = ""
-    if attempted.any() and accepted.sum() == 0:
+    if sampled.any() and accepted.sum() == 0:
         err = math.nan
         note = "unreliable: zero acceptance on every facet"
-    elif attempted.any() and int(samples_per_facet) == 1:
+    elif sampled.any() and int(samples_per_facet) == 1:
         note = _ONE_SAMPLE_NOTE
     return SurfaceEstimate(total, err, "facet-mc",
-                           int(samples_per_facet) * int(attempted.sum()), note)
+                           int(samples_per_facet) * int(sampled.sum()), note)
 
 
 # ---------------------------------------------------------------------------

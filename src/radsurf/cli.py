@@ -513,7 +513,11 @@ def _profile(args, dim=None):
 
 
 def _construct(args, prof):
-    """The construction estimate that construct and sweep report."""
+    """The construction estimate that construct and sweep report: Monte
+    Carlo over random polytopes (--method mc), or the same expectation by
+    quadrature (--method exact), which draws and allocates no polytope."""
+    if args.method == "exact":
+        return construction.expected_surface_exact(prof, c_rho=args.c_rho)
     return construction.expected_surface(
         prof,
         c_rho=args.c_rho,
@@ -556,6 +560,8 @@ def _subcommand(sub, name, fn, summary, dim=True):
 def _add_construction(sp, samples):
     """The flags of the construction estimate (see `_construct`)."""
     sp.add_argument("--c-rho", type=float, default=1.0, dest="c_rho")
+    sp.add_argument("--method", choices=("mc", "exact"), default="mc",
+                    help="Monte Carlo over random polytopes, or quadrature")
     sp.add_argument("--trials", type=int, default=4)
     sp.add_argument("--samples", type=int, default=samples,
                     help="MC samples per facet")

@@ -161,7 +161,10 @@ def expected_surface(
     polytope randomness and the per-facet MC noise) and the pure MC floor;
     a single trial reports only the MC error of that one polytope.  One
     sample per facet gives no MC error: trials >= 2 then report the spread
-    alone, and a single trial NaN with a note.
+    alone, and a single trial NaN with a note.  In a plan of N_eff <= 2
+    facets each facet has at most one neighbour and is scored in closed
+    form (`_facet_values`), so no direction is drawn, `samples` is 0 and
+    the trials differ only by their polytopes.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -189,11 +192,11 @@ def expected_surface(
         else:
             picked = None
             scale = 1.0
-        v, e, _, att = _facet_values(prof, body, samples_per_facet,
-                                     mc_seed, facet_indices=picked)
+        v, e, _, sampled = _facet_values(prof, body, samples_per_facet,
+                                         mc_seed, facet_indices=picked)
         vals[t] = scale * v.sum()
         mc_vars[t] = scale * scale * float((e ** 2).sum())
-        total_samples += samples_per_facet * int(att.sum())
+        total_samples += samples_per_facet * int(sampled.sum())
 
     value = float(vals.mean())
     note = ""

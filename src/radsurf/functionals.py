@@ -209,11 +209,12 @@ class _RadialLaw:
             )
         return log_peak + math.log(val)
 
-    def expect(self, g, nodes):
+    def expect(self, g, nodes, points=()):
         """(E[g(s)], error) under the law's density, normalised on its
         window: a Gauss-Legendre rule of `nodes` and of 2 `nodes` nodes on
-        each piece of the window between its ends, the peak and the kinks,
-        the value from the finer rule and the error the two rules' gap.
+        each piece of the window between its ends, the peak, the kinks and
+        the `points` inside it (where g is not smooth), the value from the
+        finer rule and the error the two rules' gap.
 
         g maps the nodes, a 1-D array, to an array whose last axis runs
         over them, so one call gives the expectations of many functions;
@@ -221,8 +222,8 @@ class _RadialLaw:
         it leaves out the mass beyond the window, exp(-WINDOW_NATS) of the
         peak and below."""
         a, b = self.window
-        ends = np.array(sorted({a, b, *(x for x in (*self.breaks, self.peak)
-                                        if a < x < b)}))
+        ends = np.array(sorted({a, b, *(x for x in (*self.breaks, self.peak,
+                                                    *points) if a < x < b)}))
         half = 0.5 * np.diff(ends)
         mid = ends[:-1] + half
         rules = []

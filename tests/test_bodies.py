@@ -42,7 +42,7 @@ from radsurf.bodies import (
     sphere_argmax,
     sphere_surface,
 )
-from radsurf.functionals import _radial_law, log_ball_volume, profile
+from radsurf.functionals import _REL_TOL, _radial_law, log_ball_volume, profile
 from radsurf.potential import ball, shell, tabulated
 
 from conftest import MEASURE_NAMES, circumscribed_polytope, whole_draw
@@ -720,9 +720,12 @@ def test_facet_mc_matches_gaussian_partial_box_in_high_dimension(get_profile):
     assert abs(est.value - exact) <= 4.0 * est.std_error
 
 
-def test_facet_mc_matches_gaussian_wedge_in_high_dimension(get_profile):
+def test_facet_mc_matches_gaussian_wedge_in_high_dimension(get_profile,
+                                                           monkeypatch):
     # two half-spaces <x, X_i> <= rho_i with <X_1, X_2> = c in R^64 (k = 1):
-    # sum_i phi(rho_i) Phi((rho_j - c rho_i) / sqrt(1 - c^2)).
+    # sum_i phi(rho_i) Phi((rho_j - c rho_i) / sqrt(1 - c^2)).  With no
+    # nodes allowed the closed form cannot certify, so both facets sample.
+    monkeypatch.setattr(bodies, "_CUT_MAX_NODES", 0)
     d = 64
     pr = get_profile("gaussian", d)
     c = 0.3
@@ -737,7 +740,88 @@ def test_facet_mc_matches_gaussian_wedge_in_high_dimension(get_profile):
     )
     est = polytope_surface_mc(pr, Polytope(X, rho), samples_per_facet=20_000,
                               seed=8)
+    assert est.samples == 40_000
     assert abs(est.value - exact) <= 4.0 * est.std_error
+
+
+#: (c, rho_0, rho_1): two rows with <X_0, X_1> = c at offsets rho_i
+_WEDGES = {
+    "c=0.3": (0.3, 0.8, 1.2),
+    "c=-0.6": (-0.6, 0.8, 0.5),
+    "c=0.9": (0.9, 1.0, 1.1),
+    "negative slack": (0.9, 1.0, 0.5),  # seen from facet 0: 0.5 - 0.9
+    "zero slack": (0.5, 1.0, 0.5),  # seen from facet 0: 0.5 - 0.5
+    "slab": (-1.0, 0.7, 0.4),
+    "nested rows": (1.0, 0.7, 1.3),
+}
+
+
+def _gaussian_wedge(d, c, rho):
+    """The two rows of product c in R^d and the Gaussian surface of
+    {<x, X_i> <= rho_i}: sum_i phi(rho_i) Phi(kappa_i), kappa_i =
+    (rho_j - c rho_i) / sqrt(1 - c^2), and for parallel rows (c = +-1)
+    phi(rho_i) where the slack rho_j - c rho_i is positive."""
+    X = np.zeros((2, d))
+    X[0, 0] = 1.0
+    X[1, 0], X[1, 1] = c, math.sqrt(1.0 - c * c)
+    surface = 0.0
+    for i in range(2):
+        slack = rho[1 - i] - c * rho[i]
+        share = (float(slack > 0.0) if abs(c) == 1.0
+                 else stats.norm.cdf(slack / math.sqrt(1.0 - c * c)))
+        surface += stats.norm.pdf(rho[i]) * share
+    return X, surface
+
+
+@pytest.mark.parametrize("case", list(_WEDGES))
+@pytest.mark.parametrize("d", [3, 4, 16, 64])
+def test_one_neighbour_facets_are_the_gaussian_wedge(d, case, get_profile,
+                                                    monkeypatch):
+    # k = 1: each facet is hs (1 - mu) by quadrature, with no direction
+    # drawn and no radius table built.  It meets the closed form within 4
+    # std_errors plus hs's own quadrature tolerance, which no std_error
+    # covers (at d = 3 it takes the break at |kappa|)
+    c, *rho = _WEDGES[case]
+    X, exact = _gaussian_wedge(d, c, rho)
+    tables, facet_table = [], bodies._facet_table
+    monkeypatch.setattr(bodies, "_facet_table",
+                        lambda law: tables.append(law) or facet_table(law))
+    est = polytope_surface_mc(get_profile("gaussian", d), Polytope(X, rho),
+                              samples_per_facet=1, seed=8)
+    assert est.samples == 0 and est.note == "" and not tables
+    assert abs(est.value - exact) <= 4.0 * est.std_error + _REL_TOL * exact
+
+
+def test_one_cut_share_covers_every_slack(get_profile, monkeypatch):
+    # p = 1 - mu for one neighbour: 1/2 at zero slack, 1 or 0 for parallel
+    # rows, p(-sigma) = 1 - p(sigma), 1 - M(kappa) of `_pair_cut_means` for
+    # a positive slack, and None when no rule may run
+    _, law = bodies._halfspace_law(get_profile("gaussian", 16), 1.0)
+    share = bodies._one_cut_share
+    assert share(law, 15, 0.0, 0.3) == (0.5, 0.0)
+    assert share(law, 15, 0.4, -1.0) == (1.0, 0.0)
+    assert share(law, 15, -0.6, 1.0) == (0.0, 0.0)
+    p, err = share(law, 15, 0.5, 0.6)
+    below, below_err = share(law, 15, -0.5, 0.6)
+    assert 0.0 <= err <= _REL_TOL * p and below_err <= _REL_TOL * below
+    assert p + below == pytest.approx(1.0, rel=0.0, abs=1e-15)
+    mu, mu_err = bodies._pair_cut_means(law, 15, np.array([0.5 / 0.8]),
+                                        math.inf)
+    assert p == pytest.approx(1.0 - mu[0], rel=0.0, abs=err + mu_err + 1e-15)
+    monkeypatch.setattr(bodies, "_CUT_MAX_NODES", bodies._PAIR_NODES // 2)
+    assert share(law, 15, 0.5, 0.6) is None
+
+
+def test_closed_form_facets_reproduce_in_any_subset(get_profile):
+    pr = get_profile("gaussian", 16)
+    X, _ = _gaussian_wedge(16, 0.3, [0.8, 1.2])
+    body = Polytope(X, [0.8, 1.2])
+    full = _facet_values(pr, body, 100, seed=2)
+    assert not full[3].any()  # nothing sampled
+    for picked in ([1], [1, 0]):
+        sub = _facet_values(pr, body, 100, seed=2, facet_indices=picked)
+        for a, b in zip(full, sub):
+            assert np.array_equal(a[picked], b)
 
 
 def test_all_facets_zero_acceptance_note(get_profile):
@@ -771,13 +855,23 @@ def test_one_sample_per_facet_has_no_std_error(get_profile):
     assert two.note == ""
 
 
+def _table_terms(pr, rho):
+    """The std_error of a facet body whose pair means have no spread: the
+    table terms 2 hs cdf_error of its facets, in quadrature."""
+    terms = []
+    for r in rho:
+        hs, law = bodies._halfspace_law(pr, abs(r))
+        terms.append(2.0 * hs * _facet_table(law).cdf_error)
+    return math.sqrt(math.fsum(t * t for t in terms))
+
+
 def test_tiny_triangle_gets_perimeter_times_density(get_profile):
     # at d = 2 the facet density is flat near 0, so chords of 1e-9 keep
     # their weight: the estimate is the perimeter 6 sqrt(3) r times the
     # density 1/(2 pi) at the origin (to O(r^2)).  Both directions of a
-    # side give the same chord, so the std_error is at rounding level.  The
-    # table CDF is linear on its first knot interval, off by about 1e-6
-    # relative there.
+    # side give the same chord, so the spread is at rounding level and the
+    # std_error is the table terms alone.  The table CDF is linear on its
+    # first knot interval, off by about 1e-6 relative there.
     pr = get_profile("gaussian", 2)
     ang = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
     dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -786,7 +880,8 @@ def test_tiny_triangle_gets_perimeter_times_density(get_profile):
     est = polytope_surface_mc(pr, body, samples_per_facet=500, seed=1)
     exact = 6.0 * math.sqrt(3.0) * r / (2.0 * math.pi)
     assert est.value == pytest.approx(exact, rel=1e-5)
-    assert math.isfinite(est.std_error) and est.std_error < 1e-12 * est.value
+    assert est.std_error == pytest.approx(_table_terms(pr, body.offsets),
+                                          rel=1e-12)
     assert est.note == ""
 
 
@@ -794,7 +889,8 @@ def test_tiny_triangle_gets_perimeter_times_density(get_profile):
 def test_pair_mean_is_the_edge_integral_in_two_dimensions(name, get_profile):
     # at d = 2 a facet's direction is +-1, so the pair mean of u and -u
     # scores the whole edge: the estimate is the integral of the density
-    # along the three edges, to the table's 1e-6, with no sample variance
+    # along the three edges, to the table's 1e-6, with no sample variance,
+    # so the std_error is the table terms alone
     pr = get_profile(name, 2)
     ang = np.array([0.3, 2.4, 4.3])
     X = np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -816,7 +912,7 @@ def test_pair_mean_is_the_edge_integral_in_two_dimensions(name, get_profile):
     est = polytope_surface_mc(pr, Polytope(X, rho), samples_per_facet=200,
                               seed=1)
     assert est.value == pytest.approx(exact, rel=1e-6)
-    assert est.std_error <= 1e-12
+    assert est.std_error == pytest.approx(_table_terms(pr, rho), rel=1e-12)
 
 
 def _gaussian_facet_integral(X, rho, angles=1 << 16):
@@ -878,9 +974,11 @@ def _simplex_box_wedge(get_profile):
     ]
 
 
-def test_facet_std_error_below_the_binomial_one(get_profile):
+def test_facet_std_error_below_the_binomial_one(get_profile, monkeypatch):
     # 0 <= w <= 1, so the sample variance of w is at most the binomial
-    # p (1 - p) S / (S - 1) of the same mean: deterministic, per facet
+    # p (1 - p) S / (S - 1) of the same mean: deterministic, per facet.
+    # The wedges sample too: their closed form is given no nodes.
+    monkeypatch.setattr(bodies, "_CUT_MAX_NODES", 0)
     S = 3000
     cases = _simplex_box_wedge(get_profile) + [
         (get_profile("gp1", 8), circumscribed_polytope(8, 4.0, 12, seed=5))]
@@ -965,7 +1063,7 @@ def test_rqmc_facet_scores_exactly_its_samples(d, S, get_profile):
     # first S of radii[r, b] theta_r Q_b in (r, b) order, rebuilt from the
     # stream in the draw's order (the rotations, the chi^2 lengths Y and X
     # when q < d - 1, the Gaussian rows g), with X_r0 = |g_r|^2; compare
-    # the value and the per-direction std_error
+    # the value and the per-direction std_error with its table term
     pr = get_profile("gaussian", d)
     body = _score_case(pr, d)
     X, rho = as_facets(body)
@@ -1005,8 +1103,8 @@ def test_rqmc_facet_scores_exactly_its_samples(d, S, get_profile):
             w = pair_means(u.reshape(-1, q)[:S])
             assert accepted[i] == pytest.approx(w.sum(), rel=1e-12)
             assert values[i] == pytest.approx(hs * w.mean(), rel=1e-12)
-            assert errors[i] == pytest.approx(
-                hs * w.std(ddof=1) / math.sqrt(S), rel=1e-9)
+            assert errors[i] == pytest.approx(hs * math.hypot(
+                w.std(ddof=1) / math.sqrt(S), 2.0 * table.cdf_error), rel=1e-9)
             continue
         long = S - B * (n - 1)
         sizes = [n] * long + [n - 1] * (B - long)
@@ -1726,8 +1824,9 @@ def test_pair_cut_table_stops_where_its_first_points_pass_the_limit(
 
 def test_facets_outside_the_variate_keep_their_bits(get_profile):
     # float32-product facets that score the plain pair means, with the
-    # figures they had before the variate: a box whose neighbours cut off
-    # more than _CV_MAX_SUM, and a facet with a nonpositive slack
+    # values and accepted counts they had before the variate: a box whose
+    # neighbours cut off more than _CV_MAX_SUM, and a facet with a
+    # nonpositive slack (their std_errors carry the 2 cdf_error table term)
     prof = get_profile("gaussian", 520)
     box = HyperRectangle(np.linspace(2.6, 3.4, 520))
     _, _, _, Xx, law, _ = _facet_inputs(prof, box, 0)
@@ -1739,7 +1838,7 @@ def test_facets_outside_the_variate_keep_their_bits(get_profile):
     assert bodies._pair_cut_means(law, 519, kappa, bodies._CV_MAX_SUM) is None
     got = _facet_values(prof, box, 500, 11, facet_indices=[0, 777])
     want = (["0x1.2b16eb8916487p-9", "0x1.8040e6d040fc8p-11"],
-            ["0x1.80b7b25932b93p-13", "0x1.f02571fd20af4p-15"],
+            ["0x1.80b7b28df837fp-13", "0x1.f025724474effp-15"],
             ["0x1.4ffd7b7148e2cp+6", "0x1.46f213d03f305p+6"])
     for g, w in zip(got, want):
         assert [x.hex() for x in g] == w
@@ -1752,7 +1851,7 @@ def test_facets_outside_the_variate_keep_their_bits(get_profile):
     rho = np.full(1100, 3.2)
     rho[1] = 3.2 * np.cos(0.3) - 0.1  # the slack seen from facet 0: -0.1
     got = _facet_values(prof, Polytope(X, rho), 500, 12, facet_indices=[0])
-    want = (["0x1.7d71d51105f4dp-12"], ["0x1.64502e64ee766p-16"],
+    want = (["0x1.7d71d51105f4dp-12"], ["0x1.64502ed4c2426p-16"],
             ["0x1.312b1045fcfd8p+6"])
     for g, w in zip(got, want):
         assert [x.hex() for x in g] == w
@@ -1781,7 +1880,7 @@ def test_every_estimator_keeps_its_bits(get_profile):
          ("0x1.48aeb3064b26bp-4", "0x1.258ed749af3f0p-20",
           "0x1.5ee5f8f517a7fp+9")),
         ((pr64, construction.sample_polytope(spec, pr64), 2000, 9, [0]),
-         ("0x1.8123078d89e59p-5", "0x1.126a36ebcce98p-12",
+         ("0x1.8123078d89e59p-5", "0x1.126a37f0c845cp-12",
           "0x1.ad5c3aa46baa2p+10")),
     ]
     for (pr, solid, S, seed, facets), want in cases:

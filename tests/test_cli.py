@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,6 +348,23 @@ def test_surface_mc_halfspace_through_origin(capsys):
     assert row["std_error"] == 0.0
 
 
+@pytest.mark.parametrize("body", ["halfspace:rho=0.5", "slab:rho1=0.5,rho2=1"])
+def test_surface_mc_of_a_halfspace_or_slab_is_exact(body, capsys):
+    # no neighbour, or one parallel one: facet MC scores the facets in
+    # closed form, so even one sample per facet prints the exact value
+    # with std_error 0, no sample and no note
+    rows = []
+    for method in ("mc", "exact"):
+        code, out, _ = run_cli(capsys, "surface", "--measure", "gaussian",
+                               "--dim", "3", "--body", body, "--method",
+                               method, "--samples", "1", "--format", "json")
+        assert code == 0
+        rows.append(json.loads(out))
+    mc, exact = rows
+    assert mc["value"] == exact["value"] and mc["std_error"] == 0.0
+    assert mc["samples"] == 0 and "note" not in mc
+
+
 def test_surface_mc_rejects_a_repeated_polytope_row(capsys, tmp_path):
     path = tmp_path / "box.txt"
     eye = np.eye(3)
@@ -396,6 +414,43 @@ def test_construct_command_deterministic(capsys):
     assert row["rho"] > 0 and row["theorem_bound"] > 0
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_construct_exact_method(capsys):
+    code, out, _ = run_cli(capsys, "construct", "--measure", "gaussian",
+                           "--dim", "16", "--method", "exact",
+                           "--format", "json")
+    assert code == 0
+    row = json.loads(out)
+    assert abs(row["value"] - 0.275253) < 5e-7
+    assert (row["std_error"], row["method"], row["samples"]) == (
+        0.0, "exact", 0)
+
+
+def test_construct_exact_serves_a_plan_too_large_to_allocate(capsys):
+    # N_eff = 7.5e14 at d = 256: mc refuses to allocate the polytope, the
+    # quadrature needs none
+    args = ("construct", "--measure", "gaussian", "--dim", "256",
+            "--c-rho", "3", "--format", "json")
+    code, _, err = run_cli(capsys, *args)
+    assert code == 2 and "too many to allocate" in err
+    code, out, _ = run_cli(capsys, *args, "--method", "exact")
+    assert code == 0
+    row = json.loads(out)
+    assert row["N_eff"] == 745640492374035 and row["method"] == "exact"
+    assert 0.0 < row["value"] < row["theorem_bound"]
+
+
+def test_sweep_exact_method(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--measure", "gaussian",
+                           "--dims", "8,16,64", "--method", "exact",
+                           "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[0]["construction_estimate"] == "nan"  # degenerate at d = 8
+    for r, want in zip(rows[1:], (0.275253, 0.328413)):
+        assert abs(float(r["construction_estimate"]) - want) < 5e-7
+        assert r["construction_stderr"] == "0"
 
 
 def test_construct_degenerate_plan_fails_cleanly(capsys):
@@ -517,6 +572,31 @@ def test_sweep_csv(capsys):
     for r in rows:
         assert float(r["theorem_bound"]) > 0
         assert float(r["halfspace_surface"]) > 0
+
+
+def test_readme_sweep_example_is_what_the_command_prints(capsys):
+    # README's `sweep` example: its command, run, prints the columns the
+    # README shows ("..." stands for the ones it leaves out)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("$ radsurf sweep "))
+    shown = []
+    for line in lines[start + 1:]:
+        if line.startswith("```"):
+            break
+        shown.append(line.split(","))
+    header, rows = shown[0], shown[1:]
+    code, out, _ = run_cli(capsys, *lines[start].split()[2:])
+    assert code == 0
+    printed = list(csv.DictReader(io.StringIO(out)))
+    assert len(printed) == len(rows)
+    for row, got in zip(rows, printed):
+        assert len(row) == len(header)
+        for key, text in zip(header, row):
+            if key != "...":
+                assert math.isclose(float(text), float(got[key]),
+                                    rel_tol=1e-9), (key, text, got[key])
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--samples",

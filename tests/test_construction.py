@@ -244,7 +244,7 @@ def test_expected_surface_std_error_at_one_and_two_samples(get_profile,
     # one sample per facet gives no MC error: a single trial reports NaN
     # with a note, several trials exactly their spread.  Two samples give
     # finite errors, and several trials at least their spread.
-    pr = get_profile("gaussian", 16)  # N_eff = 2, so no subsampling
+    pr = get_profile("gp4", 16)  # N_eff = 4 (k = 3 samples), no subsampling
     single = expected_surface(pr, c_rho=1.0, trials=1,
                               samples_per_facet=samples, seed=5)
     assert math.isfinite(single.value)
@@ -253,7 +253,7 @@ def test_expected_surface_std_error_at_one_and_two_samples(get_profile,
         assert single.note == (
             "unreliable: one sample per facet gives no sample variance")
     else:
-        assert math.isfinite(single.std_error)  # 0: all four samples score 1
+        assert math.isfinite(single.std_error)
         assert "single trial" in single.note
     trial_values = []
     facet_values = construction._facet_values
@@ -358,3 +358,16 @@ def test_expected_surface_exact_serves_plans_too_large_to_sample(get_profile):
     est = expected_surface_exact(pr, c_rho=3.0)
     assert 0.0 < est.value < 2.0 * expected_surface_exact(pr, c_rho=1.0).value
 
+
+def test_two_facet_plans_draw_nothing_and_meet_the_exact_value(get_profile):
+    # at d = 16 the Gaussian plan has N_eff = 2 facets with one neighbour
+    # each: every trial is its polytope's closed form, so no direction is
+    # drawn, and the mean over polytopes lies within 4 sigma of the exact
+    # expectation
+    pr = get_profile("gaussian", 16)
+    exact = expected_surface_exact(pr, c_rho=1.0).value
+    for trials, seed in ((2, 0), (64, 1)):
+        est = expected_surface(pr, c_rho=1.0, trials=trials,
+                               samples_per_facet=20_000, seed=seed)
+        assert est.samples == 0 and est.note == ""
+        assert abs(est.value - exact) <= 4.0 * est.std_error

@@ -55,11 +55,12 @@ def test_every_name_the_benchmark_pins_resolves():
 
 
 def test_the_benchmark_wrappers_read_what_facet_mc_returns(get_profile):
-    # the tracer reads `_facet_values`' attempted flags (result[3]) and
+    # the tracer reads `_facet_values`' sampled flags (result[3]) and
     # samples_per_facet from its arguments, under both names that call it
+    # (gp4 at d = 16 plans N_eff = 4 facets, which sample)
     tracing = _perfbench("tracing")
     tracer = tracing.Tracer()
-    pr = get_profile("gaussian", 16)
+    pr = get_profile("gp4", 16)
     with tracing.LayerPatch(tracer):
         radsurf.polytope_surface_mc(pr, radsurf.HyperRectangle(np.full(16, 1.5)),
                                     50, seed=1)
